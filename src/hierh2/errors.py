@@ -90,8 +90,8 @@ class ArnoldiNoConvergence(NumericalError):
 
 
 class ApproxNotStabilizing(NumericalError):
-    """Truncated Riccati solution fails both the residue-based stability
-    test and the direct closed-loop eigenvalue check; raise kappa."""
+    """Truncated Riccati gains leave the control or the filter loop with an
+    eigenvalue at Re >= -hurwitz_margin; raise kappa."""
 
 
 class NoFeasibleWeights(NumericalError):

@@ -141,17 +141,6 @@ class GapReport:
         return self.j2_star / self.j1_star
 
 
-def _pinv_projected_gain_x(g: GeneralizedPlant, p: ProjectionPair,
-                           tol: Tolerances) -> np.ndarray:
-    """Feedback of the doubly-projected plant via pseudo-inverse weights."""
-    bp = g.b2 @ (p.p_u.T @ p.p_u)
-    rp = (p.p_u.T @ p.p_u) @ g.d12.T @ g.d12 @ (p.p_u.T @ p.p_u)
-    rp_pinv = np.linalg.pinv(symmetrize(rp))
-    m = bp @ rp_pinv @ bp.T
-    x = riccati_from_hamiltonian(g.a, m, g.c1.T @ g.c1, tol).x
-    return -rp_pinv @ bp.T @ x, x
-
-
 def doubly_projected_controller(g: GeneralizedPlant, p: ProjectionPair,
                                 tol: Tolerances = DEFAULT_TOLERANCES) -> StateSpace:
     """Observer controller of the P_u^T P_u / P_y^T P_y-weighted plant.
@@ -160,14 +149,18 @@ def doubly_projected_controller(g: GeneralizedPlant, p: ProjectionPair,
     solution coincides with the hierarchical optimal controller.  Singular
     projected weights are handled through pseudo-inverses.
     """
-    f_brev, _ = _pinv_projected_gain_x(g, p, tol)
+    bp = g.b2 @ (p.p_u.T @ p.p_u)
+    rp = (p.p_u.T @ p.p_u) @ g.d12.T @ g.d12 @ (p.p_u.T @ p.p_u)
+    rp_pinv = np.linalg.pinv(symmetrize(rp))
+    m = bp @ rp_pinv @ bp.T
+    x = riccati_from_hamiltonian(g.a, m, g.c1.T @ g.c1, tol).x
+    f_brev = -rp_pinv @ bp.T @ x
     cp = (p.p_y.T @ p.p_y) @ g.c2
     rp = (p.p_y.T @ p.p_y) @ g.d21 @ g.d21.T @ (p.p_y.T @ p.p_y)
     rp_pinv = np.linalg.pinv(symmetrize(rp))
     m = cp.T @ rp_pinv @ cp
     y = riccati_from_hamiltonian(g.a.T, m, g.b1 @ g.b1.T, tol).x
     l_brev = -y @ cp.T @ rp_pinv
-    bp = g.b2 @ (p.p_u.T @ p.p_u)
     return StateSpace(g.a + bp @ f_brev + l_brev @ cp, -l_brev, f_brev,
                       np.zeros((g.n_u, g.n_y)))
 

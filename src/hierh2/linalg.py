@@ -3,8 +3,11 @@
 The Riccati solver works through the stable invariant subspace of the
 associated 2n x 2n Hamiltonian (ordered real Schur form), so the same code
 path underpins both the exact solutions and the truncated approximations
-built elsewhere.  Lyapunov equations are delegated to LAPACK's
-Bartels-Stewart via SciPy behind the module's residual contract.
+built elsewhere.  Every Lyapunov and Sylvester equation in the package goes
+through one Bartels-Stewart kernel on real Schur factors (LAPACK ``trsyl``):
+:func:`solve_sylvester` wraps it in the residual contract (at most two
+refinement steps reusing the factors, then :class:`NumericalError`), and the
+Riccati Newton step calls it directly.
 """
 
 from __future__ import annotations
@@ -14,20 +17,18 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .config import DEFAULT_TOLERANCES, Tolerances
-from .errors import (ArnoldiNoConvergence, ConjugatePairSplitWarning,
-                     DimensionMismatch, HamiltonianImaginaryAxis,
-                     ImaginaryAxisEigenvalue, NotHurwitz, NotPSD,
-                     NotStabilizable, NotStrictlyProper, NumericalError,
-                     SingularR, SingularZ1)
+from .errors import (ConjugatePairSplitWarning, DimensionMismatch,
+                     HamiltonianImaginaryAxis, ImaginaryAxisEigenvalue,
+                     NotHurwitz, NotPSD, NotStabilizable, NotStrictlyProper,
+                     NumericalError, SingularR, SingularZ1)
 from .statespace import StateSpace, as_matrix
 
 __all__ = [
-    "AreSolution", "StableSubspace", "Spectrum",
-    "solve_lyapunov", "solve_are", "riccati_from_hamiltonian",
+    "AreSolution", "StableSubspace", "Spectrum", "RealSchur",
+    "solve_sylvester", "solve_lyapunov", "solve_are",
+    "riccati_from_hamiltonian",
     "h2_norm", "hinf_norm", "stable_eigenspace", "unstable_spectrum",
     "sqrt_psd", "spectral_abscissa", "is_hurwitz", "stabilizable",
     "detectable", "symmetrize",
@@ -83,8 +84,70 @@ def detectable(a, c, tol: Tolerances = DEFAULT_TOLERANCES) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Lyapunov
+# Lyapunov / Sylvester (Bartels-Stewart on real Schur factors)
 # ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class RealSchur:
+    """Real Schur factorization A = U T U' (T quasi upper-triangular)."""
+
+    a: np.ndarray
+    t: np.ndarray
+    u: np.ndarray
+
+    @classmethod
+    def of(cls, a) -> "RealSchur":
+        a = as_matrix(a, "A")
+        t, u = sla.schur(a, output="real")
+        return cls(a=a, t=t, u=u)
+
+    @property
+    def abscissa(self) -> float:
+        """max Re(lambda) over the eigenvalues of A, read off T."""
+        if self.t.shape[0] == 0:
+            return -np.inf
+        return float(np.max(_quasi_triangular_eigvals(self.t).real))
+
+
+def _bartels_stewart(f1: RealSchur, f2: RealSchur, q: np.ndarray) -> np.ndarray:
+    """X with A1 X + X A2' + Q = 0, solved as T1 Y + Y T2' = -U1' Q U2."""
+    trsyl = sla.get_lapack_funcs("trsyl", (f1.t,))
+    y, scale, info = trsyl(f1.t, f2.t, -(f1.u.T @ q @ f2.u), tranb="T")
+    if info < 0:
+        raise NumericalError(f"trsyl: argument {-info} is invalid")
+    return f1.u @ (y / scale) @ f2.u.T
+
+
+def solve_sylvester(f1: RealSchur, f2: RealSchur, q,
+                    tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
+    """Solve A1 X + X A2' + Q = 0 from the real Schur factors of A1 and A2.
+
+    When ``f1 is f2`` the equation is the Lyapunov equation and X is
+    symmetrized.  The residual contract: ||A1 X + X A2' + Q||_F <=
+    lyap_residual * max(1, ||Q||_F), reached after at most two refinement
+    steps that reuse the factors.
+
+    Raises
+    ------
+    NumericalError : the residual contract could not be met.
+    """
+    q = as_matrix(q, "Q")
+    if q.shape != (f1.a.shape[0], f2.a.shape[0]):
+        raise DimensionMismatch("solve_sylvester: Q must be n1 x n2")
+    finish = symmetrize if f1 is f2 else np.asarray
+    x = finish(_bartels_stewart(f1, f2, q))
+    bound = tol.lyap_residual * max(1.0, np.linalg.norm(q, "fro"))
+    for _ in range(2):
+        res = f1.a @ x + x @ f2.a.T + q
+        if np.linalg.norm(res, "fro") <= bound:
+            return x
+        x = finish(x + _bartels_stewart(f1, f2, res))
+    res = np.linalg.norm(f1.a @ x + x @ f2.a.T + q, "fro")
+    if res > bound:
+        raise NumericalError(
+            f"Sylvester residual {res:.3e} exceeds bound {bound:.3e}")
+    return x
+
 
 def solve_lyapunov(a, b, tol: Tolerances = DEFAULT_TOLERANCES,
                    check_hurwitz: bool = True) -> np.ndarray:
@@ -94,8 +157,9 @@ def solve_lyapunov(a, b, tol: Tolerances = DEFAULT_TOLERANCES,
     ----------
     a : (n, n) array, Hurwitz
     b : (n, m) array
-    check_hurwitz : skip the eigenvalue precheck when the caller has already
-        certified stability (the residual check still runs).
+    check_hurwitz : skip the Hurwitz check on the Schur form of `a` when the
+        caller has already certified stability (the residual check still
+        runs).
 
     Raises
     ------
@@ -106,21 +170,11 @@ def solve_lyapunov(a, b, tol: Tolerances = DEFAULT_TOLERANCES,
     b = as_matrix(b, "B")
     if b.shape[0] != a.shape[0]:
         raise DimensionMismatch("solve_lyapunov: B rows must match A")
-    if check_hurwitz:
-        _require_hurwitz(a, tol.hurwitz_margin)
-    q = b @ b.T
-    phi = symmetrize(sla.solve_continuous_lyapunov(a, -q))
-    bound = tol.lyap_residual * max(1.0, np.linalg.norm(q, "fro"))
-    for _ in range(2):
-        res = a @ phi + phi @ a.T + q
-        if np.linalg.norm(res, "fro") <= bound:
-            return phi
-        phi = symmetrize(phi + sla.solve_continuous_lyapunov(a, -res))
-    res = np.linalg.norm(a @ phi + phi @ a.T + q, "fro")
-    if res > bound:
-        raise NumericalError(
-            f"Lyapunov residual {res:.3e} exceeds bound {bound:.3e}")
-    return phi
+    f = RealSchur.of(a)
+    if check_hurwitz and f.abscissa >= -tol.hurwitz_margin:
+        raise NotHurwitz(f"A has spectral abscissa {f.abscissa:.3e} "
+                         f">= {-tol.hurwitz_margin:.1e}")
+    return solve_sylvester(f, f, b @ b.T, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -197,10 +251,10 @@ def riccati_from_hamiltonian(a, m, q, tol: Tolerances = DEFAULT_TOLERANCES) -> A
     for _ in range(5):
         if best_norm <= bound:
             break
-        acl = a - m @ best_x
         try:
-            step = sla.solve_continuous_lyapunov(acl.T, -residual(best_x))
-        except Exception:
+            acl_t = RealSchur.of((a - m @ best_x).T)
+            step = _bartels_stewart(acl_t, acl_t, residual(best_x))
+        except (sla.LinAlgError, ValueError, NumericalError):
             break
         cand = symmetrize(best_x + step)
         cand_norm = np.linalg.norm(residual(cand), "fro")
@@ -371,10 +425,6 @@ class StableSubspace:
     def k(self) -> int:
         return self.z1.shape[1]
 
-    def lambda_real(self) -> np.ndarray:
-        """Block-diagonal real form satisfying H [Z1; Z2] = [Z1; Z2] L."""
-        return self.lam
-
     def head(self, k: int) -> "StableSubspace":
         """First blocks covering at least k columns (conjugate pairs intact)."""
         count, blocks = 0, []
@@ -486,30 +536,25 @@ def _group_conjugates(vals, vecs, tol_match=1e-8):
     return reps
 
 
-def stable_eigenspace(h, k: int | None = None, method: str = "auto",
+def stable_eigenspace(h, k: int | None = None,
                       tol: Tolerances = DEFAULT_TOLERANCES) -> StableSubspace:
-    """Stable invariant subspace of a Hamiltonian matrix.
+    """Stable invariant subspace of a dense Hamiltonian matrix.
 
     Returns the k stable eigenvalues of smallest magnitude (ordered by
     magnitude, ties by ascending real then imaginary part) together with a
-    realified basis.  A request that would split a conjugate pair is bumped
-    to k+1 with a :class:`ConjugatePairSplitWarning`.  With ``k=None`` (all)
-    a dense eigendecomposition is used; otherwise shift-invert Arnoldi at
-    the origin, falling back to dense on non-convergence only if
-    ``method='auto'``.
+    realified basis, from one dense eigendecomposition of H; ``k=None``
+    keeps all n.  A request that would split a conjugate pair is bumped to
+    k+1 with a :class:`ConjugatePairSplitWarning`.  The Krylov route for a
+    few eigenpairs of a large structured Hamiltonian lives in
+    :mod:`hierh2.hamiltonian`.
 
     Raises
     ------
     ImaginaryAxisEigenvalue : some eigenvalue is numerically on jR.
-    ArnoldiNoConvergence : the Krylov path failed (method='arnoldi').
+    NumericalError : the subspace residual ||H Z - Z lam||_F is too large.
     """
-    if sp.issparse(h):
-        h_for_dense = None
-        n2 = h.shape[0]
-    else:
-        h = np.asarray(h, float)
-        h_for_dense = h
-        n2 = h.shape[0]
+    h = np.asarray(h, float)
+    n2 = h.shape[0]
     if n2 % 2:
         raise DimensionMismatch("Hamiltonian must be 2n x 2n")
     n = n2 // 2
@@ -517,71 +562,20 @@ def stable_eigenspace(h, k: int | None = None, method: str = "auto",
         k = n
     if not 1 <= k <= n:
         raise ValueError(f"k must be in [1, {n}], got {k}")
-
-    want_dense = method == "dense" or (method == "auto" and (k == n or n2 <= 600))
-    if method not in ("auto", "dense", "arnoldi"):
-        raise ValueError(f"unknown method {method!r}")
-
-    if want_dense or method == "dense":
-        hd = h_for_dense if h_for_dense is not None else np.asarray(h.todense())
-        vals, vecs = np.linalg.eig(hd)
-        _check_imag_axis(vals, tol, ImaginaryAxisEigenvalue)
-        sel = vals.real < 0
-        reps = _group_conjugates(vals[sel], vecs[:, sel])
-        sub = _realify_sorted(reps, n)
-        full_norm = np.linalg.norm(hd, "fro")
-        out = sub if k == n else sub.head(k)
-        _check_subspace_residual(hd, out, full_norm, tol)
-        return out
-
-    try:
-        out = _arnoldi_stable(h, n, k, tol)
-    except ArnoldiNoConvergence:
-        if method == "arnoldi":
-            raise
-        return stable_eigenspace(h, k, "dense", tol)
+    vals, vecs = np.linalg.eig(h)
+    _check_imag_axis(vals, tol, ImaginaryAxisEigenvalue)
+    sel = vals.real < 0
+    reps = _group_conjugates(vals[sel], vecs[:, sel])
+    sub = _realify_sorted(reps, n)
+    out = sub if k == n else sub.head(k)
+    if out.k:
+        z = np.vstack([out.z1, out.z2])
+        res = np.linalg.norm(h @ z - z @ out.lam, "fro")
+        if res > tol.subspace_residual * max(1.0, np.linalg.norm(h, "fro")):
+            raise NumericalError(
+                f"invariant subspace residual {res:.3e} exceeds "
+                f"{tol.subspace_residual:.1e} * ||H||")
     return out
-
-
-def _check_subspace_residual(h_apply, sub: StableSubspace, h_norm, tol):
-    if sub.k == 0:
-        return
-    z = np.vstack([sub.z1, sub.z2])
-    if callable(h_apply):
-        hz = h_apply(z)
-    else:
-        hz = h_apply @ z
-    res = np.linalg.norm(hz - z @ sub.lambda_real(), "fro")
-    if res > tol.subspace_residual * max(1.0, h_norm):
-        raise NumericalError(
-            f"invariant subspace residual {res:.3e} exceeds "
-            f"{tol.subspace_residual:.1e} * ||H||")
-
-
-def _arnoldi_stable(h, n, k, tol: Tolerances) -> StableSubspace:
-    """Shift-invert Arnoldi at the origin on a general (sparse) Hamiltonian."""
-    h_csc = sp.csc_matrix(h)
-    h_norm = spla.norm(h_csc, "fro")
-    k_req = min(2 * k + 8, 2 * n - 2)
-    last_err = None
-    for _ in range(3):
-        try:
-            vals, vecs = spla.eigs(h_csc, k=k_req, sigma=0.0, which="LM")
-        except Exception as e:  # ArpackNoConvergence and factorization issues
-            last_err = e
-            k_req = min(2 * k_req, 2 * n - 2)
-            continue
-        _check_imag_axis(vals, tol, ImaginaryAxisEigenvalue)
-        sel = vals.real < 0
-        reps = _group_conjugates(vals[sel], vecs[:, sel])
-        ncols = sum(2 if p else 1 for _, _, p in reps)
-        if ncols >= k:
-            sub = _realify_sorted(reps, n).head(k)
-            _check_subspace_residual(lambda zz: h_csc @ zz, sub, h_norm, tol)
-            return sub
-        k_req = min(2 * k_req, 2 * n - 2)
-    raise ArnoldiNoConvergence(
-        f"could not converge {k} stable eigenpairs (last error: {last_err})")
 
 
 # ---------------------------------------------------------------------------

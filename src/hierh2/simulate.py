@@ -18,7 +18,6 @@ import numpy as np
 
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import UnstableClosedLoop
-from .linalg import spectral_abscissa
 from .plant import GeneralizedPlant, lft_lower
 from .projection import ClusterPartition
 from .synthesis import HierarchicalController
@@ -107,18 +106,20 @@ def run_hier_simulation(g: GeneralizedPlant, controller: HierarchicalController,
     alongside and the maximum relative state deviation is checked against
     1e-9 on every sample.
 
-    Raises UnstableClosedLoop when the trajectory norm exceeds 1e6 times its
+    Raises UnstableClosedLoop when the closed loop has an eigenvalue with
+    Re >= -hurwitz_margin, or when the trajectory norm exceeds 1e6 times its
     initial scale.
     """
     k_full = controller.expand()
     closed = lft_lower(g, k_full)
-    absc_max = float(np.max(np.abs(np.linalg.eigvals(closed.a))))
-    limit = 0.1 / max(absc_max, 1e-12)
+    eigs = np.linalg.eigvals(closed.a)
+    spectral_radius = float(np.max(np.abs(eigs)))
+    limit = 0.1 / max(spectral_radius, 1e-12)
     if dt is None:
         dt = 0.5 * limit
     if dt > limit:
         raise ValueError(f"dt={dt:.3e} exceeds the resolution limit {limit:.3e}")
-    if spectral_abscissa(closed.a) >= 0.0:
+    if np.max(eigs.real) >= -tol.hurwitz_margin:
         raise UnstableClosedLoop("closed loop is not Hurwitz")
 
     n, nk = g.n, controller.k_tilde.n_states

@@ -82,10 +82,6 @@ class StateSpace:
             s * np.eye(self.n_states) - self.a, self.b)
         return self.c @ resolvent + self.d
 
-    def freqresp(self, omegas) -> np.ndarray:
-        """Frequency response stacked as (len(omegas), p, m)."""
-        return np.array([self.eval(1j * w) for w in np.atleast_1d(omegas)])
-
     def __neg__(self) -> "StateSpace":
         return StateSpace(self.a, self.b, -self.c, -self.d)
 

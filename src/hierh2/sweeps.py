@@ -28,7 +28,7 @@ __all__ = ["ExperimentConfig", "sweep_kappa", "sweep_size", "sweep_r",
            "KAPPA_FIELDS", "SIZE_FIELDS", "R_FIELDS"]
 
 KAPPA_FIELDS = ["kappa", "solve_time_s", "h2_norm", "h2_ratio",
-                "epsilon_bound", "stabilizing", "status"]
+                "epsilon_bound", "certified", "closed_loop_abscissa", "status"]
 SIZE_FIELDS = ["n", "time_exact_s", "time_approx_s", "h2_exact", "h2_approx",
                "status"]
 R_FIELDS = ["r", "J1", "J2", "ratio", "xi_u", "xi_y", "xi", "bound_rhs",
@@ -146,7 +146,9 @@ def sweep_kappa(config: ExperimentConfig, out_dir=None) -> list[dict]:
     """One row per kappa with the approx backend plus one exact row.
 
     h2_ratio normalizes each approximate closed-loop norm by the
-    exact-backend value.
+    exact-backend value.  ``certified`` is the residue certificate of both
+    truncated Riccati solutions (blank on the exact row);
+    ``closed_loop_abscissa`` is the abscissa that decided stability.
     """
     tol = config.tolerances
     g = config.plant()
@@ -159,7 +161,8 @@ def sweep_kappa(config: ExperimentConfig, out_dir=None) -> list[dict]:
     rows = [{
         "kappa": "exact", "solve_time_s": exact.solve_time,
         "h2_norm": exact.h2_value, "h2_ratio": 1.0, "epsilon_bound": None,
-        "stabilizing": True, "status": "ok",
+        "certified": None, "closed_loop_abscissa": exact.closed_loop_abscissa,
+        "status": "ok",
     }]
 
     def one(kappa: int) -> dict:
@@ -182,14 +185,16 @@ def sweep_kappa(config: ExperimentConfig, out_dir=None) -> list[dict]:
                 "h2_norm": res.h2_value,
                 "h2_ratio": res.h2_value / exact.h2_value,
                 "epsilon_bound": eps_bound,
-                "stabilizing": bool(res.x_solution.stabilizing
-                                    and res.y_solution.stabilizing),
+                "certified": bool(res.x_solution.stabilizing
+                                  and res.y_solution.stabilizing),
+                "closed_loop_abscissa": res.closed_loop_abscissa,
                 "status": "ok",
             }
         except ToolkitError as e:
             return {"kappa": kappa, "solve_time_s": None, "h2_norm": None,
                     "h2_ratio": None, "epsilon_bound": None,
-                    "stabilizing": None, "status": f"error: {e}"}
+                    "certified": None, "closed_loop_abscissa": None,
+                    "status": f"error: {e}"}
 
     rows += _map_rows(one, list(config.kappa_list), config.threads)
     if out_dir is not None:

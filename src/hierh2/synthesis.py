@@ -5,7 +5,9 @@ K = P_u^T K~ P_y reduces to an unconstrained two-Riccati design on the
 projected channels: X over (A, B2 P_u^T, C1) and Y over the dual, with the
 optimal reduced controller in observer form.  The exact backend solves both
 AREs through the full Hamiltonian subspace; the approximate backend swaps in
-kappa-truncated solutions and certifies stability before assembly.
+kappa-truncated solutions.  Either way, the real Schur factors of the two
+closed-loop blocks decide stability and then give the closed-loop H2 norm
+through the observer separation.
 """
 
 from __future__ import annotations
@@ -20,8 +22,8 @@ from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import (ApproxNotStabilizing, HypothesisFailure, IllConditionedR,
                      NotHurwitz, NotStabilizingGains)
 from .hamiltonian import approx_are, build_hamiltonian
-from .linalg import (_quasi_triangular_eigvals, detectable, h2_norm,
-                     solve_are, spectral_abscissa, stabilizable, symmetrize)
+from .linalg import (RealSchur, detectable, solve_are, solve_sylvester,
+                     spectral_abscissa, stabilizable, symmetrize)
 from .plant import GeneralizedPlant, lft_lower
 from .projection import ClusterPartition, ProjectionPair
 from .statespace import StateSpace, lft_lower_partitioned
@@ -173,6 +175,7 @@ class SynthesisResult:
     closed_loop: StateSpace
     h2_value: float
     solve_time: float
+    closed_loop_abscissa: float   # max Re(lambda) of the closed loop
     x_solution: object = None     # AreSolution or ApproxAreSolution
     y_solution: object = None
 
@@ -214,48 +217,35 @@ def _observer_closed_loop_h2(g: GeneralizedPlant, p: ProjectionPair,
     """(H2 value, closed-loop abscissa) using the observer separation.
 
     In (x, e = x - xhat) coordinates the closed loop is block triangular
-    with diagonal blocks A + B2 Pu' F2 and A + L2 Py C2, so the Gramian
-    splits into one Lyapunov solve per block plus one Sylvester coupling;
-    this matches h2_norm(lft_lower(G, K)) and avoids Schur on the 2n matrix.
+    with diagonal blocks A + B2 Pu' F2 (control) and A + L2 Py C2 (filter).
+    Their real Schur factors decide stability, raising NotHurwitz naming a
+    block with an eigenvalue at Re >= -hurwitz_margin.  The same factors
+    then split the Gramian into one Lyapunov solve per block plus one
+    Sylvester coupling; this equals h2_norm(lft_lower(G, K)) without a
+    Schur form of the 2n matrix.
     """
-    a11 = g.a + g.b2 @ (p.p_u.T @ f2)
-    a22 = g.a + (l2 @ p.p_y) @ g.c2
+    ctrl = RealSchur.of(g.a + g.b2 @ (p.p_u.T @ f2))
+    filt = RealSchur.of(g.a + (l2 @ p.p_y) @ g.c2)
+    for f, side in ((ctrl, "control"), (filt, "filter")):
+        if f.abscissa >= -tol.hurwitz_margin:
+            raise NotHurwitz(f"the {side} loop has spectral abscissa "
+                             f"{f.abscissa:.3e} >= {-tol.hurwitz_margin:.1e}")
+
     a12 = -g.b2 @ (p.p_u.T @ f2)
     b_top = g.b1
     b_bot = g.b1 + (l2 @ p.p_y) @ g.d21
     c_left = g.c1 + g.d12 @ (p.p_u.T @ f2)
     c_right = -g.d12 @ (p.p_u.T @ f2)
 
-    t1, u1 = sla.schur(a11, output="real")
-    t2, u2 = sla.schur(a22, output="real")
-    absc = max(np.max(_quasi_triangular_eigvals(t1).real),
-               np.max(_quasi_triangular_eigvals(t2).real))
-    if absc >= 0.0:
-        return np.inf, float(absc)
-
-    trsyl = sla.get_lapack_funcs(("trsyl",), (t1,))[0]
-
-    def sylvester(rhs):
-        # solves T1 X + X T2' = -rhs in the Schur bases of (a11, a22)
-        x, scale, info = trsyl(t1, t2, -(u1.T @ rhs @ u2), tranb="T")
-        if info < 0:
-            raise RuntimeError("trsyl failed")
-        return u1 @ (x / scale) @ u2.T
-
-    def lyap(t, u, rhs):
-        x, scale, info = trsyl(t, t, -(u.T @ rhs @ u), tranb="T")
-        if info < 0:
-            raise RuntimeError("trsyl failed")
-        return u @ (x / scale) @ u.T
-
-    phi22 = symmetrize(lyap(t2, u2, b_bot @ b_bot.T))
-    phi12 = sylvester(b_top @ b_bot.T + a12 @ phi22)
+    phi22 = solve_sylvester(filt, filt, b_bot @ b_bot.T, tol)
+    phi12 = solve_sylvester(ctrl, filt, b_top @ b_bot.T + a12 @ phi22, tol)
     q11 = b_top @ b_top.T + a12 @ phi12.T + phi12 @ a12.T
-    phi11 = symmetrize(lyap(t1, u1, q11))
+    phi11 = solve_sylvester(ctrl, ctrl, q11, tol)
     val = (np.trace(c_left @ phi11 @ c_left.T)
            + 2.0 * np.trace(c_left @ phi12 @ c_right.T)
            + np.trace(c_right @ phi22 @ c_right.T))
-    return float(np.sqrt(max(val, 0.0))), float(absc)
+    return (float(np.sqrt(max(val, 0.0))),
+            max(ctrl.abscissa, filt.abscissa))
 
 
 def synthesize_hierarchical(g: GeneralizedPlant, p: ProjectionPair,
@@ -267,10 +257,14 @@ def synthesize_hierarchical(g: GeneralizedPlant, p: ProjectionPair,
 
     With ``are_backend='exact'`` both Riccati equations are solved through
     the full stable Hamiltonian subspace.  With ``'approx'`` they are
-    replaced by kappa-truncated solutions; the residue-based stability test
-    runs first and, if it fails, a direct eigenvalue check of the two
-    closed-loop blocks decides between acceptance and
-    :class:`ApproxNotStabilizing` (raise kappa in that case).
+    replaced by kappa-truncated solutions; their residue certificates
+    (``x_solution.stabilizing``, ``y_solution.stabilizing``) are recorded
+    as diagnostics only.  Stability is decided once, from the real Schur
+    factors of the control block A + B2 P_u^T F2 and the filter block
+    A + L2 P_y C2: an eigenvalue with Re >= -hurwitz_margin raises
+    :class:`ApproxNotStabilizing` naming the failing side (approx; raise
+    kappa) or :class:`NotHurwitz` (exact).  The same factors then give the
+    closed-loop H2 value through the observer separation.
 
     ``solve_time`` measures Riccati solves plus gain assembly; closed-loop
     evaluation is excluded.
@@ -311,40 +305,23 @@ def synthesize_hierarchical(g: GeneralizedPlant, p: ProjectionPair,
     l2 = -_spd_solve(r2, p.p_y @ g.c2 @ y, "R2", tol).T
     elapsed = time.perf_counter() - t0
 
-    if are_backend == "approx":
-        # sufficient test first; fall back to the direct eigenvalue check
-        for sol, acl, side in [
-            (x_sol, g.a + g.b2 @ (p.p_u.T @ f2), "control"),
-            (y_sol, g.a + (l2 @ p.p_y) @ g.c2, "filter"),
-        ]:
-            if not sol.stabilizing and spectral_abscissa(acl) >= 0.0:
-                raise ApproxNotStabilizing(
-                    f"kappa={kappa} does not stabilize the {side} loop")
+    report("evaluating closed loop")
+    try:
+        h2, abscissa = _observer_closed_loop_h2(g, p, f2, l2, tol)
+    except NotHurwitz as e:
+        if are_backend == "approx":
+            raise ApproxNotStabilizing(f"kappa={kappa}: {e}") from e
+        raise
 
     k_tilde = StateSpace(
         a=g.a + g.b2 @ p.p_u.T @ f2 + l2 @ p.p_y @ g.c2,
         b=-l2, c=f2, d=np.zeros((f2.shape[0], l2.shape[1])))
     controller = HierarchicalController(p_u=p.p_u, k_tilde=k_tilde, p_y=p.p_y)
     closed = lft_lower(g, controller.expand())
-    report("evaluating closed loop")
-    try:
-        if g.n >= 250:
-            h2, absc = _observer_closed_loop_h2(g, p, f2, l2, tol)
-            if not np.isfinite(h2):
-                raise NotHurwitz(f"closed-loop abscissa {absc:.3e}")
-        else:
-            h2 = h2_norm(closed, tol)
-    except NotHurwitz as e:
-        if are_backend == "approx":
-            # the residue test is sufficient only; a marginal loop that
-            # slipped past it is still a truncation failure
-            raise ApproxNotStabilizing(
-                f"kappa={kappa} leaves the closed loop marginal ({e})") from e
-        raise
     return SynthesisResult(
         controller=controller, x=x, y=y, f2=f2, l2=l2, r1=r1, r2=r2,
         closed_loop=closed, h2_value=h2, solve_time=elapsed,
-        x_solution=x_sol, y_solution=y_sol)
+        closed_loop_abscissa=abscissa, x_solution=x_sol, y_solution=y_sol)
 
 
 def synthesize_unconstrained(g: GeneralizedPlant, are_backend: str = "exact",

@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
 
-from hierh2 import (StateSpace, h2_norm, hinf_norm, solve_are,
-                    solve_lyapunov, spectral_abscissa, sqrt_psd,
+import scipy.linalg as sla
+
+from hierh2 import (DEFAULT_TOLERANCES, StateSpace, h2_norm, hinf_norm,
+                    solve_are, solve_lyapunov, spectral_abscissa, sqrt_psd,
                     stable_eigenspace, unstable_spectrum)
 from hierh2.errors import (HamiltonianImaginaryAxis, NotHurwitz, NotPSD,
-                           NotStabilizable, NotStrictlyProper,
+                           NotStabilizable, NotStrictlyProper, NumericalError,
                            ConjugatePairSplitWarning)
+from hierh2.linalg import RealSchur, solve_sylvester
 
 from conftest import random_are_instance, random_stable_matrix
 from oracles import are_sign_iteration, h2_quadrature, hinf_grid, lyapunov_kron
@@ -48,6 +51,39 @@ def test_lyapunov_contract_residual_and_psd():
         res = np.linalg.norm(a @ phi + phi @ a.T + q, "fro")
         assert res <= 1e-9 * max(1.0, np.linalg.norm(q, "fro"))
         assert np.linalg.eigvalsh(phi).min() >= -1e-10
+
+
+def test_lyapunov_residual_contract_rejects():
+    rng = np.random.default_rng(6)
+    a = random_stable_matrix(rng, 6)
+    b = rng.standard_normal((6, 2))
+    with pytest.raises(NumericalError, match="residual"):
+        solve_lyapunov(a, b, tol=DEFAULT_TOLERANCES.with_(lyap_residual=1e-30))
+
+
+def _with_rotation(rng, blocks):
+    """Random similarity of a block-diagonal matrix (2x2 blocks give
+    complex pairs)."""
+    d = sla.block_diag(*[np.atleast_2d(blk) for blk in blocks])
+    s = rng.standard_normal(d.shape) + 3.0 * np.eye(d.shape[0])
+    return s @ d @ np.linalg.inv(s)
+
+
+def test_sylvester_kernel_matches_scipy_on_unequal_blocks():
+    rng = np.random.default_rng(21)
+    a1 = _with_rotation(rng, [[[-1.0, 3.0], [-3.0, -1.0]], -2.0,
+                              [[-0.5, 1.5], [-1.5, -0.5]], -4.0])
+    a2 = _with_rotation(rng, [-0.7, [[-2.0, 5.0], [-5.0, -2.0]]])
+    q = rng.standard_normal((6, 3))
+    f1, f2 = RealSchur.of(a1), RealSchur.of(a2)
+    # both factors carry 2x2 blocks, so trsyl takes its complex-pair branches
+    assert np.count_nonzero(np.diag(f1.t, -1)) == 2
+    assert np.count_nonzero(np.diag(f2.t, -1)) == 1
+    x = solve_sylvester(f1, f2, q)
+    ref = sla.solve_sylvester(a1, a2.T, -q)
+    assert np.linalg.norm(x - ref, "fro") <= 1e-10 * np.linalg.norm(ref, "fro")
+    assert f1.abscissa == pytest.approx(-0.5, rel=1e-10)
+    assert f2.abscissa == pytest.approx(-0.7, rel=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +249,7 @@ def test_stable_eigenspace_full_matches_dense_halfplane():
     assert np.allclose(np.sort_complex(sub.eigenvalues), stable_ref, atol=1e-7)
     # residual contract
     z = np.vstack([sub.z1, sub.z2])
-    res = np.linalg.norm(h @ z - z @ sub.lambda_real(), "fro")
+    res = np.linalg.norm(h @ z - z @ sub.lam, "fro")
     assert res <= 1e-8 * np.linalg.norm(h, "fro")
     # unit stacked columns
     assert np.linalg.norm(z, axis=0) == pytest.approx(np.ones(6))

@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
-from hierh2 import (ClusterPartition, GeneralizedPlant, NetworkSpec,
-                    ProjectionPair, StateSpace, WeightVectors, add,
+from hierh2 import (ClusterPartition, ExperimentConfig, GeneralizedPlant,
+                    NetworkSpec, ProjectionPair, StateSpace, WeightVectors, add,
                     build_projection, communication_links,
                     generate_consensus_network, h2_norm, lft_controller,
                     lft_lower, spectral_abscissa, synthesize_hierarchical,
                     synthesize_unconstrained, youla_data)
-from hierh2.errors import HypothesisFailure, NotStabilizingGains
+from hierh2.errors import (ApproxNotStabilizing, HypothesisFailure,
+                           NotStabilizingGains)
 from hierh2.projection import random_stable_statespace
 
 from conftest import random_h2_plant, random_partition
@@ -237,25 +238,59 @@ def test_paper_scale_anchor_qualitative():
     assert hier.h2_value / unc.h2_value <= 1.05
 
 
+def _diagonal_truncation_plant(poles, weights):
+    """Decoupled scalar modes with B1 = C1 = diag(weights) on the process
+    and state channels and unit B2, C2, D12, D21."""
+    n = len(poles)
+    w = np.diag(weights)
+    return GeneralizedPlant(
+        a=np.diag(poles),
+        b1=np.hstack([w, np.zeros((n, n))]),
+        b2=np.eye(n),
+        c1=np.vstack([w, np.zeros((n, n))]),
+        c2=np.eye(n),
+        d12=np.vstack([np.zeros((n, n)), np.eye(n)]),
+        d21=np.hstack([np.zeros((n, n)), np.eye(n)]))
+
+
 def test_approx_backend_raises_when_truncation_drops_unstable_mode():
     # diagonal instance where the smallest-magnitude retained mode is the
     # stable one: kappa = 1 leaves the unstable mode unregulated
-    a = np.diag([0.3, -2.0])
-    g = GeneralizedPlant(
-        a=a,
-        b1=np.hstack([np.diag([5.0, 0.1]), np.zeros((2, 2))]),
-        b2=np.eye(2),
-        c1=np.vstack([np.diag([5.0, 0.1]), np.zeros((2, 2))]),
-        c2=np.eye(2),
-        d12=np.vstack([np.zeros((2, 2)), np.eye(2)]),
-        d21=np.hstack([np.zeros((2, 2)), np.eye(2)]))
+    g = _diagonal_truncation_plant([0.3, -2.0], [5.0, 0.1])
     pair = ProjectionPair(np.eye(2), np.eye(2))
-    from hierh2.errors import ApproxNotStabilizing
-    with pytest.raises(ApproxNotStabilizing):
+    with pytest.raises(ApproxNotStabilizing, match="control loop"):
         synthesize_hierarchical(g, pair, are_backend="approx", kappa=1)
     # full truncation order recovers the exact design
     res = synthesize_hierarchical(g, pair, are_backend="approx", kappa=2)
     assert spectral_abscissa(res.closed_loop.a) < 0
+
+
+def test_approx_backend_raises_on_padded_truncation_instance():
+    # the two-mode instance above plus 250 well-damped, weakly weighted
+    # modes whose Hamiltonian eigenvalues (|lambda| >= 6) lie beyond the
+    # unstable mode's (about 5): kappa = 1 still keeps only the stable
+    # mode at -2
+    n_pad = 250
+    poles = [0.3, -2.0] + list(np.linspace(-6.0, -12.0, n_pad))
+    g = _diagonal_truncation_plant(poles, [5.0, 0.1] + [0.01] * n_pad)
+    pair = ProjectionPair(np.eye(g.n_u), np.eye(g.n_y))
+    with pytest.raises(ApproxNotStabilizing, match="control loop"):
+        synthesize_hierarchical(g, pair, are_backend="approx", kappa=1)
+
+
+@pytest.mark.parametrize("n_s", [60, 260])
+def test_h2_value_matches_closed_loop_oracle(n_s):
+    cfg = ExperimentConfig(seed=7)
+    g = cfg.plant(n_s)
+    pair = build_projection(cfg.planted_partition(g, n_s),
+                            WeightVectors.ones(g.n_u, g.n_y))
+    res = synthesize_hierarchical(g, pair)
+    oracle = h2_norm(lft_lower(g, res.controller.expand()))
+    assert res.h2_value == pytest.approx(oracle, rel=1e-9)
+    # the closed loop has a repeated eigenvalue, which a dense eigensolve of
+    # the 2n matrix resolves only to about sqrt(machine epsilon)
+    assert res.closed_loop_abscissa == pytest.approx(
+        spectral_abscissa(res.closed_loop.a), rel=1e-6)
 
 
 def test_progress_callback_invoked():
