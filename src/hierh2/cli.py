@@ -164,7 +164,7 @@ def cmd_design_clusters(args) -> int:
     weights = WeightVectors.ones(g.n_u, g.n_y)
     partition = design_clusters(sf, weights, args.r,
                                 rng=np.random.default_rng(args.seed or 0),
-                                restarts=args.restarts, tol=tol)
+                                restarts=args.restarts)
     args.out.mkdir(parents=True, exist_ok=True)
     save_partition(partition, args.out / "partition.json", weights)
     print(f"wrote {args.out / 'partition.json'} (r={args.r})")

@@ -1,11 +1,12 @@
 """Optimality-gap quantification and clustering-set design.
 
-The unconstrained model-matching optimum Q* comes from spectral
-factorization on the 2n-state parameterization system; the gap between the
-hierarchical optimum J2* and the unconstrained optimum J1* is bounded by
-projection defects xi_u, xi_y of the factor gains, weighted by H-infinity
-constants.  Minimizing those defects over the clustering sets is a weighted
-k-means problem on the rows of F_hat Phi_u^{1/2} and L_hat' Phi_y^{1/2}.
+J1* is the standard H2 optimum, read off the two-Riccati solution.  The gap
+between the hierarchical optimum J2* and J1* is bounded by projection
+defects xi_u, xi_y of the spectral-factor gains, weighted by H-infinity
+constants; minimizing them over the clustering sets is a weighted k-means
+problem on the rows of the embeddings F_hat Phi_u^{1/2} and
+L_hat' Phi_y^{1/2}.  The model-matching value at the factors' optimizer Q*
+equals J1* and is kept as its test oracle.
 
 The bound machinery requires the Youla data to be built from
 projection-structured gains (P_u^T F2, L2 P_y): with those gains the
@@ -29,8 +30,8 @@ from .plant import GeneralizedPlant, lft_lower
 from .projection import (ClusterPartition, ProjectionPair, WeightVectors,
                          build_projection)
 from .statespace import StateSpace, add, neg, series
-from .synthesis import (SynthesisResult, YoulaData,
-                        synthesize_hierarchical, youla_data)
+from .synthesis import (SynthesisResult, YoulaData, synthesize_hierarchical,
+                        synthesize_unconstrained, youla_data)
 
 __all__ = [
     "SpectralFactors", "GapReport", "GapSweepRow", "spectral_factors",
@@ -50,6 +51,9 @@ class SpectralFactors:
 
     Q* = -W_L Wbar_R = -Wbar_L W_R; both four factors are internally stable
     2n-state realizations and the two products agree as transfer matrices.
+    The embeddings F_hat LYAP(A_F, I)^{1/2} and L_hat' LYAP(A_L', I)^{1/2}
+    feed both the gap defects and the cluster design; Q* is the test oracle
+    of J1* only.
     """
 
     w_l: StateSpace
@@ -60,6 +64,8 @@ class SpectralFactors:
     lhat: np.ndarray
     xhat: np.ndarray
     yhat: np.ndarray
+    embed_u: np.ndarray
+    embed_y: np.ndarray
     q_star: StateSpace
 
 
@@ -101,6 +107,8 @@ def spectral_factors(yd: YoulaData, d12, d21,
     a_f = a_hat + b2_hat @ fhat
     a_l = a_hat + lhat @ c2_hat
     eye = np.eye(n2)
+    phi_u = solve_lyapunov(a_f, eye, tol, check_hurwitz=False)
+    phi_y = solve_lyapunov(a_l.T, eye, tol, check_hurwitz=False)
     nu = fhat.shape[0]
     ny = lhat.shape[1]
     w_l = StateSpace(a_f, eye, fhat, np.zeros((nu, n2)))
@@ -110,12 +118,15 @@ def spectral_factors(yd: YoulaData, d12, d21,
     q_star = neg(series(wbar_r, w_l))
     return SpectralFactors(w_l=w_l, wbar_l=wbar_l, w_r=w_r, wbar_r=wbar_r,
                            fhat=fhat, lhat=lhat, xhat=xhat, yhat=yhat,
+                           embed_u=fhat @ sqrt_psd(phi_u, tol),
+                           embed_y=lhat.T @ sqrt_psd(phi_y, tol),
                            q_star=q_star)
 
 
 def model_matching_value(yd: YoulaData, q: StateSpace,
                          tol: Tolerances = DEFAULT_TOLERANCES) -> float:
-    """||T11 + T12 Q T21||_H2 for a stable parameter Q."""
+    """||T11 + T12 Q T21||_H2 for a stable parameter Q; at Q = Q* it is
+    the independent check of the two-Riccati J1*."""
     return h2_norm(add(yd.t11, series(yd.t21, q, yd.t12)), tol)
 
 
@@ -133,8 +144,6 @@ class GapReport:
     eps1: float
     eps2: float
     bound_rhs: float
-    phi_u: np.ndarray
-    phi_y: np.ndarray
 
     @property
     def ratio(self) -> float:
@@ -171,8 +180,10 @@ def gap_report(yd: YoulaData, sf: SpectralFactors, p: ProjectionPair,
                tol: Tolerances = DEFAULT_TOLERANCES) -> GapReport:
     """Quantify the gap between hierarchical and unconstrained optima.
 
-    xi_u, xi_y measure the parts of the factor gains outside the projection
-    ranges; eps1, eps2 are the H-infinity weights and
+    J1* is the two-Riccati optimum ``synthesize_unconstrained(g).h2_value``.
+    xi_u, xi_y measure the parts of the factor-gain embeddings
+    (``sf.embed_u``, ``sf.embed_y``) outside the projection ranges; eps1,
+    eps2 are the H-infinity weights and
     bound_rhs = sqrt(J1*^2 + 2 xi J1* + xi^2) upper-bounds J2*.  The Youla
     data must carry projection-structured gains for the bound to be
     guaranteed (see :func:`evaluate_partition`).
@@ -183,14 +194,10 @@ def gap_report(yd: YoulaData, sf: SpectralFactors, p: ProjectionPair,
     """
     if xi_formula not in ("printed", "symmetric"):
         raise ValueError(f"unknown xi_formula {xi_formula!r}")
-    n2 = yd.a_hat.shape[0]
-    eye = np.eye(n2)
-    phi_u = solve_lyapunov(sf.w_l.a, eye, tol, check_hurwitz=False)
-    phi_y = solve_lyapunov(sf.w_r.a.T, eye, tol, check_hurwitz=False)
     qu = np.eye(p.n_u) - p.p_u.T @ p.p_u
     qy = np.eye(p.n_y) - p.p_y.T @ p.p_y
-    xi_u = float(np.linalg.norm(qu @ sf.fhat @ sqrt_psd(phi_u, tol), "fro"))
-    xi_y = float(np.linalg.norm(qy @ sf.lhat.T @ sqrt_psd(phi_y, tol), "fro"))
+    xi_u = float(np.linalg.norm(qu @ sf.embed_u, "fro"))
+    xi_y = float(np.linalg.norm(qy @ sf.embed_y, "fro"))
 
     t12_t21 = hinf_norm(yd.t12, tol) * hinf_norm(yd.t21, tol)
     eps1 = t12_t21 * hinf_norm(sf.wbar_r, tol)
@@ -200,7 +207,7 @@ def gap_report(yd: YoulaData, sf: SpectralFactors, p: ProjectionPair,
     else:
         xi = eps1 * xi_u + eps2 * xi_y + min(eps1, eps2) * np.sqrt(xi_u * xi_y)
 
-    j1 = model_matching_value(yd, sf.q_star, tol)
+    j1 = synthesize_unconstrained(g, tol=tol).h2_value
     if hier is None:
         hier = synthesize_hierarchical(g, p, tol=tol)
     j2 = hier.h2_value
@@ -215,8 +222,7 @@ def gap_report(yd: YoulaData, sf: SpectralFactors, p: ProjectionPair,
                 f"from hierarchical optimum {j2:.9g}")
 
     return GapReport(j1_star=j1, j2_star=j2, xi_u=xi_u, xi_y=xi_y, xi=float(xi),
-                     eps1=float(eps1), eps2=float(eps2), bound_rhs=bound_rhs,
-                     phi_u=phi_u, phi_y=phi_y)
+                     eps1=float(eps1), eps2=float(eps2), bound_rhs=bound_rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -376,23 +382,17 @@ def _align_labels(ref_labels, other_labels, r):
 
 
 def design_clusters(sf: SpectralFactors, weights: WeightVectors, r: int,
-                    rng=None, restarts: int = 10,
-                    tol: Tolerances = DEFAULT_TOLERANCES) -> ClusterPartition:
+                    rng=None, restarts: int = 10) -> ClusterPartition:
     """Clustering sets from weighted k-means on the factor-gain embeddings.
 
-    Inputs are clustered on the rows of F_hat Phi_u^{1/2} with masses
-    w_u[i]^2, outputs on the rows of L_hat' Phi_y^{1/2} with masses w_y[i]^2.
+    Inputs are clustered on the rows of sf.embed_u with masses w_u[i]^2,
+    outputs on the rows of sf.embed_y with masses w_y[i]^2.
     When the channel counts agree (one input and output per subsystem) the
     output labels are aligned to the input clustering by maximum overlap and
     the common grouping is recorded as the subsystem partition.
     """
     rng = np.random.default_rng(rng)
-    n2 = sf.w_l.a.shape[0]
-    eye = np.eye(n2)
-    phi_u = solve_lyapunov(sf.w_l.a, eye, tol, check_hurwitz=False)
-    phi_y = solve_lyapunov(sf.w_r.a.T, eye, tol, check_hurwitz=False)
-    data_u = sf.fhat @ sqrt_psd(phi_u, tol)
-    data_y = sf.lhat.T @ sqrt_psd(phi_y, tol)
+    data_u, data_y = sf.embed_u, sf.embed_y
     if r > min(data_u.shape[0], data_y.shape[0]):
         raise ValueError("r exceeds the number of inputs or outputs")
     labels_u, _, _ = weighted_kmeans(data_u, weights.w_u ** 2, r, rng, restarts)
@@ -426,7 +426,7 @@ def monotone_gap_sweep(g: GeneralizedPlant, sf: SpectralFactors,
     rng = np.random.default_rng(rng)
     rows = []
     for r in r_list:
-        partition = design_clusters(sf, weights, r, rng, restarts, tol)
+        partition = design_clusters(sf, weights, r, rng, restarts)
         report = evaluate_partition(g, partition, weights, tol=tol)
         rows.append(GapSweepRow(r=r, partition=partition, report=report))
     return rows

@@ -24,8 +24,8 @@ from .errors import (ArnoldiNoConvergence, DimensionMismatch,
                      ImaginaryAxisEigenvalue, SingularPencil, SingularR,
                      SingularZ1)
 from .linalg import (StableSubspace, _check_imag_axis, _group_conjugates,
-                     _realify_sorted, solve_lyapunov, sqrt_psd,
-                     stable_eigenspace, symmetrize)
+                     _pbh_rank_deficient, _realify_sorted, solve_lyapunov,
+                     sqrt_psd, stable_eigenspace, symmetrize)
 from .statespace import as_matrix
 
 __all__ = [
@@ -39,7 +39,7 @@ __all__ = [
 class HamiltonianSystem:
     """Hamiltonian data for one Riccati equation, kept in factored form.
 
-    `a` may be dense or scipy-sparse; `n_gain` is the effective input matrix
+    `a` is the dense state matrix; `n_gain` is the effective input matrix
     (B2 P_u^T for the projected design), `r1` the positive definite weight,
     and `c1` the performance output.  M = n_gain R1^{-1} n_gain' is formed
     on demand; the Krylov path never densifies H.
@@ -57,26 +57,16 @@ class HamiltonianSystem:
         return self.a.shape[0]
 
     @property
-    def a_dense(self) -> np.ndarray:
-        return self.a.toarray() if sp.issparse(self.a) else self.a
-
-    @property
-    def c1_dense(self) -> np.ndarray:
-        return self.c1.toarray() if sp.issparse(self.c1) else self.c1
-
-    @property
     def m(self) -> np.ndarray:
         return self.n_gain @ sla.cho_solve(self._r1_chol, self.n_gain.T)
 
     @property
     def ctc(self) -> np.ndarray:
-        c1 = self.c1_dense
-        return c1.T @ c1
+        return self.c1.T @ self.c1
 
     @property
     def h(self) -> np.ndarray:
-        a = self.a_dense
-        return np.block([[a, -self.m], [-self.ctc, -a.T]])
+        return np.block([[self.a, -self.m], [-self.ctc, -self.a.T]])
 
     def full_subspace(self, tol: Tolerances = DEFAULT_TOLERANCES) -> StableSubspace:
         """Full realified stable subspace (cached; dense computation)."""
@@ -90,11 +80,9 @@ def build_hamiltonian(a, b2pu, c1, r1,
     """Assemble the Hamiltonian system for A'X + XA + C1'C1 - X M X = 0
     with M = b2pu R1^{-1} b2pu'.
     """
-    if not sp.issparse(a):
-        a = as_matrix(a, "A")
+    a = as_matrix(a, "A")
     b2pu = as_matrix(b2pu, "B2Pu")
-    if not sp.issparse(c1):
-        c1 = as_matrix(c1, "C1")
+    c1 = as_matrix(c1, "C1")
     r1 = symmetrize(as_matrix(r1, "R1"))
     n = a.shape[0]
     if a.shape != (n, n) or b2pu.shape[0] != n or c1.shape[1] != n:
@@ -181,7 +169,7 @@ def approx_are(hs: HamiltonianSystem, kappa: int, method: str = "dense",
         sol = ApproxAreSolution(
             xbar=xbar, kappa=kcols, lambda_kappa=sub_k.eigenvalues,
             z1k=sub_k.z1, z2k=sub_k.z2,
-            residue_factor=_residue_factor(hs.c1_dense, sub_k, gram),
+            residue_factor=_residue_factor(hs.c1, sub_k, gram),
             stabilizing=False, e_kappa_norm=e_norm, subspace_full=full,
             method="dense")
         if b1 is not None:
@@ -195,9 +183,9 @@ def approx_are(hs: HamiltonianSystem, kappa: int, method: str = "dense",
         sol = ApproxAreSolution(
             xbar=xbar, kappa=sub_k.k, lambda_kappa=sub_k.eigenvalues,
             z1k=sub_k.z1, z2k=sub_k.z2,
-            residue_factor=_residue_factor(hs.c1_dense, sub_k, gram),
+            residue_factor=_residue_factor(hs.c1, sub_k, gram),
             stabilizing=False, method="krylov")
-    sol.stabilizing = stability_test(sol, hs.a_dense, hs.c1_dense, tol)
+    sol.stabilizing = stability_test(sol, hs.a, hs.c1, tol)
     return sol
 
 
@@ -297,15 +285,11 @@ def stability_test(sol: ApproxAreSolution, a, c1,
     d = symmetrize(c1.T @ c1 - cbar.T @ cbar)
     if np.linalg.eigvalsh(d).min() < -tol.stability_test_floor:
         return False
-    n = a.shape[0]
+    eigs = np.linalg.eigvals(a)
+    on_axis = eigs[np.abs(eigs.real) <= tol.imag_axis * np.maximum(1.0, np.abs(eigs))]
+    # unobservable modes of (D, A) are the uncontrollable ones of (A', D)
     scale = max(1.0, np.linalg.norm(a, "fro"), np.linalg.norm(d, "fro"))
-    for lam in np.linalg.eigvals(a):
-        if abs(lam.real) > tol.imag_axis * max(1.0, abs(lam)):
-            continue
-        pencil = np.vstack([a - lam * np.eye(n), d]).astype(complex)
-        if np.linalg.svd(pencil, compute_uv=False)[-1] <= tol.pbh_rel * scale:
-            return False
-    return True
+    return not _pbh_rank_deficient(a.T, d, on_axis, tol.pbh_rel * scale).any()
 
 
 # ---------------------------------------------------------------------------
@@ -370,8 +354,7 @@ def _krylov_stable_blocks(hs: HamiltonianSystem, kappa: int,
     """kappa smallest-magnitude stable eigenpairs via structured shift-invert."""
     n = hs.n
     h_apply = _h_matvec(hs)
-    scale = max(1.0, abs(hs.a).sum() / n if sp.issparse(hs.a)
-                else np.abs(hs.a).sum() / n)
+    scale = max(1.0, np.abs(hs.a).sum() / n)
     shifts = [-0.02 * scale, -0.2 * scale, 0.02j * scale, -2.0 * scale]
     k_req = min(2 * kappa + 10, 2 * n - 2)
     last_err: Exception | None = None

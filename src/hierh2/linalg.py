@@ -57,26 +57,37 @@ def _require_hurwitz(a, margin, what="A"):
         raise NotHurwitz(f"{what} has spectral abscissa {alpha:.3e} >= {-margin:.1e}")
 
 
-def _pbh_modes(a: np.ndarray, b: np.ndarray, cut: float, rel: float):
-    """Eigenvalues of `a` with Re >= -cut that fail rank [A - lambda I, B] = n."""
+def _pbh_rank_deficient(a: np.ndarray, b: np.ndarray, eigs: np.ndarray,
+                        threshold: float) -> np.ndarray:
+    """Mask over `eigs`: sigma_min([A - lambda I, B]) <= threshold.
+
+    The package's one PBH rank test.  Callers pick the modes and the
+    threshold; observability of (C, A) is the test on (A', C').
+    """
+    n = a.shape[0]
+    return np.array([
+        np.linalg.svd(np.hstack([a - lam * np.eye(n), b]).astype(complex),
+                      compute_uv=False)[-1] <= threshold
+        for lam in eigs], dtype=bool)
+
+
+def _pbh_modes(a, b, tol: Tolerances, eigs=None) -> np.ndarray:
+    """Eigenvalues of `a` with Re >= -unstable_cut that fail rank [A - lambda I, B] = n.
+
+    `eigs` may pass the spectrum of `a` when the caller already has it.
+    """
     a = as_matrix(a, "A")
     b = as_matrix(b, "B")
-    n = a.shape[0]
+    if eigs is None:
+        eigs = np.linalg.eigvals(a)
+    eigs = eigs[eigs.real >= -tol.unstable_cut]
     scale = max(1.0, np.linalg.norm(a, "fro"), np.linalg.norm(b, "fro"))
-    bad = []
-    for lam in np.linalg.eigvals(a):
-        if lam.real < -cut:
-            continue
-        pencil = np.hstack([a - lam * np.eye(n), b]).astype(complex)
-        smin = np.linalg.svd(pencil, compute_uv=False)[-1]
-        if smin <= rel * scale:
-            bad.append(lam)
-    return bad
+    return eigs[_pbh_rank_deficient(a, b, eigs, tol.pbh_rel * scale)]
 
 
 def stabilizable(a, b, tol: Tolerances = DEFAULT_TOLERANCES) -> bool:
     """PBH test: every eigenvalue with Re >= -cut must be controllable."""
-    return not _pbh_modes(a, b, tol.unstable_cut, tol.pbh_rel)
+    return _pbh_modes(a, b, tol).size == 0
 
 
 def detectable(a, c, tol: Tolerances = DEFAULT_TOLERANCES) -> bool:

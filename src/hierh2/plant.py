@@ -16,7 +16,7 @@ import numpy as np
 
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import DimensionMismatch, DisconnectedIntraBlockWarning
-from .linalg import detectable, stabilizable
+from .linalg import _pbh_rank_deficient, detectable, stabilizable
 from .statespace import StateSpace, as_matrix, lft_lower_partitioned
 
 __all__ = [
@@ -174,9 +174,9 @@ def validate_assumptions(g: GeneralizedPlant,
     """
     details: dict = {}
 
-    a1 = stabilizable(g.a, g.b2, tol) and detectable(g.a, g.c2, tol)
     details["a1_stabilizable"] = stabilizable(g.a, g.b2, tol)
     details["a1_detectable"] = detectable(g.a, g.c2, tol)
+    a1 = details["a1_stabilizable"] and details["a1_detectable"]
 
     w12 = np.linalg.eigvalsh(g.d12.T @ g.d12)
     w21 = np.linalg.eigvalsh(g.d21 @ g.d21.T)
@@ -184,20 +184,14 @@ def validate_assumptions(g: GeneralizedPlant,
     details["lambda_min_D21D21t"] = float(w21.min()) if w21.size else 0.0
     a2 = details["lambda_min_D12tD12"] > 0.0 and details["lambda_min_D21D21t"] > 0.0
 
-    a3 = True
-    n = g.n
     eigs = np.linalg.eigvals(g.a)
-    scale = max(1.0, np.linalg.norm(g.a, "fro"))
-    for lam in eigs:
-        if abs(lam.real) > tol.imag_axis * max(1.0, abs(lam)):
-            continue
-        pencil_c = np.hstack([g.a - lam * np.eye(n), g.b1]).astype(complex)
-        pencil_o = np.vstack([g.a - lam * np.eye(n), g.c1]).astype(complex)
-        smin_c = np.linalg.svd(pencil_c, compute_uv=False)[-1]
-        smin_o = np.linalg.svd(pencil_o, compute_uv=False)[-1]
-        if smin_c <= tol.pbh_rel * scale or smin_o <= tol.pbh_rel * scale:
-            a3 = False
-            details.setdefault("a3_modes", []).append(complex(lam))
+    on_axis = eigs[np.abs(eigs.real) <= tol.imag_axis * np.maximum(1.0, np.abs(eigs))]
+    threshold = tol.pbh_rel * max(1.0, np.linalg.norm(g.a, "fro"))
+    bad = (_pbh_rank_deficient(g.a, g.b1, on_axis, threshold)
+           | _pbh_rank_deficient(g.a.T, g.c1.T, on_axis, threshold))
+    a3 = not bad.any()
+    if not a3:
+        details["a3_modes"] = [complex(lam) for lam in on_axis[bad]]
 
     cross_u = float(np.linalg.norm(g.d12.T @ g.c1, "fro"))
     cross_y = float(np.linalg.norm(g.b1 @ g.d21.T, "fro"))

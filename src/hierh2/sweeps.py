@@ -264,7 +264,7 @@ def sweep_r(config: ExperimentConfig, out_dir=None) -> list[dict]:
     def one(r: int) -> dict:
         try:
             partition = design_clusters(sf, weights, r, rng=rng,
-                                        restarts=config.restarts, tol=tol)
+                                        restarts=config.restarts)
             report = evaluate_partition(g, partition, weights, tol=tol)
             recovery = (_partition_match(partition.input_sets, planted)
                         if r == config.n_blocks else None)

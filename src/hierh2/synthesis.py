@@ -22,9 +22,9 @@ from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import (ApproxNotStabilizing, HypothesisFailure, IllConditionedR,
                      NotHurwitz, NotStabilizingGains)
 from .hamiltonian import approx_are, build_hamiltonian
-from .linalg import (RealSchur, detectable, solve_are, solve_sylvester,
-                     spectral_abscissa, stabilizable, symmetrize)
-from .plant import GeneralizedPlant, lft_lower
+from .linalg import (RealSchur, _pbh_modes, solve_are, solve_sylvester,
+                     spectral_abscissa, symmetrize)
+from .plant import GeneralizedPlant
 from .projection import ClusterPartition, ProjectionPair
 from .statespace import StateSpace, lft_lower_partitioned
 
@@ -172,7 +172,6 @@ class SynthesisResult:
     l2: np.ndarray
     r1: np.ndarray
     r2: np.ndarray
-    closed_loop: StateSpace
     h2_value: float
     solve_time: float
     closed_loop_abscissa: float   # max Re(lambda) of the closed loop
@@ -198,9 +197,10 @@ def _spd_solve(r: np.ndarray, rhs: np.ndarray, what: str,
 def _check_hypotheses(g: GeneralizedPlant, p: ProjectionPair, tol: Tolerances):
     if p.n_u != g.n_u or p.n_y != g.n_y:
         raise HypothesisFailure("projection dimensions do not match the plant")
-    if not stabilizable(g.a, g.b2 @ p.p_u.T, tol):
+    eigs = np.linalg.eigvals(g.a)   # also the spectrum of A' for the dual test
+    if _pbh_modes(g.a, g.b2 @ p.p_u.T, tol, eigs).size:
         raise HypothesisFailure("(A, B2 P_u^T) is not stabilizable")
-    if not detectable(g.a, p.p_y @ g.c2, tol):
+    if _pbh_modes(g.a.T, (p.p_y @ g.c2).T, tol, eigs).size:
         raise HypothesisFailure("(P_y C2, A) is not detectable")
     w12 = np.linalg.eigvalsh(g.d12.T @ g.d12)
     w21 = np.linalg.eigvalsh(g.d21 @ g.d21.T)
@@ -317,10 +317,9 @@ def synthesize_hierarchical(g: GeneralizedPlant, p: ProjectionPair,
         a=g.a + g.b2 @ p.p_u.T @ f2 + l2 @ p.p_y @ g.c2,
         b=-l2, c=f2, d=np.zeros((f2.shape[0], l2.shape[1])))
     controller = HierarchicalController(p_u=p.p_u, k_tilde=k_tilde, p_y=p.p_y)
-    closed = lft_lower(g, controller.expand())
     return SynthesisResult(
         controller=controller, x=x, y=y, f2=f2, l2=l2, r1=r1, r2=r2,
-        closed_loop=closed, h2_value=h2, solve_time=elapsed,
+        h2_value=h2, solve_time=elapsed,
         closed_loop_abscissa=abscissa, x_solution=x_sol, y_solution=y_sol)
 
 

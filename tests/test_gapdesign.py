@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
-from hierh2 import (ClusterPartition, WeightVectors, build_projection,
-                    design_clusters, doubly_projected_controller,
-                    evaluate_partition, gap_report, model_matching_value,
-                    monotone_gap_sweep, reference_youla_data,
+from hierh2 import (ClusterPartition, NetworkSpec, WeightVectors,
+                    build_projection, design_clusters,
+                    doubly_projected_controller, evaluate_partition,
+                    gap_report, generate_consensus_network,
+                    model_matching_value, monotone_gap_sweep,
+                    reference_youla_data,
                     spectral_factors, structured_youla_data,
                     synthesize_hierarchical, synthesize_unconstrained,
                     weighted_kmeans, youla_data)
@@ -59,6 +61,24 @@ def test_model_matching_value_equals_unconstrained_optimum():
         j1 = model_matching_value(yd, sf.q_star)
         unc = synthesize_unconstrained(g)
         assert j1 == pytest.approx(unc.h2_value, rel=1e-6)
+    # the structured Youla data that evaluate_partition builds: the
+    # model-matching value checks the two-Riccati J1* it reports
+    spec = NetworkSpec.even_blocks(n_s=24, n_blocks=3, p_in=0.8, p_out=0.05,
+                                   a_lo=2.0, a_hi=3.0, seed=5)
+    g_net = generate_consensus_network(spec)
+    g_rand = random_h2_plant(rng, 5, 4, 4)
+    cases = [
+        (g_net, ClusterPartition.from_subsystems(spec.planted_partition, g_net)),
+        (g_rand, ClusterPartition(input_sets=random_partition(rng, 4, 2),
+                                  output_sets=random_partition(rng, 4, 2))),
+    ]
+    for g, part in cases:
+        pair = build_projection(part, WeightVectors.ones(g.n_u, g.n_y))
+        yd, _ = structured_youla_data(g, pair)
+        sf = spectral_factors(yd, g.d12, g.d21)
+        report = evaluate_partition(g, part)
+        assert model_matching_value(yd, sf.q_star) == pytest.approx(
+            report.j1_star, rel=1e-9)
 
 
 # ---------------------------------------------------------------------------

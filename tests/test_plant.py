@@ -135,6 +135,29 @@ def test_uncontrolled_unstable_mode_fails_a1():
     assert not report.a1
 
 
+def _oscillator_plant(b1a, c1a):
+    """Undamped oscillator (modes +-2j) next to a stable mode, with full
+    control and measurement; B1a and C1a choose which modes the disturbance
+    reaches and the performance output sees."""
+    a = np.array([[0.0, 2.0, 0.0], [-2.0, 0.0, 0.0], [0.0, 0.0, -1.0]])
+    return GeneralizedPlant(
+        a=a, b1=np.hstack([b1a, np.zeros((3, 3))]), b2=np.eye(3),
+        c1=np.vstack([c1a, np.zeros((3, 3))]), c2=np.eye(3),
+        d12=np.vstack([np.zeros((3, 3)), np.eye(3)]),
+        d21=np.hstack([np.zeros((3, 3)), np.eye(3)]))
+
+
+def test_imaginary_axis_modes_fail_a3():
+    assert validate_assumptions(_oscillator_plant(np.eye(3), np.eye(3))).a3
+    hidden = np.diag([0.0, 0.0, 1.0])
+    for b1a, c1a in ((hidden, np.eye(3)), (np.eye(3), hidden)):
+        report = validate_assumptions(_oscillator_plant(b1a, c1a))
+        assert report.a1 and report.a2 and report.a4
+        assert not report.a3
+        assert sorted(report.details["a3_modes"], key=lambda z: z.imag) == \
+            pytest.approx([-2j, 2j])
+
+
 def test_validation_invariant_under_state_permutation():
     rng = np.random.default_rng(9)
     g = random_h2_plant(rng, 5, 2, 3)

@@ -102,7 +102,7 @@ def test_impulse_energy_matches_gramian():
     part = ClusterPartition.from_subsystems(spec.planted_partition, g)
     pair = build_projection(part, WeightVectors.ones(g.n_u, g.n_y))
     res = synthesize_hierarchical(g, pair)
-    closed = res.closed_loop
+    closed = lft_lower(g, res.controller.expand())
     # impulse on disturbance channel 0: energy of z equals the (0,0) entry
     # of B' Phi_o B for the observability Gramian of the closed loop
     phi_o = solve_lyapunov(closed.a.T, closed.c.T, check_hurwitz=False)

@@ -155,7 +155,7 @@ def test_hierarchical_closed_loop_stable_and_suboptimal():
         pair = build_projection(part, WeightVectors.ones(4, 4))
         hier = synthesize_hierarchical(g, pair)
         unc = synthesize_unconstrained(g)
-        assert spectral_abscissa(hier.closed_loop.a) < 0
+        assert spectral_abscissa(lft_lower(g, hier.controller.expand()).a) < 0
         assert hier.h2_value >= unc.h2_value - 1e-8
 
 
@@ -186,13 +186,29 @@ def test_hypothesis_failures_raise():
         synthesize_hierarchical(bad, pair)
 
 
+def test_projected_pbh_failures_raise():
+    # the unstable mode at +1 is reached only through input 1 and seen only
+    # through output 1; a projection that keeps channel 0 alone hides it
+    g = GeneralizedPlant(
+        a=np.diag([-1.0, 1.0]), b1=np.hstack([np.eye(2), np.zeros((2, 2))]),
+        b2=np.eye(2), c1=np.vstack([np.eye(2), np.zeros((2, 2))]),
+        c2=np.eye(2), d12=np.vstack([np.zeros((2, 2)), np.eye(2)]),
+        d21=np.hstack([np.zeros((2, 2)), np.eye(2)]))
+    keep0 = np.array([[1.0, 0.0]])
+    synthesize_hierarchical(g, ProjectionPair(np.eye(2), np.eye(2)))
+    with pytest.raises(HypothesisFailure, match="not stabilizable"):
+        synthesize_hierarchical(g, ProjectionPair(keep0, np.eye(2)))
+    with pytest.raises(HypothesisFailure, match="not detectable"):
+        synthesize_hierarchical(g, ProjectionPair(np.eye(2), keep0))
+
+
 def test_consensus_ratio_near_one(consensus100, consensus100_partition):
     g, _ = consensus100
     pair = build_projection(consensus100_partition,
                             WeightVectors.ones(g.n_u, g.n_y))
     hier = synthesize_hierarchical(g, pair)
     unc = synthesize_unconstrained(g)
-    assert spectral_abscissa(hier.closed_loop.a) < 0
+    assert spectral_abscissa(lft_lower(g, hier.controller.expand()).a) < 0
     ratio = hier.h2_value / unc.h2_value
     assert 1.0 - 1e-9 <= ratio <= 1.05
 
@@ -262,7 +278,7 @@ def test_approx_backend_raises_when_truncation_drops_unstable_mode():
         synthesize_hierarchical(g, pair, are_backend="approx", kappa=1)
     # full truncation order recovers the exact design
     res = synthesize_hierarchical(g, pair, are_backend="approx", kappa=2)
-    assert spectral_abscissa(res.closed_loop.a) < 0
+    assert spectral_abscissa(lft_lower(g, res.controller.expand()).a) < 0
 
 
 def test_approx_backend_raises_on_padded_truncation_instance():
@@ -290,7 +306,7 @@ def test_h2_value_matches_closed_loop_oracle(n_s):
     # the closed loop has a repeated eigenvalue, which a dense eigensolve of
     # the 2n matrix resolves only to about sqrt(machine epsilon)
     assert res.closed_loop_abscissa == pytest.approx(
-        spectral_abscissa(res.closed_loop.a), rel=1e-6)
+        spectral_abscissa(lft_lower(g, res.controller.expand()).a), rel=1e-6)
 
 
 def test_progress_callback_invoked():
