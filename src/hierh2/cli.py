@@ -150,7 +150,7 @@ def cmd_gap(args) -> int:
         "J1": report.j1_star, "J2": report.j2_star, "ratio": report.ratio,
         "xi_u": report.xi_u, "xi_y": report.xi_y, "xi": report.xi,
         "eps1": report.eps1, "eps2": report.eps2,
-        "bound_rhs": report.bound_rhs,
+        "bound_rhs": report.bound_rhs, "h2_equivalence": report.h2_equivalence,
     }
     print(json.dumps(out))
     return EXIT_OK

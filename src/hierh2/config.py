@@ -32,6 +32,8 @@ class Tolerances:
     strictly_proper: float = 1e-14
 
     # iterative procedures
+    # hinf_norm returns the midpoint of a bracket [lb, (1 + hinf_rel) lb] of
+    # the H-infinity norm, so it is within hinf_rel/2 of it, relative.
     hinf_rel: float = 1e-6
     stability_test_floor: float = 1e-8  # lambda_min(C1'C1 - C1bar'C1bar) >= -floor
 

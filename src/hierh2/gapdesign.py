@@ -144,6 +144,8 @@ class GapReport:
     eps1: float
     eps2: float
     bound_rhs: float
+    # H2 cost of the equivalence-form controller, None when not verified
+    h2_equivalence: float | None = None
 
     @property
     def ratio(self) -> float:
@@ -188,6 +190,11 @@ def gap_report(yd: YoulaData, sf: SpectralFactors, p: ProjectionPair,
     data must carry projection-structured gains for the bound to be
     guaranteed (see :func:`evaluate_partition`).
 
+    With ``verify_equivalence`` the H2 cost of
+    :func:`doubly_projected_controller` is stored as ``h2_equivalence`` and
+    a warning is raised when it differs from J2* by more than
+    1e-6 max(1, J2*); without it ``h2_equivalence`` is None.
+
     xi_formula 'printed' uses eps1 xi_u + 2 eps2 xi_y; 'symmetric' is a
     labeled experimental alternative eps1 xi_u + eps2 xi_y +
     min(eps1, eps2) sqrt(xi_u xi_y).
@@ -213,6 +220,7 @@ def gap_report(yd: YoulaData, sf: SpectralFactors, p: ProjectionPair,
     j2 = hier.h2_value
     bound_rhs = float(np.sqrt(j1 * j1 + 2.0 * xi * j1 + xi * xi))
 
+    h2_equiv = None
     if verify_equivalence:
         k_equiv = doubly_projected_controller(g, p, tol)
         h2_equiv = h2_norm(lft_lower(g, k_equiv), tol)
@@ -222,7 +230,8 @@ def gap_report(yd: YoulaData, sf: SpectralFactors, p: ProjectionPair,
                 f"from hierarchical optimum {j2:.9g}")
 
     return GapReport(j1_star=j1, j2_star=j2, xi_u=xi_u, xi_y=xi_y, xi=float(xi),
-                     eps1=float(eps1), eps2=float(eps2), bound_rhs=bound_rhs)
+                     eps1=float(eps1), eps2=float(eps2), bound_rhs=bound_rhs,
+                     h2_equivalence=h2_equiv)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import pytest
 from hierh2 import (ClusterPartition, NetworkSpec, WeightVectors,
                     build_projection, design_clusters,
                     doubly_projected_controller, evaluate_partition,
-                    gap_report, generate_consensus_network,
+                    gap_report, gapdesign, generate_consensus_network,
                     model_matching_value, monotone_gap_sweep,
                     reference_youla_data,
                     spectral_factors, structured_youla_data,
@@ -113,6 +113,20 @@ def test_gap_bound_holds_on_random_instances():
                                        + 2 * report.xi * report.j1_star
                                        + report.xi ** 2 + 1e-6)
         assert report.bound_rhs >= report.j2_star - 1e-6
+        assert report.h2_equivalence == pytest.approx(report.j2_star, rel=1e-6)
+
+
+def test_equivalence_check_records_and_warns(monkeypatch):
+    # a coarse partition has J1* < J2*, so the unconstrained optimal
+    # controller in place of the equivalence form must trip the check
+    g = random_h2_plant(np.random.default_rng(23), 5, 3, 3)
+    part = ClusterPartition(input_sets=((0, 1, 2),), output_sets=((0, 1, 2),))
+    monkeypatch.setattr(gapdesign, "doubly_projected_controller",
+                        lambda g, p, tol: synthesize_unconstrained(g).controller.expand())
+    with pytest.warns(UserWarning, match="equivalence-form"):
+        report = evaluate_partition(g, part)
+    assert report.j2_star > report.j1_star * (1 + 1e-6)
+    assert report.h2_equivalence == pytest.approx(report.j1_star, rel=1e-9)
 
 
 def test_xi_formula_variants():
@@ -158,6 +172,7 @@ def test_xi_u_monotone_under_refinement():
         rep_c = gap_report(yd, sf, coarse, g, verify_equivalence=False)
         rep_f = gap_report(yd, sf, fine, g, verify_equivalence=False)
         assert rep_f.xi_u <= rep_c.xi_u + 1e-10
+        assert rep_c.h2_equivalence is None
 
 
 def test_doubly_projected_equivalence_controller():

@@ -3,9 +3,10 @@ import pytest
 
 import scipy.linalg as sla
 
-from hierh2 import (DEFAULT_TOLERANCES, StateSpace, h2_norm, hinf_norm,
-                    solve_are, solve_lyapunov, spectral_abscissa, sqrt_psd,
-                    stable_eigenspace, unstable_spectrum)
+from hierh2 import (DEFAULT_TOLERANCES, STRICT_TOLERANCES, StateSpace, h2_norm,
+                    hinf_norm, linalg, solve_are, solve_lyapunov,
+                    spectral_abscissa, sqrt_psd, stable_eigenspace,
+                    unstable_spectrum)
 from hierh2.errors import (HamiltonianImaginaryAxis, NotHurwitz, NotPSD,
                            NotStabilizable, NotStrictlyProper, NumericalError,
                            ConjugatePairSplitWarning)
@@ -223,6 +224,88 @@ def test_hinf_lower_bounds():
         val = hinf_norm(sys)
         assert val >= np.linalg.norm(sys.d, 2) - 1e-9
         assert val >= np.linalg.norm(sys.eval(0.0), 2) * (1 - 1e-6)
+
+
+def _rotated(a, b, c, d, rng):
+    """Same singular values of G(jw): orthogonal input and output rotations."""
+    u = np.linalg.qr(rng.standard_normal((c.shape[0],) * 2))[0]
+    v = np.linalg.qr(rng.standard_normal((b.shape[1],) * 2))[0]
+    return StateSpace(a, b @ v, u @ c, u @ d @ v)
+
+
+def _resonance(wn, zeta, gain):
+    """gain wn^2 / (s^2 + 2 zeta wn s + wn^2) and its analytic peak."""
+    a = np.array([[0.0, 1.0], [-wn ** 2, -2 * zeta * wn]])
+    b = np.array([[0.0], [gain * wn ** 2]])
+    c = np.array([[1.0, 0.0]])
+    return (a, b, c), gain / (2 * zeta * np.sqrt(1 - zeta ** 2))
+
+
+def test_hinf_lightly_damped_mimo():
+    # two modes at zeta = 0.01; the pole-frequency start lands on the wn = 1
+    # mode, the peak is the wn = 3 mode's
+    (a1, b1, c1), peak1 = _resonance(1.0, 0.01, 1.0)
+    (a2, b2, c2), peak2 = _resonance(3.0, 0.01, 1.2)
+    sys = _rotated(sla.block_diag(a1, a2), sla.block_diag(b1, b2),
+                   sla.block_diag(c1, c2), np.zeros((2, 2)),
+                   np.random.default_rng(5))
+    val = hinf_norm(sys)
+    assert val == pytest.approx(max(peak1, peak2), rel=1e-6)
+    assert val == pytest.approx(hinf_grid(sys, 0.5, 4.0, 40_000), rel=1e-4)
+
+
+def test_hinf_supremum_at_infinity():
+    # s / (s + a_i) per channel: |G(jw)| < 1 rises to sigma(D) = 1 as w -> inf
+    rates = np.array([1.0, 2.0, 5.0])
+    sys = _rotated(-np.diag(rates), np.eye(3), -np.diag(rates), np.eye(3),
+                   np.random.default_rng(6))
+    val = hinf_norm(sys)
+    assert 0.0 <= val - 1.0 <= 0.5 * DEFAULT_TOLERANCES.hinf_rel + 1e-15
+    assert hinf_grid(sys, 1e-3, 1e3, 10_000) < 1.0
+
+
+def test_hinf_peak_at_dc():
+    # symmetric A: sigma_max((jw I - A)^{-1}) = max 1 / |jw - lambda_i| peaks at w = 0
+    q = np.linalg.qr(np.random.default_rng(7).standard_normal((3, 3)))[0]
+    a = q @ np.diag([-0.5, -2.0, -3.0]) @ q.T
+    sys = StateSpace(a, np.eye(3), np.eye(3), np.zeros((3, 3)))
+    val = hinf_norm(sys)
+    assert val == pytest.approx(2.0, rel=1e-6)
+    assert val >= np.linalg.norm(sys.eval(0.0), 2)
+
+
+@pytest.mark.parametrize("wn, zeta, gain, tol", [
+    (1.0, 0.1, 10.0, STRICT_TOLERANCES),
+    # at zeta = 1e-6 the gamma-Hamiltonian eigenvalues near the peak pass the
+    # axis test although gamma is above the norm; the midpoint probe then
+    # stays below gamma and the bracket is returned
+    (3.0, 1e-6, 1.0, DEFAULT_TOLERANCES),
+    (3.0, 1e-6, 1.0, STRICT_TOLERANCES),
+], ids=["strict", "nearly_undamped", "nearly_undamped_strict"])
+def test_hinf_resonance_to_hinf_rel(wn, zeta, gain, tol):
+    (a, b, c), peak = _resonance(wn, zeta, gain)
+    val = hinf_norm(StateSpace(a, b, c, [[0.0]]), tol)
+    assert val == pytest.approx(peak, rel=tol.hinf_rel)
+
+
+def test_hinf_round_bound_raises(monkeypatch):
+    # s / ((s + 1)(s + 100)) peaks at 1/101 at w = 10 and the start bound is
+    # |G(100j)| = 0.0071.  The fake Hamiltonian reports one crossing a round,
+    # at the w > 10 where |G(jw)| = 1.001 gamma, so the bound rises by 0.1 %
+    # a round and stays below the peak for all 30 rounds.
+    def one_crossing(sys, gamma):
+        g2 = (1.001 * gamma) ** 2
+        # |G(jw)|^2 = u / ((1 + u)(1e4 + u)) = g2 at u = w^2, larger root
+        p = 1.0 - 10001.0 * g2
+        w = np.sqrt((p + np.sqrt(p * p - 4e4 * g2 * g2)) / (2 * g2))
+        return np.array([[0.0, w], [-w, 0.0]])
+
+    monkeypatch.setattr(linalg, "_hinf_hamiltonian", one_crossing)
+    sys = StateSpace(np.array([[0.0, 1.0], [-100.0, -101.0]]),
+                     np.array([[0.0], [1.0]]), np.array([[0.0, 1.0]]),
+                     np.zeros((1, 1)))
+    with pytest.raises(NumericalError, match="rounds"):
+        hinf_norm(sys)
 
 
 # ---------------------------------------------------------------------------

@@ -171,6 +171,7 @@ def test_cli_end_to_end(tmp_path, capsys):
     assert rc == 0
     gap = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert gap["bound_rhs"] >= gap["J2"] - 1e-6
+    assert gap["h2_equivalence"] == pytest.approx(gap["J2"], rel=1e-6)
 
     rc = main(["design-clusters", "--plant", str(plant_path), "--r", "3",
                "--seed", "0", "--out", str(out)])
