@@ -20,7 +20,7 @@ from .plant import (AssumptionReport, GeneralizedPlant, NetworkSpec,
                     validate_assumptions)
 from .projection import (ClusterPartition, ProjectionPair, WeightVectors,
                          build_projection, feasible_weights,
-                         identity_projection, subspace_member, verify_qi)
+                         subspace_member, verify_qi)
 from .hamiltonian import (ApproxAreSolution, HamiltonianSystem, approx_are,
                           build_hamiltonian, cauchy_coefficients, error_bound,
                           exact_error_norm, stability_test)

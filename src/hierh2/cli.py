@@ -44,7 +44,6 @@ def _add_common(sub):
     sub.add_argument("--seed", type=int, default=None, help="RNG seed override")
     sub.add_argument("--tol-profile", choices=["strict", "default"],
                      default="default")
-    sub.add_argument("--threads", type=int, default=1)
 
 
 def _experiment_config(args) -> ExperimentConfig:
@@ -55,7 +54,6 @@ def _experiment_config(args) -> ExperimentConfig:
     if args.seed is not None:
         config.seed = args.seed
     config.tol_profile = args.tol_profile
-    config.threads = args.threads
     return config
 
 

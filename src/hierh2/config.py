@@ -27,7 +27,6 @@ class Tolerances:
 
     # tests on structure
     pbh_rel: float = 1e-8               # sigma_min threshold relative to matrix scale
-    sym_rel: float = 1e-12
     membership_rel: float = 1e-8        # frequency-sampled subspace membership
     strictly_proper: float = 1e-14
 

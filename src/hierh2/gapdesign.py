@@ -25,7 +25,7 @@ import scipy.linalg as sla
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import DegenerateData
 from .linalg import (h2_norm, hinf_norm, riccati_from_hamiltonian, solve_are,
-                     solve_lyapunov, sqrt_psd, symmetrize)
+                     solve_sylvester, sqrt_psd, symmetrize)
 from .plant import GeneralizedPlant, lft_lower
 from .projection import (ClusterPartition, ProjectionPair, WeightVectors,
                          build_projection)
@@ -77,8 +77,9 @@ def spectral_factors(yd: YoulaData, d12, d21,
     system inherits structural cross terms from the nominal gains
     (D12' C1_hat = [R F, -R F] and B1_hat D21' = [0; L D21 D21']), so the
     gains solve the cross-term form of the two AREs; for F = L = 0 this
-    reduces to the plain pair.  The returned Q* uses the stable product
-    realization -W_L Wbar_R.
+    reduces to the plain pair.  The two Riccati closed loops are A_F and A_L',
+    so Phi_u and Phi_y are solved on their Schur factors.  The returned Q*
+    uses the stable product realization -W_L Wbar_R.
     """
     d12 = np.asarray(d12, float)
     d21 = np.asarray(d21, float)
@@ -92,7 +93,8 @@ def spectral_factors(yd: YoulaData, d12, d21,
     a_u = a_hat - b2_hat @ sla.cho_solve(r_u_chol, s_u)
     q_u = symmetrize(c1_hat.T @ c1_hat - s_u.T @ sla.cho_solve(r_u_chol, s_u))
     m_u = b2_hat @ sla.cho_solve(r_u_chol, b2_hat.T)
-    xhat = riccati_from_hamiltonian(a_u, m_u, q_u, tol).x
+    x_sol = riccati_from_hamiltonian(a_u, m_u, q_u, tol)
+    xhat = x_sol.x
     fhat = -sla.cho_solve(r_u_chol, b2_hat.T @ xhat + s_u)
 
     r_y = symmetrize(d21 @ d21.T)
@@ -101,14 +103,15 @@ def spectral_factors(yd: YoulaData, d12, d21,
     a_y = a_hat - s_y @ sla.cho_solve(r_y_chol, c2_hat)
     q_y = symmetrize(b1_hat @ b1_hat.T - s_y @ sla.cho_solve(r_y_chol, s_y.T))
     m_y = c2_hat.T @ sla.cho_solve(r_y_chol, c2_hat)
-    yhat = riccati_from_hamiltonian(a_y.T, m_y, q_y, tol).x
+    y_sol = riccati_from_hamiltonian(a_y.T, m_y, q_y, tol)
+    yhat = y_sol.x
     lhat = -sla.cho_solve(r_y_chol, (yhat @ c2_hat.T + s_y).T).T
 
     a_f = a_hat + b2_hat @ fhat
     a_l = a_hat + lhat @ c2_hat
     eye = np.eye(n2)
-    phi_u = solve_lyapunov(a_f, eye, tol, check_hurwitz=False)
-    phi_y = solve_lyapunov(a_l.T, eye, tol, check_hurwitz=False)
+    phi_u = solve_sylvester(x_sol.closed_loop, x_sol.closed_loop, eye, tol)
+    phi_y = solve_sylvester(y_sol.closed_loop, y_sol.closed_loop, eye, tol)
     nu = fhat.shape[0]
     ny = lhat.shape[1]
     w_l = StateSpace(a_f, eye, fhat, np.zeros((nu, n2)))
@@ -178,14 +181,14 @@ def doubly_projected_controller(g: GeneralizedPlant, p: ProjectionPair,
 
 def gap_report(yd: YoulaData, sf: SpectralFactors, p: ProjectionPair,
                g: GeneralizedPlant, hier: SynthesisResult | None = None,
-               xi_formula: str = "printed", verify_equivalence: bool = True,
+               verify_equivalence: bool = True,
                tol: Tolerances = DEFAULT_TOLERANCES) -> GapReport:
     """Quantify the gap between hierarchical and unconstrained optima.
 
     J1* is the two-Riccati optimum ``synthesize_unconstrained(g).h2_value``.
     xi_u, xi_y measure the parts of the factor-gain embeddings
     (``sf.embed_u``, ``sf.embed_y``) outside the projection ranges; eps1,
-    eps2 are the H-infinity weights and
+    eps2 are the H-infinity weights, xi = eps1 xi_u + 2 eps2 xi_y, and
     bound_rhs = sqrt(J1*^2 + 2 xi J1* + xi^2) upper-bounds J2*.  The Youla
     data must carry projection-structured gains for the bound to be
     guaranteed (see :func:`evaluate_partition`).
@@ -194,13 +197,7 @@ def gap_report(yd: YoulaData, sf: SpectralFactors, p: ProjectionPair,
     :func:`doubly_projected_controller` is stored as ``h2_equivalence`` and
     a warning is raised when it differs from J2* by more than
     1e-6 max(1, J2*); without it ``h2_equivalence`` is None.
-
-    xi_formula 'printed' uses eps1 xi_u + 2 eps2 xi_y; 'symmetric' is a
-    labeled experimental alternative eps1 xi_u + eps2 xi_y +
-    min(eps1, eps2) sqrt(xi_u xi_y).
     """
-    if xi_formula not in ("printed", "symmetric"):
-        raise ValueError(f"unknown xi_formula {xi_formula!r}")
     qu = np.eye(p.n_u) - p.p_u.T @ p.p_u
     qy = np.eye(p.n_y) - p.p_y.T @ p.p_y
     xi_u = float(np.linalg.norm(qu @ sf.embed_u, "fro"))
@@ -209,10 +206,7 @@ def gap_report(yd: YoulaData, sf: SpectralFactors, p: ProjectionPair,
     t12_t21 = hinf_norm(yd.t12, tol) * hinf_norm(yd.t21, tol)
     eps1 = t12_t21 * hinf_norm(sf.wbar_r, tol)
     eps2 = t12_t21 * hinf_norm(sf.wbar_l, tol)
-    if xi_formula == "printed":
-        xi = eps1 * xi_u + 2.0 * eps2 * xi_y
-    else:
-        xi = eps1 * xi_u + eps2 * xi_y + min(eps1, eps2) * np.sqrt(xi_u * xi_y)
+    xi = eps1 * xi_u + 2.0 * eps2 * xi_y
 
     j1 = synthesize_unconstrained(g, tol=tol).h2_value
     if hier is None:
@@ -267,7 +261,6 @@ def reference_youla_data(g: GeneralizedPlant,
 
 def evaluate_partition(g: GeneralizedPlant, partition: ClusterPartition,
                        weights: WeightVectors | None = None,
-                       xi_formula: str = "printed",
                        tol: Tolerances = DEFAULT_TOLERANCES) -> GapReport:
     """Full gap pipeline for one partition: projections, structured Youla
     data, spectral factors, and the gap-bound report."""
@@ -277,7 +270,7 @@ def evaluate_partition(g: GeneralizedPlant, partition: ClusterPartition,
     hier = synthesize_hierarchical(g, p, tol=tol)
     yd, _ = structured_youla_data(g, p, hier, tol)
     sf = spectral_factors(yd, g.d12, g.d21, tol)
-    return gap_report(yd, sf, p, g, hier=hier, xi_formula=xi_formula, tol=tol)
+    return gap_report(yd, sf, p, g, hier=hier, tol=tol)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,9 @@ built elsewhere.  Every Lyapunov and Sylvester equation in the package goes
 through one Bartels-Stewart kernel on real Schur factors (LAPACK ``trsyl``):
 :func:`solve_sylvester` wraps it in the residual contract (at most two
 refinement steps reusing the factors, then :class:`NumericalError`), and the
-Riccati Newton step calls it directly.
+Riccati Newton step calls it directly.  The Riccati solver returns the Schur
+factors of its closed loop A - M X, which every consumer reuses;
+:meth:`RealSchur.transposed` gives those of A' without a second factorization.
 """
 
 from __future__ import annotations
@@ -113,6 +115,14 @@ class RealSchur:
             return -np.inf
         return float(np.max(_quasi_triangular_eigvals(self.t).real))
 
+    def transposed(self) -> "RealSchur":
+        """Factors of A' without a second factorization.
+
+        A' = (U P)(P T' P)(U P)' with P the order reversal; P T' P is again
+        upper quasi-triangular in Schur canonical form.
+        """
+        return RealSchur(a=self.a.T, t=self.t.T[::-1, ::-1], u=self.u[:, ::-1])
+
 
 def _bartels_stewart(f1: RealSchur, f2: RealSchur, q: np.ndarray) -> np.ndarray:
     """X with A1 X + X A2' + Q = 0, solved as T1 Y + Y T2' = -U1' Q U2."""
@@ -154,17 +164,16 @@ def solve_sylvester(f1: RealSchur, f2: RealSchur, q,
     return x
 
 
-def solve_lyapunov(a, b, tol: Tolerances = DEFAULT_TOLERANCES,
-                   check_hurwitz: bool = True) -> np.ndarray:
+def solve_lyapunov(a, b, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
     """Solve A Phi + Phi A^T + B B^T = 0 for the symmetric PSD Phi.
+
+    The Hurwitz check reads the abscissa off the Schur form the solve needs
+    anyway; a caller holding the factors of `a` calls :func:`solve_sylvester`.
 
     Parameters
     ----------
     a : (n, n) array, Hurwitz
     b : (n, m) array
-    check_hurwitz : skip the Hurwitz check on the Schur form of `a` when the
-        caller has already certified stability (the residual check still
-        runs).
 
     Raises
     ------
@@ -176,7 +185,7 @@ def solve_lyapunov(a, b, tol: Tolerances = DEFAULT_TOLERANCES,
     if b.shape[0] != a.shape[0]:
         raise DimensionMismatch("solve_lyapunov: B rows must match A")
     f = RealSchur.of(a)
-    if check_hurwitz and f.abscissa >= -tol.hurwitz_margin:
+    if f.abscissa >= -tol.hurwitz_margin:
         raise NotHurwitz(f"A has spectral abscissa {f.abscissa:.3e} "
                          f">= {-tol.hurwitz_margin:.1e}")
     return solve_sylvester(f, f, b @ b.T, tol)
@@ -188,15 +197,16 @@ def solve_lyapunov(a, b, tol: Tolerances = DEFAULT_TOLERANCES,
 
 @dataclass
 class AreSolution:
-    """Stabilizing Riccati solution with diagnostics."""
+    """Stabilizing solution X of A'X + XA + Q - XMX = 0 with the real Schur
+    factors of its closed loop A - M X, made once by the solver."""
 
     x: np.ndarray
     residual: float
-    closed_loop_abscissa: float
+    closed_loop: RealSchur
 
     @property
-    def stable(self) -> bool:
-        return self.closed_loop_abscissa < 0.0
+    def closed_loop_abscissa(self) -> float:
+        return self.closed_loop.abscissa
 
 
 def _quasi_triangular_eigvals(t: np.ndarray) -> np.ndarray:
@@ -227,8 +237,9 @@ def riccati_from_hamiltonian(a, m, q, tol: Tolerances = DEFAULT_TOLERANCES) -> A
 
     Computed from the full stable invariant subspace of
     H = [[A, -M], [-Q, -A']] via an ordered real Schur decomposition and
-    X = Z2 Z1^{-1}, with one Newton refinement pass if the residual bound
-    is not already met.
+    X = Z2 Z1^{-1}, with Newton refinement if the residual bound is not
+    already met.  The real Schur factors of A - M X, whose abscissa must be
+    negative (else NumericalError), are returned as ``closed_loop``.
     """
     a = as_matrix(a, "A")
     m = symmetrize(as_matrix(m, "M"))
@@ -270,11 +281,11 @@ def riccati_from_hamiltonian(a, m, q, tol: Tolerances = DEFAULT_TOLERANCES) -> A
     if res_norm > bound:
         raise NumericalError(
             f"ARE residual {res_norm:.3e} exceeds bound {bound:.3e}")
-    abscissa = spectral_abscissa(a - m @ x)
-    if abscissa >= 0.0:
+    closed = RealSchur.of(a - m @ x)
+    if closed.abscissa >= 0.0:
         raise NumericalError(
-            f"Riccati closed loop not Hurwitz (abscissa {abscissa:.3e})")
-    return AreSolution(x=x, residual=res_norm, closed_loop_abscissa=abscissa)
+            f"Riccati closed loop not Hurwitz (abscissa {closed.abscissa:.3e})")
+    return AreSolution(x=x, residual=res_norm, closed_loop=closed)
 
 
 def solve_are(a, b, c, r, tol: Tolerances = DEFAULT_TOLERANCES,
@@ -314,18 +325,18 @@ def solve_are(a, b, c, r, tol: Tolerances = DEFAULT_TOLERANCES,
 # System norms
 # ---------------------------------------------------------------------------
 
-def h2_norm(sys: StateSpace, tol: Tolerances = DEFAULT_TOLERANCES,
-            check_hurwitz: bool = True) -> float:
+def h2_norm(sys: StateSpace, tol: Tolerances = DEFAULT_TOLERANCES) -> float:
     """H2 norm sqrt(tr(C Phi C')) with Phi the controllability Gramian.
 
-    Requires a strictly proper (D = 0), internally stable realization.
+    Requires a strictly proper (D = 0), internally stable realization;
+    :func:`solve_lyapunov` raises NotHurwitz otherwise.
     """
     scale = max(1.0, np.linalg.norm(sys.c, "fro"), np.linalg.norm(sys.b, "fro"))
     if sys.d.size and np.max(np.abs(sys.d)) > tol.strictly_proper * scale:
         raise NotStrictlyProper("h2_norm requires D = 0")
     if sys.n_states == 0:
         return 0.0
-    phi = solve_lyapunov(sys.a, sys.b, tol, check_hurwitz=check_hurwitz)
+    phi = solve_lyapunov(sys.a, sys.b, tol)
     val = float(np.trace(sys.c @ phi @ sys.c.T))
     return float(np.sqrt(max(val, 0.0)))
 

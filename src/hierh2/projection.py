@@ -22,7 +22,7 @@ from .statespace import StateSpace, series
 
 __all__ = [
     "ClusterPartition", "WeightVectors", "ProjectionPair",
-    "build_projection", "identity_projection", "subspace_member",
+    "build_projection", "subspace_member",
     "verify_qi", "feasible_weights", "random_stable_statespace",
 ]
 
@@ -165,13 +165,6 @@ def build_projection(partition: ClusterPartition, weights: WeightVectors) -> Pro
     p_u = _projection_matrix(partition.input_sets, weights.w_u, partition.n_u, "P_u")
     p_y = _projection_matrix(partition.output_sets, weights.w_y, partition.n_y, "P_y")
     return ProjectionPair(p_u=p_u, p_y=p_y)
-
-
-def identity_projection(n_u: int, n_y: int) -> ProjectionPair:
-    """Identity projections; requires square pairing n_u == n_y."""
-    if n_u != n_y:
-        raise ValueError("identity projection pair needs n_u == n_y")
-    return ProjectionPair(np.eye(n_u), np.eye(n_y))
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,6 @@ claims; all other columns are byte-reproducible for a fixed config and seed.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -58,7 +57,6 @@ class ExperimentConfig:
     method: str = "krylov"                     # dense | krylov for sweeps
     exact_time_cap_s: float = 600.0
     tol_profile: str = "default"
-    threads: int = 1
     degree_preserving: bool = True             # scale p_in/p_out with 1/n
     restarts: int = 10
 
@@ -115,13 +113,6 @@ class ExperimentConfig:
             return feasible_weights(g, partition,
                                     rng=np.random.default_rng(self.seed))
         raise ValueError(f"unknown weight policy {self.weight_policy!r}")
-
-
-def _map_rows(fn, keys, threads: int):
-    if threads <= 1:
-        return [fn(k) for k in keys]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, keys))
 
 
 def _partition_for(config: ExperimentConfig, g: GeneralizedPlant,
@@ -196,7 +187,7 @@ def sweep_kappa(config: ExperimentConfig, out_dir=None) -> list[dict]:
                     "certified": None, "closed_loop_abscissa": None,
                     "status": f"error: {e}"}
 
-    rows += _map_rows(one, list(config.kappa_list), config.threads)
+    rows += [one(kappa) for kappa in config.kappa_list]
     if out_dir is not None:
         write_csv(Path(out_dir) / "kappa_sweep.csv", KAPPA_FIELDS, rows)
     return rows

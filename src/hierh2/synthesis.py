@@ -212,20 +212,18 @@ def _check_hypotheses(g: GeneralizedPlant, p: ProjectionPair, tol: Tolerances):
 
 
 def _observer_closed_loop_h2(g: GeneralizedPlant, p: ProjectionPair,
-                             f2: np.ndarray, l2: np.ndarray,
-                             tol: Tolerances) -> tuple[float, float]:
+                             f2: np.ndarray, l2: np.ndarray, ctrl: RealSchur,
+                             filt: RealSchur, tol: Tolerances) -> tuple[float, float]:
     """(H2 value, closed-loop abscissa) using the observer separation.
 
     In (x, e = x - xhat) coordinates the closed loop is block triangular
-    with diagonal blocks A + B2 Pu' F2 (control) and A + L2 Py C2 (filter).
-    Their real Schur factors decide stability, raising NotHurwitz naming a
-    block with an eigenvalue at Re >= -hurwitz_margin.  The same factors
-    then split the Gramian into one Lyapunov solve per block plus one
-    Sylvester coupling; this equals h2_norm(lft_lower(G, K)) without a
-    Schur form of the 2n matrix.
+    with diagonal blocks A + B2 Pu' F2 (control) and A + L2 Py C2 (filter),
+    whose real Schur factors `ctrl`, `filt` the caller supplies.  They decide
+    stability, raising NotHurwitz naming a block with an eigenvalue at
+    Re >= -hurwitz_margin, then split the Gramian into one Lyapunov solve
+    per block plus one Sylvester coupling; this equals
+    h2_norm(lft_lower(G, K)) without a Schur form of the 2n matrix.
     """
-    ctrl = RealSchur.of(g.a + g.b2 @ (p.p_u.T @ f2))
-    filt = RealSchur.of(g.a + (l2 @ p.p_y) @ g.c2)
     for f, side in ((ctrl, "control"), (filt, "filter")):
         if f.abscissa >= -tol.hurwitz_margin:
             raise NotHurwitz(f"the {side} loop has spectral abscissa "
@@ -251,8 +249,7 @@ def _observer_closed_loop_h2(g: GeneralizedPlant, p: ProjectionPair,
 def synthesize_hierarchical(g: GeneralizedPlant, p: ProjectionPair,
                             are_backend: str = "exact", kappa: int | None = None,
                             method: str = "dense",
-                            tol: Tolerances = DEFAULT_TOLERANCES,
-                            progress=None) -> SynthesisResult:
+                            tol: Tolerances = DEFAULT_TOLERANCES) -> SynthesisResult:
     """Optimal hierarchical controller K = P_u^T K~ P_y for the given pair.
 
     With ``are_backend='exact'`` both Riccati equations are solved through
@@ -263,8 +260,10 @@ def synthesize_hierarchical(g: GeneralizedPlant, p: ProjectionPair,
     factors of the control block A + B2 P_u^T F2 and the filter block
     A + L2 P_y C2: an eigenvalue with Re >= -hurwitz_margin raises
     :class:`ApproxNotStabilizing` naming the failing side (approx; raise
-    kappa) or :class:`NotHurwitz` (exact).  The same factors then give the
-    closed-loop H2 value through the observer separation.
+    kappa) or :class:`NotHurwitz` (exact).  The exact backend reuses the
+    Riccati closed-loop factors for them; the approx backend, whose
+    truncated solutions have none, factors both blocks.  The same factors
+    then give the closed-loop H2 value through the observer separation.
 
     ``solve_time`` measures Riccati solves plus gain assembly; closed-loop
     evaluation is excluded.
@@ -275,10 +274,6 @@ def synthesize_hierarchical(g: GeneralizedPlant, p: ProjectionPair,
     if are_backend == "approx" and kappa is None:
         raise ValueError("approx backend requires kappa")
 
-    def report(msg):
-        if progress is not None:
-            progress(msg)
-
     r1 = symmetrize(p.p_u @ g.d12.T @ g.d12 @ p.p_u.T)
     r2 = symmetrize(p.p_y @ g.d21 @ g.d21.T @ p.p_y.T)
     b2pu = g.b2 @ p.p_u.T
@@ -287,16 +282,12 @@ def synthesize_hierarchical(g: GeneralizedPlant, p: ProjectionPair,
     t0 = time.perf_counter()
     x_sol = y_sol = None
     if are_backend == "exact":
-        report("solving control ARE")
         x_sol = solve_are(g.a, b2pu, g.c1, r1, tol, check_stabilizable=False)
-        report("solving filter ARE")
         y_sol = solve_are(g.a.T, c2py, g.b1.T, r2, tol, check_stabilizable=False)
         x, y = x_sol.x, y_sol.x
     else:
-        report(f"approximating control ARE at kappa={kappa}")
         hs_x = build_hamiltonian(g.a, b2pu, g.c1, r1, tol)
         x_sol = approx_are(hs_x, kappa, method=method, tol=tol)
-        report(f"approximating filter ARE at kappa={kappa}")
         hs_y = build_hamiltonian(g.a.T, c2py, g.b1.T, r2, tol)
         y_sol = approx_are(hs_y, kappa, method=method, tol=tol)
         x, y = x_sol.xbar, y_sol.xbar
@@ -305,9 +296,13 @@ def synthesize_hierarchical(g: GeneralizedPlant, p: ProjectionPair,
     l2 = -_spd_solve(r2, p.p_y @ g.c2 @ y, "R2", tol).T
     elapsed = time.perf_counter() - t0
 
-    report("evaluating closed loop")
+    if are_backend == "exact":
+        ctrl, filt = x_sol.closed_loop, y_sol.closed_loop.transposed()
+    else:
+        ctrl = RealSchur.of(g.a + g.b2 @ (p.p_u.T @ f2))
+        filt = RealSchur.of(g.a + (l2 @ p.p_y) @ g.c2)
     try:
-        h2, abscissa = _observer_closed_loop_h2(g, p, f2, l2, tol)
+        h2, abscissa = _observer_closed_loop_h2(g, p, f2, l2, ctrl, filt, tol)
     except NotHurwitz as e:
         if are_backend == "approx":
             raise ApproxNotStabilizing(f"kappa={kappa}: {e}") from e
@@ -325,12 +320,11 @@ def synthesize_hierarchical(g: GeneralizedPlant, p: ProjectionPair,
 
 def synthesize_unconstrained(g: GeneralizedPlant, are_backend: str = "exact",
                              kappa: int | None = None, method: str = "dense",
-                             tol: Tolerances = DEFAULT_TOLERANCES,
-                             progress=None) -> SynthesisResult:
+                             tol: Tolerances = DEFAULT_TOLERANCES) -> SynthesisResult:
     """Standard two-Riccati H2 design: identity projections on both sides."""
     p = ProjectionPair(np.eye(g.n_u), np.eye(g.n_y))
     return synthesize_hierarchical(g, p, are_backend=are_backend, kappa=kappa,
-                                   method=method, tol=tol, progress=progress)
+                                   method=method, tol=tol)
 
 
 @dataclass(frozen=True)

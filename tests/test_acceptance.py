@@ -106,7 +106,7 @@ def test_criterion_03_truncation_error_bound():
             coeffs = cauchy_coefficients(full.z1, full, b1)
             lhs = full.z1 @ coeffs @ full.z1.T
             x_sub = full.z2 @ np.linalg.inv(full.z1)
-            rhs = solve_lyapunov(a - hs.m @ x_sub, b1, check_hurwitz=False)
+            rhs = solve_lyapunov(a - hs.m @ x_sub, b1)
             assert np.linalg.norm(lhs - rhs, "fro") <= \
                 1e-8 * max(1.0, np.linalg.norm(rhs, "fro"))
             for kappa in range(1, n + 1):

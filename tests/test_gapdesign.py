@@ -13,6 +13,7 @@ from hierh2 import (ClusterPartition, NetworkSpec, WeightVectors,
 from hierh2.errors import DegenerateData
 
 from conftest import random_h2_plant, random_partition
+from oracles import lyapunov_kron
 from test_synthesis import scalar_plant
 
 FREQS = np.logspace(-2, 2, 20)
@@ -50,6 +51,19 @@ def test_factorizations_agree():
         assert np.linalg.norm(lv - rv) <= 1e-7 * max(1.0, np.linalg.norm(rv))
         # Q* realization agrees with the product form
         assert np.linalg.norm(sf.q_star.eval(1j * w) + lv) <= 1e-7 * max(1.0, np.linalg.norm(lv))
+
+
+def test_factor_embeddings_match_lyapunov_oracle():
+    # E_u E_u' = F_hat LYAP(A_F, I) F_hat' and E_y E_y' = L_hat' LYAP(A_L', I) L_hat
+    rng = np.random.default_rng(4)
+    g = random_h2_plant(rng, 4, 2, 3)
+    sf = spectral_factors(reference_youla_data(g), g.d12, g.d21)
+    eye = np.eye(sf.w_l.a.shape[0])
+    for embed, gain, a in ((sf.embed_u, sf.fhat, sf.w_l.a),
+                           (sf.embed_y, sf.lhat.T, sf.w_r.a.T)):
+        ref = gain @ lyapunov_kron(a, eye) @ gain.T
+        assert np.linalg.norm(embed @ embed.T - ref) <= \
+            1e-9 * np.linalg.norm(ref)
 
 
 def test_model_matching_value_equals_unconstrained_optimum():
@@ -129,19 +143,14 @@ def test_equivalence_check_records_and_warns(monkeypatch):
     assert report.h2_equivalence == pytest.approx(report.j1_star, rel=1e-9)
 
 
-def test_xi_formula_variants():
+def test_xi_printed_formula():
     rng = np.random.default_rng(13)
     g = random_h2_plant(rng, 4, 3, 3)
     sets = random_partition(rng, 3, 2)
     part = ClusterPartition(input_sets=sets, output_sets=sets)
-    printed = evaluate_partition(g, part, xi_formula="printed")
-    symmetric = evaluate_partition(g, part, xi_formula="symmetric")
-    assert printed.xi == pytest.approx(
-        printed.eps1 * printed.xi_u + 2 * printed.eps2 * printed.xi_y)
-    assert symmetric.xi == pytest.approx(
-        symmetric.eps1 * symmetric.xi_u + symmetric.eps2 * symmetric.xi_y
-        + min(symmetric.eps1, symmetric.eps2)
-        * np.sqrt(symmetric.xi_u * symmetric.xi_y))
+    report = evaluate_partition(g, part)
+    assert report.xi == pytest.approx(
+        report.eps1 * report.xi_u + 2 * report.eps2 * report.xi_y)
 
 
 def test_xi_u_monotone_under_refinement():

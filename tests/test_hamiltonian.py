@@ -228,3 +228,12 @@ def test_krylov_matches_dense(n_s, p_in, seed):
         assert kry.epsilon is None and kry.e_kappa_norm is None
         assert np.linalg.norm(dense.xbar - kry.xbar, "fro") <= \
             1e-6 * max(1.0, np.linalg.norm(dense.xbar, "fro"))
+
+
+def test_krylov_is_reproducible():
+    from hierh2 import ExperimentConfig
+    g = ExperimentConfig(seed=7).plant(60)
+    hs = build_hamiltonian(g.a, g.b2, g.c1, g.d12.T @ g.d12)
+    first = approx_are(hs, kappa=4, method="krylov")
+    second = approx_are(hs, kappa=4, method="krylov")
+    assert np.array_equal(first.xbar, second.xbar)

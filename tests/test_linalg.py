@@ -87,6 +87,27 @@ def test_sylvester_kernel_matches_scipy_on_unequal_blocks():
     assert f2.abscissa == pytest.approx(-0.7, rel=1e-10)
 
 
+def test_transposed_schur_factors():
+    rng = np.random.default_rng(22)
+    a1 = _with_rotation(rng, [[[-1.0, 3.0], [-3.0, -1.0]], -2.0,
+                              [[-0.5, 1.5], [-1.5, -0.5]], -4.0])
+    a2 = _with_rotation(rng, [-0.7, [[-2.0, 5.0], [-5.0, -2.0]]])
+    q = rng.standard_normal((6, 3))
+    f1t = RealSchur.of(a1).transposed()
+    assert np.count_nonzero(np.diag(f1t.t, -1)) == 2
+    assert np.array_equal(f1t.a, a1.T)
+    # upper quasi-triangular with orthogonal U, and U T U' = A'
+    assert not np.any(np.tril(f1t.t, -2))
+    assert np.allclose(f1t.u.T @ f1t.u, np.eye(6), atol=1e-14)
+    assert np.linalg.norm(f1t.u @ f1t.t @ f1t.u.T - a1.T, "fro") <= \
+        1e-13 * np.linalg.norm(a1, "fro")
+    assert f1t.abscissa == pytest.approx(-0.5, rel=1e-10)
+    f2 = RealSchur.of(a2)
+    x = solve_sylvester(f1t, f2, q)
+    ref = solve_sylvester(RealSchur.of(a1.T), f2, q)
+    assert np.linalg.norm(x - ref, "fro") <= 1e-12 * np.linalg.norm(ref, "fro")
+
+
 # ---------------------------------------------------------------------------
 # Riccati
 # ---------------------------------------------------------------------------
@@ -99,6 +120,8 @@ def test_are_scalar_examples():
     sol = solve_are([[1.0]], [[1.0]], [[np.sqrt(3.0)]], [[1.0]])
     assert sol.x == pytest.approx(np.array([[3.0]]))
     assert sol.closed_loop_abscissa == pytest.approx(-2.0)
+    # the returned factors are those of the closed loop A - M X = 1 - 3
+    assert sol.closed_loop.a == pytest.approx(np.array([[-2.0]]))
 
 
 def test_are_matches_sign_iteration_oracle():

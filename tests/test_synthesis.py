@@ -1,14 +1,14 @@
 import numpy as np
 import pytest
 
-from hierh2 import (ClusterPartition, ExperimentConfig, GeneralizedPlant,
-                    NetworkSpec, ProjectionPair, StateSpace, WeightVectors, add,
-                    build_projection, communication_links,
+from hierh2 import (DEFAULT_TOLERANCES, ClusterPartition, ExperimentConfig,
+                    GeneralizedPlant, NetworkSpec, ProjectionPair, StateSpace,
+                    WeightVectors, add, build_projection, communication_links,
                     generate_consensus_network, h2_norm, lft_controller,
                     lft_lower, spectral_abscissa, synthesize_hierarchical,
                     synthesize_unconstrained, youla_data)
 from hierh2.errors import (ApproxNotStabilizing, HypothesisFailure,
-                           NotStabilizingGains)
+                           NotHurwitz, NotStabilizingGains)
 from hierh2.projection import random_stable_statespace
 
 from conftest import random_h2_plant, random_partition
@@ -309,9 +309,20 @@ def test_h2_value_matches_closed_loop_oracle(n_s):
         spectral_abscissa(lft_lower(g, res.controller.expand()).a), rel=1e-6)
 
 
-def test_progress_callback_invoked():
-    rng = np.random.default_rng(33)
-    g = random_h2_plant(rng, 3, 2, 2)
-    messages = []
-    synthesize_unconstrained(g, progress=messages.append)
-    assert messages
+def test_exact_synthesis_reuses_riccati_closed_loops():
+    cfg = ExperimentConfig(seed=7)
+    g = cfg.plant(24)
+    pair = build_projection(cfg.planted_partition(g, 24),
+                            WeightVectors.ones(g.n_u, g.n_y))
+    res = synthesize_hierarchical(g, pair)
+    assert res.closed_loop_abscissa == max(
+        res.x_solution.closed_loop_abscissa, res.y_solution.closed_loop_abscissa)
+    # the Riccati factors are those of the control and the filter block
+    ctrl = g.a + g.b2 @ res.p_u_t_f2()
+    filt = g.a + res.l2_p_y() @ g.c2
+    assert np.allclose(res.x_solution.closed_loop.a, ctrl, atol=1e-10)
+    assert np.allclose(res.y_solution.closed_loop.a.T, filt, atol=1e-10)
+    # the reused factors still decide stability
+    with pytest.raises(NotHurwitz, match="control loop"):
+        synthesize_hierarchical(g, pair, tol=DEFAULT_TOLERANCES.with_(
+            hurwitz_margin=1e6))
