@@ -143,7 +143,7 @@ def test_equivalence_check_records_and_warns(monkeypatch):
     assert report.h2_equivalence == pytest.approx(report.j1_star, rel=1e-9)
 
 
-def test_xi_printed_formula():
+def test_xi_formula_variants():
     rng = np.random.default_rng(13)
     g = random_h2_plant(rng, 4, 3, 3)
     sets = random_partition(rng, 3, 2)
