@@ -29,6 +29,9 @@ class Tolerances:
     pbh_rel: float = 1e-8               # sigma_min threshold relative to matrix scale
     membership_rel: float = 1e-8        # frequency-sampled subspace membership
     strictly_proper: float = 1e-14
+    # A4: ||D12' C1||_F <= cross_term_rel ||D12||_F ||C1||_F, and likewise
+    # ||B1 D21'||_F against ||B1||_F ||D21||_F
+    cross_term_rel: float = 1e-12
 
     # iterative procedures
     # hinf_norm returns the midpoint of a bracket [lb, (1 + hinf_rel) lb] of

@@ -4,8 +4,12 @@ The Riccati solver works through the stable invariant subspace of the
 associated 2n x 2n Hamiltonian (ordered real Schur form), so the same code
 path underpins both the exact solutions and the truncated approximations
 built elsewhere.  Every Lyapunov and Sylvester equation in the package goes
-through one Bartels-Stewart kernel on real Schur factors (LAPACK ``trsyl``):
-:func:`solve_sylvester` wraps it in the residual contract (at most two
+through one Bartels-Stewart kernel on real Schur factors.  Its triangular
+solve is the recursive blocked algorithm of Jonsson & Kagstrom ("Recursive
+blocked algorithms for solving triangular systems", ACM TOMS 28, 2002), with
+LAPACK ``trsyl`` on the leaves; if a leaf has to scale against overflow, the
+whole triangular solve falls back to one ``trsyl`` call.
+:func:`solve_sylvester` wraps the kernel in the residual contract (at most two
 refinement steps reusing the factors, then :class:`NumericalError`), and the
 Riccati Newton step calls it directly.  The Riccati solver returns the Schur
 factors of its closed loop A - M X, which every consumer reuses;
@@ -53,6 +57,13 @@ def is_hurwitz(a: np.ndarray, margin: float = DEFAULT_TOLERANCES.hurwitz_margin)
     return spectral_abscissa(a) < -margin
 
 
+def _pbh_sigma_min(a: np.ndarray, b: np.ndarray, lam) -> float:
+    """sigma_min([A - lambda I, B]), in real arithmetic when lambda is real."""
+    lam = lam if lam.imag else lam.real
+    pencil = np.hstack([a - lam * np.eye(a.shape[0]), b])
+    return float(np.linalg.svd(pencil, compute_uv=False)[-1])
+
+
 def _pbh_rank_deficient(a: np.ndarray, b: np.ndarray, eigs: np.ndarray,
                         threshold: float) -> np.ndarray:
     """Mask over `eigs`: sigma_min([A - lambda I, B]) <= threshold.
@@ -60,11 +71,8 @@ def _pbh_rank_deficient(a: np.ndarray, b: np.ndarray, eigs: np.ndarray,
     The package's one PBH rank test.  Callers pick the modes and the
     threshold; observability of (C, A) is the test on (A', C').
     """
-    n = a.shape[0]
-    return np.array([
-        np.linalg.svd(np.hstack([a - lam * np.eye(n), b]).astype(complex),
-                      compute_uv=False)[-1] <= threshold
-        for lam in eigs], dtype=bool)
+    return np.array([_pbh_sigma_min(a, b, lam) <= threshold for lam in eigs],
+                    dtype=bool)
 
 
 def _pbh_modes(a, b, tol: Tolerances, eigs=None) -> np.ndarray:
@@ -124,13 +132,65 @@ class RealSchur:
         return RealSchur(a=self.a.T, t=self.t.T[::-1, ::-1], u=self.u[:, ::-1])
 
 
-def _bartels_stewart(f1: RealSchur, f2: RealSchur, q: np.ndarray) -> np.ndarray:
-    """X with A1 X + X A2' + Q = 0, solved as T1 Y + Y T2' = -U1' Q U2."""
-    trsyl = sla.get_lapack_funcs("trsyl", (f1.t,))
-    y, scale, info = trsyl(f1.t, f2.t, -(f1.u.T @ q @ f2.u), tranb="T")
+_TRSYL_LEAF = 64   # blocks with both sides at most this go to one trsyl call
+
+
+def _split(t: np.ndarray) -> int:
+    """Midpoint of quasi-triangular `t`, moved down one so no 2x2 block is cut."""
+    k = t.shape[0] // 2
+    return k + 1 if t[k, k - 1] != 0.0 else k
+
+
+def _trsyl(t1: np.ndarray, t2: np.ndarray, c: np.ndarray):
+    """LAPACK trsyl on T1 Y + Y T2' = scale C: returns (Y, scale)."""
+    trsyl = sla.get_lapack_funcs("trsyl", (t1,))
+    y, scale, info = trsyl(t1, t2, c, tranb="T")
     if info < 0:
         raise NumericalError(f"trsyl: argument {-info} is invalid")
-    return f1.u @ (y / scale) @ f2.u.T
+    return y, scale
+
+
+def _recursive_trsyl(t1: np.ndarray, t2: np.ndarray, c: np.ndarray) -> bool:
+    """Overwrite `c` with Y, T1 Y + Y T2' = C, for upper quasi-triangular T1, T2.
+
+    Recursive blocking of Jonsson & Kagstrom (ACM TOMS 28, 2002): halve the
+    larger factor, solve the trailing block first (T2' is lower triangular),
+    fold its coupling into the other half with one GEMM, and leave blocks of
+    side <= ``_TRSYL_LEAF`` to trsyl.  Returns False as soon as a leaf
+    returns scale != 1, leaving `c` partly overwritten.
+    """
+    m, n = c.shape
+    if m <= _TRSYL_LEAF and n <= _TRSYL_LEAF:
+        y, scale = _trsyl(t1, t2, c)
+        c[...] = y
+        return scale == 1.0
+    if m >= n:
+        k = _split(t1)
+        if not _recursive_trsyl(t1[k:, k:], t2, c[k:]):
+            return False
+        c[:k] -= t1[:k, k:] @ c[k:]
+        return _recursive_trsyl(t1[:k, :k], t2, c[:k])
+    k = _split(t2)
+    if not _recursive_trsyl(t1, t2[k:, k:], c[:, k:]):
+        return False
+    c[:, :k] -= c[:, k:] @ t2[:k, k:].T
+    return _recursive_trsyl(t1, t2[:k, :k], c[:, :k])
+
+
+def _bartels_stewart(f1: RealSchur, f2: RealSchur, q: np.ndarray) -> np.ndarray:
+    """X with A1 X + X A2' + Q = 0, solved as T1 Y + Y T2' = -U1' Q U2.
+
+    The triangular solve is :func:`_recursive_trsyl`, in place in one array.
+    trsyl's overflow guard scales a leaf's right-hand side by scale <= 1,
+    and the recursion cannot carry that factor across its GEMM updates; so
+    if any leaf returns scale != 1 the whole triangular solve is redone with
+    one plain trsyl call, whose Y is divided by its scale.
+    """
+    y = -(f1.u.T @ q @ f2.u)
+    if not _recursive_trsyl(f1.t, f2.t, y):
+        y, scale = _trsyl(f1.t, f2.t, -(f1.u.T @ q @ f2.u))
+        y = y / scale
+    return f1.u @ y @ f2.u.T
 
 
 def solve_sylvester(f1: RealSchur, f2: RealSchur, q,

@@ -163,6 +163,23 @@ class AssumptionReport:
         return self.a1 and self.a2 and self.a3 and self.a4
 
 
+def _a4_cross_terms(g: GeneralizedPlant,
+                    tol: Tolerances = DEFAULT_TOLERANCES) -> tuple[float, float, bool]:
+    """(||D12' C1||_F, ||B1 D21'||_F, whether A4 holds).
+
+    Each cross term must be at most ``tol.cross_term_rel`` times the product
+    of its two factors' Frobenius norms.
+    """
+    def fro(m):
+        return float(np.linalg.norm(m, "fro"))
+
+    cross_u = fro(g.d12.T @ g.c1)
+    cross_y = fro(g.b1 @ g.d21.T)
+    holds = (cross_u <= tol.cross_term_rel * fro(g.d12) * fro(g.c1)
+             and cross_y <= tol.cross_term_rel * fro(g.b1) * fro(g.d21))
+    return cross_u, cross_y, holds
+
+
 def validate_assumptions(g: GeneralizedPlant,
                          tol: Tolerances = DEFAULT_TOLERANCES) -> AssumptionReport:
     """Report-only check of the four standing plant assumptions.
@@ -170,7 +187,7 @@ def validate_assumptions(g: GeneralizedPlant,
     A1: (A, B2) stabilizable and (C2, A) detectable (PBH over the unstable
         spectrum); A2: D21 D21' and D12' D12 positive definite; A3: no
         uncontrollable/unobservable imaginary-axis modes for (A, B1)/(C1, A);
-        A4: D12' C1 = 0 and B1 D21' = 0.
+        A4: D12' C1 = 0 and B1 D21' = 0, relative to ``cross_term_rel``.
     """
     details: dict = {}
 
@@ -193,11 +210,7 @@ def validate_assumptions(g: GeneralizedPlant,
     if not a3:
         details["a3_modes"] = [complex(lam) for lam in on_axis[bad]]
 
-    cross_u = float(np.linalg.norm(g.d12.T @ g.c1, "fro"))
-    cross_y = float(np.linalg.norm(g.b1 @ g.d21.T, "fro"))
-    details["norm_D12tC1"] = cross_u
-    details["norm_B1D21t"] = cross_y
-    a4 = cross_u <= 1e-12 and cross_y <= 1e-12
+    details["norm_D12tC1"], details["norm_B1D21t"], a4 = _a4_cross_terms(g, tol)
 
     return AssumptionReport(a1=a1, a2=a2, a3=a3, a4=a4, details=details)
 

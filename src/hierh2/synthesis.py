@@ -24,7 +24,7 @@ from .errors import (ApproxNotStabilizing, HypothesisFailure, IllConditionedR,
 from .hamiltonian import approx_are, build_hamiltonian
 from .linalg import (RealSchur, _pbh_modes, solve_are, solve_sylvester,
                      spectral_abscissa, symmetrize)
-from .plant import GeneralizedPlant
+from .plant import GeneralizedPlant, _a4_cross_terms
 from .projection import ClusterPartition, ProjectionPair
 from .statespace import StateSpace, lft_lower_partitioned
 
@@ -206,8 +206,7 @@ def _check_hypotheses(g: GeneralizedPlant, p: ProjectionPair, tol: Tolerances):
     w21 = np.linalg.eigvalsh(g.d21 @ g.d21.T)
     if (w12.size and w12.min() <= 0.0) or (w21.size and w21.min() <= 0.0):
         raise HypothesisFailure("assumption A2 fails (D12/D21 weights singular)")
-    if (np.linalg.norm(g.d12.T @ g.c1, "fro") > 1e-12
-            or np.linalg.norm(g.b1 @ g.d21.T, "fro") > 1e-12):
+    if not _a4_cross_terms(g, tol)[2]:
         raise HypothesisFailure("assumption A4 fails (cross terms non-zero)")
 
 

@@ -3,10 +3,10 @@ import pytest
 
 import scipy.linalg as sla
 
-from hierh2 import (DEFAULT_TOLERANCES, STRICT_TOLERANCES, StateSpace, h2_norm,
-                    hinf_norm, linalg, solve_are, solve_lyapunov,
-                    spectral_abscissa, sqrt_psd, stable_eigenspace,
-                    unstable_spectrum)
+from hierh2 import (DEFAULT_TOLERANCES, STRICT_TOLERANCES, StateSpace,
+                    detectable, h2_norm, hinf_norm, linalg, solve_are,
+                    solve_lyapunov, spectral_abscissa, sqrt_psd, stabilizable,
+                    stable_eigenspace, unstable_spectrum)
 from hierh2.errors import (HamiltonianImaginaryAxis, NotHurwitz, NotPSD,
                            NotStabilizable, NotStrictlyProper, NumericalError,
                            ConjugatePairSplitWarning)
@@ -106,6 +106,133 @@ def test_transposed_schur_factors():
     x = solve_sylvester(f1t, f2, q)
     ref = solve_sylvester(RealSchur.of(a1.T), f2, q)
     assert np.linalg.norm(x - ref, "fro") <= 1e-12 * np.linalg.norm(ref, "fro")
+
+
+def _split_straddling_pairs(n, start=0):
+    """Rows s of the 2x2 blocks (s, s+1) that sit on every split point the
+    recursive kernel meets on an n x n factor: each block covers the
+    midpoint row k, so the split moves to k + 1."""
+    if n <= linalg._TRSYL_LEAF:
+        return []
+    k = n // 2
+    return ([start + k - 1] + _split_straddling_pairs(k + 1, start)
+            + _split_straddling_pairs(n - k - 1, start + k + 1))
+
+
+def _quasi_triangular_factors(rng, n, pairs):
+    """RealSchur of U T U' for a Schur-canonical T with 2x2 blocks at rows
+    (s, s+1) for s in `pairs`, eigenvalue real parts in [-3, -1]."""
+    t = np.triu(rng.standard_normal((n, n)), 1) / np.sqrt(n)
+    t[np.diag_indices(n)] = -rng.uniform(1.0, 3.0, n)
+    for s in pairs:
+        t[s + 1, s + 1] = t[s, s]
+        t[s, s + 1] = rng.uniform(0.5, 2.0)
+        t[s + 1, s] = -rng.uniform(0.5, 2.0)
+    u, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    return RealSchur(a=u @ t @ u.T, t=t, u=u)
+
+
+def _one_trsyl_call(f1, f2, q):
+    y, scale = linalg._trsyl(f1.t, f2.t, -(f1.u.T @ q @ f2.u))
+    return f1.u @ (y / scale) @ f2.u.T
+
+
+# (m, n): a leaf and its first split (64/65), a split with a block on the
+# leaf boundary (128/129), odd sizes, and 1 x n / n x 1 shapes
+KERNEL_SHAPES = [(64, 65), (65, 64), (128, 129), (129, 128), (97, 201),
+                 (1, 200), (200, 1), (2, 150)]
+
+
+def _kernel_case(m, n):
+    rng = np.random.default_rng(m * 1000 + n)
+    f1 = _quasi_triangular_factors(rng, m, _split_straddling_pairs(m) or
+                                   ([m - 2] if m >= 2 else []))
+    f2 = _quasi_triangular_factors(rng, n, _split_straddling_pairs(n) or
+                                   ([n - 2] if n >= 2 else []))
+    return f1, f2, rng.standard_normal((m, n))
+
+
+@pytest.mark.parametrize("m, n", KERNEL_SHAPES)
+def test_recursive_kernel_matches_trsyl_and_scipy(m, n):
+    f1, f2, q = _kernel_case(m, n)
+    for f in (f1, f2):
+        # every 2x2 block the test placed is in the factor, and none is cut
+        blocks = np.flatnonzero(np.diag(f.t, -1))
+        assert set(_split_straddling_pairs(f.t.shape[0])) <= set(blocks)
+    x = linalg._bartels_stewart(f1, f2, q)
+    one_call = _one_trsyl_call(f1, f2, q)
+    assert np.linalg.norm(x - one_call) <= 1e-14 * np.linalg.norm(one_call)
+    ref = sla.solve_sylvester(f1.a, f2.a.T, -q)
+    assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+    res = f1.a @ x + x @ f2.a.T + q
+    assert np.linalg.norm(res) <= 1e-13 * np.linalg.norm(q)
+
+
+def test_recursive_kernel_split_that_cuts_a_pair_fails(monkeypatch):
+    # the test data put a 2x2 block on each split point: a split that
+    # ignores T[k, k-1] cuts them and the comparison above no longer holds
+    monkeypatch.setattr(linalg, "_split", lambda t: t.shape[0] // 2)
+    for m, n in ((65, 64), (128, 129), (1, 200)):
+        f1, f2, q = _kernel_case(m, n)
+        x = linalg._bartels_stewart(f1, f2, q)
+        one_call = _one_trsyl_call(f1, f2, q)
+        assert np.linalg.norm(x - one_call) > 1e-3 * np.linalg.norm(one_call)
+
+
+def test_recursive_kernel_scaled_leaf_falls_back_to_one_trsyl(monkeypatch):
+    f1, f2, q = _kernel_case(129, 128)
+    expected = linalg._bartels_stewart(f1, f2, q)
+    shapes = []
+    plain = linalg._trsyl
+
+    def scaling_trsyl(t1, t2, c):
+        # what trsyl returns when it guards against overflow: scale * Y
+        shapes.append(c.shape)
+        y, scale = plain(t1, t2, c)
+        return 0.5 * y, 0.5 * scale
+
+    monkeypatch.setattr(linalg, "_trsyl", scaling_trsyl)
+    x = linalg._bartels_stewart(f1, f2, q)
+    assert shapes[0] != (129, 128)          # the recursion ran first,
+    assert shapes[-1] == (129, 128)         # then one whole-size call
+    assert shapes.count((129, 128)) == 1
+    assert np.linalg.norm(x - expected) <= 1e-14 * np.linalg.norm(expected)
+    tol = DEFAULT_TOLERANCES
+    x = solve_sylvester(f1, f2, q, tol)
+    res = f1.a @ x + x @ f2.a.T + q
+    assert np.linalg.norm(res) <= tol.lyap_residual * max(1.0, np.linalg.norm(q))
+
+
+# ---------------------------------------------------------------------------
+# PBH
+# ---------------------------------------------------------------------------
+
+def test_pbh_real_branch_matches_complex_sigma_min():
+    rng = np.random.default_rng(31)
+    a = rng.standard_normal((9, 9))
+    b = rng.standard_normal((9, 2))
+    eigs = np.linalg.eigvals(a)
+    assert np.iscomplexobj(eigs) and np.any(eigs.imag == 0.0)
+    for lam in list(eigs[eigs.imag == 0.0]) + [complex(0.3), complex(-2.0)]:
+        pencil = np.hstack([a - lam * np.eye(9), b]).astype(complex)
+        ref = np.linalg.svd(pencil, compute_uv=False)[-1]
+        assert linalg._pbh_sigma_min(a, b, lam) == pytest.approx(ref, rel=1e-12)
+
+
+def test_pbh_flags_real_uncontrollable_mode():
+    # modes 0.5 (real, unstable) and -1 +- 2j, so eigvals returns a complex
+    # array and the real mode takes the real-arithmetic branch
+    rng = np.random.default_rng(32)
+    d = sla.block_diag([[0.5]], [[-1.0, 2.0], [-2.0, -1.0]], [[-3.0]])
+    s = rng.standard_normal((4, 4)) + 3.0 * np.eye(4)
+    a = s @ d @ np.linalg.inv(s)
+    b0 = rng.standard_normal((4, 2))
+    assert stabilizable(a, s @ b0)
+    b0[0] = 0.0                       # the left eigenvector of 0.5 is e_0' S^-1
+    modes = linalg._pbh_modes(a, s @ b0, DEFAULT_TOLERANCES)
+    assert modes == pytest.approx(np.array([0.5]), abs=1e-10)
+    assert not stabilizable(a, s @ b0)
+    assert not detectable(a.T, (s @ b0).T)
 
 
 # ---------------------------------------------------------------------------

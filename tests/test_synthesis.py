@@ -6,7 +6,8 @@ from hierh2 import (DEFAULT_TOLERANCES, ClusterPartition, ExperimentConfig,
                     WeightVectors, add, build_projection, communication_links,
                     generate_consensus_network, h2_norm, lft_controller,
                     lft_lower, spectral_abscissa, synthesize_hierarchical,
-                    synthesize_unconstrained, youla_data)
+                    synthesize_unconstrained, validate_assumptions,
+                    youla_data)
 from hierh2.errors import (ApproxNotStabilizing, HypothesisFailure,
                            NotHurwitz, NotStabilizingGains)
 from hierh2.projection import random_stable_statespace
@@ -184,6 +185,35 @@ def test_hypothesis_failures_raise():
     pair = ProjectionPair(np.eye(2), np.eye(2))
     with pytest.raises(HypothesisFailure):
         synthesize_hierarchical(bad, pair)
+
+
+def test_relative_cross_terms_fail_a4():
+    # cross terms of 1e-6 relative to ||D12|| ||C1|| (or ||B1|| ||D21||) on
+    # a plant scaled down by 1e-9, so each is far below 1e-12 in absolute
+    # terms: both A4 checks must still reject them
+    rng = np.random.default_rng(16)
+    g = random_h2_plant(rng, 4, 2, 2)
+    pair = ProjectionPair(np.eye(2), np.eye(2))
+    c1 = 1e-9 * g.c1
+    b1 = 1e-9 * g.b1
+    fro = np.linalg.norm
+    leak_u = 1e-6 * fro(c1) * g.d12 @ rng.standard_normal((2, 4)) / 4.0
+    leak_y = 1e-6 * fro(b1) * rng.standard_normal((4, 2)) @ g.d21 / 4.0
+    good = GeneralizedPlant(a=g.a, b1=b1, b2=g.b2, c1=c1, c2=g.c2,
+                            d12=g.d12, d21=g.d21)
+    assert validate_assumptions(good).a4
+    synthesize_hierarchical(good, pair)
+    for bad in (GeneralizedPlant(a=g.a, b1=b1, b2=g.b2, c1=c1 + leak_u,
+                                 c2=g.c2, d12=g.d12, d21=g.d21),
+                GeneralizedPlant(a=g.a, b1=b1 + leak_y, b2=g.b2, c1=c1,
+                                 c2=g.c2, d12=g.d12, d21=g.d21)):
+        rel_u = fro(bad.d12.T @ bad.c1) / (fro(bad.d12) * fro(bad.c1))
+        rel_y = fro(bad.b1 @ bad.d21.T) / (fro(bad.b1) * fro(bad.d21))
+        assert 1e-7 <= max(rel_u, rel_y) <= 1e-5
+        assert max(fro(bad.d12.T @ bad.c1), fro(bad.b1 @ bad.d21.T)) < 1e-12
+        assert not validate_assumptions(bad).a4
+        with pytest.raises(HypothesisFailure, match="A4"):
+            synthesize_hierarchical(bad, pair)
 
 
 def test_projected_pbh_failures_raise():
