@@ -36,7 +36,7 @@ print(f"\n{'kappa':>5} {'|X-Xbar|_F':>11} {'weighted err':>13} "
       f"{'bound':>10} {'cert':>5} {'h2 ratio':>9}")
 for kappa in range(1, 7):
     sol = approx_are(hs, kappa=kappa)
-    eps, bound = error_bound(sol, full.z1, full, g.b1)
+    eps, bound = error_bound(sol, g.b1)
     err = exact_error_norm(x_exact, sol.xbar, g.a, hs.m, g.b1)
     try:
         res = synthesize_hierarchical(g, pair, are_backend="approx",

@@ -37,7 +37,8 @@ class Tolerances:
     # hinf_norm returns the midpoint of a bracket [lb, (1 + hinf_rel) lb] of
     # the H-infinity norm, so it is within hinf_rel/2 of it, relative.
     hinf_rel: float = 1e-6
-    stability_test_floor: float = 1e-8  # lambda_min(C1'C1 - C1bar'C1bar) >= -floor
+    # lambda_min(C1'C1 - C1bar'C1bar) >= -floor * max(1, ||C1'C1||_2)
+    stability_test_floor: float = 1e-8
 
     def with_(self, **kw) -> "Tolerances":
         return replace(self, **kw)

@@ -5,8 +5,25 @@ between the hierarchical optimum J2* and J1* is bounded by projection
 defects xi_u, xi_y of the spectral-factor gains, weighted by H-infinity
 constants; minimizing them over the clustering sets is a weighted k-means
 problem on the rows of the embeddings F_hat Phi_u^{1/2} and
-L_hat' Phi_y^{1/2}.  The model-matching value at the factors' optimizer Q*
-equals J1* and is kept as its test oracle.
+L_hat' Phi_y^{1/2}.
+
+The factors solve the model matching over the 2n-state Youla system T, but
+T is block triangular, so every one of them is read off the n-state
+unconstrained synthesis (X, Y, F2, L2 and the Schur factors of A + B2 F2
+and A + L2 C2) and the Youla data (F, L and the factors of A_F, A_L):
+
+* F_hat = [F2 - F, F] and A_Fhat = diag(A + B2 F2, A_L), so Phi_u is two
+  n-state Lyapunov blocks;
+* L_hat = [-Y12 C2' V^-1; L2 - L] with V = D21 D21' and
+  A_F Y12 + Y12 (A + L2 C2)' + B1 B1' - B2 F Y = 0, and
+  A_Lhat = [[A_F, -B2 F + L_hat1 C2], [0, A + L2 C2]], so Phi_y is one
+  block-triangular Gramian;
+* T12 = (A_F, B2, C1 + D12 F, D12), T21 = (A_L, B1 + L D21, C2, D21),
+  Wbar_L = (A + B2 F2, B2 F_hat, F2 - F, F_hat) and
+  Wbar_R = (A + L2 C2, L2 - L, L_hat C2, L_hat).
+
+The 2n hat-Riccati construction, with the optimizer Q* whose model-matching
+value equals J1*, is kept in the tests as the oracle of these formulas.
 
 The bound machinery requires the Youla data to be built from
 projection-structured gains (P_u^T F2, L2 P_y): with those gains the
@@ -29,9 +46,10 @@ from .linalg import (h2_norm, hinf_norm, riccati_from_hamiltonian, solve_are,
 from .plant import GeneralizedPlant, lft_lower
 from .projection import (ClusterPartition, ProjectionPair, WeightVectors,
                          build_projection)
-from .statespace import StateSpace, add, neg, series
-from .synthesis import (SynthesisResult, YoulaData, synthesize_hierarchical,
-                        synthesize_unconstrained, youla_data)
+from .statespace import StateSpace, add, series
+from .synthesis import (SynthesisResult, YoulaData, _block_gramian,
+                        synthesize_hierarchical, synthesize_unconstrained,
+                        youla_data)
 
 __all__ = [
     "SpectralFactors", "GapReport", "GapSweepRow", "spectral_factors",
@@ -42,94 +60,78 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# Spectral factors and Q*
+# Spectral factors
 # ---------------------------------------------------------------------------
 
 @dataclass
 class SpectralFactors:
-    """Factor systems and gains solving the unconstrained model matching.
+    """Factor gains, embeddings and H-infinity weights of the model matching.
 
-    Q* = -W_L Wbar_R = -Wbar_L W_R; both four factors are internally stable
-    2n-state realizations and the two products agree as transfer matrices.
-    The embeddings F_hat LYAP(A_F, I)^{1/2} and L_hat' LYAP(A_L', I)^{1/2}
-    feed both the gap defects and the cluster design; Q* is the test oracle
-    of J1* only.
+    The embeddings F_hat LYAP(A_Fhat, I)^{1/2} and
+    L_hat' LYAP(A_Lhat', I)^{1/2} feed both the gap defects and the cluster design; Wbar_L, Wbar_R are
+    n-state realizations of the factor weights.  `unconstrained` is the
+    synthesis they are read off, whose h2_value is J1*.
     """
 
-    w_l: StateSpace
-    wbar_l: StateSpace
-    w_r: StateSpace
-    wbar_r: StateSpace
     fhat: np.ndarray
     lhat: np.ndarray
-    xhat: np.ndarray
-    yhat: np.ndarray
     embed_u: np.ndarray
     embed_y: np.ndarray
-    q_star: StateSpace
+    wbar_l: StateSpace
+    wbar_r: StateSpace
+    unconstrained: SynthesisResult
 
 
 def spectral_factors(yd: YoulaData, d12, d21,
                      tol: Tolerances = DEFAULT_TOLERANCES) -> SpectralFactors:
-    """Solve the two hat-system AREs and assemble the W factors and Q*.
+    """Spectral factors of the Youla data in n-state blocks.
 
-    A_hat is Hurwitz by construction, so both AREs are well posed.  The hat
-    system inherits structural cross terms from the nominal gains
-    (D12' C1_hat = [R F, -R F] and B1_hat D21' = [0; L D21 D21']), so the
-    gains solve the cross-term form of the two AREs; for F = L = 0 this
-    reduces to the plain pair.  The two Riccati closed loops are A_F and A_L',
-    so Phi_u and Phi_y are solved on their Schur factors.  The returned Q*
-    uses the stable product realization -W_L Wbar_R.
+    Runs ``synthesize_unconstrained(yd.g)`` once and assembles the factors
+    by the formulas of the module docstring: one n-state Sylvester equation
+    for Y12 and n-state Lyapunov blocks for Phi_u and Phi_y, with no
+    Riccati solve beyond the unconstrained pair.  `d12` and `d21` must be
+    the plant's.
     """
-    d12 = np.asarray(d12, float)
-    d21 = np.asarray(d21, float)
-    a_hat, b1_hat, b2_hat = yd.a_hat, yd.b1_hat, yd.b2_hat
-    c1_hat, c2_hat = yd.c1_hat, yd.c2_hat
-    n2 = a_hat.shape[0]
+    g = yd.g
+    if not (np.array_equal(d12, g.d12) and np.array_equal(d21, g.d21)):
+        raise ValueError("d12, d21 differ from the Youla data's plant")
+    unc = synthesize_unconstrained(g, tol=tol)
+    ctrl = unc.x_solution.closed_loop       # A + B2 F2
+    filt_t = unc.y_solution.closed_loop     # (A + L2 C2)'
+    filt = filt_t.transposed()
+    f, l = yd.f, yd.l
+    df, dl = unc.f2 - f, unc.l2 - l
+    fhat = np.hstack([df, f])
+    # only the off-diagonal block Y12 of Y_hat = [[., Y12], [Y12', Y]] is new
+    y12 = solve_sylvester(yd.f_loop, filt,
+                          g.b1 @ g.b1.T - g.b2 @ f @ unc.y, tol)
+    v_chol = sla.cho_factor(symmetrize(g.d21 @ g.d21.T))
+    lhat1 = -sla.cho_solve(v_chol, g.c2 @ y12.T).T
+    lhat = np.vstack([lhat1, dl])
 
-    r_u = symmetrize(d12.T @ d12)
-    r_u_chol = sla.cho_factor(r_u)
-    s_u = d12.T @ c1_hat
-    a_u = a_hat - b2_hat @ sla.cho_solve(r_u_chol, s_u)
-    q_u = symmetrize(c1_hat.T @ c1_hat - s_u.T @ sla.cho_solve(r_u_chol, s_u))
-    m_u = b2_hat @ sla.cho_solve(r_u_chol, b2_hat.T)
-    x_sol = riccati_from_hamiltonian(a_u, m_u, q_u, tol)
-    xhat = x_sol.x
-    fhat = -sla.cho_solve(r_u_chol, b2_hat.T @ xhat + s_u)
-
-    r_y = symmetrize(d21 @ d21.T)
-    r_y_chol = sla.cho_factor(r_y)
-    s_y = b1_hat @ d21.T
-    a_y = a_hat - s_y @ sla.cho_solve(r_y_chol, c2_hat)
-    q_y = symmetrize(b1_hat @ b1_hat.T - s_y @ sla.cho_solve(r_y_chol, s_y.T))
-    m_y = c2_hat.T @ sla.cho_solve(r_y_chol, c2_hat)
-    y_sol = riccati_from_hamiltonian(a_y.T, m_y, q_y, tol)
-    yhat = y_sol.x
-    lhat = -sla.cho_solve(r_y_chol, (yhat @ c2_hat.T + s_y).T).T
-
-    a_f = a_hat + b2_hat @ fhat
-    a_l = a_hat + lhat @ c2_hat
-    eye = np.eye(n2)
-    phi_u = solve_sylvester(x_sol.closed_loop, x_sol.closed_loop, eye, tol)
-    phi_y = solve_sylvester(y_sol.closed_loop, y_sol.closed_loop, eye, tol)
-    nu = fhat.shape[0]
-    ny = lhat.shape[1]
-    w_l = StateSpace(a_f, eye, fhat, np.zeros((nu, n2)))
-    wbar_l = StateSpace(a_f, b2_hat @ fhat, fhat, fhat)
-    w_r = StateSpace(a_l, lhat, eye, np.zeros((n2, ny)))
-    wbar_r = StateSpace(a_l, lhat, lhat @ c2_hat, lhat)
-    q_star = neg(series(wbar_r, w_l))
-    return SpectralFactors(w_l=w_l, wbar_l=wbar_l, w_r=w_r, wbar_r=wbar_r,
-                           fhat=fhat, lhat=lhat, xhat=xhat, yhat=yhat,
-                           embed_u=fhat @ sqrt_psd(phi_u, tol),
-                           embed_y=lhat.T @ sqrt_psd(phi_y, tol),
-                           q_star=q_star)
+    eye = np.eye(g.n)
+    # Phi_u = diag(LYAP(A + B2 F2, I), LYAP(A_L, I))
+    sqrt_u1 = sqrt_psd(solve_sylvester(ctrl, ctrl, eye, tol), tol)
+    sqrt_u2 = sqrt_psd(solve_sylvester(yd.l_loop, yd.l_loop, eye, tol), tol)
+    # A_Lhat' in reversed block order is [[(A + L2 C2)', K'], [0, A_F']]
+    k = lhat1 @ g.c2 - g.b2 @ f
+    psi11, psi12, psi22 = _block_gramian(
+        filt_t, yd.f_loop.transposed(), k.T, np.eye(g.n, 2 * g.n),
+        np.eye(g.n, 2 * g.n, g.n), tol)
+    phi_y = np.block([[psi22, psi12.T], [psi12, psi11]])
+    return SpectralFactors(
+        fhat=fhat, lhat=lhat,
+        embed_u=np.hstack([df @ sqrt_u1, f @ sqrt_u2]),
+        embed_y=lhat.T @ sqrt_psd(phi_y, tol),
+        wbar_l=StateSpace(ctrl.a, g.b2 @ fhat, df, fhat),
+        wbar_r=StateSpace(filt.a, dl, lhat @ g.c2, lhat),
+        unconstrained=unc)
 
 
 def model_matching_value(yd: YoulaData, q: StateSpace,
                          tol: Tolerances = DEFAULT_TOLERANCES) -> float:
-    """||T11 + T12 Q T21||_H2 for a stable parameter Q; at Q = Q* it is
-    the independent check of the two-Riccati J1*."""
+    """||T11 + T12 Q T21||_H2 for a stable parameter Q; at the optimizer Q*
+    of the test oracle it is the independent check of the two-Riccati J1*."""
     return h2_norm(add(yd.t11, series(yd.t21, q, yd.t12)), tol)
 
 
@@ -185,8 +187,8 @@ def gap_report(yd: YoulaData, sf: SpectralFactors, p: ProjectionPair,
                tol: Tolerances = DEFAULT_TOLERANCES) -> GapReport:
     """Quantify the gap between hierarchical and unconstrained optima.
 
-    J1* is the two-Riccati optimum ``synthesize_unconstrained(g).h2_value``.
-    xi_u, xi_y measure the parts of the factor-gain embeddings
+    J1* is the two-Riccati optimum ``sf.unconstrained.h2_value``.  xi_u,
+    xi_y measure the parts of the factor-gain embeddings
     (``sf.embed_u``, ``sf.embed_y``) outside the projection ranges; eps1,
     eps2 are the H-infinity weights, xi = eps1 xi_u + 2 eps2 xi_y, and
     bound_rhs = sqrt(J1*^2 + 2 xi J1* + xi^2) upper-bounds J2*.  The Youla
@@ -208,7 +210,7 @@ def gap_report(yd: YoulaData, sf: SpectralFactors, p: ProjectionPair,
     eps2 = t12_t21 * hinf_norm(sf.wbar_l, tol)
     xi = eps1 * xi_u + 2.0 * eps2 * xi_y
 
-    j1 = synthesize_unconstrained(g, tol=tol).h2_value
+    j1 = sf.unconstrained.h2_value
     if hier is None:
         hier = synthesize_hierarchical(g, p, tol=tol)
     j2 = hier.h2_value

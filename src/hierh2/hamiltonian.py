@@ -173,7 +173,7 @@ def approx_are(hs: HamiltonianSystem, kappa: int, method: str = "dense",
             stabilizing=False, e_kappa_norm=e_norm, subspace_full=full,
             method="dense")
         if b1 is not None:
-            eps, _ = error_bound(sol, full.z1, full, b1, tol)
+            eps, _ = error_bound(sol, b1, tol)
             sol.epsilon = eps
         elif tail.k == 0:
             sol.epsilon = 0.0
@@ -236,19 +236,20 @@ def cauchy_coefficients(z1: np.ndarray, sub: StableSubspace, b1: np.ndarray,
     return symmetrize(c)
 
 
-def error_bound(sol: ApproxAreSolution, z1_full: np.ndarray,
-                lambda_full: StableSubspace, b1,
+def error_bound(sol: ApproxAreSolution, b1,
                 tol: Tolerances = DEFAULT_TOLERANCES) -> tuple[float, float]:
     """(epsilon, epsilon * ||E_k||_F) for the truncation at sol.kappa.
 
     epsilon = sqrt(sum of the complement diagonal of the eigenbasis
-    Gramian); tiny negative diagonal entries are clipped at zero, with a
-    warning above psd_floor magnitude.  Requires the full stable subspace.
+    Gramian on ``sol.subspace_full``); tiny negative diagonal entries are
+    clipped at zero, with a warning above psd_floor magnitude, and an empty
+    complement gives 0.  Requires the dense approximation path.
     """
-    if sol.e_kappa_norm is None:
+    full = sol.subspace_full
+    if full is None or sol.e_kappa_norm is None:
         raise ValueError("error_bound requires the complement subspace "
                          "(dense approximation path)")
-    c = cauchy_coefficients(z1_full, lambda_full, b1, tol)
+    c = cauchy_coefficients(full.z1, full, b1, tol)
     diag_tail = np.diag(c)[sol.kappa:]
     bad = diag_tail[diag_tail < -tol.psd_floor]
     if bad.size:
@@ -274,8 +275,9 @@ def stability_test(sol: ApproxAreSolution, a, c1,
                    tol: Tolerances = DEFAULT_TOLERANCES) -> bool:
     """Sufficient residue-based test that X~ is stabilizing.
 
-    True iff lambda_min(C1'C1 - C1bar'C1bar) >= -floor and the pair has no
-    unobservable imaginary-axis modes of A.  Sufficient only: a False result
+    True iff lambda_min(C1'C1 - C1bar'C1bar) >= -floor max(1, ||C1'C1||_2),
+    floor = ``stability_test_floor``, and the pair has no unobservable
+    imaginary-axis modes of A.  Sufficient only: a False result
     does not mean A - M X~ is unstable, so synthesis records it as a
     diagnostic and decides stability from the closed-loop eigenvalues.
     """
@@ -283,7 +285,12 @@ def stability_test(sol: ApproxAreSolution, a, c1,
     c1 = as_matrix(c1, "C1")
     cbar = sol.residue_factor
     d = symmetrize(c1.T @ c1 - cbar.T @ cbar)
-    if np.linalg.eigvalsh(d).min() < -tol.stability_test_floor:
+    lam = np.linalg.eigvalsh(d).min()
+    floor = tol.stability_test_floor
+    # ||C1'C1||_2 <= ||C1||_F^2 settles most cases without a second eigensolve
+    if lam < -floor * max(1.0, np.linalg.norm(c1, "fro") ** 2):
+        return False
+    if lam < -floor and lam < -floor * np.linalg.eigvalsh(c1.T @ c1)[-1]:
         return False
     eigs = np.linalg.eigvals(a)
     on_axis = eigs[np.abs(eigs.real) <= tol.imag_axis * np.maximum(1.0, np.abs(eigs))]

@@ -7,7 +7,8 @@ exchange the averages and advance the shared low-order law
 staged evaluation computes exactly the joint closed-loop vector field, so a
 monolithic simulation of the assembled LFT must agree to roundoff; the
 mismatch is checked on every run.  Coordinator logs record which raw
-signals each coordinator saw, supporting the structural privacy audit.
+signals each coordinator actually reads and writes (the supports of its
+P_y and P_u rows), supporting the structural privacy and link audits.
 """
 
 from __future__ import annotations
@@ -34,8 +35,9 @@ class CoordinatorLog:
     """Structural record of everything one coordinator observed."""
 
     cluster_outputs: tuple[int, ...]   # raw measurement indices it may read
-    cluster_inputs: tuple[int, ...]    # control channels it broadcasts to
-    raw_outputs_seen: set = field(default_factory=set)
+    cluster_inputs: tuple[int, ...]    # control channels it may broadcast to
+    raw_outputs_seen: set = field(default_factory=set)  # support of P_y row
+    inputs_written: set = field(default_factory=set)    # support of P_u row
     ybar_entries_seen: set = field(default_factory=set)
 
 
@@ -77,18 +79,23 @@ def noise_disturbance(seed: int, scale: float = 1.0):
     return ("noise", seed, scale)
 
 
-def _coordinator_layout(controller, partition: ClusterPartition | None,
-                        n_u: int, n_y: int):
-    r = controller.p_u.shape[0]
-    if partition is not None:
-        return [CoordinatorLog(cluster_outputs=tuple(partition.output_sets[i]),
-                               cluster_inputs=tuple(partition.input_sets[i]))
-                for i in range(r)]
+def _coordinator_layout(controller, partition: ClusterPartition | None):
+    """One log per coordinator: the declared cluster (the partition's, or by
+    default the supports of the projection rows) and what the staged
+    schedule actually reads and writes, the supports of its P_y and P_u
+    rows."""
     logs = []
-    for i in range(r):
-        outs = tuple(int(j) for j in np.nonzero(controller.p_y[i])[0])
-        ins = tuple(int(j) for j in np.nonzero(controller.p_u[i])[0])
-        logs.append(CoordinatorLog(cluster_outputs=outs, cluster_inputs=ins))
+    for i in range(controller.p_u.shape[0]):
+        reads = tuple(int(j) for j in np.nonzero(controller.p_y[i])[0])
+        writes = tuple(int(j) for j in np.nonzero(controller.p_u[i])[0])
+        if partition is None:
+            outs, ins = reads, writes
+        else:
+            outs = tuple(partition.output_sets[i])
+            ins = tuple(partition.input_sets[i])
+        logs.append(CoordinatorLog(cluster_outputs=outs, cluster_inputs=ins,
+                                   raw_outputs_seen=set(reads),
+                                   inputs_written=set(writes)))
     return logs
 
 
@@ -150,7 +157,7 @@ def run_hier_simulation(g: GeneralizedPlant, controller: HierarchicalController,
     p_u, p_y = controller.p_u, controller.p_y
     kt = controller.k_tilde
     r = p_u.shape[0]
-    logs = _coordinator_layout(controller, partition, g.n_u, g.n_y)
+    logs = _coordinator_layout(controller, partition)
 
     # map channels to owning subsystems so links are counted per subsystem
     out_owner = {}
@@ -165,12 +172,13 @@ def run_hier_simulation(g: GeneralizedPlant, controller: HierarchicalController,
     out_links = []   # (output channel, coordinator, link key)
     in_links = []
     for i, log in enumerate(logs):
-        for j in log.cluster_outputs:
-            key = ("sub", out_owner.get(int(j), int(j)), "coord", i)
+        log.ybar_entries_seen.update(range(r))
+        for j in sorted(log.raw_outputs_seen):
+            key = ("sub", out_owner.get(j, j), "coord", i)
             link_usage.setdefault(key, 0)
             out_links.append(key)
-        for j in log.cluster_inputs:
-            key = ("sub", in_owner.get(int(j), int(j)), "coord", i)
+        for j in sorted(log.inputs_written):
+            key = ("sub", in_owner.get(j, j), "coord", i)
             link_usage.setdefault(key, 0)
             in_links.append(key)
     coord_links = [("coord", i, "coord", j)
@@ -217,9 +225,6 @@ def run_hier_simulation(g: GeneralizedPlant, controller: HierarchicalController,
         ybars[step], ubars[step], us[step] = ybar, ubar, u
         zs[step] = g.c1 @ x + g.d12 @ u
 
-        for log in logs:
-            log.raw_outputs_seen.update(log.cluster_outputs)
-            log.ybar_entries_seen.update(range(r))
         for key in out_links:
             link_usage[key] += 1
         for key in in_links:
@@ -270,10 +275,12 @@ def run_hier_simulation(g: GeneralizedPlant, controller: HierarchicalController,
 
 
 def privacy_audit(trace: SimTrace) -> bool:
-    """Structural check: no coordinator saw raw outputs outside its cluster.
+    """Structural check: no coordinator read raw outputs outside its cluster.
 
-    Coordinators legitimately see every averaged entry of ybar; raw
-    measurement indices must stay within their own cluster.
+    Coordinators legitimately see every averaged entry of ybar; the raw
+    measurements a coordinator reads (the support of its P_y row) must stay
+    within its own cluster.  A write outside the cluster (the support of a
+    P_u row) shows up as an extra link in ``links_used``.
     """
     for log in trace.coordinator_logs:
         if not set(log.raw_outputs_seen) <= set(log.cluster_outputs):

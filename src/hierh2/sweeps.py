@@ -18,6 +18,7 @@ from .config import Tolerances, tolerance_profile
 from .errors import ToolkitError
 from .gapdesign import (design_clusters, evaluate_partition,
                         reference_youla_data, spectral_factors)
+from .hamiltonian import error_bound
 from .plant import GeneralizedPlant, NetworkSpec, generate_consensus_network
 from .projection import ClusterPartition, WeightVectors, feasible_weights
 from .serialize import write_csv
@@ -163,14 +164,7 @@ def sweep_kappa(config: ExperimentConfig, out_dir=None) -> list[dict]:
                 method=config.method, tol=tol)
             eps_bound = None
             if config.method == "dense":
-                sol = res.x_solution
-                if sol.epsilon is None and sol.subspace_full is not None:
-                    from .hamiltonian import error_bound
-                    eps, bnd = error_bound(sol, sol.subspace_full.z1,
-                                           sol.subspace_full, g.b1, tol)
-                    eps_bound = bnd
-                elif sol.epsilon is not None and sol.e_kappa_norm is not None:
-                    eps_bound = sol.epsilon * sol.e_kappa_norm
+                eps_bound = error_bound(res.x_solution, g.b1, tol)[1]
             return {
                 "kappa": kappa, "solve_time_s": res.solve_time,
                 "h2_norm": res.h2_value,

@@ -23,7 +23,7 @@ from .errors import (ApproxNotStabilizing, HypothesisFailure, IllConditionedR,
                      NotHurwitz, NotStabilizingGains)
 from .hamiltonian import approx_are, build_hamiltonian
 from .linalg import (RealSchur, _pbh_modes, solve_are, solve_sylvester,
-                     spectral_abscissa, symmetrize)
+                     symmetrize)
 from .plant import GeneralizedPlant, _a4_cross_terms
 from .projection import ClusterPartition, ProjectionPair
 from .statespace import StateSpace, lft_lower_partitioned
@@ -54,53 +54,47 @@ class HierarchicalController:
 class YoulaData:
     """Nominal stabilizing gains with the closed-loop parameterization data.
 
-    K_nom maps [y; v] -> [u; e] and T is the 2n-state four-block system with
-    f(G, f(K_nom, Q)) = T11 + T12 Q T21 for every stable Q; T22 vanishes
-    identically by the block-triangular structure of A_hat.
+    K_nom maps [y; v] -> [u; e] and T, with state matrix A_hat, is the
+    2n-state four-block system with f(G, f(K_nom, Q)) = T11 + T12 Q T21 for
+    every stable Q.  A_hat = [[A_F, -B2 F], [0, A_L]] is block triangular,
+    A_F = A + B2 F and A_L = A + L C2, whose real Schur factors are kept as
+    `f_loop` and `l_loop`; so T12 and T21 have n-state realizations on A_F
+    and A_L, and T22 vanishes identically.
     """
 
+    g: GeneralizedPlant
     f: np.ndarray
     l: np.ndarray
+    f_loop: RealSchur
+    l_loop: RealSchur
     k_nom: StateSpace
-    t: StateSpace
     a_hat: np.ndarray
     b1_hat: np.ndarray
     b2_hat: np.ndarray
     c1_hat: np.ndarray
     c2_hat: np.ndarray
-    dims: tuple[int, int, int, int]  # (p1, n_y, m1, n_u) output/input partitions of T
 
     @property
     def t11(self) -> StateSpace:
-        p1, _, m1, _ = self.dims
         return StateSpace(self.a_hat, self.b1_hat, self.c1_hat,
-                          np.zeros((p1, m1)))
+                          np.zeros((self.g.p1, self.g.m1)))
 
     @property
     def t12(self) -> StateSpace:
-        p1, _, _, n_u = self.dims
-        return StateSpace(self.a_hat, self.b2_hat, self.c1_hat, self.t_d12)
+        """(A_F, B2, C1 + D12 F, D12)."""
+        g = self.g
+        return StateSpace(self.f_loop.a, g.b2, g.c1 + g.d12 @ self.f, g.d12)
 
     @property
     def t21(self) -> StateSpace:
-        _, n_y, m1, _ = self.dims
-        return StateSpace(self.a_hat, self.b1_hat, self.c2_hat, self.t_d21)
+        """(A_L, B1 + L D21, C2, D21)."""
+        g = self.g
+        return StateSpace(self.l_loop.a, g.b1 + self.l @ g.d21, g.c2, g.d21)
 
     @property
     def t22(self) -> StateSpace:
-        _, n_y, _, n_u = self.dims
         return StateSpace(self.a_hat, self.b2_hat, self.c2_hat,
-                          np.zeros((n_y, n_u)))
-
-    @property
-    def t_d12(self) -> np.ndarray:
-        p1, ny, m1, nu = self.dims
-        return self.t.d[:p1, m1:]
-
-    @property
-    def t_d21(self) -> np.ndarray:
-        p1, ny, m1, nu = self.dims
-        return self.t.d[p1:, :m1]
+                          np.zeros((self.g.n_y, self.g.n_u)))
 
 
 def youla_data(g: GeneralizedPlant, f=None, l=None,
@@ -108,10 +102,11 @@ def youla_data(g: GeneralizedPlant, f=None, l=None,
     """Assemble K_nom and the closed-loop parameterization system T.
 
     Any stabilizing pair (F, L) is admissible; by default the unconstrained
-    H2 gains are used.  Raises NotStabilizingGains when A + B2 F or A + L C2
-    fails to be Hurwitz.
+    H2 gains are used.  The real Schur factors of A + B2 F and A + L C2
+    decide stability: NotStabilizingGains when either has an eigenvalue at
+    Re >= -hurwitz_margin.
     """
-    n, m1, nu, p1, ny = g.n, g.m1, g.n_u, g.p1, g.n_y
+    n, nu, ny = g.n, g.n_u, g.n_y
     if f is None or l is None:
         base = synthesize_unconstrained(g, tol=tol)
         f = base.p_u_t_f2() if f is None else f
@@ -121,11 +116,11 @@ def youla_data(g: GeneralizedPlant, f=None, l=None,
     if f.shape != (nu, n) or l.shape != (n, ny):
         raise HypothesisFailure(
             f"gain shapes {f.shape}, {l.shape} do not match plant dims")
-    a_f = g.a + g.b2 @ f
-    a_l = g.a + l @ g.c2
-    if spectral_abscissa(a_f) >= -tol.hurwitz_margin:
+    f_loop = RealSchur.of(g.a + g.b2 @ f)
+    l_loop = RealSchur.of(g.a + l @ g.c2)
+    if f_loop.abscissa >= -tol.hurwitz_margin:
         raise NotStabilizingGains("A + B2 F is not Hurwitz")
-    if spectral_abscissa(a_l) >= -tol.hurwitz_margin:
+    if l_loop.abscissa >= -tol.hurwitz_margin:
         raise NotStabilizingGains("A + L C2 is not Hurwitz")
 
     k_nom = StateSpace(
@@ -135,27 +130,18 @@ def youla_data(g: GeneralizedPlant, f=None, l=None,
         d=np.block([[np.zeros((nu, ny)), np.eye(nu)],
                     [np.eye(ny), np.zeros((ny, nu))]]),
     )
-
-    a_hat = np.block([[a_f, -g.b2 @ f], [np.zeros((n, n)), a_l]])
-    b1_hat = np.vstack([g.b1, g.b1 + l @ g.d21])
-    b2_hat = np.vstack([g.b2, np.zeros((n, nu))])
-    c1_hat = np.hstack([g.c1 + g.d12 @ f, -g.d12 @ f])
-    c2_hat = np.hstack([np.zeros((ny, n)), g.c2])
-    t = StateSpace(
-        a=a_hat,
-        b=np.hstack([b1_hat, b2_hat]),
-        c=np.vstack([c1_hat, c2_hat]),
-        d=np.block([[np.zeros((p1, m1)), g.d12],
-                    [g.d21, np.zeros((ny, nu))]]),
-    )
-    return YoulaData(f=f, l=l, k_nom=k_nom, t=t, a_hat=a_hat, b1_hat=b1_hat,
-                     b2_hat=b2_hat, c1_hat=c1_hat, c2_hat=c2_hat,
-                     dims=(p1, ny, m1, nu))
+    return YoulaData(
+        g=g, f=f, l=l, f_loop=f_loop, l_loop=l_loop, k_nom=k_nom,
+        a_hat=np.block([[f_loop.a, -g.b2 @ f], [np.zeros((n, n)), l_loop.a]]),
+        b1_hat=np.vstack([g.b1, g.b1 + l @ g.d21]),
+        b2_hat=np.vstack([g.b2, np.zeros((n, nu))]),
+        c1_hat=np.hstack([g.c1 + g.d12 @ f, -g.d12 @ f]),
+        c2_hat=np.hstack([np.zeros((ny, n)), g.c2]))
 
 
 def lft_controller(yd: YoulaData, q: StateSpace) -> StateSpace:
     """Controller K = f(K_nom, Q) for a stable Youla parameter Q."""
-    _, ny, _, nu = yd.dims
+    nu, ny = yd.g.n_u, yd.g.n_y
     return lft_lower_partitioned(yd.k_nom, nu, ny, ny, nu, q)
 
 
@@ -210,6 +196,19 @@ def _check_hypotheses(g: GeneralizedPlant, p: ProjectionPair, tol: Tolerances):
         raise HypothesisFailure("assumption A4 fails (cross terms non-zero)")
 
 
+def _block_gramian(f1: RealSchur, f2: RealSchur, a12: np.ndarray,
+                   b1: np.ndarray, b2: np.ndarray, tol: Tolerances):
+    """(Phi11, Phi12, Phi22) with A Phi + Phi A' + B B' = 0 for the block
+    upper triangular A = [[A1, A12], [0, A2]] and B = [B1; B2], given the
+    real Schur factors of A1 and A2: one Lyapunov solve per diagonal block
+    plus one Sylvester coupling, with no factorization of A.
+    """
+    phi22 = solve_sylvester(f2, f2, b2 @ b2.T, tol)
+    phi12 = solve_sylvester(f1, f2, b1 @ b2.T + a12 @ phi22, tol)
+    q11 = b1 @ b1.T + a12 @ phi12.T + phi12 @ a12.T
+    return solve_sylvester(f1, f1, q11, tol), phi12, phi22
+
+
 def _observer_closed_loop_h2(g: GeneralizedPlant, p: ProjectionPair,
                              f2: np.ndarray, l2: np.ndarray, ctrl: RealSchur,
                              filt: RealSchur, tol: Tolerances) -> tuple[float, float]:
@@ -219,9 +218,9 @@ def _observer_closed_loop_h2(g: GeneralizedPlant, p: ProjectionPair,
     with diagonal blocks A + B2 Pu' F2 (control) and A + L2 Py C2 (filter),
     whose real Schur factors `ctrl`, `filt` the caller supplies.  They decide
     stability, raising NotHurwitz naming a block with an eigenvalue at
-    Re >= -hurwitz_margin, then split the Gramian into one Lyapunov solve
-    per block plus one Sylvester coupling; this equals
-    h2_norm(lft_lower(G, K)) without a Schur form of the 2n matrix.
+    Re >= -hurwitz_margin, then give the Gramian through
+    :func:`_block_gramian`; this equals h2_norm(lft_lower(G, K)) without a
+    Schur form of the 2n matrix.
     """
     for f, side in ((ctrl, "control"), (filt, "filter")):
         if f.abscissa >= -tol.hurwitz_margin:
@@ -234,10 +233,7 @@ def _observer_closed_loop_h2(g: GeneralizedPlant, p: ProjectionPair,
     c_left = g.c1 + g.d12 @ (p.p_u.T @ f2)
     c_right = -g.d12 @ (p.p_u.T @ f2)
 
-    phi22 = solve_sylvester(filt, filt, b_bot @ b_bot.T, tol)
-    phi12 = solve_sylvester(ctrl, filt, b_top @ b_bot.T + a12 @ phi22, tol)
-    q11 = b_top @ b_top.T + a12 @ phi12.T + phi12 @ a12.T
-    phi11 = solve_sylvester(ctrl, ctrl, q11, tol)
+    phi11, phi12, phi22 = _block_gramian(ctrl, filt, a12, b_top, b_bot, tol)
     val = (np.trace(c_left @ phi11 @ c_left.T)
            + 2.0 * np.trace(c_left @ phi12 @ c_right.T)
            + np.trace(c_right @ phi22 @ c_right.T))

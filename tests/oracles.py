@@ -2,11 +2,19 @@
 
 Each oracle takes a different computational route than the library code it
 checks: Lyapunov via the Kronecker vectorization linear system, Riccati
-via matrix sign iteration, the H2 norm via frequency quadrature, and the
-H-infinity norm via dense frequency gridding.
+via matrix sign iteration, the H2 norm via frequency quadrature, the
+H-infinity norm via dense frequency gridding, and the gap-layer spectral
+factors via the two 2n-state hat Riccati equations on the Youla system.
 """
 
+from dataclasses import dataclass
+
 import numpy as np
+import scipy.linalg as sla
+
+from hierh2 import DEFAULT_TOLERANCES, StateSpace, Tolerances, neg, series
+from hierh2.linalg import (hinf_norm, riccati_from_hamiltonian,
+                           solve_sylvester, sqrt_psd, symmetrize)
 
 
 def lyapunov_kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -90,3 +98,93 @@ def freqresp_formula(a, b, c, d, omega) -> np.ndarray:
     """Direct pointwise transfer-matrix evaluation."""
     n = a.shape[0]
     return c @ np.linalg.solve(1j * omega * np.eye(n) - a, b) + d
+
+
+@dataclass
+class HatSpectralFactors:
+    """Factor systems and gains of the 2n hat-Riccati construction.
+
+    Q* = -W_L Wbar_R = -Wbar_L W_R; all four factors are internally stable
+    2n-state realizations and the two products agree as transfer matrices.
+    """
+
+    w_l: StateSpace
+    wbar_l: StateSpace
+    w_r: StateSpace
+    wbar_r: StateSpace
+    fhat: np.ndarray
+    lhat: np.ndarray
+    xhat: np.ndarray
+    yhat: np.ndarray
+    embed_u: np.ndarray
+    embed_y: np.ndarray
+    q_star: StateSpace
+
+
+def hat_spectral_factors(yd, d12, d21,
+                         tol: Tolerances = DEFAULT_TOLERANCES) -> HatSpectralFactors:
+    """Solve the two hat-system AREs and assemble the W factors and Q*.
+
+    A_hat is Hurwitz by construction, so both AREs are well posed.  The hat
+    system inherits structural cross terms from the nominal gains
+    (D12' C1_hat = [R F, -R F] and B1_hat D21' = [0; L D21 D21']), so the
+    gains solve the cross-term form of the two AREs; for F = L = 0 this
+    reduces to the plain pair.  The two Riccati closed loops are A_F and A_L',
+    so Phi_u and Phi_y are solved on their Schur factors.  The returned Q*
+    uses the stable product realization -W_L Wbar_R.
+    """
+    d12 = np.asarray(d12, float)
+    d21 = np.asarray(d21, float)
+    a_hat, b1_hat, b2_hat = yd.a_hat, yd.b1_hat, yd.b2_hat
+    c1_hat, c2_hat = yd.c1_hat, yd.c2_hat
+    n2 = a_hat.shape[0]
+
+    r_u = symmetrize(d12.T @ d12)
+    r_u_chol = sla.cho_factor(r_u)
+    s_u = d12.T @ c1_hat
+    a_u = a_hat - b2_hat @ sla.cho_solve(r_u_chol, s_u)
+    q_u = symmetrize(c1_hat.T @ c1_hat - s_u.T @ sla.cho_solve(r_u_chol, s_u))
+    m_u = b2_hat @ sla.cho_solve(r_u_chol, b2_hat.T)
+    x_sol = riccati_from_hamiltonian(a_u, m_u, q_u, tol)
+    xhat = x_sol.x
+    fhat = -sla.cho_solve(r_u_chol, b2_hat.T @ xhat + s_u)
+
+    r_y = symmetrize(d21 @ d21.T)
+    r_y_chol = sla.cho_factor(r_y)
+    s_y = b1_hat @ d21.T
+    a_y = a_hat - s_y @ sla.cho_solve(r_y_chol, c2_hat)
+    q_y = symmetrize(b1_hat @ b1_hat.T - s_y @ sla.cho_solve(r_y_chol, s_y.T))
+    m_y = c2_hat.T @ sla.cho_solve(r_y_chol, c2_hat)
+    y_sol = riccati_from_hamiltonian(a_y.T, m_y, q_y, tol)
+    yhat = y_sol.x
+    lhat = -sla.cho_solve(r_y_chol, (yhat @ c2_hat.T + s_y).T).T
+
+    a_f = a_hat + b2_hat @ fhat
+    a_l = a_hat + lhat @ c2_hat
+    eye = np.eye(n2)
+    phi_u = solve_sylvester(x_sol.closed_loop, x_sol.closed_loop, eye, tol)
+    phi_y = solve_sylvester(y_sol.closed_loop, y_sol.closed_loop, eye, tol)
+    nu = fhat.shape[0]
+    ny = lhat.shape[1]
+    w_l = StateSpace(a_f, eye, fhat, np.zeros((nu, n2)))
+    wbar_l = StateSpace(a_f, b2_hat @ fhat, fhat, fhat)
+    w_r = StateSpace(a_l, lhat, eye, np.zeros((n2, ny)))
+    wbar_r = StateSpace(a_l, lhat, lhat @ c2_hat, lhat)
+    q_star = neg(series(wbar_r, w_l))
+    return HatSpectralFactors(w_l=w_l, wbar_l=wbar_l, w_r=w_r, wbar_r=wbar_r,
+                              fhat=fhat, lhat=lhat, xhat=xhat, yhat=yhat,
+                              embed_u=fhat @ sqrt_psd(phi_u, tol),
+                              embed_y=lhat.T @ sqrt_psd(phi_y, tol),
+                              q_star=q_star)
+
+
+def hat_gap_weights(yd, hsf: HatSpectralFactors,
+                    tol: Tolerances = DEFAULT_TOLERANCES) -> tuple[float, float]:
+    """(eps1, eps2) of the gap bound from the 2n-state realizations of T12,
+    T21 on A_hat and the hat factor weights Wbar_R, Wbar_L."""
+    g = yd.g
+    t12 = StateSpace(yd.a_hat, yd.b2_hat, yd.c1_hat, g.d12)
+    t21 = StateSpace(yd.a_hat, yd.b1_hat, yd.c2_hat, g.d21)
+    t12_t21 = hinf_norm(t12, tol) * hinf_norm(t21, tol)
+    return (t12_t21 * hinf_norm(hsf.wbar_r, tol),
+            t12_t21 * hinf_norm(hsf.wbar_l, tol))

@@ -111,7 +111,7 @@ def test_criterion_03_truncation_error_bound():
                 1e-8 * max(1.0, np.linalg.norm(rhs, "fro"))
             for kappa in range(1, n + 1):
                 sol = approx_are(hs, kappa=kappa)
-                eps, bound = error_bound(sol, full.z1, full, b1)
+                eps, bound = error_bound(sol, b1)
                 err = exact_error_norm(x, sol.xbar, a, hs.m, b1)
                 assert err <= bound + 1e-8, \
                     f"n={n} kappa={kappa}: {err:.3e} > {bound:.3e}"

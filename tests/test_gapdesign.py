@@ -1,19 +1,22 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, example, given, settings
+from hypothesis import strategies as st
 
-from hierh2 import (ClusterPartition, NetworkSpec, WeightVectors,
-                    build_projection, design_clusters,
+from hierh2 import (DEFAULT_TOLERANCES, ClusterPartition, ExperimentConfig,
+                    GeneralizedPlant, NetworkSpec, ProjectionPair, StateSpace,
+                    WeightVectors, build_projection, design_clusters,
                     doubly_projected_controller, evaluate_partition,
                     gap_report, gapdesign, generate_consensus_network,
-                    model_matching_value, monotone_gap_sweep,
-                    reference_youla_data,
+                    hinf_norm, model_matching_value, monotone_gap_sweep,
+                    reference_youla_data, solve_are,
                     spectral_factors, structured_youla_data,
                     synthesize_hierarchical, synthesize_unconstrained,
                     weighted_kmeans, youla_data)
-from hierh2.errors import DegenerateData
+from hierh2.errors import DegenerateData, NumericalError
 
 from conftest import random_h2_plant, random_partition
-from oracles import lyapunov_kron
+from oracles import hat_gap_weights, hat_spectral_factors, lyapunov_kron
 from test_synthesis import scalar_plant
 
 FREQS = np.logspace(-2, 2, 20)
@@ -26,16 +29,19 @@ FREQS = np.logspace(-2, 2, 20)
 def test_scalar_plant_hat_riccati_hand_value():
     # with the optimal gains F = L = -1 the two-state hat AREs solve by hand:
     # Xhat = diag(1, 0), Fhat = [0, -1], Yhat = ones, Lhat = [-1; 0], and the
-    # unconstrained optimizer Q* is identically zero
+    # unconstrained optimizer Q* is identically zero; the n-state factors
+    # give the same Fhat and Lhat
     g = scalar_plant()
     yd = youla_data(g, f=[[-1.0]], l=[[-1.0]])
     sf = spectral_factors(yd, g.d12, g.d21)
-    assert np.allclose(sf.xhat, [[1.0, 0.0], [0.0, 0.0]], atol=1e-9)
-    assert np.allclose(sf.fhat, [[0.0, -1.0]], atol=1e-9)
-    assert np.allclose(sf.yhat, [[1.0, 1.0], [1.0, 1.0]], atol=1e-9)
-    assert np.allclose(sf.lhat, [[-1.0], [0.0]], atol=1e-9)
+    hat = hat_spectral_factors(yd, g.d12, g.d21)
+    assert np.allclose(hat.xhat, [[1.0, 0.0], [0.0, 0.0]], atol=1e-9)
+    assert np.allclose(hat.yhat, [[1.0, 1.0], [1.0, 1.0]], atol=1e-9)
+    for fhat, lhat in ((sf.fhat, sf.lhat), (hat.fhat, hat.lhat)):
+        assert np.allclose(fhat, [[0.0, -1.0]], atol=1e-9)
+        assert np.allclose(lhat, [[-1.0], [0.0]], atol=1e-9)
     for w in FREQS:
-        assert np.linalg.norm(sf.q_star.eval(1j * w)) <= 1e-9
+        assert np.linalg.norm(hat.q_star.eval(1j * w)) <= 1e-9
 
 
 def test_factorizations_agree():
@@ -43,24 +49,33 @@ def test_factorizations_agree():
     rng = np.random.default_rng(3)
     g = random_h2_plant(rng, 4, 2, 3)
     yd = reference_youla_data(g)
+    hat = hat_spectral_factors(yd, g.d12, g.d21)
     sf = spectral_factors(yd, g.d12, g.d21)
-    left = series(sf.wbar_r, sf.w_l)    # W_L Wbar_R
-    right = series(sf.w_r, sf.wbar_l)   # Wbar_L W_R
+    left = series(hat.wbar_r, hat.w_l)    # W_L Wbar_R
+    right = series(hat.w_r, hat.wbar_l)   # Wbar_L W_R
     for w in FREQS:
         lv, rv = left.eval(1j * w), right.eval(1j * w)
         assert np.linalg.norm(lv - rv) <= 1e-7 * max(1.0, np.linalg.norm(rv))
         # Q* realization agrees with the product form
-        assert np.linalg.norm(sf.q_star.eval(1j * w) + lv) <= 1e-7 * max(1.0, np.linalg.norm(lv))
+        assert np.linalg.norm(hat.q_star.eval(1j * w) + lv) <= 1e-7 * max(1.0, np.linalg.norm(lv))
+        # the n-state weights realize the 2n-state ones
+        for mine, ref in ((sf.wbar_l, hat.wbar_l), (sf.wbar_r, hat.wbar_r)):
+            rv = ref.eval(1j * w)
+            assert np.linalg.norm(mine.eval(1j * w) - rv) <= \
+                1e-9 * max(1.0, np.linalg.norm(rv))
 
 
 def test_factor_embeddings_match_lyapunov_oracle():
     # E_u E_u' = F_hat LYAP(A_F, I) F_hat' and E_y E_y' = L_hat' LYAP(A_L', I) L_hat
+    # on the 2n-state closed loops of the hat construction
     rng = np.random.default_rng(4)
     g = random_h2_plant(rng, 4, 2, 3)
-    sf = spectral_factors(reference_youla_data(g), g.d12, g.d21)
-    eye = np.eye(sf.w_l.a.shape[0])
-    for embed, gain, a in ((sf.embed_u, sf.fhat, sf.w_l.a),
-                           (sf.embed_y, sf.lhat.T, sf.w_r.a.T)):
+    yd = reference_youla_data(g)
+    sf = spectral_factors(yd, g.d12, g.d21)
+    hat = hat_spectral_factors(yd, g.d12, g.d21)
+    eye = np.eye(hat.w_l.a.shape[0])
+    for embed, gain, a in ((sf.embed_u, sf.fhat, hat.w_l.a),
+                           (sf.embed_y, sf.lhat.T, hat.w_r.a.T)):
         ref = gain @ lyapunov_kron(a, eye) @ gain.T
         assert np.linalg.norm(embed @ embed.T - ref) <= \
             1e-9 * np.linalg.norm(ref)
@@ -71,8 +86,8 @@ def test_model_matching_value_equals_unconstrained_optimum():
     for _ in range(3):
         g = random_h2_plant(rng, 4, 2, 2)
         yd = reference_youla_data(g)
-        sf = spectral_factors(yd, g.d12, g.d21)
-        j1 = model_matching_value(yd, sf.q_star)
+        hat = hat_spectral_factors(yd, g.d12, g.d21)
+        j1 = model_matching_value(yd, hat.q_star)
         unc = synthesize_unconstrained(g)
         assert j1 == pytest.approx(unc.h2_value, rel=1e-6)
     # the structured Youla data that evaluate_partition builds: the
@@ -89,9 +104,9 @@ def test_model_matching_value_equals_unconstrained_optimum():
     for g, part in cases:
         pair = build_projection(part, WeightVectors.ones(g.n_u, g.n_y))
         yd, _ = structured_youla_data(g, pair)
-        sf = spectral_factors(yd, g.d12, g.d21)
+        hat = hat_spectral_factors(yd, g.d12, g.d21)
         report = evaluate_partition(g, part)
-        assert model_matching_value(yd, sf.q_star) == pytest.approx(
+        assert model_matching_value(yd, hat.q_star) == pytest.approx(
             report.j1_star, rel=1e-9)
 
 
@@ -279,3 +294,169 @@ def test_misaligned_partition_widens_the_gap():
     rep_m = evaluate_partition(g, misaligned)
     assert rep_m.ratio > rep_a.ratio
     assert rep_m.bound_rhs >= rep_m.j2_star - 1e-6
+
+
+# ---------------------------------------------------------------------------
+# n-state factors against the 2n hat-Riccati oracle
+# ---------------------------------------------------------------------------
+
+def _rel(a, b):
+    return np.linalg.norm(a - b) / max(np.linalg.norm(b), 1e-300)
+
+
+def _assert_factors_match_oracle(yd, p, hier=None):
+    g = yd.g
+    tol = DEFAULT_TOLERANCES
+    sf = spectral_factors(yd, g.d12, g.d21)
+    hat = hat_spectral_factors(yd, g.d12, g.d21)
+    for mine, ref in ((sf.fhat, hat.fhat), (sf.lhat, hat.lhat),
+                      (sf.embed_u, hat.embed_u), (sf.embed_y, hat.embed_y)):
+        assert mine.shape == ref.shape
+        assert _rel(mine, ref) <= 1e-9
+    report = gap_report(yd, sf, p, g, hier=hier, verify_equivalence=False)
+    eps1, eps2 = hat_gap_weights(yd, hat)
+    assert report.eps1 == pytest.approx(eps1, rel=tol.hinf_rel)
+    assert report.eps2 == pytest.approx(eps2, rel=tol.hinf_rel)
+
+
+def _non_identity_weight_plant(rng, n, nu, ny):
+    """random_h2_plant with D12 -> D12 S and D21 -> T D21, so D12'D12 = S'S
+    and D21 D21' = T T' are not identities while A4 still holds; S and T
+    have singular values in [0.5, 2]."""
+    g = random_h2_plant(rng, n, nu, ny)
+    s, _ = np.linalg.qr(rng.standard_normal((nu, nu)))
+    t, _ = np.linalg.qr(rng.standard_normal((ny, ny)))
+    s, t = s * rng.uniform(0.5, 2.0, nu), t * rng.uniform(0.5, 2.0, ny)
+    return GeneralizedPlant(a=g.a, b1=g.b1, b2=g.b2, c1=g.c1, c2=g.c2,
+                            d12=g.d12 @ s, d21=t @ g.d21)
+
+
+@pytest.mark.parametrize("n", [24, 100])
+def test_n_state_factors_match_hat_oracle_consensus(n):
+    cfg = ExperimentConfig(seed=7)
+    g = cfg.plant(n)
+    p = build_projection(cfg.planted_partition(g, n),
+                         WeightVectors.ones(g.n_u, g.n_y))
+    yd_struct, hier = structured_youla_data(g, p)
+    _assert_factors_match_oracle(yd_struct, p, hier)
+    _assert_factors_match_oracle(reference_youla_data(g), p, hier)
+
+
+def test_n_state_factors_match_hat_oracle_small_plants():
+    g = scalar_plant()
+    one = ProjectionPair(np.eye(1), np.eye(1))
+    _assert_factors_match_oracle(youla_data(g, f=[[-1.0]], l=[[-1.0]]), one)
+    rng = np.random.default_rng(7)
+    g = _non_identity_weight_plant(rng, 8, 3, 2)
+    assert not np.allclose(g.d12.T @ g.d12, np.eye(3))
+    assert not np.allclose(g.d21 @ g.d21.T, np.eye(2))
+    part = ClusterPartition(input_sets=((0, 2), (1,)), output_sets=((0,), (1,)))
+    p = build_projection(part, WeightVectors.ones(3, 2))
+    yd, hier = structured_youla_data(g, p)
+    _assert_factors_match_oracle(yd, p, hier)
+    _assert_factors_match_oracle(reference_youla_data(g), p, hier)
+
+
+def test_spectral_factors_rejects_foreign_weights():
+    g = random_h2_plant(np.random.default_rng(2), 3, 2, 2)
+    yd = reference_youla_data(g)
+    with pytest.raises(ValueError):
+        spectral_factors(yd, 2.0 * g.d12, g.d21)
+
+
+def test_gap_layer_runs_in_n_state_blocks(monkeypatch):
+    # every Riccati, Sylvester/Lyapunov, Schur and H-infinity call made by
+    # spectral_factors and gap_report is on n x n state matrices; the only
+    # 2n-sided object is the square root of Phi_y (not wrapped)
+    from hierh2 import linalg, synthesis
+    from hierh2.linalg import RealSchur
+    cfg = ExperimentConfig(seed=7)
+    g = cfg.plant(24)
+    p = build_projection(cfg.planted_partition(g, 24),
+                         WeightVectors.ones(g.n_u, g.n_y))
+    yd = reference_youla_data(g)
+    sides = {"riccati": [], "sylvester": [], "hinf": [], "schur": []}
+
+    def record(kind, fn, side_of):
+        def wrapper(*args, **kwargs):
+            sides[kind].append(side_of(*args))
+            return fn(*args, **kwargs)
+        return wrapper
+
+    wrapped = {
+        "riccati_from_hamiltonian": ("riccati", lambda a, *_: a.shape[0]),
+        "solve_sylvester": ("sylvester",
+                            lambda f1, f2, *_: max(f1.a.shape[0], f2.a.shape[0])),
+        "hinf_norm": ("hinf", lambda sys, *_: sys.a.shape[0]),
+    }
+    for name, (kind, side_of) in wrapped.items():
+        wrapper = record(kind, getattr(linalg, name), side_of)
+        for mod in (linalg, synthesis, gapdesign):
+            if hasattr(mod, name):
+                monkeypatch.setattr(mod, name, wrapper)
+    schur_of = RealSchur.of.__func__
+    monkeypatch.setattr(RealSchur, "of", classmethod(
+        record("schur", schur_of, lambda cls, a: np.asarray(a).shape[0])))
+
+    sf = spectral_factors(yd, g.d12, g.d21)
+    gap_report(yd, sf, p, g, verify_equivalence=False)
+    assert all(sides[kind] for kind in sides), sides
+    assert max(max(v) for v in sides.values()) <= g.n, sides
+    assert len(sides["riccati"]) == 4   # X, Y of the unconstrained pair and
+    assert len(sides["hinf"]) == 4      # of the hierarchical synthesis
+
+
+def _lqr_youla_data(seed, n, nu, ny):
+    """Youla data of a random A1-A4 plant with LQR/Kalman gains under random
+    SPD weights; None when a gain ARE or an ARE of the plant's own H2
+    synthesis misses its residual bound."""
+    rng = np.random.default_rng(seed)
+    g = _non_identity_weight_plant(rng, n, nu, ny)
+
+    def spd(k):
+        w = rng.standard_normal((k, k))
+        return w @ w.T + 0.5 * np.eye(k)
+
+    r_u, r_y = spd(nu), spd(ny)
+    try:
+        x = solve_are(g.a, g.b2, np.linalg.cholesky(spd(n)).T, r_u).x
+        y = solve_are(g.a.T, g.c2.T, np.linalg.cholesky(spd(n)).T, r_y).x
+        synthesize_unconstrained(g)
+    except NumericalError:
+        return None
+    f = -np.linalg.solve(r_u, g.b2.T @ x)
+    l = -np.linalg.solve(r_y, g.c2 @ y).T
+    return youla_data(g, f=f, l=l)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(seed=st.integers(0, 2 ** 31 - 1), n=st.integers(2, 6),
+       nu=st.integers(1, 3), ny=st.integers(1, 3))
+# draws on which hinf_norm with a fixed crossing test at 1e-8 came back
+# 0.01% to 10% low on one of the two realizations of a weight
+@example(seed=3, n=2, nu=1, ny=1)
+@example(seed=6, n=4, nu=1, ny=1)
+@example(seed=44, n=3, nu=1, ny=2)
+@example(seed=95, n=6, nu=2, ny=2)
+@example(seed=6, n=6, nu=1, ny=1)
+@example(seed=18, n=6, nu=1, ny=1)
+@example(seed=144, n=4, nu=3, ny=1)
+def test_property_n_state_factors_equal_hat_oracle(seed, n, nu, ny):
+    yd = _lqr_youla_data(seed, n, nu, ny)
+    assume(yd is not None)
+    g = yd.g
+    sf = spectral_factors(yd, g.d12, g.d21)
+    hat = hat_spectral_factors(yd, g.d12, g.d21)
+    assert _rel(sf.fhat, hat.fhat) <= 1e-9
+    assert _rel(sf.lhat, hat.lhat) <= 1e-9
+    assert _rel(sf.embed_u @ sf.embed_u.T, hat.embed_u @ hat.embed_u.T) <= 1e-9
+    assert _rel(sf.embed_y @ sf.embed_y.T, hat.embed_y @ hat.embed_y.T) <= 1e-9
+    hinf_rel = DEFAULT_TOLERANCES.hinf_rel
+    for mine, ref in ((yd.t12, StateSpace(yd.a_hat, yd.b2_hat, yd.c1_hat, g.d12)),
+                      (yd.t21, StateSpace(yd.a_hat, yd.b1_hat, yd.c2_hat, g.d21)),
+                      (sf.wbar_l, hat.wbar_l), (sf.wbar_r, hat.wbar_r)):
+        for w in FREQS:
+            assert _rel(mine.eval(1j * w), ref.eval(1j * w)) <= 1e-9
+        assert hinf_norm(mine) == pytest.approx(hinf_norm(ref), rel=hinf_rel)
+

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from hierh2 import (StateSpace, approx_are, build_hamiltonian,
-                    cauchy_coefficients, error_bound, exact_error_norm,
-                    h2_norm, solve_are, solve_lyapunov, spectral_abscissa,
-                    stability_test)
+from hierh2 import (DEFAULT_TOLERANCES, StateSpace, approx_are,
+                    build_hamiltonian, cauchy_coefficients, error_bound,
+                    exact_error_norm, h2_norm, solve_are, solve_lyapunov,
+                    spectral_abscissa, stability_test)
 from hierh2.errors import SingularR
 
 from conftest import random_are_instance
@@ -154,8 +154,7 @@ def test_bound_holds_all_kappa():
         x = solve_are(a, b, c, r).x
         for kappa in range(1, n + 1):
             sol = approx_are(hs, kappa=kappa, b1=b1)
-            eps, bound = error_bound(sol, hs.full_subspace().z1,
-                                     hs.full_subspace(), b1)
+            eps, bound = error_bound(sol, b1)
             err = exact_error_norm(x, sol.xbar, a, hs.m, b1)
             assert err <= bound + 1e-8
 
@@ -237,3 +236,32 @@ def test_krylov_is_reproducible():
     first = approx_are(hs, kappa=4, method="krylov")
     second = approx_are(hs, kappa=4, method="krylov")
     assert np.array_equal(first.xbar, second.xbar)
+
+
+def test_stability_test_floor_is_relative():
+    # consensus plant, n = 100, seed 7: kappa = 1 is certified on both
+    # Riccati sides, while at kappa = 4 the sufficient test genuinely fails
+    # (lambda_min(C1'C1 - C1bar'C1bar) is about -1.4e-2, or -1.4e-4
+    # ||C1'C1||) although the closed loop is stable
+    from hierh2 import (ExperimentConfig, WeightVectors, build_projection,
+                        synthesize_hierarchical)
+    cfg = ExperimentConfig(seed=7)
+    g = cfg.plant()
+    p = build_projection(cfg.planted_partition(g),
+                         WeightVectors.ones(g.n_u, g.n_y))
+    for kappa, certified in ((1, True), (4, False)):
+        res = synthesize_hierarchical(g, p, are_backend="approx", kappa=kappa,
+                                      method="krylov")
+        assert res.closed_loop_abscissa < 0.0
+        assert (res.x_solution.stabilizing
+                and res.y_solution.stabilizing) is certified
+    # with C1 scaled by 100 (||C1'C1||_2 = 1e6, ||C1||_F^2 = 1e8) the
+    # kappa = 1 roundoff residue is about -3e-5: inside the relative floor
+    # 1e-8 * 1e6, but outside 1e-12 * 1e6, which the Frobenius bound
+    # 1e-12 * 1e8 would still accept
+    c1 = 100.0 * g.c1
+    hs = build_hamiltonian(g.a, g.b2, c1, g.d12.T @ g.d12)
+    sol = approx_are(hs, kappa=1, method="krylov")
+    assert sol.stabilizing
+    tight = DEFAULT_TOLERANCES.with_(stability_test_floor=1e-12)
+    assert not stability_test(sol, g.a, c1, tight)

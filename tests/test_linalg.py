@@ -414,6 +414,25 @@ def test_hinf_supremum_at_infinity():
     assert hinf_grid(sys, 1e-3, 1e3, 10_000) < 1.0
 
 
+def test_hinf_peak_above_feedthrough_start():
+    # a realization of T12 from a random A1-A4 plant: the start bound is
+    # sigma_max(D) = 1.5443 and the norm 1.6016 is at w ~ 1.  With the axis
+    # test fixed at 1e-8 the crossings of the first round, whose Hamiltonian
+    # holds (gamma^2 - D'D)^{-1} ~ 1 / (2 hinf_rel), were missed and the
+    # feedthrough bound came back as the norm
+    sys = StateSpace(
+        [[3.341400408114274, -4.542441039717009],
+         [4.694169752214077, -5.78628301022297]],
+        [[-0.2812874181513504], [-0.6680463461089501]],
+        [[-0.8652130762749417, 3.3229995166448827],
+         [0.22578661322792176, -0.3526307943415954],
+         [-9.885001156210745, 10.90779631254714]],
+        [[0.0], [0.0], [1.5443239950052332]])
+    ref = hinf_grid(sys, 1e-3, 60.0, 300_000)
+    assert ref > 1.03 * np.linalg.norm(sys.d, 2)
+    assert hinf_norm(sys) == pytest.approx(ref, rel=DEFAULT_TOLERANCES.hinf_rel)
+
+
 def test_hinf_peak_at_dc():
     # symmetric A: sigma_max((jw I - A)^{-1}) = max 1 / |jw - lambda_i| peaks at w = 0
     q = np.linalg.qr(np.random.default_rng(7).standard_normal((3, 3)))[0]

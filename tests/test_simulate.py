@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from hierh2 import (ClusterPartition, GeneralizedPlant, NetworkSpec,
-                    StateSpace, WeightVectors, build_projection,
+from hierh2 import (ClusterPartition, ExperimentConfig, GeneralizedPlant,
+                    NetworkSpec, StateSpace, WeightVectors, build_projection,
                     communication_links, generate_consensus_network,
                     lft_lower, privacy_audit, run_hier_simulation,
                     solve_lyapunov, synthesize_hierarchical)
@@ -139,3 +139,32 @@ def test_dt_limit_enforced():
     with pytest.raises(ValueError):
         run_hier_simulation(g, res.controller, horizon=1.0, dt=10.0,
                             disturbance=("impulse", 0), partition=part)
+
+
+@pytest.mark.parametrize("leak", ["p_y", "p_u"])
+def test_audits_catch_a_leaky_projection(leak):
+    # coordinator 0 reads output 23 (p_y) or writes input 23 (p_u), both in
+    # another cluster: the link count rises by one, and a read also fails
+    # the privacy audit
+    cfg = ExperimentConfig(seed=7)
+    g = cfg.plant(24)
+    part = cfg.planted_partition(g, 24)
+    assert 23 not in part.output_sets[0] and 23 not in part.input_sets[0]
+    pair = build_projection(part, WeightVectors.ones(g.n_u, g.n_y))
+    ctrl = synthesize_hierarchical(g, pair).controller
+    hier_links = communication_links(part).hierarchical
+    sim = run_hier_simulation(g, ctrl, horizon=0.2, partition=part)
+    assert privacy_audit(sim.trace)
+    assert sim.trace.links_used == hier_links
+
+    proj = {"p_u": ctrl.p_u.copy(), "p_y": ctrl.p_y.copy()}
+    proj[leak][0, 23] += 1e-3
+    leaky = HierarchicalController(p_u=proj["p_u"], k_tilde=ctrl.k_tilde,
+                                   p_y=proj["p_y"])
+    sim = run_hier_simulation(g, leaky, horizon=0.2, partition=part)
+    assert sim.staged_vs_monolithic <= 1e-9
+    assert sim.trace.links_used == hier_links + 1
+    assert privacy_audit(sim.trace) is (leak == "p_u")
+    log = sim.trace.coordinator_logs[0]
+    seen = log.raw_outputs_seen if leak == "p_y" else log.inputs_written
+    assert 23 in seen
