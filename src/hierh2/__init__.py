@@ -11,10 +11,10 @@ __version__ = "0.1.0"
 
 from .config import DEFAULT_TOLERANCES, STRICT_TOLERANCES, Tolerances, tolerance_profile
 from .statespace import StateSpace, add, neg, series, transpose_dual
-from .linalg import (AreSolution, Spectrum, StableSubspace, detectable,
-                     h2_norm, hinf_norm, is_hurwitz, riccati_from_hamiltonian,
-                     solve_are, solve_lyapunov, spectral_abscissa, sqrt_psd,
-                     stabilizable, stable_eigenspace, unstable_spectrum)
+from .linalg import (AreSolution, StableSubspace, detectable, h2_norm,
+                     hinf_norm, riccati_from_hamiltonian, solve_are,
+                     solve_lyapunov, spectral_abscissa, sqrt_psd,
+                     stabilizable, stable_eigenspace, unstable_eigenbases)
 from .plant import (AssumptionReport, GeneralizedPlant, NetworkSpec,
                     Subsystem, generate_consensus_network, lft_lower,
                     validate_assumptions)

@@ -21,7 +21,7 @@ from .config import tolerance_profile
 from .errors import NumericalError, PreconditionError
 from .gapdesign import (design_clusters, evaluate_partition,
                         reference_youla_data, spectral_factors)
-from .hamiltonian import approx_are, build_hamiltonian
+from .hamiltonian import approx_are, build_hamiltonian, error_bound
 from .plant import NetworkSpec, generate_consensus_network, validate_assumptions
 from .projection import (ClusterPartition, WeightVectors, build_projection,
                          feasible_weights)
@@ -128,11 +128,11 @@ def cmd_approx(args) -> int:
         b2pu = g.b2
         r1 = g.d12.T @ g.d12
     hs = build_hamiltonian(g.a, b2pu, g.c1, r1, tol)
-    sol = approx_are(hs, args.kappa, method=args.method,
-                     b1=g.b1 if args.method == "dense" else None, tol=tol)
+    sol = approx_are(hs, args.kappa, method=args.method, tol=tol)
+    eps = error_bound(sol, g.b1, tol)[0] if args.method == "dense" else None
     out = {
         "kappa": sol.kappa, "stabilizing": bool(sol.stabilizing),
-        "epsilon": sol.epsilon, "e_kappa_norm": sol.e_kappa_norm,
+        "epsilon": eps, "e_kappa_norm": sol.e_kappa_norm,
         "eigenvalues": [[ev.real, ev.imag] for ev in sol.lambda_kappa],
     }
     print(json.dumps(out))

@@ -157,26 +157,36 @@ class GapReport:
         return self.j2_star / self.j1_star
 
 
+def _inverse_on_range(m: np.ndarray, rank: int) -> np.ndarray:
+    """Pseudo-inverse of the symmetric PSD `m` of known rank, from its
+    `rank` largest eigenpairs; the rest are rounding and are dropped."""
+    w, v = np.linalg.eigh(symmetrize(m))
+    w, v = w[-rank:], v[:, -rank:]
+    return (v / w) @ v.T
+
+
 def doubly_projected_controller(g: GeneralizedPlant, p: ProjectionPair,
                                 tol: Tolerances = DEFAULT_TOLERANCES) -> StateSpace:
     """Observer controller of the P_u^T P_u / P_y^T P_y-weighted plant.
 
     The equivalence form of the constrained problem: its state-space
-    solution coincides with the hierarchical optimal controller.  Singular
-    projected weights are handled through pseudo-inverses.
+    solution coincides with the hierarchical optimal controller.  The
+    projected weights P_u^T P_u D12' D12 P_u^T P_u and
+    P_y^T P_y D21 D21' P_y^T P_y have the rank of P_u and P_y, and are
+    inverted on that range; a cutoff-based pinv would also invert the
+    rounding-level eigenvalues of the null space, which grow with n.
     """
-    bp = g.b2 @ (p.p_u.T @ p.p_u)
-    rp = (p.p_u.T @ p.p_u) @ g.d12.T @ g.d12 @ (p.p_u.T @ p.p_u)
-    rp_pinv = np.linalg.pinv(symmetrize(rp))
-    m = bp @ rp_pinv @ bp.T
+    pu, py = p.p_u.T @ p.p_u, p.p_y.T @ p.p_y
+    bp = g.b2 @ pu
+    rp_inv = _inverse_on_range(pu @ g.d12.T @ g.d12 @ pu, p.p_u.shape[0])
+    m = bp @ rp_inv @ bp.T
     x = riccati_from_hamiltonian(g.a, m, g.c1.T @ g.c1, tol).x
-    f_brev = -rp_pinv @ bp.T @ x
-    cp = (p.p_y.T @ p.p_y) @ g.c2
-    rp = (p.p_y.T @ p.p_y) @ g.d21 @ g.d21.T @ (p.p_y.T @ p.p_y)
-    rp_pinv = np.linalg.pinv(symmetrize(rp))
-    m = cp.T @ rp_pinv @ cp
+    f_brev = -rp_inv @ bp.T @ x
+    cp = py @ g.c2
+    rp_inv = _inverse_on_range(py @ g.d21 @ g.d21.T @ py, p.p_y.shape[0])
+    m = cp.T @ rp_inv @ cp
     y = riccati_from_hamiltonian(g.a.T, m, g.b1 @ g.b1.T, tol).x
-    l_brev = -y @ cp.T @ rp_pinv
+    l_brev = -y @ cp.T @ rp_inv
     return StateSpace(g.a + bp @ f_brev + l_brev @ cp, -l_brev, f_brev,
                       np.zeros((g.n_u, g.n_y)))
 

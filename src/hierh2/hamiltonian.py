@@ -4,9 +4,9 @@ The stabilizing ARE solution is X = Z2 Z1^{-1} over the full stable
 invariant subspace of H = [[A, -M], [-C1'C1, -A']].  Retaining only the
 kappa smallest-magnitude stable eigenvalues gives the truncated
 X~ = Z2k (Z2k' Z1k)^{-1} Z2k', whose weighted error admits the computable
-bound eps * ||E_k||_F with eps read off a Cauchy-structured Gramian in the
-eigenbasis.  A residue factorization supplies a cheap sufficient stability
-certificate for A - M X~.
+bound eps * ||E_k||_F, with eps read off the closed-loop Gramian in the
+eigenbasis by :func:`error_bound`, the one route to eps.  A residue
+factorization supplies a cheap sufficient stability certificate for A - M X~.
 """
 
 from __future__ import annotations
@@ -23,9 +23,10 @@ from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import (ArnoldiNoConvergence, DimensionMismatch,
                      ImaginaryAxisEigenvalue, SingularPencil, SingularR,
                      SingularZ1)
-from .linalg import (StableSubspace, _check_imag_axis, _group_conjugates,
-                     _pbh_rank_deficient, _realify_sorted, solve_lyapunov,
-                     sqrt_psd, stable_eigenspace, symmetrize)
+from .linalg import (RealSchur, StableSubspace, _check_imag_axis,
+                     _group_conjugates, _pbh_rank_deficient, _realify_sorted,
+                     solve_lyapunov, solve_sylvester, sqrt_psd,
+                     stable_eigenspace, symmetrize)
 from .statespace import as_matrix
 
 __all__ = [
@@ -100,9 +101,10 @@ def build_hamiltonian(a, b2pu, c1, r1,
 class ApproxAreSolution:
     """kappa-truncated Riccati solution with diagnostics.
 
-    epsilon and e_kappa_norm require the complement subspace and are None on
-    the Krylov path.  `stabilizing` records the residue-based sufficient
-    certificate (:func:`stability_test`); it is a diagnostic only, since
+    e_kappa_norm and subspace_full need the complement subspace and are None
+    on the Krylov path; :func:`error_bound` reads the bound off them.
+    `stabilizing` records the residue-based sufficient certificate
+    (:func:`stability_test`); it is a diagnostic only, since
     :func:`~hierh2.synthesis.synthesize_hierarchical` decides stability from
     the closed-loop abscissa.
     """
@@ -110,11 +112,8 @@ class ApproxAreSolution:
     xbar: np.ndarray
     kappa: int
     lambda_kappa: np.ndarray
-    z1k: np.ndarray
-    z2k: np.ndarray
     residue_factor: np.ndarray
     stabilizing: bool
-    epsilon: float | None = None
     e_kappa_norm: float | None = None
     subspace_full: StableSubspace | None = None
     method: str = "dense"
@@ -132,15 +131,15 @@ def _truncated_solution(sub_k: StableSubspace, tol: Tolerances):
 
 
 def approx_are(hs: HamiltonianSystem, kappa: int, method: str = "dense",
-               b1=None, tol: Tolerances = DEFAULT_TOLERANCES) -> ApproxAreSolution:
+               tol: Tolerances = DEFAULT_TOLERANCES) -> ApproxAreSolution:
     """Truncated stabilizing-solution approximation X~ from kappa eigenpairs.
 
     Retains the kappa smallest-magnitude stable eigenvalues of H (conjugate
     pairs kept atomic, bumping kappa by one with a warning when split).  The
-    dense method also reports the truncation factor E_k and, when `b1` is
-    given, the error-bound scalar epsilon; the Krylov method leaves both
-    unavailable.  The residue factor C1bar and the sufficient stability test
-    are always computed.
+    dense method also keeps the full stable subspace and the norm of the
+    truncation factor E_k, which :func:`error_bound` needs; the Krylov method
+    leaves both unavailable.  The residue factor C1bar and the sufficient
+    stability test are always computed.
 
     Raises
     ------
@@ -168,21 +167,14 @@ def approx_are(hs: HamiltonianSystem, kappa: int, method: str = "dense",
             e_norm = 0.0
         sol = ApproxAreSolution(
             xbar=xbar, kappa=kcols, lambda_kappa=sub_k.eigenvalues,
-            z1k=sub_k.z1, z2k=sub_k.z2,
             residue_factor=_residue_factor(hs.c1, sub_k, gram),
             stabilizing=False, e_kappa_norm=e_norm, subspace_full=full,
             method="dense")
-        if b1 is not None:
-            eps, _ = error_bound(sol, b1, tol)
-            sol.epsilon = eps
-        elif tail.k == 0:
-            sol.epsilon = 0.0
     else:
         sub_k = _krylov_stable_blocks(hs, kappa, tol)
         xbar, gram = _truncated_solution(sub_k, tol)
         sol = ApproxAreSolution(
             xbar=xbar, kappa=sub_k.k, lambda_kappa=sub_k.eigenvalues,
-            z1k=sub_k.z1, z2k=sub_k.z2,
             residue_factor=_residue_factor(hs.c1, sub_k, gram),
             stabilizing=False, method="krylov")
     sol.stabilizing = stability_test(sol, hs.a, hs.c1, tol)
@@ -199,46 +191,30 @@ def _residue_factor(c1: np.ndarray, sub_k: StableSubspace, gram: np.ndarray) -> 
 # Error bound (Cauchy-structured eigenbasis Gramian)
 # ---------------------------------------------------------------------------
 
-def cauchy_coefficients(z1: np.ndarray, sub: StableSubspace, b1: np.ndarray,
+def cauchy_coefficients(sub: StableSubspace, b1: np.ndarray,
                         tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
     """Gramian coefficients C with Phi = Z1 C Z1' for the closed loop.
 
-    Solves Lambda C + C Lambda' = -(Z1^{-1} B1)(Z1^{-1} B1)' blockwise in the
-    realified eigenbasis; for real simple eigenvalues this reduces to the
-    Cauchy form C_ij = -[Z1^{-1} B1 B1' Z1^{-T}]_ij / (lambda_i + lambda_j).
+    Solves Lambda C + C Lambda' = -G G', G = Z1^{-1} B1, over the full
+    stable subspace `sub` with the package's one Sylvester kernel on the
+    real Schur factors of its block-diagonal Lambda; for real simple
+    eigenvalues this is the Cauchy form C_ij = -[G G']_ij / (lambda_i + lambda_j).
     """
+    z1 = sub.z1
     n = z1.shape[0]
     if z1.shape != (n, n):
         raise SingularZ1("cauchy_coefficients needs the full square Z1")
     if np.linalg.cond(z1) > tol.cond_max:
         raise SingularZ1(f"cond(Z1) = {np.linalg.cond(z1):.3e}")
     g = sla.solve(z1, as_matrix(b1, "B1"))
-    rhs = g @ g.T
-    lam = sub.lam
-    starts, blocks = [], []
-    pos = 0
-    for size in sub.block_sizes:
-        blocks.append(lam[pos:pos + size, pos:pos + size])
-        starts.append(pos)
-        pos += size
-    c = np.zeros((n, n))
-    for bi, li in zip(starts, blocks):
-        si = li.shape[0]
-        for bj, lj in zip(starts, blocks):
-            sj = lj.shape[0]
-            rhs_ij = rhs[bi:bi + si, bj:bj + sj]
-            if si == 1 and sj == 1:
-                c[bi, bj] = -rhs_ij[0, 0] / (li[0, 0] + lj[0, 0])
-            else:
-                op = np.kron(np.eye(sj), li) + np.kron(lj, np.eye(si))
-                c[bi:bi + si, bj:bj + sj] = np.linalg.solve(
-                    op, -rhs_ij.reshape(-1, order="F")).reshape((si, sj), order="F")
-    return symmetrize(c)
+    f = RealSchur.of(sub.lam)
+    return solve_sylvester(f, f, g @ g.T, tol)
 
 
 def error_bound(sol: ApproxAreSolution, b1,
                 tol: Tolerances = DEFAULT_TOLERANCES) -> tuple[float, float]:
-    """(epsilon, epsilon * ||E_k||_F) for the truncation at sol.kappa.
+    """(epsilon, epsilon * ||E_k||_F) for the truncation at sol.kappa; the
+    package's one route to epsilon.
 
     epsilon = sqrt(sum of the complement diagonal of the eigenbasis
     Gramian on ``sol.subspace_full``); tiny negative diagonal entries are
@@ -249,7 +225,7 @@ def error_bound(sol: ApproxAreSolution, b1,
     if full is None or sol.e_kappa_norm is None:
         raise ValueError("error_bound requires the complement subspace "
                          "(dense approximation path)")
-    c = cauchy_coefficients(full.z1, full, b1, tol)
+    c = cauchy_coefficients(full, b1, tol)
     diag_tail = np.diag(c)[sol.kappa:]
     bad = diag_tail[diag_tail < -tol.psd_floor]
     if bad.size:

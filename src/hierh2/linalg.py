@@ -4,9 +4,11 @@ The Riccati solver works through the stable invariant subspace of the
 associated 2n x 2n Hamiltonian (ordered real Schur form), so the same code
 path underpins both the exact solutions and the truncated approximations
 built elsewhere.  Every Lyapunov and Sylvester equation in the package goes
-through one Bartels-Stewart kernel on real Schur factors.  Its triangular
-solve is the recursive blocked algorithm of Jonsson & Kagstrom ("Recursive
-blocked algorithms for solving triangular systems", ACM TOMS 28, 2002), with
+through one Bartels-Stewart kernel on real Schur factors, including the
+eigenbasis Gramian of the truncation bound
+(:func:`hierh2.hamiltonian.cauchy_coefficients`).  Its triangular solve is
+the recursive blocked algorithm of Jonsson & Kagstrom ("Recursive blocked
+algorithms for solving triangular systems", ACM TOMS 28, 2002), with
 LAPACK ``trsyl`` on the leaves; if a leaf has to scale against overflow, the
 whole triangular solve falls back to one ``trsyl`` call.
 :func:`solve_sylvester` wraps the kernel in the residual contract (at most two
@@ -14,6 +16,8 @@ refinement steps reusing the factors, then :class:`NumericalError`), and the
 Riccati Newton step calls it directly.  The Riccati solver returns the Schur
 factors of its closed loop A - M X, which every consumer reuses;
 :meth:`RealSchur.transposed` gives those of A' without a second factorization.
+The unstable left and right eigenbases come from one LAPACK ``geev`` call
+(:func:`unstable_eigenbases`).
 """
 
 from __future__ import annotations
@@ -32,11 +36,11 @@ from .errors import (ConjugatePairSplitWarning, DimensionMismatch,
 from .statespace import StateSpace, as_matrix
 
 __all__ = [
-    "AreSolution", "StableSubspace", "Spectrum", "RealSchur",
+    "AreSolution", "StableSubspace", "RealSchur",
     "solve_sylvester", "solve_lyapunov", "solve_are",
     "riccati_from_hamiltonian",
-    "h2_norm", "hinf_norm", "stable_eigenspace", "unstable_spectrum",
-    "sqrt_psd", "spectral_abscissa", "is_hurwitz", "stabilizable",
+    "h2_norm", "hinf_norm", "stable_eigenspace", "unstable_eigenbases",
+    "sqrt_psd", "spectral_abscissa", "stabilizable",
     "detectable", "symmetrize",
 ]
 
@@ -51,10 +55,6 @@ def spectral_abscissa(a: np.ndarray) -> float:
     if a.shape[0] == 0:
         return -np.inf
     return float(np.max(np.linalg.eigvals(a).real))
-
-
-def is_hurwitz(a: np.ndarray, margin: float = DEFAULT_TOLERANCES.hurwitz_margin) -> bool:
-    return spectral_abscissa(a) < -margin
 
 
 def _pbh_sigma_min(a: np.ndarray, b: np.ndarray, lam) -> float:
@@ -642,17 +642,15 @@ def _group_conjugates(vals, vecs, tol_match=1e-8):
     return reps
 
 
-def stable_eigenspace(h, k: int | None = None,
-                      tol: Tolerances = DEFAULT_TOLERANCES) -> StableSubspace:
+def stable_eigenspace(h, tol: Tolerances = DEFAULT_TOLERANCES) -> StableSubspace:
     """Stable invariant subspace of a dense Hamiltonian matrix.
 
-    Returns the k stable eigenvalues of smallest magnitude (ordered by
-    magnitude, ties by ascending real then imaginary part) together with a
-    realified basis, from one dense eigendecomposition of H; ``k=None``
-    keeps all n.  A request that would split a conjugate pair is bumped to
-    k+1 with a :class:`ConjugatePairSplitWarning`.  The Krylov route for a
-    few eigenpairs of a large structured Hamiltonian lives in
-    :mod:`hierh2.hamiltonian`.
+    Returns all n stable eigenvalues, ordered by magnitude (ties by
+    ascending real then imaginary part), together with a realified basis,
+    from one dense eigendecomposition of H.  :meth:`StableSubspace.head`
+    takes the leading k of them, keeping conjugate pairs intact.  The
+    Krylov route for a few eigenpairs of a large structured Hamiltonian
+    lives in :mod:`hierh2.hamiltonian`.
 
     Raises
     ------
@@ -664,16 +662,11 @@ def stable_eigenspace(h, k: int | None = None,
     if n2 % 2:
         raise DimensionMismatch("Hamiltonian must be 2n x 2n")
     n = n2 // 2
-    if k is None:
-        k = n
-    if not 1 <= k <= n:
-        raise ValueError(f"k must be in [1, {n}], got {k}")
     vals, vecs = np.linalg.eig(h)
     _check_imag_axis(vals, tol, ImaginaryAxisEigenvalue)
     sel = vals.real < 0
     reps = _group_conjugates(vals[sel], vecs[:, sel])
-    sub = _realify_sorted(reps, n)
-    out = sub if k == n else sub.head(k)
+    out = _realify_sorted(reps, n)
     if out.k:
         z = np.vstack([out.z1, out.z2])
         res = np.linalg.norm(h @ z - z @ out.lam, "fro")
@@ -685,69 +678,31 @@ def stable_eigenspace(h, k: int | None = None,
 
 
 # ---------------------------------------------------------------------------
-# Unstable spectrum and PSD square root
+# Unstable eigenbases and PSD square root
 # ---------------------------------------------------------------------------
 
-@dataclass
-class Spectrum:
-    """Unstable eigenvalues with matched left/right eigenvector matrices."""
+def unstable_eigenbases(a, tol: Tolerances = DEFAULT_TOLERANCES
+                        ) -> tuple[np.ndarray, np.ndarray]:
+    """Real bases (V_L, V_R) of the left and right invariant subspaces of `a`
+    for its modes with Re >= -unstable_cut; both are n x 0 when it has none.
 
-    eigenvalues: np.ndarray     # complex, possibly empty
-    v_left: np.ndarray          # n x q, columns satisfy A' V = V Lambda
-    v_right: np.ndarray         # n x q, columns satisfy A V = V Lambda
-
-    @property
-    def q(self) -> int:
-        return self.eigenvalues.shape[0]
-
-
-def unstable_spectrum(a, tol: Tolerances = DEFAULT_TOLERANCES) -> Spectrum:
-    """All eigenvalues with Re >= -unstable_cut plus left/right eigenvectors.
-
-    Left eigenvectors are right eigenvectors of A^T, matched to the same
-    eigenvalue ordering; an empty spectrum is allowed.
+    One LAPACK ``geev`` call gives matched left and right eigenvectors.  It
+    stores a real eigenvalue with imaginary part exactly 0, and a complex
+    pair as the eigenvalue with Im > 0 followed by its exact conjugate, so a
+    pair contributes Re v and Im v of its first column.  Nothing is matched
+    and no tolerance is involved.  geev's left vectors u satisfy
+    u^H A = lambda u^H; Re u and Im u span the same real subspace as the
+    parts of conj(u), the eigenvector of A'.
     """
     a = as_matrix(a, "A")
-    n = a.shape[0]
-    vals_r, vecs_r = np.linalg.eig(a)
-    vals_l, vecs_l = np.linalg.eig(a.T)
-    sel = np.where(vals_r.real >= -tol.unstable_cut)[0]
-    sel = sorted(sel, key=lambda i: _order_key(vals_r[i]))
-    if not sel:
-        return Spectrum(np.zeros(0, complex), np.zeros((n, 0)), np.zeros((n, 0)))
-    taken = np.zeros(len(vals_l), bool)
-    lefts = []
-    for i in sel:
-        diffs = np.abs(vals_l - vals_r[i]) + np.where(taken, np.inf, 0.0)
-        j = int(np.argmin(diffs))
-        if not np.isfinite(diffs[j]) or diffs[j] > 1e-6 * max(1.0, abs(vals_r[i])):
-            raise NumericalError("left/right eigenvalue matching failed")
-        taken[j] = True
-        lefts.append(vecs_l[:, j])
-    return Spectrum(
-        eigenvalues=vals_r[sel],
-        v_left=np.column_stack(lefts),
-        v_right=vecs_r[:, sel],
-    )
+    vals, vl, vr = sla.eig(a, left=True, right=True)
+    keep = vals.real >= -tol.unstable_cut
+    real, pair = keep & (vals.imag == 0.0), keep & (vals.imag > 0.0)
 
+    def realify(v):
+        return np.hstack([v[:, real].real, v[:, pair].real, v[:, pair].imag])
 
-def realify_eigvecs(vals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-    """Replace conjugate-pair columns by their real/imaginary parts."""
-    cols, skip = [], set()
-    for i, lam in enumerate(vals):
-        if i in skip:
-            continue
-        if abs(lam.imag) <= 1e-10 * max(1.0, abs(lam)):
-            cols.append(vecs[:, i].real)
-            continue
-        for j in range(i + 1, len(vals)):
-            if j not in skip and abs(vals[j] - lam.conjugate()) <= 1e-8 * max(1.0, abs(lam)):
-                skip.add(j)
-                break
-        cols.append(vecs[:, i].real)
-        cols.append(vecs[:, i].imag)
-    out = np.column_stack(cols) if cols else np.zeros((vecs.shape[0], 0))
-    return out
+    return realify(vl), realify(vr)
 
 
 def sqrt_psd(m, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:

@@ -15,8 +15,7 @@ import numpy as np
 
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import (DimensionMismatch, NoFeasibleWeights, ZeroClusterWeight)
-from .linalg import (detectable, is_hurwitz, realify_eigvecs, stabilizable,
-                     unstable_spectrum)
+from .linalg import detectable, stabilizable, unstable_eigenbases
 from .plant import GeneralizedPlant
 from .statespace import StateSpace, series
 
@@ -239,16 +238,16 @@ def feasible_weights(g: GeneralizedPlant, partition: ClusterPartition,
                      tol: Tolerances = DEFAULT_TOLERANCES) -> WeightVectors:
     """Weight vectors making the projected pair stabilizable/detectable.
 
-    For Hurwitz plants any non-zero weights work and all-ones is returned.
-    Otherwise candidates are drawn in the span of the unstable left/right
-    eigenvector matrices (realified), preferring all-ones when it already
-    passes; every candidate is certified by a direct PBH test on
-    (A, B2 P_u^T) and (P_y C2, A).  When the eigenvector-span condition holds
-    but PBH fails, a warning records the mismatch.
+    When A has no mode with Re >= -unstable_cut, or all-ones already
+    passes, all-ones is returned.  Otherwise candidates are drawn in the
+    spans B2' V_L and C2 V_R of the realified unstable left/right
+    eigenvectors (:func:`~hierh2.linalg.unstable_eigenbases`); every
+    candidate is certified by a direct PBH test on (A, B2 P_u^T) and
+    (P_y C2, A).  When the eigenvector-span condition holds but PBH fails,
+    a warning records the mismatch.
     """
     rng = np.random.default_rng(rng)
-    nu, ny = g.n_u, g.n_y
-    ones = WeightVectors.ones(nu, ny)
+    ones = WeightVectors.ones(g.n_u, g.n_y)
 
     def certify(wv: WeightVectors) -> bool:
         if not (_cluster_restrictions_nonzero(wv.w_u, partition.input_sets)
@@ -258,22 +257,15 @@ def feasible_weights(g: GeneralizedPlant, partition: ClusterPartition,
         return (stabilizable(g.a, g.b2 @ pair.p_u.T, tol)
                 and detectable(g.a, pair.p_y @ g.c2, tol))
 
-    if is_hurwitz(g.a, tol.hurwitz_margin):
+    vl, vr = unstable_eigenbases(g.a, tol)
+    if vl.shape[1] == 0 or certify(ones):
         return ones
 
-    spec = unstable_spectrum(g.a, tol)
-    vl = realify_eigvecs(spec.eigenvalues, spec.v_left)
-    vr = realify_eigvecs(spec.eigenvalues, spec.v_right)
-    # pull eigenvector spans back to input/output coordinates when the
-    # channel counts differ from the state dimension
-    basis_u = vl if nu == g.n else g.b2.T @ vl
-    basis_y = vr if ny == g.n else g.c2 @ vr
-
-    if certify(ones):
-        return ones
-
-    gram_u = (vl.T @ g.b2) @ (g.b2.T @ vl)
-    gram_y = (vr.T @ g.c2.T) @ (g.c2 @ vr)
+    # the eigenvector spans pulled back to input/output coordinates
+    basis_u = g.b2.T @ vl
+    basis_y = g.c2 @ vr
+    gram_u = basis_u.T @ basis_u
+    gram_y = basis_y.T @ basis_y
     q = vl.shape[1]
     for _ in range(max_tries):
         v_u = rng.standard_normal(q)

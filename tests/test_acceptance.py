@@ -103,7 +103,7 @@ def test_criterion_03_truncation_error_bound():
             hs = build_hamiltonian(a, b, c, r)
             x = solve_are(a, b, c, r).x
             full = hs.full_subspace()
-            coeffs = cauchy_coefficients(full.z1, full, b1)
+            coeffs = cauchy_coefficients(full, b1)
             lhs = full.z1 @ coeffs @ full.z1.T
             x_sub = full.z2 @ np.linalg.inv(full.z1)
             rhs = solve_lyapunov(a - hs.m @ x_sub, b1)

@@ -215,6 +215,20 @@ def test_doubly_projected_equivalence_controller():
                 1e-7 * max(1.0, np.linalg.norm(ref))
 
 
+def test_equivalence_form_matches_j2_on_consensus_n200():
+    # P_u'P_u D12'D12 P_u'P_u has rank r = 4 and rounding-level eigenvalues
+    # (about 2e-15 at n = 200) on its null space; a pinv with the default
+    # cutoff inverted them and gave 163.646 against J2* = 163.528
+    from hierh2 import h2_norm, lft_lower
+    cfg = ExperimentConfig(seed=7)
+    g = cfg.plant(200)
+    pair = build_projection(cfg.planted_partition(g, 200),
+                            WeightVectors.ones(g.n_u, g.n_y))
+    j2 = synthesize_hierarchical(g, pair).h2_value
+    h2_equiv = h2_norm(lft_lower(g, doubly_projected_controller(g, pair)))
+    assert h2_equiv == pytest.approx(j2, rel=1e-9)
+
+
 # ---------------------------------------------------------------------------
 # Weighted k-means and cluster design
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ from hierh2 import (DEFAULT_TOLERANCES, StateSpace, approx_are,
                     build_hamiltonian, cauchy_coefficients, error_bound,
                     exact_error_norm, h2_norm, solve_are, solve_lyapunov,
                     spectral_abscissa, stability_test)
+from hierh2.linalg import solve_sylvester
 from hierh2.errors import SingularR
 
 from conftest import random_are_instance
@@ -56,9 +57,10 @@ def test_full_kappa_recovers_exact():
     rng = np.random.default_rng(5)
     hs, (a, b, c, r) = hamiltonian_instance(rng, 6)
     x = solve_are(a, b, c, r).x
-    sol = approx_are(hs, kappa=6, b1=rng.standard_normal((6, 2)))
+    b1 = rng.standard_normal((6, 2))
+    sol = approx_are(hs, kappa=6)
     assert np.linalg.norm(sol.xbar - x, "fro") <= 1e-8 * max(1, np.linalg.norm(x))
-    assert sol.epsilon == pytest.approx(0.0, abs=1e-12)
+    assert error_bound(sol, b1)[0] == pytest.approx(0.0, abs=1e-12)
     assert sol.e_kappa_norm == pytest.approx(0.0, abs=1e-10)
     assert sol.stabilizing
 
@@ -124,11 +126,11 @@ def test_cauchy_scalar_example():
     hs = build_hamiltonian([[0.0]], [[1.0]], [[1.0]], [[1.0]])
     full = hs.full_subspace()
     # normalize Z1 to 1: coefficients for B1 = 1 give C = [0.5]
-    sol = approx_are(hs, kappa=1, b1=np.array([[1.0]]))
-    c = cauchy_coefficients(full.z1, full, np.array([[1.0]]))
+    sol = approx_are(hs, kappa=1)
+    c = cauchy_coefficients(full, np.array([[1.0]]))
     z1 = float(full.z1[0, 0])
     assert c[0, 0] * z1 ** 2 == pytest.approx(0.5)
-    assert sol.epsilon == pytest.approx(0.0, abs=1e-14)
+    assert error_bound(sol, np.array([[1.0]]))[0] == pytest.approx(0.0, abs=1e-14)
 
 
 def test_gramian_identity():
@@ -139,7 +141,7 @@ def test_gramian_identity():
         b1 = rng.standard_normal((n, rng.integers(1, n + 1)))
         full = hs.full_subspace()
         x = full.z2 @ np.linalg.inv(full.z1)
-        coeffs = cauchy_coefficients(full.z1, full, b1)
+        coeffs = cauchy_coefficients(full, b1)
         lhs = full.z1 @ coeffs @ full.z1.T
         rhs = solve_lyapunov(a - hs.m @ x, b1)
         assert np.linalg.norm(lhs - rhs, "fro") <= 1e-8 * max(1, np.linalg.norm(rhs, "fro"))
@@ -153,7 +155,7 @@ def test_bound_holds_all_kappa():
         b1 = rng.standard_normal((n, rng.integers(1, n + 1)))
         x = solve_are(a, b, c, r).x
         for kappa in range(1, n + 1):
-            sol = approx_are(hs, kappa=kappa, b1=b1)
+            sol = approx_are(hs, kappa=kappa)
             eps, bound = error_bound(sol, b1)
             err = exact_error_norm(x, sol.xbar, a, hs.m, b1)
             assert err <= bound + 1e-8
@@ -164,13 +166,36 @@ def test_epsilon_nonincreasing_in_kappa():
     hs, (a, b, c, r) = hamiltonian_instance(rng, 7)
     b1 = rng.standard_normal((7, 3))
     full = hs.full_subspace()
-    coeffs = cauchy_coefficients(full.z1, full, b1)
+    coeffs = cauchy_coefficients(full, b1)
     assert np.diag(coeffs).min() >= -1e-10
     eps_prev = np.inf
     for kappa in range(1, 8):
-        sol = approx_are(hs, kappa=kappa, b1=b1)
-        assert sol.epsilon <= eps_prev + 1e-12
-        eps_prev = sol.epsilon
+        sol = approx_are(hs, kappa=kappa)
+        eps = error_bound(sol, b1)[0]
+        assert eps <= eps_prev + 1e-12
+        eps_prev = eps
+
+
+def test_cauchy_coefficients_use_the_sylvester_kernel(monkeypatch):
+    # the eigenbasis Gramian is one call of the package's Sylvester kernel
+    # on the Schur factors of Lambda, not a separate blockwise solver
+    import hierh2.hamiltonian as ham
+    calls = []
+
+    def spy(f1, f2, q, tol=DEFAULT_TOLERANCES):
+        calls.append((f1, f2))
+        return solve_sylvester(f1, f2, q, tol)
+
+    monkeypatch.setattr(ham, "solve_sylvester", spy)
+    rng = np.random.default_rng(17)
+    hs, _ = hamiltonian_instance(rng, 7)
+    full = hs.full_subspace()
+    assert 2 in full.block_sizes
+    coeffs = ham.cauchy_coefficients(full, rng.standard_normal((7, 3)))
+    assert len(calls) == 1
+    f1, f2 = calls[0]
+    assert f1 is f2 and np.array_equal(f1.a, full.lam)
+    assert np.array_equal(coeffs, coeffs.T)
 
 
 def test_exact_error_norm_cross_checks():
@@ -224,7 +249,9 @@ def test_krylov_matches_dense(n_s, p_in, seed):
     for kappa in (1, 3, 4, 6):
         dense = approx_are(hs, kappa=kappa, method="dense")
         kry = approx_are(hs, kappa=kappa, method="krylov")
-        assert kry.epsilon is None and kry.e_kappa_norm is None
+        assert kry.e_kappa_norm is None
+        with pytest.raises(ValueError):
+            error_bound(kry, g.b1)
         assert np.linalg.norm(dense.xbar - kry.xbar, "fro") <= \
             1e-6 * max(1.0, np.linalg.norm(dense.xbar, "fro"))
 

@@ -6,7 +6,7 @@ import scipy.linalg as sla
 from hierh2 import (DEFAULT_TOLERANCES, STRICT_TOLERANCES, StateSpace,
                     detectable, h2_norm, hinf_norm, linalg, solve_are,
                     solve_lyapunov, spectral_abscissa, sqrt_psd, stabilizable,
-                    stable_eigenspace, unstable_spectrum)
+                    stable_eigenspace, unstable_eigenbases)
 from hierh2.errors import (HamiltonianImaginaryAxis, NotHurwitz, NotPSD,
                            NotStabilizable, NotStrictlyProper, NumericalError,
                            ConjugatePairSplitWarning)
@@ -510,12 +510,12 @@ def test_stable_eigenspace_full_matches_dense_halfplane():
 def test_stable_eigenspace_bumps_split_pair():
     # 4x4 Hamiltonian whose smallest-magnitude stable eigenvalues are a
     # complex pair: A has a lightly damped resonance
+    from hierh2 import build_hamiltonian
     a = np.array([[0.0, 1.0], [-1.0, -0.2]])
-    m = 0.01 * np.eye(2)
-    q = 0.01 * np.eye(2)
-    h = np.block([[a, -m], [-q, -a.T]])
+    # M = Q = 0.01 I
+    hs = build_hamiltonian(a, 0.1 * np.eye(2), 0.1 * np.eye(2), np.eye(2))
     with pytest.warns(ConjugatePairSplitWarning):
-        sub = stable_eigenspace(h, k=1)
+        sub = hs.full_subspace().head(1)
     assert sub.k == 2
     assert sub.block_sizes == (2,)
 
@@ -537,24 +537,41 @@ def test_stable_eigenspace_ordering_by_magnitude():
 
 
 # ---------------------------------------------------------------------------
-# Unstable spectrum / sqrt
+# Unstable eigenbases / sqrt
 # ---------------------------------------------------------------------------
 
 def test_unstable_spectrum_cases():
-    assert unstable_spectrum(-np.eye(3)).q == 0
+    vl, vr = unstable_eigenbases(-np.eye(3))
+    assert vl.shape == vr.shape == (3, 0)
 
     # negated path-graph Laplacian: single zero mode, eigenvector 1/sqrt(n)
     lap = np.array([[1.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 1.0]])
-    spec = unstable_spectrum(-lap)
-    assert spec.q == 1
-    assert spec.eigenvalues[0] == pytest.approx(0.0, abs=1e-12)
-    v = spec.v_right[:, 0].real
+    vl, vr = unstable_eigenbases(-lap)
+    assert vl.shape == vr.shape == (3, 1)
+    assert np.linalg.norm(lap @ vr) <= 1e-12
+    v = vr[:, 0] / np.linalg.norm(vr[:, 0])
     assert np.abs(v) == pytest.approx(np.ones(3) / np.sqrt(3))
 
-    spec = unstable_spectrum(np.diag([1.0, -1.0]))
-    assert spec.eigenvalues == pytest.approx(np.array([1.0]))
-    assert np.abs(spec.v_left[:, 0]) == pytest.approx(np.array([1.0, 0.0]))
-    assert np.abs(spec.v_right[:, 0]) == pytest.approx(np.array([1.0, 0.0]))
+    vl, vr = unstable_eigenbases(np.diag([1.0, -1.0]))
+    assert vl.shape == vr.shape == (2, 1)
+    assert np.abs(vl[:, 0]) == pytest.approx(np.array([1.0, 0.0]))
+    assert np.abs(vr[:, 0]) == pytest.approx(np.array([1.0, 0.0]))
+
+    # eigenvalues 0.5 +- 2j and -1 behind a random similarity S: the pair
+    # gives two real columns spanning its left and right invariant subspaces
+    s = np.random.default_rng(41).standard_normal((3, 3))
+    a = s @ np.array([[0.5, 2.0, 0.0], [-2.0, 0.5, 0.0], [0.0, 0.0, -1.0]]) \
+        @ np.linalg.inv(s)
+    vl, vr = unstable_eigenbases(a)
+    assert vl.shape == vr.shape == (3, 2)
+    for m, v in ((a.T, vl), (a, vr)):
+        defect = m @ v - v @ (np.linalg.pinv(v) @ m @ v)
+        assert np.linalg.norm(defect) <= 1e-12 * np.linalg.norm(a)
+    assert np.sort_complex(np.linalg.eigvals(np.linalg.pinv(vr) @ a @ vr)) == \
+        pytest.approx(np.array([0.5 - 2j, 0.5 + 2j]))
+    # the left span annihilates the stable right eigenvector S e3
+    assert np.linalg.norm(vl.T @ s[:, 2]) <= \
+        1e-12 * np.linalg.norm(vl) * np.linalg.norm(s[:, 2])
 
 
 def test_sqrt_psd():

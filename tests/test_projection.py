@@ -190,6 +190,31 @@ def test_feasible_weights_unstable_diagonal():
     assert detectable(g.a, pair.p_y @ g.c2)
 
 
+def test_feasible_weights_complex_unstable_pair():
+    # eigenvalues 0.5 +- 2j and -1; B2 = [b, -b] and C2 = [c; -c], so the
+    # all-ones weights cancel both channels and the weights must come from
+    # the pulled-back spans B2' V_L and C2 V_R of the unstable pair
+    rng = np.random.default_rng(43)
+    s = rng.standard_normal((3, 3))
+    a = s @ np.array([[0.5, 2.0, 0.0], [-2.0, 0.5, 0.0], [0.0, 0.0, -1.0]]) \
+        @ np.linalg.inv(s)
+    b, c = rng.standard_normal((3, 1)), rng.standard_normal((1, 3))
+    g = GeneralizedPlant(
+        a=a, b1=np.hstack([np.eye(3), np.zeros((3, 2))]), b2=np.hstack([b, -b]),
+        c1=np.vstack([np.eye(3), np.zeros((2, 3))]), c2=np.vstack([c, -c]),
+        d12=np.vstack([np.zeros((3, 2)), np.eye(2)]),
+        d21=np.hstack([np.zeros((2, 3)), np.eye(2)]))
+    part = ClusterPartition(input_sets=((0, 1),), output_sets=((0, 1),))
+    from hierh2 import stabilizable, detectable
+    ones = build_projection(part, WeightVectors.ones(2, 2))
+    assert not stabilizable(g.a, g.b2 @ ones.p_u.T)
+    assert not detectable(g.a, ones.p_y @ g.c2)
+    w = feasible_weights(g, part, rng=3)
+    pair = build_projection(part, w)
+    assert stabilizable(g.a, g.b2 @ pair.p_u.T)
+    assert detectable(g.a, pair.p_y @ g.c2)
+
+
 def test_no_feasible_weights_for_incompatible_partition():
     # two unstable modes but a single actuated state: no weights can make
     # the projected pair stabilizable

@@ -168,3 +168,27 @@ def test_audits_catch_a_leaky_projection(leak):
     log = sim.trace.coordinator_logs[0]
     seen = log.raw_outputs_seen if leak == "p_y" else log.inputs_written
     assert 23 in seen
+
+
+def test_audits_catch_a_missing_link():
+    # zero both weights of one subsystem inside a cluster: its coordinator
+    # neither reads its output nor writes its input, so one link goes
+    # unused and links_used falls below the hierarchical count that
+    # criterion 09 asserts, while privacy_audit still passes
+    cfg = ExperimentConfig(seed=7)
+    g = cfg.plant(24)
+    part = cfg.planted_partition(g, 24)
+    sub = part.subsystem_sets[0][0]
+    assert len(part.subsystem_sets[0]) > 1
+    w_u, w_y = np.ones(g.n_u), np.ones(g.n_y)
+    w_u[list(g.subsystems[sub].inputs)] = 0.0
+    w_y[list(g.subsystems[sub].outputs)] = 0.0
+    pair = build_projection(part, WeightVectors(w_u, w_y))
+    ctrl = synthesize_hierarchical(g, pair).controller
+    sim = run_hier_simulation(g, ctrl, horizon=0.2, partition=part)
+    assert sim.staged_vs_monolithic <= 1e-9
+    assert privacy_audit(sim.trace)
+    assert sim.trace.links_used == communication_links(part).hierarchical - 1
+    log = sim.trace.coordinator_logs[0]
+    assert not set(g.subsystems[sub].outputs) & set(log.raw_outputs_seen)
+    assert not set(g.subsystems[sub].inputs) & set(log.inputs_written)
