@@ -17,7 +17,9 @@ class Tolerances:
 
     # residuals
     lyap_residual: float = 1e-9         # relative to max(1, ||B B'||_F)
-    are_residual: float = 1e-8          # relative to max(1, ||C'C||_F)
+    # Riccati: Newton refines X down to are_residual max(1, ||Q||_F) and
+    # accepts it within are_residual max(1, ||Q||_F, ||X M X||_F)
+    are_residual: float = 1e-8
     subspace_residual: float = 1e-8     # relative to ||H||_F
 
     # conditioning / definiteness

@@ -83,10 +83,8 @@ class IllConditionedR(NumericalError):
 
 
 class ArnoldiNoConvergence(NumericalError):
-    """Shift-invert Arnoldi failed to deliver enough stable eigenpairs.
-
-    Callers should fall back to the dense path.
-    """
+    """The one shift-invert Arnoldi attempt failed; the message names the
+    cause.  The dense method needs none of its steps."""
 
 
 class ApproxNotStabilizing(NumericalError):

@@ -7,6 +7,10 @@ X~ = Z2k (Z2k' Z1k)^{-1} Z2k', whose weighted error admits the computable
 bound eps * ||E_k||_F, with eps read off the closed-loop Gramian in the
 eigenbasis by :func:`error_bound`, the one route to eps.  A residue
 factorization supplies a cheap sufficient stability certificate for A - M X~.
+
+The eigenpairs come from one dense eigendecomposition of H or, for large
+sparse A, from one structured shift-invert ARPACK run at a real shift
+(:func:`_krylov_stable_blocks`); a failed run raises, with no retry.
 """
 
 from __future__ import annotations
@@ -24,9 +28,9 @@ from .errors import (ArnoldiNoConvergence, DimensionMismatch,
                      ImaginaryAxisEigenvalue, SingularPencil, SingularR,
                      SingularZ1)
 from .linalg import (RealSchur, StableSubspace, _check_imag_axis,
-                     _group_conjugates, _pbh_rank_deficient, _realify_sorted,
-                     solve_lyapunov, solve_sylvester, sqrt_psd,
-                     stable_eigenspace, symmetrize)
+                     _group_conjugates, _on_axis, _pbh_rank_deficient,
+                     _realify_sorted, solve_lyapunov, solve_sylvester,
+                     sqrt_psd, stable_eigenspace, symmetrize)
 from .statespace import as_matrix
 
 __all__ = [
@@ -138,14 +142,18 @@ def approx_are(hs: HamiltonianSystem, kappa: int, method: str = "dense",
     pairs kept atomic, bumping kappa by one with a warning when split).  The
     dense method also keeps the full stable subspace and the norm of the
     truncation factor E_k, which :func:`error_bound` needs; the Krylov method
-    leaves both unavailable.  The residue factor C1bar and the sufficient
-    stability test are always computed.
+    leaves both unavailable and makes one shift-invert attempt
+    (:func:`_krylov_stable_blocks`).  It sees at most 2n - 2 of the 2n
+    eigenvalues, so at kappa = n it can miss a stable one and raise; the
+    dense method serves that case.  The residue factor C1bar and the
+    sufficient stability test are always computed.
 
     Raises
     ------
     SingularPencil : Z2k' Z1k too ill conditioned.
     ImaginaryAxisEigenvalue : H has eigenvalues numerically on jR.
-    ArnoldiNoConvergence : Krylov path failed; caller may fall back to dense.
+    ArnoldiNoConvergence : the one Krylov attempt failed; the message names
+        the cause.
     """
     n = hs.n
     if not 1 <= kappa <= n:
@@ -269,7 +277,7 @@ def stability_test(sol: ApproxAreSolution, a, c1,
     if lam < -floor and lam < -floor * np.linalg.eigvalsh(c1.T @ c1)[-1]:
         return False
     eigs = np.linalg.eigvals(a)
-    on_axis = eigs[np.abs(eigs.real) <= tol.imag_axis * np.maximum(1.0, np.abs(eigs))]
+    on_axis = eigs[_on_axis(eigs, tol)]
     # unobservable modes of (D, A) are the uncontrollable ones of (A', D)
     scale = max(1.0, np.linalg.norm(a, "fro"), np.linalg.norm(d, "fro"))
     return not _pbh_rank_deficient(a.T, d, on_axis, tol.pbh_rel * scale).any()
@@ -279,54 +287,52 @@ def stability_test(sol: ApproxAreSolution, a, c1,
 # Structured shift-invert Arnoldi
 # ---------------------------------------------------------------------------
 
-def _smw_shift_invert(hs: HamiltonianSystem, sigma: complex):
-    """Solver for (H - sigma I)^{-1} exploiting H = S + low-rank.
+def _smw_shift_invert(hs: HamiltonianSystem, sigma: float, a_sp, c1_sp):
+    """Solver for (H - sigma I)^{-1} at a real shift, exploiting H = S + low-rank.
 
     S = [[A, 0], [-C1'C1, -A']] is block triangular, so the shifted solve
     needs only sparse LU factors of (A - sigma I) and (-A' - sigma I); the
     rank-r correction [[0, -M], [0, 0]] enters through a Woodbury update.
+    `a_sp` and `c1_sp` are the CSC copies of A and C1 that the H matvec
+    also uses.  Raises RuntimeError when a shifted LU factor is singular.
     """
     n = hs.n
     r = hs.n_gain.shape[1]
-    a_sp = sp.csc_matrix(hs.a)
-    c1_sp = sp.csc_matrix(hs.c1)
+    c1_t = c1_sp.T
     eye = sp.identity(n, format="csc")
-    complex_shift = bool(np.iscomplex(sigma))
-    dtype = complex if complex_shift else float
-    lu1 = spla.splu((a_sp - sigma * eye).astype(dtype).tocsc())
-    lu2 = spla.splu((-a_sp.T - sigma * eye).astype(dtype).tocsc())
+    lu1 = spla.splu((a_sp - sigma * eye).tocsc())
+    lu2 = spla.splu((-a_sp.T - sigma * eye).tocsc())
 
     def s_solve(b):
         z1 = lu1.solve(b[:n])
-        z2 = lu2.solve(b[n:] + c1_sp.T @ (c1_sp @ z1))
+        z2 = lu2.solve(b[n:] + c1_t @ (c1_sp @ z1))
         return np.concatenate([z1, z2])
 
-    u = np.zeros((2 * n, r), dtype=dtype)
+    u = np.zeros((2 * n, r))
     u[:n] = hs.n_gain
     su = np.column_stack([s_solve(u[:, j]) for j in range(r)])
 
     def v_t(x):
         return -sla.cho_solve(hs._r1_chol, hs.n_gain.T @ x[n:])
 
-    cap = np.eye(r, dtype=dtype) + np.column_stack([v_t(su[:, j]) for j in range(r)])
+    cap = np.eye(r) + np.column_stack([v_t(su[:, j]) for j in range(r)])
     cap_lu = sla.lu_factor(cap)
 
     def apply(b):
-        t = s_solve(np.asarray(b, dtype=dtype))
+        t = s_solve(np.asarray(b, dtype=float))
         return t - su @ sla.lu_solve(cap_lu, v_t(t))
 
-    return apply, dtype
+    return apply
 
 
-def _h_matvec(hs: HamiltonianSystem):
+def _h_matvec(hs: HamiltonianSystem, a_sp, c1_sp):
     n = hs.n
-    a_sp = sp.csc_matrix(hs.a)
-    c1_sp = sp.csc_matrix(hs.c1)
+    a_t, c1_t = a_sp.T, c1_sp.T
 
     def apply(x):
         x1, x2 = x[:n], x[n:]
         top = a_sp @ x1 - hs.n_gain @ sla.cho_solve(hs._r1_chol, hs.n_gain.T @ x2)
-        bot = -(c1_sp.T @ (c1_sp @ x1)) - a_sp.T @ x2
+        bot = -(c1_t @ (c1_sp @ x1)) - a_t @ x2
         return np.concatenate([top, bot])
 
     return apply
@@ -334,53 +340,51 @@ def _h_matvec(hs: HamiltonianSystem):
 
 def _krylov_stable_blocks(hs: HamiltonianSystem, kappa: int,
                           tol: Tolerances) -> StableSubspace:
-    """kappa smallest-magnitude stable eigenpairs via structured shift-invert."""
+    """kappa smallest-magnitude stable eigenpairs via structured shift-invert.
+
+    One ARPACK run (Lehoucq, Sorensen & Yang, ARPACK Users' Guide, 1998) in
+    real arithmetic at the real shift sigma = -0.02 scale, with
+    scale = max(1, sum|A_ij| / n), asks for min(2 kappa + 10, 2n - 2) Ritz
+    pairs from a fixed start vector.  Real-mode ARPACK returns each complex
+    pair as exact conjugates, so :func:`~hierh2.linalg._group_conjugates`
+    needs no matching tolerance.  Every failure raises
+    ArnoldiNoConvergence naming its cause: a singular shifted LU factor, an
+    ARPACK error or non-convergence, fewer than kappa stable columns, or a
+    block residual ||H Z - Z Lambda||_F above 1e-6 max(1, ||H Z||_F).
+    """
     n = hs.n
-    h_apply = _h_matvec(hs)
-    scale = max(1.0, np.abs(hs.a).sum() / n)
-    shifts = [-0.02 * scale, -0.2 * scale, 0.02j * scale, -2.0 * scale]
+    a_sp = sp.csc_matrix(hs.a)
+    c1_sp = sp.csc_matrix(hs.c1)
+    h_apply = _h_matvec(hs, a_sp, c1_sp)
+    sigma = -0.02 * max(1.0, np.abs(hs.a).sum() / n)
     k_req = min(2 * kappa + 10, 2 * n - 2)
+    try:
+        op_inv = _smw_shift_invert(hs, sigma, a_sp, c1_sp)
+    except RuntimeError as e:
+        raise ArnoldiNoConvergence(
+            f"shifted LU at sigma={sigma:.3e} is singular: {e}") from e
+    lin_h = spla.LinearOperator((2 * n, 2 * n), matvec=h_apply, dtype=float)
+    lin_inv = spla.LinearOperator((2 * n, 2 * n), matvec=op_inv, dtype=float)
     # a fixed ARPACK start vector makes the eigenpairs, and so X~ and the
     # closed-loop H2 value, the same from run to run
     v0 = np.random.default_rng(0).standard_normal(2 * n)
-    last_err: Exception | None = None
-    for attempt in range(4):
-        sigma = shifts[min(attempt, len(shifts) - 1)]
-        try:
-            op_inv, dtype = _smw_shift_invert(hs, sigma)
-        except Exception as e:
-            last_err = e
-            continue
-        lin_h = spla.LinearOperator((2 * n, 2 * n), matvec=h_apply, dtype=float)
-        lin_inv = spla.LinearOperator((2 * n, 2 * n), matvec=op_inv, dtype=dtype)
-        try:
-            vals, vecs = spla.eigs(lin_h, k=k_req, sigma=sigma, OPinv=lin_inv,
-                                   which="LM", v0=v0)
-        except Exception as e:
-            last_err = e
-            k_req = min(2 * k_req, 2 * n - 2)
-            continue
-        # keep eigenpairs whose exact residual is small
-        good = []
-        for i, lam in enumerate(vals):
-            v = vecs[:, i]
-            res = np.linalg.norm(h_apply(v.real) + 1j * h_apply(v.imag) - lam * v)
-            if res <= 1e-7 * max(1.0, abs(lam)) * np.linalg.norm(v):
-                good.append(i)
-        vals, vecs = vals[good], vecs[:, good]
-        if vals.size:
-            _check_imag_axis(vals, tol, ImaginaryAxisEigenvalue)
-        sel = vals.real < 0
-        reps = _group_conjugates(vals[sel], vecs[:, sel])
-        ncols = sum(2 if p else 1 for _, _, p in reps)
-        if ncols >= kappa:
-            sub = _realify_sorted(reps, n).head(kappa)
-            z = np.vstack([sub.z1, sub.z2])
-            hz = np.column_stack([h_apply(z[:, j]) for j in range(z.shape[1])])
-            res = np.linalg.norm(hz - z @ sub.lam, "fro")
-            if res <= 1e-6 * max(1.0, float(np.linalg.norm(hz, "fro"))):
-                return sub
-            last_err = ArnoldiNoConvergence(f"block residual {res:.3e}")
-        k_req = min(2 * k_req, 2 * n - 2)
-    raise ArnoldiNoConvergence(
-        f"structured shift-invert failed for kappa={kappa} (last: {last_err})")
+    try:
+        vals, vecs = spla.eigs(lin_h, k=k_req, sigma=sigma, OPinv=lin_inv,
+                               which="LM", v0=v0)
+    except spla.ArpackError as e:   # ArpackNoConvergence is a subclass
+        raise ArnoldiNoConvergence(
+            f"ARPACK at sigma={sigma:.3e}, k={k_req}: {e}") from e
+    _check_imag_axis(vals, tol, ImaginaryAxisEigenvalue)
+    sel = vals.real < 0
+    reps = _group_conjugates(vals[sel], vecs[:, sel])
+    ncols = sum(2 if p else 1 for _, _, p in reps)
+    if ncols < kappa:
+        raise ArnoldiNoConvergence(
+            f"{ncols} stable columns from {k_req} Ritz pairs, kappa={kappa}")
+    sub = _realify_sorted(reps, n).head(kappa)
+    z = np.vstack([sub.z1, sub.z2])
+    hz = np.column_stack([h_apply(z[:, j]) for j in range(z.shape[1])])
+    res = np.linalg.norm(hz - z @ sub.lam, "fro")
+    if res > 1e-6 * max(1.0, float(np.linalg.norm(hz, "fro"))):
+        raise ArnoldiNoConvergence(f"block residual {res:.3e}")
+    return sub

@@ -284,11 +284,15 @@ def _quasi_triangular_eigvals(t: np.ndarray) -> np.ndarray:
     return np.array(vals)
 
 
+def _on_axis(eigs: np.ndarray, tol: Tolerances) -> np.ndarray:
+    """Mask of the eigenvalues with |Re lambda| <= imag_axis max(1, |lambda|)."""
+    return np.abs(eigs.real) <= tol.imag_axis * np.maximum(1.0, np.abs(eigs))
+
+
 def _check_imag_axis(eigvals: np.ndarray, tol: Tolerances, exc=HamiltonianImaginaryAxis):
-    dist = np.abs(eigvals.real)
-    guard = tol.imag_axis * np.maximum(1.0, np.abs(eigvals))
-    if np.any(dist <= guard):
-        worst = eigvals[np.argmin(dist - guard)]
+    on_axis = eigvals[_on_axis(eigvals, tol)]
+    if on_axis.size:
+        worst = on_axis[np.argmin(np.abs(on_axis.real))]
         raise exc(f"eigenvalue {worst:.6e} is within tolerance of the imaginary axis")
 
 
@@ -297,9 +301,13 @@ def riccati_from_hamiltonian(a, m, q, tol: Tolerances = DEFAULT_TOLERANCES) -> A
 
     Computed from the full stable invariant subspace of
     H = [[A, -M], [-Q, -A']] via an ordered real Schur decomposition and
-    X = Z2 Z1^{-1}, with Newton refinement if the residual bound is not
-    already met.  The real Schur factors of A - M X, whose abscissa must be
-    negative (else NumericalError), are returned as ``closed_loop``.
+    X = Z2 Z1^{-1}.  Newton steps refine X while its residual is above
+    are_residual max(1, ||Q||_F).  X is accepted when the residual is within
+    are_residual max(1, ||Q||_F, ||X M X||_F), since rounding alone leaves
+    a residual of order eps ||X M X||_F, which dwarfs ||Q|| when X is
+    large; otherwise NumericalError.  The real Schur factors of A - M X,
+    whose abscissa must be negative (else NumericalError), are returned as
+    ``closed_loop``.
     """
     a = as_matrix(a, "A")
     m = symmetrize(as_matrix(m, "M"))
@@ -316,7 +324,7 @@ def riccati_from_hamiltonian(a, m, q, tol: Tolerances = DEFAULT_TOLERANCES) -> A
     if np.linalg.cond(z1) > tol.cond_max:
         raise SingularZ1(f"cond(Z1) = {np.linalg.cond(z1):.3e}")
     x = symmetrize(sla.solve(z1.T, z2.T).T)
-    bound = tol.are_residual * max(1.0, np.linalg.norm(q, "fro"))
+    target = tol.are_residual * max(1.0, np.linalg.norm(q, "fro"))
 
     def residual(xx):
         return a.T @ xx + xx @ a + q - xx @ m @ xx
@@ -325,7 +333,7 @@ def riccati_from_hamiltonian(a, m, q, tol: Tolerances = DEFAULT_TOLERANCES) -> A
     # ill-conditioned instances)
     best_x, best_norm = x, np.linalg.norm(residual(x), "fro")
     for _ in range(5):
-        if best_norm <= bound:
+        if best_norm <= target:
             break
         try:
             acl_t = RealSchur.of((a - m @ best_x).T)
@@ -338,6 +346,8 @@ def riccati_from_hamiltonian(a, m, q, tol: Tolerances = DEFAULT_TOLERANCES) -> A
             break
         best_x, best_norm = cand, cand_norm
     x, res_norm = best_x, float(best_norm)
+    bound = tol.are_residual * max(1.0, np.linalg.norm(q, "fro"),
+                                   np.linalg.norm(x @ m @ x, "fro"))
     if res_norm > bound:
         raise NumericalError(
             f"ARE residual {res_norm:.3e} exceeds bound {bound:.3e}")
@@ -612,32 +622,25 @@ def _realify_sorted(pairs, n) -> StableSubspace:
                           block_sizes=tuple(sizes), lam=lam_mat)
 
 
-def _group_conjugates(vals, vecs, tol_match=1e-8):
-    """Group eigenpairs into conjugate classes, keeping one representative."""
-    used = np.zeros(len(vals), bool)
+def _group_conjugates(vals, vecs):
+    """One representative (lambda, vector, is_pair) per real eigenvalue or
+    conjugate pair, sorted by :func:`_order_key`.
+
+    LAPACK ``geev`` and real-mode ARPACK store a real eigenvalue with
+    imaginary part exactly 0 and a complex pair as exact conjugates, so no
+    tolerance is involved: a value with Im > 0 represents its pair, and a
+    value with Im < 0 is kept, conjugated, only when its conjugate is absent
+    (a pair member cut off at the end of a Ritz set).
+    """
+    present = set(vals.tolist())
     reps = []
-    idx_sorted = sorted(range(len(vals)), key=lambda i: _order_key(vals[i]))
-    for i in idx_sorted:
-        if used[i]:
-            continue
-        lam = vals[i]
-        used[i] = True
-        if abs(lam.imag) <= tol_match * max(1.0, abs(lam)):
-            reps.append((complex(lam.real), vecs[:, i], False))
-            continue
-        # find and consume the conjugate partner if present
-        best, best_d = None, np.inf
-        for j in range(len(vals)):
-            if used[j]:
-                continue
-            d = abs(vals[j] - lam.conjugate())
-            if d < best_d:
-                best, best_d = j, d
-        if best is not None and best_d <= 1e-6 * max(1.0, abs(lam)):
-            used[best] = True
-        rep = lam if lam.imag > 0 else lam.conjugate()
-        vec = vecs[:, i] if lam.imag > 0 else vecs[:, i].conjugate()
-        reps.append((rep, vec, True))
+    for lam, vec in zip(vals, vecs.T):
+        if lam.imag == 0.0:
+            reps.append((complex(lam.real), vec, False))
+        elif lam.imag > 0.0:
+            reps.append((lam, vec, True))
+        elif lam.conjugate() not in present:
+            reps.append((lam.conjugate(), vec.conjugate(), True))
     reps.sort(key=lambda t: _order_key(t[0]))
     return reps
 

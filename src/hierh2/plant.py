@@ -16,7 +16,7 @@ import numpy as np
 
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import DimensionMismatch, DisconnectedIntraBlockWarning
-from .linalg import _pbh_rank_deficient, detectable, stabilizable
+from .linalg import _on_axis, _pbh_rank_deficient, detectable, stabilizable
 from .statespace import StateSpace, as_matrix, lft_lower_partitioned
 
 __all__ = [
@@ -202,7 +202,7 @@ def validate_assumptions(g: GeneralizedPlant,
     a2 = details["lambda_min_D12tD12"] > 0.0 and details["lambda_min_D21D21t"] > 0.0
 
     eigs = np.linalg.eigvals(g.a)
-    on_axis = eigs[np.abs(eigs.real) <= tol.imag_axis * np.maximum(1.0, np.abs(eigs))]
+    on_axis = eigs[_on_axis(eigs, tol)]
     threshold = tol.pbh_rel * max(1.0, np.linalg.norm(g.a, "fro"))
     bad = (_pbh_rank_deficient(g.a, g.b1, on_axis, threshold)
            | _pbh_rank_deficient(g.a.T, g.c1.T, on_axis, threshold))

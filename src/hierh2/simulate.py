@@ -13,6 +13,7 @@ P_y and P_u rows), supporting the structural privacy and link audits.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -168,23 +169,19 @@ def run_hier_simulation(g: GeneralizedPlant, controller: HierarchicalController,
         for j in sub.inputs:
             in_owner[int(j)] = s
 
-    link_usage: dict = {}
-    out_links = []   # (output channel, coordinator, link key)
-    in_links = []
+    # every read, write and coordinator exchange happens once per sample,
+    # so a link's use count is its multiplicity in those lists times the
+    # number of samples
+    links = Counter()
     for i, log in enumerate(logs):
         log.ybar_entries_seen.update(range(r))
-        for j in sorted(log.raw_outputs_seen):
-            key = ("sub", out_owner.get(j, j), "coord", i)
-            link_usage.setdefault(key, 0)
-            out_links.append(key)
-        for j in sorted(log.inputs_written):
-            key = ("sub", in_owner.get(j, j), "coord", i)
-            link_usage.setdefault(key, 0)
-            in_links.append(key)
-    coord_links = [("coord", i, "coord", j)
-                   for i in range(r) for j in range(i + 1, r)]
-    for key in coord_links:
-        link_usage[key] = 0
+        links.update(("sub", out_owner.get(j, j), "coord", i)
+                     for j in sorted(log.raw_outputs_seen))
+        links.update(("sub", in_owner.get(j, j), "coord", i)
+                     for j in sorted(log.inputs_written))
+    links.update(("coord", i, "coord", j)
+                 for i in range(r) for j in range(i + 1, r))
+    link_usage = {key: count * len(times) for key, count in links.items()}
 
     def staged_field(x, xk, w):
         """One evaluation of the joint vector field through the schedule."""
@@ -224,13 +221,6 @@ def run_hier_simulation(g: GeneralizedPlant, controller: HierarchicalController,
         xs[step], xks[step], ys[step] = x, xk, y
         ybars[step], ubars[step], us[step] = ybar, ubar, u
         zs[step] = g.c1 @ x + g.d12 @ u
-
-        for key in out_links:
-            link_usage[key] += 1
-        for key in in_links:
-            link_usage[key] += 1
-        for key in coord_links:
-            link_usage[key] += 1
 
         mono_ref = np.concatenate([x, xk])
         denom = max(1.0, float(np.linalg.norm(x_mono)))

@@ -443,6 +443,14 @@ def _lqr_youla_data(seed, n, nu, ny):
     return youla_data(g, f=f, l=l)
 
 
+def test_large_x_riccati_meets_its_scaled_bound():
+    # the LQR ARE of this draw has ||X||_2 = 3.1e5 and ||X M X||_F = 8.5e5;
+    # its rounding-level residual (2.0e-5 after Newton) is far above
+    # are_residual max(1, ||Q||_F) = 2.1e-7 but below the bound
+    # are_residual max(1, ||Q||_F, ||X M X||_F) = 8.5e-3
+    assert _lqr_youla_data(15, 6, 1, 1) is not None
+
+
 @settings(max_examples=25, deadline=None, derandomize=True, database=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(seed=st.integers(0, 2 ** 31 - 1), n=st.integers(2, 6),

@@ -6,7 +6,7 @@ from hierh2 import (DEFAULT_TOLERANCES, StateSpace, approx_are,
                     exact_error_norm, h2_norm, solve_are, solve_lyapunov,
                     spectral_abscissa, stability_test)
 from hierh2.linalg import solve_sylvester
-from hierh2.errors import SingularR
+from hierh2.errors import ArnoldiNoConvergence, SingularR
 
 from conftest import random_are_instance
 
@@ -256,10 +256,92 @@ def test_krylov_matches_dense(n_s, p_in, seed):
             1e-6 * max(1.0, np.linalg.norm(dense.xbar, "fro"))
 
 
-def test_krylov_is_reproducible():
+@pytest.mark.filterwarnings("ignore::hierh2.errors.ConjugatePairSplitWarning")
+def test_krylov_matches_dense_on_non_symmetric_plants(monkeypatch):
+    # random stable non-symmetric A, n 6..29: the Hamiltonians have complex
+    # pairs, and seeds 1 (n = 17) and 2 (n = 26) at kappa = 8 end the Ritz
+    # set with one lone member of a pair
+    import hierh2.hamiltonian as hm
+    ritz_sets = []
+    group = hm._group_conjugates
+
+    def spy(vals, vecs):
+        ritz_sets.append(vals.copy())
+        return group(vals, vecs)
+
+    monkeypatch.setattr(hm, "_group_conjugates", spy)
+    kept_pairs = 0
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(6, 30))
+        a, b, c, r = random_are_instance(rng, n)
+        hs = build_hamiltonian(a, b, c, r)
+        for kappa in (2, 4, 8):
+            dense = approx_are(hs, kappa=kappa, method="dense")
+            kry = approx_are(hs, kappa=kappa, method="krylov")
+            assert kry.kappa == dense.kappa
+            assert np.allclose(kry.lambda_kappa, dense.lambda_kappa,
+                               rtol=1e-8, atol=0.0)
+            assert np.linalg.norm(dense.xbar - kry.xbar, "fro") <= \
+                1e-6 * max(1.0, np.linalg.norm(dense.xbar, "fro"))
+            kept_pairs += int(np.count_nonzero(kry.lambda_kappa.imag > 0))
+    lone = [v for vals in ritz_sets for v in vals
+            if v.imag != 0 and v.conjugate() not in set(vals.tolist())]
+    assert kept_pairs > 0
+    assert len(lone) >= 2
+
+
+def _consensus_hamiltonian():
     from hierh2 import ExperimentConfig
     g = ExperimentConfig(seed=7).plant(60)
-    hs = build_hamiltonian(g.a, g.b2, g.c1, g.d12.T @ g.d12)
+    return build_hamiltonian(g.a, g.b2, g.c1, g.d12.T @ g.d12)
+
+
+def test_krylov_reports_arpack_failure(monkeypatch):
+    import scipy.sparse.linalg as spla
+
+    def no_convergence(*args, **kwargs):
+        raise spla.ArpackNoConvergence("no convergence", np.zeros(0),
+                                       np.zeros((0, 0)))
+
+    monkeypatch.setattr(spla, "eigs", no_convergence)
+    with pytest.raises(ArnoldiNoConvergence, match="ARPACK") as info:
+        approx_are(_consensus_hamiltonian(), kappa=4, method="krylov")
+    assert isinstance(info.value.__cause__, spla.ArpackNoConvergence)
+
+
+def test_krylov_reports_a_singular_shift():
+    # the shift -0.02 max(1, sum|A_ij| / n) is -0.02 here, an eigenvalue
+    # of A, so the sparse LU of A - sigma I is singular; the dense path
+    # is unaffected
+    a = np.diag([-0.02, -0.5, -1.0, -1.5])
+    hs = build_hamiltonian(a, np.eye(4), np.eye(4), np.eye(4))
+    approx_are(hs, kappa=1)
+    with pytest.raises(ArnoldiNoConvergence, match="singular"):
+        approx_are(hs, kappa=1, method="krylov")
+
+
+@pytest.mark.parametrize("corrupt,cause", [("vectors", "block residual"),
+                                           ("unstable only", "stable columns")])
+def test_krylov_rejects_a_bad_ritz_set(monkeypatch, corrupt, cause):
+    import scipy.sparse.linalg as spla
+    eigs = spla.eigs
+
+    def bad_ritz(*args, **kwargs):
+        vals, vecs = eigs(*args, **kwargs)
+        if corrupt == "vectors":
+            noise = np.random.default_rng(1).standard_normal(vecs.shape)
+            return vals, vecs + 1e-3 * noise
+        keep = vals.real > 0
+        return vals[keep], vecs[:, keep]
+
+    monkeypatch.setattr(spla, "eigs", bad_ritz)
+    with pytest.raises(ArnoldiNoConvergence, match=cause):
+        approx_are(_consensus_hamiltonian(), kappa=4, method="krylov")
+
+
+def test_krylov_is_reproducible():
+    hs = _consensus_hamiltonian()
     first = approx_are(hs, kappa=4, method="krylov")
     second = approx_are(hs, kappa=4, method="krylov")
     assert np.array_equal(first.xbar, second.xbar)

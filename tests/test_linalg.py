@@ -273,6 +273,13 @@ def test_are_residual_and_stability_randomized():
         assert np.linalg.eigvalsh(sol.x).min() >= -1e-10
 
 
+def test_are_residual_contract_rejects():
+    rng = np.random.default_rng(23)
+    a, b, c, r = random_are_instance(rng, 6)
+    with pytest.raises(NumericalError, match="residual"):
+        solve_are(a, b, c, r, tol=DEFAULT_TOLERANCES.with_(are_residual=1e-30))
+
+
 def test_are_rejects_unstabilizable():
     # uncontrollable unstable mode
     a = np.diag([1.0, -1.0])
@@ -518,6 +525,21 @@ def test_stable_eigenspace_bumps_split_pair():
         sub = hs.full_subspace().head(1)
     assert sub.k == 2
     assert sub.block_sizes == (2,)
+
+
+def test_group_conjugates_keeps_one_member_per_pair():
+    # -1 +- 2j is an exact pair; -0.5 - 1j and -2 + 0.5j are lone members
+    # whose conjugates were cut off, and the Im < 0 one is conjugated
+    from hierh2.linalg import _group_conjugates
+    vals = np.array([-1 + 2j, -3.0 + 0j, -1 - 2j, -0.5 - 1j, -2 + 0.5j])
+    rng = np.random.default_rng(3)
+    vecs = rng.standard_normal((6, 5)) + 1j * rng.standard_normal((6, 5))
+    reps = _group_conjugates(vals, vecs)
+    assert [(lam, pair) for lam, _, pair in reps] == [
+        (-0.5 + 1j, True), (-2 + 0.5j, True), (-1 + 2j, True), (-3.0, False)]
+    for (_, vec, _), ref in zip(reps, (vecs[:, 3].conj(), vecs[:, 4],
+                                       vecs[:, 0], vecs[:, 1])):
+        assert np.array_equal(vec, ref)
 
 
 def test_stable_eigenspace_ordering_by_magnitude():

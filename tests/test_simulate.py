@@ -156,6 +156,10 @@ def test_audits_catch_a_leaky_projection(leak):
     sim = run_hier_simulation(g, ctrl, horizon=0.2, partition=part)
     assert privacy_audit(sim.trace)
     assert sim.trace.links_used == hier_links
+    # every sample uses each subsystem link twice (its output is read, its
+    # input written) and each coordinator link once
+    for key, count in sim.trace.link_usage.items():
+        assert count == (2 if key[0] == "sub" else 1) * len(sim.times), key
 
     proj = {"p_u": ctrl.p_u.copy(), "p_y": ctrl.p_y.copy()}
     proj[leak][0, 23] += 1e-3
