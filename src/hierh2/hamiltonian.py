@@ -261,9 +261,9 @@ def stability_test(sol: ApproxAreSolution, a, c1,
 
     True iff lambda_min(C1'C1 - C1bar'C1bar) >= -floor max(1, ||C1'C1||_2),
     floor = ``stability_test_floor``, and the pair has no unobservable
-    imaginary-axis modes of A.  Sufficient only: a False result
-    does not mean A - M X~ is unstable, so synthesis records it as a
-    diagnostic and decides stability from the closed-loop eigenvalues.
+    imaginary-axis modes of A (one eigensolve, once that holds).  Sufficient
+    only: a False result does not mean A - M X~ is unstable, so synthesis
+    records it as a diagnostic and decides stability from the closed loop.
     """
     a = as_matrix(a, "A")
     c1 = as_matrix(c1, "C1")
@@ -277,10 +277,8 @@ def stability_test(sol: ApproxAreSolution, a, c1,
     if lam < -floor and lam < -floor * np.linalg.eigvalsh(c1.T @ c1)[-1]:
         return False
     eigs = np.linalg.eigvals(a)
-    on_axis = eigs[_on_axis(eigs, tol)]
     # unobservable modes of (D, A) are the uncontrollable ones of (A', D)
-    scale = max(1.0, np.linalg.norm(a, "fro"), np.linalg.norm(d, "fro"))
-    return not _pbh_rank_deficient(a.T, d, on_axis, tol.pbh_rel * scale).any()
+    return not _pbh_rank_deficient(a.T, d, eigs[_on_axis(eigs, tol)], tol).any()
 
 
 # ---------------------------------------------------------------------------

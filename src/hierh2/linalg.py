@@ -17,7 +17,9 @@ Riccati Newton step calls it directly.  The Riccati solver returns the Schur
 factors of its closed loop A - M X, which every consumer reuses;
 :meth:`RealSchur.transposed` gives those of A' without a second factorization.
 The unstable left and right eigenbases come from one LAPACK ``geev`` call
-(:func:`unstable_eigenbases`).
+(:func:`unstable_eigenbases`).  Every PBH rank test is one rule,
+:func:`_pbh_rank_deficient`; callers holding a plant pass it the modes of
+the plant's cached spectrum, so A is eigendecomposed once per plant.
 """
 
 from __future__ import annotations
@@ -57,41 +59,36 @@ def spectral_abscissa(a: np.ndarray) -> float:
     return float(np.max(np.linalg.eigvals(a).real))
 
 
-def _pbh_sigma_min(a: np.ndarray, b: np.ndarray, lam) -> float:
-    """sigma_min([A - lambda I, B]), in real arithmetic when lambda is real."""
-    lam = lam if lam.imag else lam.real
-    pencil = np.hstack([a - lam * np.eye(a.shape[0]), b])
-    return float(np.linalg.svd(pencil, compute_uv=False)[-1])
+def _unstable_modes(eigs: np.ndarray, tol: Tolerances) -> np.ndarray:
+    """The eigenvalues in `eigs` with Re >= -unstable_cut."""
+    return eigs[eigs.real >= -tol.unstable_cut]
 
 
-def _pbh_rank_deficient(a: np.ndarray, b: np.ndarray, eigs: np.ndarray,
-                        threshold: float) -> np.ndarray:
-    """Mask over `eigs`: sigma_min([A - lambda I, B]) <= threshold.
+def _pbh_rank_deficient(a: np.ndarray, b: np.ndarray, modes: np.ndarray,
+                        tol: Tolerances) -> np.ndarray:
+    """Mask over `modes`: sigma_min([A - lambda I, B]) <= pbh_rel s, with
+    s = max(1, ||A||_F, ||B||_F).
 
-    The package's one PBH rank test.  Callers pick the modes and the
-    threshold; observability of (C, A) is the test on (A', C').
+    The package's one PBH rank test and threshold; callers pick the modes,
+    and observability of (C, A) is the test on (A', C').  The SVD runs in
+    real arithmetic for a real lambda.
     """
-    return np.array([_pbh_sigma_min(a, b, lam) <= threshold for lam in eigs],
-                    dtype=bool)
+    threshold = tol.pbh_rel * max(1.0, np.linalg.norm(a, "fro"),
+                                  np.linalg.norm(b, "fro"))
 
+    def sigma_min(lam):
+        lam = lam if lam.imag else lam.real
+        pencil = np.hstack([a - lam * np.eye(a.shape[0]), b])
+        return np.linalg.svd(pencil, compute_uv=False)[-1]
 
-def _pbh_modes(a, b, tol: Tolerances, eigs=None) -> np.ndarray:
-    """Eigenvalues of `a` with Re >= -unstable_cut that fail rank [A - lambda I, B] = n.
-
-    `eigs` may pass the spectrum of `a` when the caller already has it.
-    """
-    a = as_matrix(a, "A")
-    b = as_matrix(b, "B")
-    if eigs is None:
-        eigs = np.linalg.eigvals(a)
-    eigs = eigs[eigs.real >= -tol.unstable_cut]
-    scale = max(1.0, np.linalg.norm(a, "fro"), np.linalg.norm(b, "fro"))
-    return eigs[_pbh_rank_deficient(a, b, eigs, tol.pbh_rel * scale)]
+    return np.array([sigma_min(lam) <= threshold for lam in modes], dtype=bool)
 
 
 def stabilizable(a, b, tol: Tolerances = DEFAULT_TOLERANCES) -> bool:
     """PBH test: every eigenvalue with Re >= -cut must be controllable."""
-    return _pbh_modes(a, b, tol).size == 0
+    a = as_matrix(a, "A")
+    modes = _unstable_modes(np.linalg.eigvals(a), tol)
+    return not _pbh_rank_deficient(a, as_matrix(b, "B"), modes, tol).any()
 
 
 def detectable(a, c, tol: Tolerances = DEFAULT_TOLERANCES) -> bool:
@@ -306,8 +303,8 @@ def riccati_from_hamiltonian(a, m, q, tol: Tolerances = DEFAULT_TOLERANCES) -> A
     are_residual max(1, ||Q||_F, ||X M X||_F), since rounding alone leaves
     a residual of order eps ||X M X||_F, which dwarfs ||Q|| when X is
     large; otherwise NumericalError.  The real Schur factors of A - M X,
-    whose abscissa must be negative (else NumericalError), are returned as
-    ``closed_loop``.
+    whose abscissa must be below -hurwitz_margin (else NumericalError), are
+    returned as ``closed_loop``.
     """
     a = as_matrix(a, "A")
     m = symmetrize(as_matrix(m, "M"))
@@ -352,7 +349,7 @@ def riccati_from_hamiltonian(a, m, q, tol: Tolerances = DEFAULT_TOLERANCES) -> A
         raise NumericalError(
             f"ARE residual {res_norm:.3e} exceeds bound {bound:.3e}")
     closed = RealSchur.of(a - m @ x)
-    if closed.abscissa >= 0.0:
+    if closed.abscissa >= -tol.hurwitz_margin:
         raise NumericalError(
             f"Riccati closed loop not Hurwitz (abscissa {closed.abscissa:.3e})")
     return AreSolution(x=x, residual=res_norm, closed_loop=closed)

@@ -3,20 +3,24 @@
 The plant is the four-block system mapping (disturbance w, control u) to
 (performance z, measurement y) with block-diagonal control input/output
 matrices over the subsystem structure; the (z,w) and (y,u) feedthroughs are
-zero.  Consensus-network generation produces the clustered first-order
-integrator plants used by the experiment harness.
+zero.  A plant is frozen and caches the spectrum of A on first use
+(:attr:`GeneralizedPlant.spectrum`); every PBH test on a plant reads its
+modes there and applies the one rule of :func:`~hierh2.linalg._pbh_rank_deficient`.
+Consensus-network generation produces the clustered first-order integrator
+plants used by the experiment harness.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import DimensionMismatch, DisconnectedIntraBlockWarning
-from .linalg import _on_axis, _pbh_rank_deficient, detectable, stabilizable
+from .linalg import _on_axis, _pbh_rank_deficient, _unstable_modes
 from .statespace import StateSpace, as_matrix, lft_lower_partitioned
 
 __all__ = [
@@ -38,9 +42,10 @@ def _singleton_subsystems(n: int) -> tuple[Subsystem, ...]:
     return tuple(Subsystem(states=(i,), inputs=(i,), outputs=(i,)) for i in range(n))
 
 
-@dataclass
+@dataclass(frozen=True)
 class GeneralizedPlant:
-    """Four-block plant (A, B1, B2, C1, C2, D12, D21) with subsystem spans."""
+    """Four-block plant (A, B1, B2, C1, C2, D12, D21) with subsystem spans,
+    frozen so that :attr:`spectrum` stays A's; do not write into its arrays."""
 
     a: np.ndarray
     b1: np.ndarray
@@ -52,13 +57,9 @@ class GeneralizedPlant:
     subsystems: tuple[Subsystem, ...] = ()
 
     def __post_init__(self):
-        self.a = as_matrix(self.a, "A")
-        self.b1 = as_matrix(self.b1, "B1")
-        self.b2 = as_matrix(self.b2, "B2")
-        self.c1 = as_matrix(self.c1, "C1")
-        self.c2 = as_matrix(self.c2, "C2")
-        self.d12 = as_matrix(self.d12, "D12")
-        self.d21 = as_matrix(self.d21, "D21")
+        for name in ("a", "b1", "b2", "c1", "c2", "d12", "d21"):
+            object.__setattr__(self, name,
+                               as_matrix(getattr(self, name), name.upper()))
         n = self.a.shape[0]
         if self.a.shape != (n, n):
             raise DimensionMismatch("A must be square")
@@ -73,10 +74,10 @@ class GeneralizedPlant:
             if cols is not None and mat.shape[1] != cols:
                 raise DimensionMismatch(f"{name} has {mat.shape[1]} cols, expected {cols}")
         if not self.subsystems:
-            self.subsystems = (Subsystem(
+            object.__setattr__(self, "subsystems", (Subsystem(
                 states=tuple(range(n)),
                 inputs=tuple(range(self.n_u)),
-                outputs=tuple(range(self.n_y))),)
+                outputs=tuple(range(self.n_y))),))
         self._check_block_diagonal()
 
     def _check_block_diagonal(self):
@@ -98,6 +99,11 @@ class GeneralizedPlant:
         off_c2 = output_owner[:, None] != state_owner[None, :]
         if np.any(np.abs(self.c2[off_c2]) > tol):
             raise DimensionMismatch("C2 is not block diagonal over subsystems")
+
+    @cached_property
+    def spectrum(self) -> np.ndarray:
+        """Eigenvalues of A (and of A'), computed on first use only."""
+        return np.linalg.eigvals(self.a)
 
     @property
     def n(self) -> int:
@@ -191,8 +197,9 @@ def validate_assumptions(g: GeneralizedPlant,
     """
     details: dict = {}
 
-    details["a1_stabilizable"] = stabilizable(g.a, g.b2, tol)
-    details["a1_detectable"] = detectable(g.a, g.c2, tol)
+    unstable = _unstable_modes(g.spectrum, tol)
+    for key, a, b in (("a1_stabilizable", g.a, g.b2), ("a1_detectable", g.a.T, g.c2.T)):
+        details[key] = not _pbh_rank_deficient(a, b, unstable, tol).any()
     a1 = details["a1_stabilizable"] and details["a1_detectable"]
 
     w12 = np.linalg.eigvalsh(g.d12.T @ g.d12)
@@ -201,11 +208,9 @@ def validate_assumptions(g: GeneralizedPlant,
     details["lambda_min_D21D21t"] = float(w21.min()) if w21.size else 0.0
     a2 = details["lambda_min_D12tD12"] > 0.0 and details["lambda_min_D21D21t"] > 0.0
 
-    eigs = np.linalg.eigvals(g.a)
-    on_axis = eigs[_on_axis(eigs, tol)]
-    threshold = tol.pbh_rel * max(1.0, np.linalg.norm(g.a, "fro"))
-    bad = (_pbh_rank_deficient(g.a, g.b1, on_axis, threshold)
-           | _pbh_rank_deficient(g.a.T, g.c1.T, on_axis, threshold))
+    on_axis = g.spectrum[_on_axis(g.spectrum, tol)]
+    bad = (_pbh_rank_deficient(g.a, g.b1, on_axis, tol)
+           | _pbh_rank_deficient(g.a.T, g.c1.T, on_axis, tol))
     a3 = not bad.any()
     if not a3:
         details["a3_modes"] = [complex(lam) for lam in on_axis[bad]]

@@ -15,7 +15,7 @@ import numpy as np
 
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import (DimensionMismatch, NoFeasibleWeights, ZeroClusterWeight)
-from .linalg import detectable, stabilizable, unstable_eigenbases
+from .linalg import _pbh_rank_deficient, _unstable_modes, unstable_eigenbases
 from .plant import GeneralizedPlant
 from .statespace import StateSpace, series
 
@@ -242,9 +242,9 @@ def feasible_weights(g: GeneralizedPlant, partition: ClusterPartition,
     passes, all-ones is returned.  Otherwise candidates are drawn in the
     spans B2' V_L and C2 V_R of the realified unstable left/right
     eigenvectors (:func:`~hierh2.linalg.unstable_eigenbases`); every
-    candidate is certified by a direct PBH test on (A, B2 P_u^T) and
-    (P_y C2, A).  When the eigenvector-span condition holds but PBH fails,
-    a warning records the mismatch.
+    candidate is certified by PBH on (A, B2 P_u^T) and (P_y C2, A) at the
+    unstable modes of ``g.spectrum``.  When the eigenvector-span condition
+    holds but PBH fails, a warning records the mismatch.
     """
     rng = np.random.default_rng(rng)
     ones = WeightVectors.ones(g.n_u, g.n_y)
@@ -254,8 +254,9 @@ def feasible_weights(g: GeneralizedPlant, partition: ClusterPartition,
                 and _cluster_restrictions_nonzero(wv.w_y, partition.output_sets)):
             return False
         pair = build_projection(partition, wv)
-        return (stabilizable(g.a, g.b2 @ pair.p_u.T, tol)
-                and detectable(g.a, pair.p_y @ g.c2, tol))
+        unstable = _unstable_modes(g.spectrum, tol)
+        return not (_pbh_rank_deficient(g.a, g.b2 @ pair.p_u.T, unstable, tol).any()
+                    or _pbh_rank_deficient(g.a.T, (pair.p_y @ g.c2).T, unstable, tol).any())
 
     vl, vr = unstable_eigenbases(g.a, tol)
     if vl.shape[1] == 0 or certify(ones):

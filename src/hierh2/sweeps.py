@@ -20,8 +20,9 @@ from .gapdesign import (design_clusters, evaluate_partition,
                         reference_youla_data, spectral_factors)
 from .hamiltonian import error_bound
 from .plant import GeneralizedPlant, NetworkSpec, generate_consensus_network
-from .projection import ClusterPartition, WeightVectors, feasible_weights
-from .serialize import write_csv
+from .projection import (ClusterPartition, WeightVectors, build_projection,
+                         feasible_weights)
+from .serialize import load_partition, write_csv
 from .synthesis import synthesize_hierarchical
 
 __all__ = ["ExperimentConfig", "sweep_kappa", "sweep_size", "sweep_r",
@@ -121,7 +122,6 @@ def _partition_for(config: ExperimentConfig, g: GeneralizedPlant,
     if config.partition_source == "planted":
         return config.planted_partition(g)
     if config.partition_source == "file":
-        from .serialize import load_partition
         part, _ = load_partition(config.partition_file)
         return part
     if config.partition_source == "designed":
@@ -146,7 +146,6 @@ def sweep_kappa(config: ExperimentConfig, out_dir=None) -> list[dict]:
     g = config.plant()
     partition = _partition_for(config, g)
     weights = config.weights(g, partition)
-    from .projection import build_projection
     p = build_projection(partition, weights)
 
     exact = synthesize_hierarchical(g, p, tol=tol)
@@ -201,7 +200,6 @@ def sweep_size(config: ExperimentConfig, out_dir=None) -> list[dict]:
         g = config.plant(n)
         partition = config.planted_partition(g, n)
         weights = config.weights(g, partition)
-        from .projection import build_projection
         p = build_projection(partition, weights)
         row: dict = {"n": n, "status": "ok"}
         try:

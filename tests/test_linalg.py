@@ -1,16 +1,22 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import scipy.linalg as sla
 
-from hierh2 import (DEFAULT_TOLERANCES, STRICT_TOLERANCES, StateSpace,
-                    detectable, h2_norm, hinf_norm, linalg, solve_are,
-                    solve_lyapunov, spectral_abscissa, sqrt_psd, stabilizable,
-                    stable_eigenspace, unstable_eigenbases)
-from hierh2.errors import (HamiltonianImaginaryAxis, NotHurwitz, NotPSD,
-                           NotStabilizable, NotStrictlyProper, NumericalError,
+from hierh2 import (DEFAULT_TOLERANCES, STRICT_TOLERANCES, GeneralizedPlant,
+                    ProjectionPair, StateSpace, detectable, h2_norm,
+                    hinf_norm, linalg, solve_are, solve_lyapunov,
+                    spectral_abscissa, sqrt_psd, stabilizable,
+                    stable_eigenspace, unstable_eigenbases,
+                    validate_assumptions)
+from hierh2.errors import (HamiltonianImaginaryAxis, HypothesisFailure,
+                           NotHurwitz, NotPSD, NotStabilizable,
+                           NotStrictlyProper, NumericalError,
                            ConjugatePairSplitWarning)
 from hierh2.linalg import RealSchur, solve_sylvester
+from hierh2.synthesis import _check_hypotheses
 
 from conftest import random_are_instance, random_stable_matrix
 from oracles import are_sign_iteration, h2_quadrature, hinf_grid, lyapunov_kron
@@ -213,10 +219,17 @@ def test_pbh_real_branch_matches_complex_sigma_min():
     b = rng.standard_normal((9, 2))
     eigs = np.linalg.eigvals(a)
     assert np.iscomplexobj(eigs) and np.any(eigs.imag == 0.0)
+    scale = max(1.0, np.linalg.norm(a), np.linalg.norm(b))
     for lam in list(eigs[eigs.imag == 0.0]) + [complex(0.3), complex(-2.0)]:
         pencil = np.hstack([a - lam * np.eye(9), b]).astype(complex)
         ref = np.linalg.svd(pencil, compute_uv=False)[-1]
-        assert linalg._pbh_sigma_min(a, b, lam) == pytest.approx(ref, rel=1e-12)
+        # the one threshold pbh_rel max(1, ||A||_F, ||B||_F) just above and
+        # just below the complex-arithmetic sigma_min
+        flags = [linalg._pbh_rank_deficient(
+            a, b, np.array([lam]),
+            DEFAULT_TOLERANCES.with_(pbh_rel=ref * f / scale))[0]
+            for f in (1.0 + 1e-10, 1.0 - 1e-10)]
+        assert flags == [True, False]
 
 
 def test_pbh_flags_real_uncontrollable_mode():
@@ -229,10 +242,65 @@ def test_pbh_flags_real_uncontrollable_mode():
     b0 = rng.standard_normal((4, 2))
     assert stabilizable(a, s @ b0)
     b0[0] = 0.0                       # the left eigenvector of 0.5 is e_0' S^-1
-    modes = linalg._pbh_modes(a, s @ b0, DEFAULT_TOLERANCES)
+    unstable = linalg._unstable_modes(np.linalg.eigvals(a), DEFAULT_TOLERANCES)
+    modes = unstable[linalg._pbh_rank_deficient(a, s @ b0, unstable,
+                                                DEFAULT_TOLERANCES)]
     assert modes == pytest.approx(np.array([0.5]), abs=1e-10)
     assert not stabilizable(a, s @ b0)
     assert not detectable(a.T, (s @ b0).T)
+
+
+def _planted_mode_plant(seed, n, m, pair, observe, planted):
+    """Random plant A = S D S^-1 whose leading block of D is an unstable
+    real mode or (``pair``) an unstable complex pair; the remaining block is
+    Hurwitz.  With ``planted`` that mode is made uncontrollable through
+    B2 = S R (or, with ``observe``, unobservable through C2 = R' S^-1) by
+    zeroing the matching rows of R; otherwise R reaches it with a weight of
+    at least 0.5.  The other channel is the identity.  B1, C1, D12 and D21
+    satisfy A2 and A4 exactly.
+    """
+    rng = np.random.default_rng(seed)
+    k = 2 if pair else 1
+    alpha, beta = rng.uniform(0.1, 2.0), rng.uniform(0.5, 2.0)
+    lead = np.array([[alpha, beta], [-beta, alpha]]) if pair else np.array([[alpha]])
+    d = sla.block_diag(lead, random_stable_matrix(rng, n - k))
+    q1 = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    q2 = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    s = q1 @ np.diag(rng.uniform(0.5, 2.0, n)) @ q2      # cond(S) <= 4
+    a = s @ d @ np.linalg.inv(s)
+    reach = rng.standard_normal((n, m))
+    reach[0, 0] = rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 2.0)
+    if planted:
+        reach[:k] = 0.0
+    b2, c2 = ((np.eye(n), reach.T @ np.linalg.inv(s)) if observe
+              else (s @ reach, np.eye(n)))
+    nu, ny = b2.shape[1], c2.shape[0]
+    return GeneralizedPlant(
+        a=a, b1=np.hstack([rng.standard_normal((n, n)), np.zeros((n, ny))]),
+        b2=b2, c1=np.vstack([rng.standard_normal((n, n)), np.zeros((nu, n))]),
+        c2=c2, d12=np.vstack([np.zeros((n, nu)), np.eye(nu)]),
+        d21=np.hstack([np.zeros((ny, n)), np.eye(ny)]))
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2 ** 31 - 1), n=st.integers(3, 6),
+       m=st.integers(1, 3), pair=st.booleans(), observe=st.booleans())
+def test_property_pbh_checks_flag_a_planted_mode_together(seed, n, m, pair,
+                                                          observe):
+    # the public PBH tests, the synthesis hypothesis check and assumption A1
+    # all go through the one rank test on the same modes: they flag the
+    # planted mode together, and none flags the draw without it
+    for planted in (False, True):
+        g = _planted_mode_plant(seed, n, m, pair, observe, planted)
+        pbh_ok = stabilizable(g.a, g.b2) and detectable(g.a, g.c2)
+        identity = ProjectionPair(np.eye(g.n_u), np.eye(g.n_y))
+        try:
+            _check_hypotheses(g, identity, DEFAULT_TOLERANCES)
+            hyp_ok = True
+        except HypothesisFailure as e:
+            assert ("not detectable" if observe else "not stabilizable") in str(e)
+            hyp_ok = False
+        assert (pbh_ok, hyp_ok, validate_assumptions(g).a1) == (not planted,) * 3
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,14 @@
+import dataclasses
+from collections import Counter
+
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
-from hierh2 import (GeneralizedPlant, NetworkSpec, StateSpace, add,
+from hierh2 import (ExperimentConfig, GeneralizedPlant, NetworkSpec,
+                    StateSpace, add, feasible_weights,
                     generate_consensus_network, lft_lower, neg, series,
-                    transpose_dual, validate_assumptions)
+                    sweep_kappa, transpose_dual, validate_assumptions)
 from hierh2.errors import DimensionMismatch, DisconnectedIntraBlockWarning
 from hierh2.projection import random_stable_statespace
 
@@ -20,6 +25,58 @@ def freq_close(g, h, rtol=1e-9, freqs=FREQS):
         if np.linalg.norm(gv - hv) > rtol * scale:
             return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# One spectrum of A per plant
+# ---------------------------------------------------------------------------
+
+def test_plant_is_frozen_and_caches_its_spectrum():
+    g = random_h2_plant(np.random.default_rng(3), 5, 2, 2)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        g.a = np.eye(5)
+    assert "spectrum" not in vars(g)          # nothing computed at set-up
+    assert np.array_equal(g.spectrum, np.linalg.eigvals(g.a))
+    assert g.spectrum is g.spectrum
+
+
+def _count_eigensolves_of(a, monkeypatch) -> Counter:
+    """Counts of np.linalg.eigvals and scipy.linalg.eig calls on A or A'."""
+    counts = Counter()
+
+    def counting(name, fn):
+        def wrapper(m, *args, **kw):
+            m = np.asarray(m)
+            if m.shape == a.shape and (np.array_equal(m, a)
+                                       or np.array_equal(m, a.T)):
+                counts[name] += 1
+            return fn(m, *args, **kw)
+        return wrapper
+
+    monkeypatch.setattr(np.linalg, "eigvals", counting("eigvals", np.linalg.eigvals))
+    monkeypatch.setattr(sla, "eig", counting("eig", sla.eig))
+    return counts
+
+
+def test_one_eigendecomposition_of_a_per_plant(monkeypatch):
+    cfg = ExperimentConfig(n_s=60, seed=7)
+    counts = _count_eigensolves_of(cfg.plant().a, monkeypatch)
+    for method in ("dense", "krylov"):
+        counts.clear()
+        rows = sweep_kappa(dataclasses.replace(cfg, method=method))
+        assert [row["status"] for row in rows] == ["ok"] * 7
+        # the plant's spectrum, then the residue stability_test on both
+        # sides of the kappa = 1 row (the only row where its inequality
+        # holds), which sees a Hamiltonian and no plant
+        assert counts == {"eigvals": 3}
+    counts.clear()
+    validate_assumptions(cfg.plant())
+    assert sum(counts.values()) <= 1
+    counts.clear()
+    g = cfg.plant()
+    feasible_weights(g, cfg.planted_partition(g), rng=0)
+    # the spectrum, and the one geev call of unstable_eigenbases
+    assert counts["eigvals"] <= 1 and counts["eig"] == 1
 
 
 # ---------------------------------------------------------------------------

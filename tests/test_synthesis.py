@@ -9,7 +9,7 @@ from hierh2 import (DEFAULT_TOLERANCES, ClusterPartition, ExperimentConfig,
                     synthesize_unconstrained, validate_assumptions,
                     youla_data)
 from hierh2.errors import (ApproxNotStabilizing, HypothesisFailure,
-                           NotHurwitz, NotStabilizingGains)
+                           NotStabilizingGains, NumericalError)
 from hierh2.projection import random_stable_statespace
 
 from conftest import random_h2_plant, random_partition
@@ -352,7 +352,8 @@ def test_exact_synthesis_reuses_riccati_closed_loops():
     filt = g.a + res.l2_p_y() @ g.c2
     assert np.allclose(res.x_solution.closed_loop.a, ctrl, atol=1e-10)
     assert np.allclose(res.y_solution.closed_loop.a.T, filt, atol=1e-10)
-    # the reused factors still decide stability
-    with pytest.raises(NotHurwitz, match="control loop"):
+    # the Riccati solver decides on the factors it returns, against the
+    # same -hurwitz_margin as every other stability decision
+    with pytest.raises(NumericalError, match="Riccati closed loop not Hurwitz"):
         synthesize_hierarchical(g, pair, tol=DEFAULT_TOLERANCES.with_(
             hurwitz_margin=1e6))
