@@ -57,12 +57,12 @@ def _experiment_config(args) -> ExperimentConfig:
     return config
 
 
-def _resolve_partition_weights(args, g):
+def _resolve_partition_weights(args, g, tol):
     partition, weights = load_partition(args.partition)
     if weights is None:
         if getattr(args, "weights", "ones") == "eigenspan":
-            weights = feasible_weights(g, partition,
-                                       rng=np.random.default_rng(args.seed or 0))
+            rng = np.random.default_rng(args.seed or 0)
+            weights = feasible_weights(g, partition, rng=rng, tol=tol)
         else:
             weights = WeightVectors.ones(g.n_u, g.n_y)
     return partition, weights
@@ -96,7 +96,7 @@ def cmd_validate(args) -> int:
 def cmd_synth(args) -> int:
     tol = tolerance_profile(args.tol_profile)
     g = load_plant(args.plant)
-    partition, weights = _resolve_partition_weights(args, g)
+    partition, weights = _resolve_partition_weights(args, g, tol)
     p = build_projection(partition, weights)
     backend, kappa = "exact", None
     if args.backend.startswith("approx"):
@@ -120,7 +120,7 @@ def cmd_approx(args) -> int:
     tol = tolerance_profile(args.tol_profile)
     g = load_plant(args.plant)
     if args.partition is not None:
-        partition, weights = _resolve_partition_weights(args, g)
+        partition, weights = _resolve_partition_weights(args, g, tol)
         p = build_projection(partition, weights)
         b2pu = g.b2 @ p.p_u.T
         r1 = p.p_u @ g.d12.T @ g.d12 @ p.p_u.T
@@ -142,7 +142,7 @@ def cmd_approx(args) -> int:
 def cmd_gap(args) -> int:
     tol = tolerance_profile(args.tol_profile)
     g = load_plant(args.plant)
-    partition, weights = _resolve_partition_weights(args, g)
+    partition, weights = _resolve_partition_weights(args, g, tol)
     report = evaluate_partition(g, partition, weights, tol=tol)
     out = {
         "J1": report.j1_star, "J2": report.j2_star, "ratio": report.ratio,

@@ -303,7 +303,7 @@ def riccati_from_hamiltonian(a, m, q, tol: Tolerances = DEFAULT_TOLERANCES) -> A
     are_residual max(1, ||Q||_F, ||X M X||_F), since rounding alone leaves
     a residual of order eps ||X M X||_F, which dwarfs ||Q|| when X is
     large; otherwise NumericalError.  The real Schur factors of A - M X,
-    whose abscissa must be below -hurwitz_margin (else NumericalError), are
+    whose abscissa must be below -hurwitz_margin (else NotHurwitz), are
     returned as ``closed_loop``.
     """
     a = as_matrix(a, "A")
@@ -350,7 +350,7 @@ def riccati_from_hamiltonian(a, m, q, tol: Tolerances = DEFAULT_TOLERANCES) -> A
             f"ARE residual {res_norm:.3e} exceeds bound {bound:.3e}")
     closed = RealSchur.of(a - m @ x)
     if closed.abscissa >= -tol.hurwitz_margin:
-        raise NumericalError(
+        raise NotHurwitz(
             f"Riccati closed loop not Hurwitz (abscissa {closed.abscissa:.3e})")
     return AreSolution(x=x, residual=res_norm, closed_loop=closed)
 
@@ -369,6 +369,7 @@ def solve_are(a, b, c, r, tol: Tolerances = DEFAULT_TOLERANCES,
         imaginary-axis observability assumption is violated).
     SingularZ1 : the stable subspace is not complementary to the graph axis.
     SingularR : R is not positive definite.
+    NotHurwitz : the closed loop A - M X has abscissa >= -hurwitz_margin.
     """
     a = as_matrix(a, "A")
     b = as_matrix(b, "B")

@@ -3,11 +3,10 @@
 The plant is the four-block system mapping (disturbance w, control u) to
 (performance z, measurement y) with block-diagonal control input/output
 matrices over the subsystem structure; the (z,w) and (y,u) feedthroughs are
-zero.  A plant is frozen and caches the spectrum of A on first use
-(:attr:`GeneralizedPlant.spectrum`); every PBH test on a plant reads its
-modes there and applies the one rule of :func:`~hierh2.linalg._pbh_rank_deficient`.
-Consensus-network generation produces the clustered first-order integrator
-plants used by the experiment harness.
+zero.  A plant is frozen and caches the spectrum of A on first use; every PBH
+test on a plant reads its modes there and applies the one rule of
+:func:`~hierh2.linalg._pbh_rank_deficient`.  Consensus-network generation
+produces the clustered first-order integrator plants used by the experiments.
 """
 
 from __future__ import annotations

@@ -253,12 +253,12 @@ def synthesize_hierarchical(g: GeneralizedPlant, p: ProjectionPair,
     (``x_solution.stabilizing``, ``y_solution.stabilizing``) are recorded
     as diagnostics only.  Stability is decided once, from the real Schur
     factors of the control block A + B2 P_u^T F2 and the filter block
-    A + L2 P_y C2: an eigenvalue with Re >= -hurwitz_margin raises
-    :class:`ApproxNotStabilizing` naming the failing side (approx; raise
-    kappa) or :class:`NotHurwitz` (exact).  The exact backend reuses the
-    Riccati closed-loop factors for them; the approx backend, whose
-    truncated solutions have none, factors both blocks.  The same factors
-    then give the closed-loop H2 value through the observer separation.
+    A + L2 P_y C2, at -hurwitz_margin.  The exact backend reuses the
+    Riccati closed-loop factors, which the Riccati solver has already
+    checked, raising :class:`NotHurwitz`; the approx backend factors both
+    blocks and raises :class:`ApproxNotStabilizing` naming the failing side
+    (raise kappa).  The same factors then give the closed-loop H2 value
+    through the observer separation.
 
     ``solve_time`` measures Riccati solves plus gain assembly; closed-loop
     evaluation is excluded.

@@ -228,7 +228,7 @@ def test_pbh_real_branch_matches_complex_sigma_min():
         flags = [linalg._pbh_rank_deficient(
             a, b, np.array([lam]),
             DEFAULT_TOLERANCES.with_(pbh_rel=ref * f / scale))[0]
-            for f in (1.0 + 1e-10, 1.0 - 1e-10)]
+            for f in (1.0 + 1e-12, 1.0 - 1e-12)]
         assert flags == [True, False]
 
 

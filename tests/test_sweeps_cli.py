@@ -211,6 +211,30 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert "precondition" in capsys.readouterr().err
 
 
+def test_cli_eigenspan_weights_use_the_tol_profile(tmp_path, monkeypatch):
+    import hierh2.cli
+    from hierh2 import STRICT_TOLERANCES, feasible_weights
+    spec = NetworkSpec.even_blocks(n_s=8, n_blocks=2, p_in=0.9, p_out=0.05,
+                                   a_lo=1.0, a_hi=2.0, seed=2)
+    g = generate_consensus_network(spec)
+    save_plant(g, tmp_path / "plant.json")
+    save_partition(ClusterPartition.from_subsystems(spec.planted_partition, g),
+                   tmp_path / "part.json")
+    seen = []
+
+    def recording(*args, tol, **kw):
+        seen.append(tol)
+        return feasible_weights(*args, tol=tol, **kw)
+
+    monkeypatch.setattr(hierh2.cli, "feasible_weights", recording)
+    rc = main(["synth", "--plant", str(tmp_path / "plant.json"),
+               "--partition", str(tmp_path / "part.json"),
+               "--weights", "eigenspan", "--tol-profile", "strict",
+               "--out", str(tmp_path)])
+    assert rc == 0
+    assert seen == [STRICT_TOLERANCES]
+
+
 def test_config_rejects_unknown_keys():
     with pytest.raises(ValueError):
         ExperimentConfig.from_dict({"not_a_key": 1})

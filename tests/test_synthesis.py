@@ -9,7 +9,7 @@ from hierh2 import (DEFAULT_TOLERANCES, ClusterPartition, ExperimentConfig,
                     synthesize_unconstrained, validate_assumptions,
                     youla_data)
 from hierh2.errors import (ApproxNotStabilizing, HypothesisFailure,
-                           NotStabilizingGains, NumericalError)
+                           NotHurwitz, NotStabilizingGains)
 from hierh2.projection import random_stable_statespace
 
 from conftest import random_h2_plant, random_partition
@@ -354,6 +354,6 @@ def test_exact_synthesis_reuses_riccati_closed_loops():
     assert np.allclose(res.y_solution.closed_loop.a.T, filt, atol=1e-10)
     # the Riccati solver decides on the factors it returns, against the
     # same -hurwitz_margin as every other stability decision
-    with pytest.raises(NumericalError, match="Riccati closed loop not Hurwitz"):
+    with pytest.raises(NotHurwitz, match="Riccati closed loop not Hurwitz"):
         synthesize_hierarchical(g, pair, tol=DEFAULT_TOLERANCES.with_(
             hurwitz_margin=1e6))
