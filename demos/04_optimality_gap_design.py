@@ -29,11 +29,14 @@ planted = set(frozenset(b) for b in spec.planted_partition)
 print("k-means at r = 4 recovers the planted blocks:",
       set(frozenset(s) for s in part4.input_sets) == planted)
 
-rows = monotone_gap_sweep(g, sf, weights, r_list=[1, 2, 3, 4, 5, 6], rng=0)
+rows = monotone_gap_sweep(sf, weights, r_list=[1, 2, 3, 4, 5, 6], rng=0)
 print(f"\n{'r':>2} {'J1*':>9} {'J2*':>9} {'ratio':>9} "
       f"{'xi_u':>8} {'xi_y':>8} {'bound':>9}")
 for row in rows:
     rep = row.report
+    if rep is None:
+        print(f"{row.r:2d} error: {row.error}")
+        continue
     print(f"{row.r:2d} {rep.j1_star:9.4f} {rep.j2_star:9.4f} "
           f"{rep.ratio:9.6f} {rep.xi_u:8.4f} {rep.xi_y:8.4f} "
           f"{rep.bound_rhs:9.4f}")

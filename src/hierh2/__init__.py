@@ -25,7 +25,7 @@ from .hamiltonian import (ApproxAreSolution, HamiltonianSystem, approx_are,
                           build_hamiltonian, cauchy_coefficients, error_bound,
                           exact_error_norm, stability_test)
 from .synthesis import (HierarchicalController, LinkCount, SynthesisResult,
-                        YoulaData, communication_links, lft_controller,
+                        YoulaData, communication_links,
                         synthesize_hierarchical, synthesize_unconstrained,
                         youla_data)
 from .gapdesign import (GapReport, GapSweepRow, SpectralFactors,

@@ -90,7 +90,7 @@ def cmd_validate(args) -> int:
     for name in ("a1", "a2", "a3", "a4"):
         print(f"{name.upper()}: {'pass' if getattr(report, name) else 'FAIL'}")
     print(f"all: {'pass' if report.all_ok else 'FAIL'}")
-    return EXIT_OK
+    return EXIT_OK if report.all_ok else EXIT_PRECONDITION
 
 
 def cmd_synth(args) -> int:

@@ -28,7 +28,9 @@ value equals J1*, is kept in the tests as the oracle of these formulas.
 The bound machinery requires the Youla data to be built from
 projection-structured gains (P_u^T F2, L2 P_y): with those gains the
 constrained problem over the same T is exactly the hierarchical problem.
-:func:`evaluate_partition` assembles the whole chain correctly.
+:func:`evaluate_partition` assembles the whole chain correctly, and
+:func:`monotone_gap_sweep` runs the same chain once per cluster count on
+one unconstrained synthesis of the plant.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from .config import DEFAULT_TOLERANCES, Tolerances
-from .errors import DegenerateData
+from .errors import DegenerateData, ToolkitError
 from .linalg import (h2_norm, hinf_norm, riccati_from_hamiltonian, solve_are,
                      solve_sylvester, sqrt_psd, symmetrize)
 from .plant import GeneralizedPlant, lft_lower
@@ -70,9 +72,10 @@ class SpectralFactors:
     The embeddings F_hat LYAP(A_Fhat, I)^{1/2} and
     L_hat' LYAP(A_Lhat', I)^{1/2} feed both the gap defects and the cluster design; Wbar_L, Wbar_R are
     n-state realizations of the factor weights.  `unconstrained` is the
-    synthesis they are read off, whose h2_value is J1*.
+    synthesis of the plant `g` they are read off, whose h2_value is J1*.
     """
 
+    g: GeneralizedPlant
     fhat: np.ndarray
     lhat: np.ndarray
     embed_u: np.ndarray
@@ -95,7 +98,14 @@ def spectral_factors(yd: YoulaData, d12, d21,
     g = yd.g
     if not (np.array_equal(d12, g.d12) and np.array_equal(d21, g.d21)):
         raise ValueError("d12, d21 differ from the Youla data's plant")
-    unc = synthesize_unconstrained(g, tol=tol)
+    return _factors(yd, synthesize_unconstrained(g, tol=tol), tol)
+
+
+def _factors(yd: YoulaData, unc: SynthesisResult,
+             tol: Tolerances) -> SpectralFactors:
+    """Spectral factors of `yd` read off `unc`, the unconstrained synthesis
+    of the Youla data's plant."""
+    g = yd.g
     ctrl = unc.x_solution.closed_loop       # A + B2 F2
     filt_t = unc.y_solution.closed_loop     # (A + L2 C2)'
     filt = filt_t.transposed()
@@ -120,7 +130,7 @@ def spectral_factors(yd: YoulaData, d12, d21,
         np.eye(g.n, 2 * g.n, g.n), tol)
     phi_y = np.block([[psi22, psi12.T], [psi12, psi11]])
     return SpectralFactors(
-        fhat=fhat, lhat=lhat,
+        g=g, fhat=fhat, lhat=lhat,
         embed_u=np.hstack([df @ sqrt_u1, f @ sqrt_u2]),
         embed_y=lhat.T @ sqrt_psd(phi_y, tol),
         wbar_l=StateSpace(ctrl.a, g.b2 @ fhat, df, fhat),
@@ -131,8 +141,15 @@ def spectral_factors(yd: YoulaData, d12, d21,
 def model_matching_value(yd: YoulaData, q: StateSpace,
                          tol: Tolerances = DEFAULT_TOLERANCES) -> float:
     """||T11 + T12 Q T21||_H2 for a stable parameter Q; at the optimizer Q*
-    of the test oracle it is the independent check of the two-Riccati J1*."""
-    return h2_norm(add(yd.t11, series(yd.t21, q, yd.t12)), tol)
+    of the test oracle it is the independent check of the two-Riccati J1*.
+
+    T11 is the closed loop of the plant with the observer controller of the
+    gains F, L (the Youla parameter Q = 0), a 2n-state system.
+    """
+    g = yd.g
+    k0 = StateSpace(g.a + g.b2 @ yd.f + yd.l @ g.c2, -yd.l, yd.f,
+                    np.zeros((g.n_u, g.n_y)))
+    return h2_norm(add(lft_lower(g, k0), series(yd.t21, q, yd.t12)), tol)
 
 
 # ---------------------------------------------------------------------------
@@ -149,7 +166,7 @@ class GapReport:
     eps1: float
     eps2: float
     bound_rhs: float
-    # H2 cost of the equivalence-form controller, None when not verified
+    # H2 cost of the equivalence-form controller; set by evaluate_partition
     h2_equivalence: float | None = None
 
     @property
@@ -193,7 +210,6 @@ def doubly_projected_controller(g: GeneralizedPlant, p: ProjectionPair,
 
 def gap_report(yd: YoulaData, sf: SpectralFactors, p: ProjectionPair,
                g: GeneralizedPlant, hier: SynthesisResult | None = None,
-               verify_equivalence: bool = True,
                tol: Tolerances = DEFAULT_TOLERANCES) -> GapReport:
     """Quantify the gap between hierarchical and unconstrained optima.
 
@@ -203,12 +219,9 @@ def gap_report(yd: YoulaData, sf: SpectralFactors, p: ProjectionPair,
     eps2 are the H-infinity weights, xi = eps1 xi_u + 2 eps2 xi_y, and
     bound_rhs = sqrt(J1*^2 + 2 xi J1* + xi^2) upper-bounds J2*.  The Youla
     data must carry projection-structured gains for the bound to be
-    guaranteed (see :func:`evaluate_partition`).
-
-    With ``verify_equivalence`` the H2 cost of
-    :func:`doubly_projected_controller` is stored as ``h2_equivalence`` and
-    a warning is raised when it differs from J2* by more than
-    1e-6 max(1, J2*); without it ``h2_equivalence`` is None.
+    guaranteed (see :func:`evaluate_partition`).  J2* is
+    ``hier.h2_value``, synthesized here when `hier` is None.  Only the
+    bound is computed: ``h2_equivalence`` is left None.
     """
     qu = np.eye(p.n_u) - p.p_u.T @ p.p_u
     qy = np.eye(p.n_y) - p.p_y.T @ p.p_y
@@ -225,19 +238,8 @@ def gap_report(yd: YoulaData, sf: SpectralFactors, p: ProjectionPair,
         hier = synthesize_hierarchical(g, p, tol=tol)
     j2 = hier.h2_value
     bound_rhs = float(np.sqrt(j1 * j1 + 2.0 * xi * j1 + xi * xi))
-
-    h2_equiv = None
-    if verify_equivalence:
-        k_equiv = doubly_projected_controller(g, p, tol)
-        h2_equiv = h2_norm(lft_lower(g, k_equiv), tol)
-        if abs(h2_equiv - j2) > 1e-6 * max(1.0, j2):
-            warnings.warn(
-                f"equivalence-form controller value {h2_equiv:.9g} differs "
-                f"from hierarchical optimum {j2:.9g}")
-
     return GapReport(j1_star=j1, j2_star=j2, xi_u=xi_u, xi_y=xi_y, xi=float(xi),
-                     eps1=float(eps1), eps2=float(eps2), bound_rhs=bound_rhs,
-                     h2_equivalence=h2_equiv)
+                     eps1=float(eps1), eps2=float(eps2), bound_rhs=bound_rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -275,14 +277,35 @@ def evaluate_partition(g: GeneralizedPlant, partition: ClusterPartition,
                        weights: WeightVectors | None = None,
                        tol: Tolerances = DEFAULT_TOLERANCES) -> GapReport:
     """Full gap pipeline for one partition: projections, structured Youla
-    data, spectral factors, and the gap-bound report."""
+    data, spectral factors, and the gap-bound report.
+
+    The H2 cost of :func:`doubly_projected_controller` is stored as
+    ``h2_equivalence``, and a warning is raised when it differs from J2* by
+    more than 1e-6 max(1, J2*).
+    """
+    return _evaluate(g, partition, weights,
+                     synthesize_unconstrained(g, tol=tol), tol)
+
+
+def _evaluate(g: GeneralizedPlant, partition: ClusterPartition,
+              weights: WeightVectors | None, unc: SynthesisResult,
+              tol: Tolerances) -> GapReport:
+    """:func:`evaluate_partition` on `unc`, the unconstrained synthesis of
+    `g`, which does not depend on the partition."""
     if weights is None:
         weights = WeightVectors.ones(partition.n_u, partition.n_y)
     p = build_projection(partition, weights)
     hier = synthesize_hierarchical(g, p, tol=tol)
     yd, _ = structured_youla_data(g, p, hier, tol)
-    sf = spectral_factors(yd, g.d12, g.d21, tol)
-    return gap_report(yd, sf, p, g, hier=hier, tol=tol)
+    report = gap_report(yd, _factors(yd, unc, tol), p, g, hier=hier, tol=tol)
+    j2 = report.j2_star
+    h2_equiv = h2_norm(lft_lower(g, doubly_projected_controller(g, p, tol)), tol)
+    if abs(h2_equiv - j2) > 1e-6 * max(1.0, j2):
+        warnings.warn(
+            f"equivalence-form controller value {h2_equiv:.9g} differs "
+            f"from hierarchical optimum {j2:.9g}")
+    report.h2_equivalence = h2_equiv
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -424,23 +447,36 @@ def design_clusters(sf: SpectralFactors, weights: WeightVectors, r: int,
 
 @dataclass
 class GapSweepRow:
+    """One r of :func:`monotone_gap_sweep`; on failure `error` holds the
+    ToolkitError and `partition` and `report` are None."""
+
     r: int
-    partition: ClusterPartition
-    report: GapReport
+    partition: ClusterPartition | None
+    report: GapReport | None
+    error: ToolkitError | None = None
 
 
-def monotone_gap_sweep(g: GeneralizedPlant, sf: SpectralFactors,
-                       weights: WeightVectors, r_list, rng=None,
-                       restarts: int = 10,
+def monotone_gap_sweep(sf: SpectralFactors, weights: WeightVectors, r_list,
+                       rng=None, restarts: int = 10,
                        tol: Tolerances = DEFAULT_TOLERANCES) -> list[GapSweepRow]:
-    """Design clusters and produce a gap report for each r in ascending order."""
+    """Design clusters and produce a gap report for each r in ascending order.
+
+    The plant is ``sf.g`` and each partition is designed on the embeddings
+    of `sf`, whose unconstrained synthesis serves every row as J1*; each
+    row is then evaluated as by :func:`evaluate_partition`.  A row that
+    raises a ToolkitError records it and the sweep goes on; the draws from
+    `rng` are shared by the rows in order.
+    """
     r_list = list(r_list)
     if r_list != sorted(r_list):
         raise ValueError("r_list must be ascending")
     rng = np.random.default_rng(rng)
     rows = []
     for r in r_list:
-        partition = design_clusters(sf, weights, r, rng, restarts)
-        report = evaluate_partition(g, partition, weights, tol=tol)
-        rows.append(GapSweepRow(r=r, partition=partition, report=report))
+        try:
+            partition = design_clusters(sf, weights, r, rng, restarts)
+            report = _evaluate(sf.g, partition, weights, sf.unconstrained, tol)
+            rows.append(GapSweepRow(r=r, partition=partition, report=report))
+        except ToolkitError as e:
+            rows.append(GapSweepRow(r=r, partition=None, report=None, error=e))
     return rows

@@ -16,7 +16,7 @@ import numpy as np
 
 from .config import Tolerances, tolerance_profile
 from .errors import ToolkitError
-from .gapdesign import (design_clusters, evaluate_partition,
+from .gapdesign import (design_clusters, monotone_gap_sweep,
                         reference_youla_data, spectral_factors)
 from .hamiltonian import error_bound
 from .plant import GeneralizedPlant, NetworkSpec, generate_consensus_network
@@ -235,34 +235,34 @@ def _partition_match(a, b) -> bool:
 
 
 def sweep_r(config: ExperimentConfig, out_dir=None) -> list[dict]:
-    """Designed-clustering gap ratios for each r, with planted-recovery flag."""
+    """Designed-clustering gap ratios for each r, with planted-recovery flag.
+
+    One :func:`monotone_gap_sweep` over the sorted r_list, seeded with
+    config.seed; J1* and the clustering embeddings come from one
+    unconstrained synthesis of the plant.
+    """
     tol = config.tolerances
     g = config.plant()
     planted = config.network_spec().planted_partition
     yd = reference_youla_data(g, tol)
     sf = spectral_factors(yd, g.d12, g.d21, tol)
     weights = WeightVectors.ones(g.n_u, g.n_y)
-    rng = np.random.default_rng(config.seed)
-
-    def one(r: int) -> dict:
-        try:
-            partition = design_clusters(sf, weights, r, rng=rng,
-                                        restarts=config.restarts)
-            report = evaluate_partition(g, partition, weights, tol=tol)
-            recovery = (_partition_match(partition.input_sets, planted)
-                        if r == config.n_blocks else None)
-            return {"r": r, "J1": report.j1_star, "J2": report.j2_star,
-                    "ratio": report.ratio, "xi_u": report.xi_u,
-                    "xi_y": report.xi_y, "xi": report.xi,
-                    "bound_rhs": report.bound_rhs,
-                    "partition_recovery": recovery, "status": "ok"}
-        except ToolkitError as e:
-            return {"r": r, "J1": None, "J2": None, "ratio": None,
-                    "xi_u": None, "xi_y": None, "xi": None,
-                    "bound_rhs": None, "partition_recovery": None,
-                    "status": f"error: {e}"}
-
-    rows = [one(r) for r in sorted(config.r_list)]
+    rows = []
+    for row in monotone_gap_sweep(sf, weights, sorted(config.r_list),
+                                  rng=config.seed, restarts=config.restarts,
+                                  tol=tol):
+        report = row.report
+        if report is None:
+            rows.append(dict.fromkeys(R_FIELDS)
+                        | {"r": row.r, "status": f"error: {row.error}"})
+            continue
+        recovery = (_partition_match(row.partition.input_sets, planted)
+                    if row.r == config.n_blocks else None)
+        rows.append({"r": row.r, "J1": report.j1_star, "J2": report.j2_star,
+                     "ratio": report.ratio, "xi_u": report.xi_u,
+                     "xi_y": report.xi_y, "xi": report.xi,
+                     "bound_rhs": report.bound_rhs,
+                     "partition_recovery": recovery, "status": "ok"})
     if out_dir is not None:
         write_csv(Path(out_dir) / "r_sweep.csv", R_FIELDS, rows)
     return rows

@@ -8,6 +8,11 @@ AREs through the full Hamiltonian subspace; the approximate backend swaps in
 kappa-truncated solutions.  Either way, the real Schur factors of the two
 closed-loop blocks decide stability and then give the closed-loop H2 norm
 through the observer separation.
+
+The Youla data of the gap layer is kept in n-state blocks too: any
+stabilizing pair (F, L) gives the block-triangular closed-loop
+parameterization on A + B2 F and A + L C2, whose off-diagonal factors T12
+and T21 have n-state realizations.
 """
 
 from __future__ import annotations
@@ -26,11 +31,11 @@ from .linalg import (RealSchur, _pbh_rank_deficient, _unstable_modes,
                      solve_are, solve_sylvester, symmetrize)
 from .plant import GeneralizedPlant, _a4_cross_terms
 from .projection import ClusterPartition, ProjectionPair
-from .statespace import StateSpace, lft_lower_partitioned
+from .statespace import StateSpace
 
 __all__ = [
     "YoulaData", "SynthesisResult", "HierarchicalController", "LinkCount",
-    "youla_data", "lft_controller", "synthesize_hierarchical",
+    "youla_data", "synthesize_hierarchical",
     "synthesize_unconstrained", "communication_links",
 ]
 
@@ -52,14 +57,13 @@ class HierarchicalController:
 
 @dataclass
 class YoulaData:
-    """Nominal stabilizing gains with the closed-loop parameterization data.
+    """Stabilizing gains F, L with the n-state data of the Youla system.
 
-    K_nom maps [y; v] -> [u; e] and T, with state matrix A_hat, is the
-    2n-state four-block system with f(G, f(K_nom, Q)) = T11 + T12 Q T21 for
-    every stable Q.  A_hat = [[A_F, -B2 F], [0, A_L]] is block triangular,
-    A_F = A + B2 F and A_L = A + L C2, whose real Schur factors are kept as
-    `f_loop` and `l_loop`; so T12 and T21 have n-state realizations on A_F
-    and A_L, and T22 vanishes identically.
+    Every stable Q gives f(G, K_Q) = T11 + T12 Q T21.  The state matrix of T
+    is block triangular, with diagonal blocks A_F = A + B2 F and
+    A_L = A + L C2, whose real Schur factors are kept as `f_loop` and
+    `l_loop`; T12 and T21 are n-state systems on A_F and A_L, and T22
+    vanishes identically.
     """
 
     g: GeneralizedPlant
@@ -67,17 +71,6 @@ class YoulaData:
     l: np.ndarray
     f_loop: RealSchur
     l_loop: RealSchur
-    k_nom: StateSpace
-    a_hat: np.ndarray
-    b1_hat: np.ndarray
-    b2_hat: np.ndarray
-    c1_hat: np.ndarray
-    c2_hat: np.ndarray
-
-    @property
-    def t11(self) -> StateSpace:
-        return StateSpace(self.a_hat, self.b1_hat, self.c1_hat,
-                          np.zeros((self.g.p1, self.g.m1)))
 
     @property
     def t12(self) -> StateSpace:
@@ -91,29 +84,18 @@ class YoulaData:
         g = self.g
         return StateSpace(self.l_loop.a, g.b1 + self.l @ g.d21, g.c2, g.d21)
 
-    @property
-    def t22(self) -> StateSpace:
-        return StateSpace(self.a_hat, self.b2_hat, self.c2_hat,
-                          np.zeros((self.g.n_y, self.g.n_u)))
 
-
-def youla_data(g: GeneralizedPlant, f=None, l=None,
+def youla_data(g: GeneralizedPlant, f, l,
                tol: Tolerances = DEFAULT_TOLERANCES) -> YoulaData:
-    """Assemble K_nom and the closed-loop parameterization system T.
+    """Youla data of the stabilizing pair (F, L).
 
-    Any stabilizing pair (F, L) is admissible; by default the unconstrained
-    H2 gains are used.  The real Schur factors of A + B2 F and A + L C2
-    decide stability: NotStabilizingGains when either has an eigenvalue at
+    The real Schur factors of A + B2 F and A + L C2 decide stability:
+    NotStabilizingGains when either has an eigenvalue at
     Re >= -hurwitz_margin.
     """
-    n, nu, ny = g.n, g.n_u, g.n_y
-    if f is None or l is None:
-        base = synthesize_unconstrained(g, tol=tol)
-        f = base.p_u_t_f2() if f is None else f
-        l = base.l2_p_y() if l is None else l
     f = np.asarray(f, float)
     l = np.asarray(l, float)
-    if f.shape != (nu, n) or l.shape != (n, ny):
+    if f.shape != (g.n_u, g.n) or l.shape != (g.n, g.n_y):
         raise HypothesisFailure(
             f"gain shapes {f.shape}, {l.shape} do not match plant dims")
     f_loop = RealSchur.of(g.a + g.b2 @ f)
@@ -122,27 +104,7 @@ def youla_data(g: GeneralizedPlant, f=None, l=None,
         raise NotStabilizingGains("A + B2 F is not Hurwitz")
     if l_loop.abscissa >= -tol.hurwitz_margin:
         raise NotStabilizingGains("A + L C2 is not Hurwitz")
-
-    k_nom = StateSpace(
-        a=g.a + g.b2 @ f + l @ g.c2,
-        b=np.hstack([-l, g.b2]),
-        c=np.vstack([f, -g.c2]),
-        d=np.block([[np.zeros((nu, ny)), np.eye(nu)],
-                    [np.eye(ny), np.zeros((ny, nu))]]),
-    )
-    return YoulaData(
-        g=g, f=f, l=l, f_loop=f_loop, l_loop=l_loop, k_nom=k_nom,
-        a_hat=np.block([[f_loop.a, -g.b2 @ f], [np.zeros((n, n)), l_loop.a]]),
-        b1_hat=np.vstack([g.b1, g.b1 + l @ g.d21]),
-        b2_hat=np.vstack([g.b2, np.zeros((n, nu))]),
-        c1_hat=np.hstack([g.c1 + g.d12 @ f, -g.d12 @ f]),
-        c2_hat=np.hstack([np.zeros((ny, n)), g.c2]))
-
-
-def lft_controller(yd: YoulaData, q: StateSpace) -> StateSpace:
-    """Controller K = f(K_nom, Q) for a stable Youla parameter Q."""
-    nu, ny = yd.g.n_u, yd.g.n_y
-    return lft_lower_partitioned(yd.k_nom, nu, ny, ny, nu, q)
+    return YoulaData(g=g, f=f, l=l, f_loop=f_loop, l_loop=l_loop)
 
 
 # ---------------------------------------------------------------------------

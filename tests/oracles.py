@@ -4,7 +4,8 @@ Each oracle takes a different computational route than the library code it
 checks: Lyapunov via the Kronecker vectorization linear system, Riccati
 via matrix sign iteration, the H2 norm via frequency quadrature, the
 H-infinity norm via dense frequency gridding, and the gap-layer spectral
-factors via the two 2n-state hat Riccati equations on the Youla system.
+factors via the two 2n-state hat Riccati equations on the Youla system,
+whose 2n-state realization and nominal controller K_nom live here too.
 """
 
 from dataclasses import dataclass
@@ -15,6 +16,7 @@ import scipy.linalg as sla
 from hierh2 import DEFAULT_TOLERANCES, StateSpace, Tolerances, neg, series
 from hierh2.linalg import (hinf_norm, riccati_from_hamiltonian,
                            solve_sylvester, sqrt_psd, symmetrize)
+from hierh2.statespace import lft_lower_partitioned
 
 
 def lyapunov_kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -101,6 +103,52 @@ def freqresp_formula(a, b, c, d, omega) -> np.ndarray:
 
 
 @dataclass
+class YoulaHat:
+    """2n-state realization of the Youla system T of the gains F, L.
+
+    K_nom maps [y; v] -> [u; e] and f(G, f(K_nom, Q)) = T11 + T12 Q T21 for
+    every stable Q; T has state matrix A_hat = [[A_F, -B2 F], [0, A_L]].
+    """
+
+    a_hat: np.ndarray
+    b1_hat: np.ndarray
+    b2_hat: np.ndarray
+    c1_hat: np.ndarray
+    c2_hat: np.ndarray
+    k_nom: StateSpace
+    t11: StateSpace
+    t22: StateSpace
+
+
+def youla_hat(yd) -> YoulaHat:
+    """The 2n realization and K_nom of the library's n-state Youla data."""
+    g, f, l = yd.g, yd.f, yd.l
+    n, nu, ny = g.n, g.n_u, g.n_y
+    a_hat = np.block([[yd.f_loop.a, -g.b2 @ f], [np.zeros((n, n)), yd.l_loop.a]])
+    b1_hat = np.vstack([g.b1, g.b1 + l @ g.d21])
+    b2_hat = np.vstack([g.b2, np.zeros((n, nu))])
+    c1_hat = np.hstack([g.c1 + g.d12 @ f, -g.d12 @ f])
+    c2_hat = np.hstack([np.zeros((ny, n)), g.c2])
+    k_nom = StateSpace(
+        a=g.a + g.b2 @ f + l @ g.c2,
+        b=np.hstack([-l, g.b2]),
+        c=np.vstack([f, -g.c2]),
+        d=np.block([[np.zeros((nu, ny)), np.eye(nu)],
+                    [np.eye(ny), np.zeros((ny, nu))]]))
+    return YoulaHat(
+        a_hat=a_hat, b1_hat=b1_hat, b2_hat=b2_hat, c1_hat=c1_hat,
+        c2_hat=c2_hat, k_nom=k_nom,
+        t11=StateSpace(a_hat, b1_hat, c1_hat, np.zeros((g.p1, g.m1))),
+        t22=StateSpace(a_hat, b2_hat, c2_hat, np.zeros((ny, nu))))
+
+
+def lft_controller(yd, q: StateSpace) -> StateSpace:
+    """Controller K = f(K_nom, Q) for a stable Youla parameter Q."""
+    nu, ny = yd.g.n_u, yd.g.n_y
+    return lft_lower_partitioned(youla_hat(yd).k_nom, nu, ny, ny, nu, q)
+
+
+@dataclass
 class HatSpectralFactors:
     """Factor systems and gains of the 2n hat-Riccati construction.
 
@@ -135,8 +183,9 @@ def hat_spectral_factors(yd, d12, d21,
     """
     d12 = np.asarray(d12, float)
     d21 = np.asarray(d21, float)
-    a_hat, b1_hat, b2_hat = yd.a_hat, yd.b1_hat, yd.b2_hat
-    c1_hat, c2_hat = yd.c1_hat, yd.c2_hat
+    hat = youla_hat(yd)
+    a_hat, b1_hat, b2_hat = hat.a_hat, hat.b1_hat, hat.b2_hat
+    c1_hat, c2_hat = hat.c1_hat, hat.c2_hat
     n2 = a_hat.shape[0]
 
     r_u = symmetrize(d12.T @ d12)
@@ -182,9 +231,9 @@ def hat_gap_weights(yd, hsf: HatSpectralFactors,
                     tol: Tolerances = DEFAULT_TOLERANCES) -> tuple[float, float]:
     """(eps1, eps2) of the gap bound from the 2n-state realizations of T12,
     T21 on A_hat and the hat factor weights Wbar_R, Wbar_L."""
-    g = yd.g
-    t12 = StateSpace(yd.a_hat, yd.b2_hat, yd.c1_hat, g.d12)
-    t21 = StateSpace(yd.a_hat, yd.b1_hat, yd.c2_hat, g.d21)
+    g, hat = yd.g, youla_hat(yd)
+    t12 = StateSpace(hat.a_hat, hat.b2_hat, hat.c1_hat, g.d12)
+    t21 = StateSpace(hat.a_hat, hat.b1_hat, hat.c2_hat, g.d21)
     t12_t21 = hinf_norm(t12, tol) * hinf_norm(t21, tol)
     return (t12_t21 * hinf_norm(hsf.wbar_r, tol),
             t12_t21 * hinf_norm(hsf.wbar_l, tol))

@@ -16,7 +16,8 @@ from hierh2 import (DEFAULT_TOLERANCES, ClusterPartition, ExperimentConfig,
 from hierh2.errors import DegenerateData, NumericalError
 
 from conftest import random_h2_plant, random_partition
-from oracles import hat_gap_weights, hat_spectral_factors, lyapunov_kron
+from oracles import (hat_gap_weights, hat_spectral_factors, lyapunov_kron,
+                     youla_hat)
 from test_synthesis import scalar_plant
 
 FREQS = np.logspace(-2, 2, 20)
@@ -217,8 +218,8 @@ def test_xi_u_monotone_under_refinement():
         fine = build_projection(
             ClusterPartition(input_sets=fine_sets, output_sets=fine_sets),
             WeightVectors.ones(6, 6))
-        rep_c = gap_report(yd, sf, coarse, g, verify_equivalence=False)
-        rep_f = gap_report(yd, sf, fine, g, verify_equivalence=False)
+        rep_c = gap_report(yd, sf, coarse, g)
+        rep_f = gap_report(yd, sf, fine, g)
         assert rep_f.xi_u <= rep_c.xi_u + 1e-10
         assert rep_c.h2_equivalence is None
 
@@ -308,7 +309,7 @@ def test_monotone_gap_sweep_small():
     g = random_h2_plant(rng, 4, 4, 4)
     yd = reference_youla_data(g)
     sf = spectral_factors(yd, g.d12, g.d21)
-    rows = monotone_gap_sweep(g, sf, WeightVectors.ones(4, 4), [1, 2, 4], rng=3)
+    rows = monotone_gap_sweep(sf, WeightVectors.ones(4, 4), [1, 2, 4], rng=3)
     ratios = [row.report.ratio for row in rows]
     assert ratios[0] >= max(ratios) - 1e-9          # r = 1 is the largest
     assert ratios[-1] == pytest.approx(1.0, abs=1e-6)  # singleton limit
@@ -351,7 +352,7 @@ def _assert_factors_match_oracle(yd, p, hier=None):
                       (sf.embed_u, hat.embed_u), (sf.embed_y, hat.embed_y)):
         assert mine.shape == ref.shape
         assert _rel(mine, ref) <= 1e-9
-    report = gap_report(yd, sf, p, g, hier=hier, verify_equivalence=False)
+    report = gap_report(yd, sf, p, g, hier=hier)
     eps1, eps2 = hat_gap_weights(yd, hat)
     assert report.eps1 == pytest.approx(eps1, rel=tol.hinf_rel)
     assert report.eps2 == pytest.approx(eps2, rel=tol.hinf_rel)
@@ -437,7 +438,7 @@ def test_gap_layer_runs_in_n_state_blocks(monkeypatch):
         record("schur", schur_of, lambda cls, a: np.asarray(a).shape[0])))
 
     sf = spectral_factors(yd, g.d12, g.d21)
-    gap_report(yd, sf, p, g, verify_equivalence=False)
+    gap_report(yd, sf, p, g)
     assert all(sides[kind] for kind in sides), sides
     assert max(max(v) for v in sides.values()) <= g.n, sides
     assert len(sides["riccati"]) == 4   # X, Y of the unconstrained pair and
@@ -499,8 +500,9 @@ def test_property_n_state_factors_equal_hat_oracle(seed, n, nu, ny):
     assert _rel(sf.embed_u @ sf.embed_u.T, hat.embed_u @ hat.embed_u.T) <= 1e-9
     assert _rel(sf.embed_y @ sf.embed_y.T, hat.embed_y @ hat.embed_y.T) <= 1e-9
     hinf_rel = DEFAULT_TOLERANCES.hinf_rel
-    for mine, ref in ((yd.t12, StateSpace(yd.a_hat, yd.b2_hat, yd.c1_hat, g.d12)),
-                      (yd.t21, StateSpace(yd.a_hat, yd.b1_hat, yd.c2_hat, g.d21)),
+    yh = youla_hat(yd)
+    for mine, ref in ((yd.t12, StateSpace(yh.a_hat, yh.b2_hat, yh.c1_hat, g.d12)),
+                      (yd.t21, StateSpace(yh.a_hat, yh.b1_hat, yh.c2_hat, g.d21)),
                       (sf.wbar_l, hat.wbar_l), (sf.wbar_r, hat.wbar_r)):
         for w in FREQS:
             assert _rel(mine.eval(1j * w), ref.eval(1j * w)) <= 1e-9

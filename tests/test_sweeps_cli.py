@@ -88,6 +88,55 @@ def test_sweep_r_rows(tmp_path):
     assert table[-1]["partition_recovery"] in ("True", "False")
 
 
+def test_sweep_r_solves_the_unconstrained_pair_once(monkeypatch):
+    # J1* and the embeddings do not depend on r: one synthesis per plant
+    from hierh2 import gapdesign, synthesis
+    calls = []
+    unconstrained = synthesis.synthesize_unconstrained
+
+    def counting(*args, **kw):
+        calls.append(1)
+        return unconstrained(*args, **kw)
+
+    for mod in (synthesis, gapdesign):
+        monkeypatch.setattr(mod, "synthesize_unconstrained", counting)
+    rows = sweep_r(small_config())
+    assert len(rows) == 3 and all(r["status"] == "ok" for r in rows)
+    assert len(calls) == 1
+
+
+def test_sweep_r_records_a_failing_row(tmp_path, monkeypatch):
+    from hierh2 import gapdesign, sweeps
+    from hierh2.errors import DegenerateData
+    design = gapdesign.design_clusters
+
+    def failing_at_2(sf, weights, r, *args, **kw):
+        if r == 2:
+            raise DegenerateData("no clustering at r = 2")
+        return design(sf, weights, r, *args, **kw)
+
+    returned = []
+
+    def recording(*args, **kw):
+        returned.extend(gapdesign.monotone_gap_sweep(*args, **kw))
+        return returned
+
+    monkeypatch.setattr(gapdesign, "design_clusters", failing_at_2)
+    monkeypatch.setattr(sweeps, "monotone_gap_sweep", recording)
+    sweep_r(small_config(), tmp_path)
+    table = read_csv(tmp_path / "r_sweep.csv")
+    assert [r["r"] for r in table] == ["1", "2", "4"]
+    assert [r["status"] for r in table[::2]] == ["ok", "ok"]
+    assert table[1]["status"] == "error: no clustering at r = 2"
+    assert all(table[1][k] == "" for k in ("J1", "J2", "ratio", "bound_rhs"))
+    assert [row.r for row in returned] == [1, 2, 4]
+    failed = returned[1]
+    assert isinstance(failed.error, DegenerateData)
+    assert failed.report is None and failed.partition is None
+    assert all(row.error is None and row.report is not None
+               for row in returned[::2])
+
+
 # ---------------------------------------------------------------------------
 # Serialization
 # ---------------------------------------------------------------------------
@@ -209,6 +258,12 @@ def test_cli_exit_codes(tmp_path, capsys):
                str(tmp_path / "part.json"), "--out", str(tmp_path)])
     assert rc == 2
     assert "precondition" in capsys.readouterr().err
+    # validate reports the failed assumption and exits 2 as well
+    rc = main(["validate", "--plant", str(tmp_path / "bad.json"),
+               "--out", str(tmp_path)])
+    assert rc == 2
+    out = capsys.readouterr().out
+    assert "A2: FAIL" in out and "all: FAIL" in out.splitlines()
 
 
 def test_cli_eigenspan_weights_use_the_tol_profile(tmp_path, monkeypatch):

@@ -4,8 +4,7 @@ import pytest
 from hierh2 import (DEFAULT_TOLERANCES, ClusterPartition, ExperimentConfig,
                     GeneralizedPlant, NetworkSpec, ProjectionPair, StateSpace,
                     WeightVectors, add, build_projection, communication_links,
-                    generate_consensus_network, h2_norm, lft_controller,
-                    lft_lower, spectral_abscissa, synthesize_hierarchical,
+                    generate_consensus_network, h2_norm, lft_lower, spectral_abscissa, synthesize_hierarchical,
                     synthesize_unconstrained, validate_assumptions,
                     youla_data)
 from hierh2.errors import (ApproxNotStabilizing, HypothesisFailure,
@@ -13,6 +12,7 @@ from hierh2.errors import (ApproxNotStabilizing, HypothesisFailure,
 from hierh2.projection import random_stable_statespace
 
 from conftest import random_h2_plant, random_partition
+from oracles import lft_controller, youla_hat
 
 FREQS = np.logspace(-2, 2, 15)
 
@@ -31,25 +31,43 @@ def scalar_plant():
 # Youla parameterization
 # ---------------------------------------------------------------------------
 
+def h2_youla_data(g):
+    """Youla data of the unconstrained H2 gains."""
+    base = synthesize_unconstrained(g)
+    return youla_data(g, f=base.p_u_t_f2(), l=base.l2_p_y())
+
+
 def test_scalar_plant_hat_matrices_by_hand():
     g = scalar_plant()
-    yd = youla_data(g, f=[[-1.0]], l=[[-1.0]])
-    assert np.allclose(yd.a_hat, [[-1.0, 1.0], [0.0, -1.0]])
-    assert np.allclose(yd.b1_hat, [[1.0, 0.0], [1.0, -1.0]])
-    assert np.allclose(yd.b2_hat, [[1.0], [0.0]])
-    assert np.allclose(yd.c1_hat, [[1.0, 0.0], [-1.0, 1.0]])
-    assert np.allclose(yd.c2_hat, [[0.0, 1.0]])
+    hat = youla_hat(youla_data(g, f=[[-1.0]], l=[[-1.0]]))
+    assert np.allclose(hat.a_hat, [[-1.0, 1.0], [0.0, -1.0]])
+    assert np.allclose(hat.b1_hat, [[1.0, 0.0], [1.0, -1.0]])
+    assert np.allclose(hat.b2_hat, [[1.0], [0.0]])
+    assert np.allclose(hat.c1_hat, [[1.0, 0.0], [-1.0, 1.0]])
+    assert np.allclose(hat.c2_hat, [[0.0, 1.0]])
+
+
+def test_youla_data_is_n_state():
+    # every array the library keeps has side <= n; the 2n realization of T
+    # is the test oracle's
+    rng = np.random.default_rng(1)
+    g = random_h2_plant(rng, 4, 2, 3)
+    yd = h2_youla_data(g)
+    arrays = [v for v in vars(yd).values() if isinstance(v, np.ndarray)]
+    arrays += [m for loop in (yd.f_loop, yd.l_loop)
+               for m in (loop.a, loop.t, loop.u)]
+    assert max(max(a.shape) for a in arrays) <= g.n
 
 
 def test_closed_loop_parameterization_identity():
     rng = np.random.default_rng(1)
     g = random_h2_plant(rng, 4, 2, 3)
-    yd = youla_data(g)
+    yd = h2_youla_data(g)
     for _ in range(5):
         q = random_stable_statespace(rng, 2, g.n_u, g.n_y)
         k = lft_controller(yd, q)
         closed = lft_lower(g, k)
-        model = add(yd.t11, StateSpace(
+        model = add(youla_hat(yd).t11, StateSpace(
             *_series_triple(yd.t21, q, yd.t12)))
         for w in FREQS:
             lhs = closed.eval(1j * w)
@@ -66,19 +84,20 @@ def _series_triple(first, mid, last):
 def test_zero_parameter_gives_t11():
     rng = np.random.default_rng(2)
     g = random_h2_plant(rng, 3, 2, 2)
-    yd = youla_data(g)
+    yd = h2_youla_data(g)
     k0 = lft_controller(yd, StateSpace.zero(g.n_u, g.n_y))
     closed = lft_lower(g, k0)
+    t11 = youla_hat(yd).t11
     for w in FREQS:
-        assert np.linalg.norm(closed.eval(1j * w) - yd.t11.eval(1j * w)) <= 1e-9
+        assert np.linalg.norm(closed.eval(1j * w) - t11.eval(1j * w)) <= 1e-9
 
 
 def test_t22_vanishes():
     rng = np.random.default_rng(3)
     g = random_h2_plant(rng, 4, 2, 2)
-    yd = youla_data(g)
+    t22 = youla_hat(h2_youla_data(g)).t22
     for w in FREQS:
-        assert np.linalg.norm(yd.t22.eval(1j * w)) <= 1e-10
+        assert np.linalg.norm(t22.eval(1j * w)) <= 1e-10
 
 
 def test_rejects_nonstabilizing_gains():
