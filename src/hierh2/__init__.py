@@ -32,8 +32,7 @@ from .gapdesign import (GapReport, GapSweepRow, SpectralFactors,
                         design_clusters, doubly_projected_controller,
                         evaluate_partition, gap_report, model_matching_value,
                         monotone_gap_sweep, reference_youla_data,
-                        spectral_factors, structured_youla_data,
-                        weighted_kmeans)
+                        spectral_factors, weighted_kmeans)
 from .simulate import (SimResult, SimTrace, privacy_audit,
                        run_hier_simulation)
 from .sweeps import ExperimentConfig, sweep_kappa, sweep_r, sweep_size

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 import time
 from pathlib import Path
@@ -44,6 +45,15 @@ def _add_common(sub):
     sub.add_argument("--seed", type=int, default=None, help="RNG seed override")
     sub.add_argument("--tol-profile", choices=["strict", "default"],
                      default="default")
+
+
+def _matching(pattern: str, expected: str):
+    """argparse type accepting only strings that fully match `pattern`."""
+    def check(text: str) -> str:
+        if re.fullmatch(pattern, text) is None:
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+        return text
+    return check
 
 
 def _experiment_config(args) -> ExperimentConfig:
@@ -98,10 +108,8 @@ def cmd_synth(args) -> int:
     g = load_plant(args.plant)
     partition, weights = _resolve_partition_weights(args, g, tol)
     p = build_projection(partition, weights)
-    backend, kappa = "exact", None
-    if args.backend.startswith("approx"):
-        backend = "approx"
-        kappa = int(args.backend.split(":", 1)[1])
+    backend, _, k = args.backend.partition(":")
+    kappa = int(k) if k else None
     res = synthesize_hierarchical(g, p, are_backend=backend, kappa=kappa,
                                   method=args.method, tol=tol)
     args.out.mkdir(parents=True, exist_ok=True)
@@ -172,9 +180,9 @@ def cmd_design_clusters(args) -> int:
 def cmd_simulate(args) -> int:
     g = load_plant(args.plant)
     controller = load_controller(args.controller)
-    if args.disturbance.startswith("impulse"):
-        channel = int(args.disturbance.split(":", 1)[1]) if ":" in args.disturbance else 0
-        dist = ("impulse", channel)
+    kind, _, k = args.disturbance.partition(":")
+    if kind == "impulse":
+        dist = ("impulse", int(k or 0))
     else:
         dist = ("noise", args.seed if args.seed is not None else 0, 1.0)
     res = run_hier_simulation(g, controller, horizon=args.horizon, dt=args.dt,
@@ -237,6 +245,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--partition", type=Path, required=True)
     s.add_argument("--weights", choices=["ones", "eigenspan"], default="ones")
     s.add_argument("--backend", default="exact",
+                   type=_matching(r"exact|approx:[1-9][0-9]*",
+                                  "'exact' or 'approx:K' with integer K >= 1"),
                    help="'exact' or 'approx:K' for kappa=K")
     s.add_argument("--method", choices=["dense", "krylov"], default="dense")
     s.set_defaults(fn=cmd_synth)
@@ -271,6 +281,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--horizon", type=float, default=1.0)
     s.add_argument("--dt", type=float, default=None)
     s.add_argument("--disturbance", default="impulse:0",
+                   type=_matching(r"impulse(:[0-9]+)?|noise",
+                                  "'impulse', 'impulse:k' or 'noise'"),
                    help="'impulse:k' or 'noise'")
     s.set_defaults(fn=cmd_simulate)
 

@@ -27,10 +27,11 @@ value equals J1*, is kept in the tests as the oracle of these formulas.
 
 The bound machinery requires the Youla data to be built from
 projection-structured gains (P_u^T F2, L2 P_y): with those gains the
-constrained problem over the same T is exactly the hierarchical problem.
-:func:`evaluate_partition` assembles the whole chain correctly, and
-:func:`monotone_gap_sweep` runs the same chain once per cluster count on
-one unconstrained synthesis of the plant.
+constrained problem over the same T is exactly the hierarchical problem,
+and they are the synthesis's own ``youla`` record, which :func:`gap_report`
+reads.  :func:`evaluate_partition` assembles the whole chain and checks J2*
+against the equivalence form, and :func:`monotone_gap_sweep` runs the same
+chain once per cluster count on one unconstrained synthesis of the plant.
 """
 
 from __future__ import annotations
@@ -50,14 +51,13 @@ from .projection import (ClusterPartition, ProjectionPair, WeightVectors,
                          build_projection)
 from .statespace import StateSpace, add, series
 from .synthesis import (SynthesisResult, YoulaData, _block_gramian,
-                        synthesize_hierarchical, synthesize_unconstrained,
-                        youla_data)
+                        _observer_closed_loop_h2, synthesize_hierarchical,
+                        synthesize_unconstrained)
 
 __all__ = [
     "SpectralFactors", "GapReport", "GapSweepRow", "spectral_factors",
     "gap_report", "design_clusters", "monotone_gap_sweep",
     "evaluate_partition", "weighted_kmeans", "reference_youla_data",
-    "structured_youla_data",
 ]
 
 
@@ -106,11 +106,11 @@ def _factors(yd: YoulaData, unc: SynthesisResult,
     """Spectral factors of `yd` read off `unc`, the unconstrained synthesis
     of the Youla data's plant."""
     g = yd.g
-    ctrl = unc.x_solution.closed_loop       # A + B2 F2
-    filt_t = unc.y_solution.closed_loop     # (A + L2 C2)'
-    filt = filt_t.transposed()
+    ctrl = unc.youla.f_loop                 # A + B2 F2
+    filt = unc.youla.l_loop                 # A + L2 C2
+    filt_t = filt.transposed()
     f, l = yd.f, yd.l
-    df, dl = unc.f2 - f, unc.l2 - l
+    df, dl = unc.youla.f - f, unc.youla.l - l
     fhat = np.hstack([df, f])
     # only the off-diagonal block Y12 of Y_hat = [[., Y12], [Y12', Y]] is new
     y12 = solve_sylvester(yd.f_loop, filt,
@@ -143,13 +143,11 @@ def model_matching_value(yd: YoulaData, q: StateSpace,
     """||T11 + T12 Q T21||_H2 for a stable parameter Q; at the optimizer Q*
     of the test oracle it is the independent check of the two-Riccati J1*.
 
-    T11 is the closed loop of the plant with the observer controller of the
-    gains F, L (the Youla parameter Q = 0), a 2n-state system.
+    T11 is the closed loop of the plant with ``yd.controller`` (the Youla
+    parameter Q = 0), a 2n-state system.
     """
-    g = yd.g
-    k0 = StateSpace(g.a + g.b2 @ yd.f + yd.l @ g.c2, -yd.l, yd.f,
-                    np.zeros((g.n_u, g.n_y)))
-    return h2_norm(add(lft_lower(g, k0), series(yd.t21, q, yd.t12)), tol)
+    t11 = lft_lower(yd.g, yd.controller)
+    return h2_norm(add(t11, series(yd.t21, q, yd.t12)), tol)
 
 
 # ---------------------------------------------------------------------------
@@ -183,48 +181,49 @@ def _inverse_on_range(m: np.ndarray, rank: int) -> np.ndarray:
 
 
 def doubly_projected_controller(g: GeneralizedPlant, p: ProjectionPair,
-                                tol: Tolerances = DEFAULT_TOLERANCES) -> StateSpace:
-    """Observer controller of the P_u^T P_u / P_y^T P_y-weighted plant.
+                                tol: Tolerances = DEFAULT_TOLERANCES) -> YoulaData:
+    """Observer loop of the P_u^T P_u / P_y^T P_y-weighted plant.
 
-    The equivalence form of the constrained problem: its state-space
-    solution coincides with the hierarchical optimal controller.  The
-    projected weights P_u^T P_u D12' D12 P_u^T P_u and
-    P_y^T P_y D21 D21' P_y^T P_y have the rank of P_u and P_y, and are
-    inverted on that range; a cutoff-based pinv would also invert the
-    rounding-level eigenvalues of the null space, which grow with n.
+    The equivalence form of the constrained problem: its ``.controller``
+    coincides with the hierarchical optimal controller, and its loop factors
+    are the closed loops of its two Riccati solutions.  The projected
+    weights P_u^T P_u D12' D12 P_u^T P_u and P_y^T P_y D21 D21' P_y^T P_y
+    have the rank of P_u and P_y, and are inverted on that range; a
+    cutoff-based pinv would also invert the rounding-level eigenvalues of
+    the null space, which grow with n.
     """
     pu, py = p.p_u.T @ p.p_u, p.p_y.T @ p.p_y
     bp = g.b2 @ pu
     rp_inv = _inverse_on_range(pu @ g.d12.T @ g.d12 @ pu, p.p_u.shape[0])
     m = bp @ rp_inv @ bp.T
-    x = riccati_from_hamiltonian(g.a, m, g.c1.T @ g.c1, tol).x
-    f_brev = -rp_inv @ bp.T @ x
+    x_sol = riccati_from_hamiltonian(g.a, m, g.c1.T @ g.c1, tol)
+    f_brev = -rp_inv @ bp.T @ x_sol.x
     cp = py @ g.c2
     rp_inv = _inverse_on_range(py @ g.d21 @ g.d21.T @ py, p.p_y.shape[0])
     m = cp.T @ rp_inv @ cp
-    y = riccati_from_hamiltonian(g.a.T, m, g.b1 @ g.b1.T, tol).x
-    l_brev = -y @ cp.T @ rp_inv
-    return StateSpace(g.a + bp @ f_brev + l_brev @ cp, -l_brev, f_brev,
-                      np.zeros((g.n_u, g.n_y)))
+    y_sol = riccati_from_hamiltonian(g.a.T, m, g.b1 @ g.b1.T, tol)
+    l_brev = -y_sol.x @ cp.T @ rp_inv
+    return YoulaData(g=g, f=f_brev, l=l_brev, f_loop=x_sol.closed_loop,
+                     l_loop=y_sol.closed_loop.transposed())
 
 
-def gap_report(yd: YoulaData, sf: SpectralFactors, p: ProjectionPair,
-               g: GeneralizedPlant, hier: SynthesisResult | None = None,
+def gap_report(hier: SynthesisResult, sf: SpectralFactors,
                tol: Tolerances = DEFAULT_TOLERANCES) -> GapReport:
     """Quantify the gap between hierarchical and unconstrained optima.
 
-    J1* is the two-Riccati optimum ``sf.unconstrained.h2_value``.  xi_u,
-    xi_y measure the parts of the factor-gain embeddings
-    (``sf.embed_u``, ``sf.embed_y``) outside the projection ranges; eps1,
-    eps2 are the H-infinity weights, xi = eps1 xi_u + 2 eps2 xi_y, and
-    bound_rhs = sqrt(J1*^2 + 2 xi J1* + xi^2) upper-bounds J2*.  The Youla
-    data must carry projection-structured gains for the bound to be
-    guaranteed (see :func:`evaluate_partition`).  J2* is
-    ``hier.h2_value``, synthesized here when `hier` is None.  Only the
-    bound is computed: ``h2_equivalence`` is left None.
+    J1* is the two-Riccati optimum ``sf.unconstrained.h2_value`` and J2* is
+    ``hier.h2_value``.  xi_u, xi_y measure the parts of the factor-gain
+    embeddings (``sf.embed_u``, ``sf.embed_y``) outside the ranges of the
+    synthesis's projections; eps1, eps2 are the H-infinity weights from
+    T12, T21 of ``hier.youla`` and the factor weights of `sf`,
+    xi = eps1 xi_u + 2 eps2 xi_y, and bound_rhs = sqrt(J1*^2 + 2 xi J1* + xi^2)
+    upper-bounds J2*.  The bound is guaranteed when `sf` is read off
+    ``hier.youla`` too (see :func:`evaluate_partition`).  Only the bound is
+    computed: ``h2_equivalence`` is left None.
     """
-    qu = np.eye(p.n_u) - p.p_u.T @ p.p_u
-    qy = np.eye(p.n_y) - p.p_y.T @ p.p_y
+    yd, k = hier.youla, hier.controller
+    qu = np.eye(k.p_u.shape[1]) - k.p_u.T @ k.p_u
+    qy = np.eye(k.p_y.shape[1]) - k.p_y.T @ k.p_y
     xi_u = float(np.linalg.norm(qu @ sf.embed_u, "fro"))
     xi_y = float(np.linalg.norm(qy @ sf.embed_y, "fro"))
 
@@ -234,8 +233,6 @@ def gap_report(yd: YoulaData, sf: SpectralFactors, p: ProjectionPair,
     xi = eps1 * xi_u + 2.0 * eps2 * xi_y
 
     j1 = sf.unconstrained.h2_value
-    if hier is None:
-        hier = synthesize_hierarchical(g, p, tol=tol)
     j2 = hier.h2_value
     bound_rhs = float(np.sqrt(j1 * j1 + 2.0 * xi * j1 + xi * xi))
     return GapReport(j1_star=j1, j2_star=j2, xi_u=xi_u, xi_y=xi_y, xi=float(xi),
@@ -246,42 +243,33 @@ def gap_report(yd: YoulaData, sf: SpectralFactors, p: ProjectionPair,
 # Youla-data conveniences
 # ---------------------------------------------------------------------------
 
-def structured_youla_data(g: GeneralizedPlant, p: ProjectionPair,
-                          hier: SynthesisResult | None = None,
-                          tol: Tolerances = DEFAULT_TOLERANCES) -> tuple[YoulaData, SynthesisResult]:
-    """Youla data with the projection-structured gains P_u^T F2, L2 P_y."""
-    if hier is None:
-        hier = synthesize_hierarchical(g, p, tol=tol)
-    yd = youla_data(g, f=hier.p_u_t_f2(), l=hier.l2_p_y(), tol=tol)
-    return yd, hier
-
-
 def reference_youla_data(g: GeneralizedPlant,
                          tol: Tolerances = DEFAULT_TOLERANCES) -> YoulaData:
     """Design-phase Youla data from unit-weight LQR/Kalman gains.
 
     The optimal H2 gains make the factor gain F_hat vanish identically and
     would feed the clustering step zero rows, so the design phase uses the
-    neutral Q = R = I regulator/filter pair instead.
+    neutral Q = R = I regulator/filter pair, with its Riccati closed loops.
     """
-    x = solve_are(g.a, g.b2, np.eye(g.n), np.eye(g.n_u), tol,
-                  check_stabilizable=False).x
-    y = solve_are(g.a.T, g.c2.T, np.eye(g.n), np.eye(g.n_y), tol,
-                  check_stabilizable=False).x
-    f = -g.b2.T @ x
-    l = -y @ g.c2.T
-    return youla_data(g, f=f, l=l, tol=tol)
+    x_sol = solve_are(g.a, g.b2, np.eye(g.n), np.eye(g.n_u), tol,
+                      check_stabilizable=False)
+    y_sol = solve_are(g.a.T, g.c2.T, np.eye(g.n), np.eye(g.n_y), tol,
+                      check_stabilizable=False)
+    return YoulaData(g=g, f=-g.b2.T @ x_sol.x, l=-y_sol.x @ g.c2.T,
+                     f_loop=x_sol.closed_loop,
+                     l_loop=y_sol.closed_loop.transposed())
 
 
 def evaluate_partition(g: GeneralizedPlant, partition: ClusterPartition,
                        weights: WeightVectors | None = None,
                        tol: Tolerances = DEFAULT_TOLERANCES) -> GapReport:
-    """Full gap pipeline for one partition: projections, structured Youla
-    data, spectral factors, and the gap-bound report.
+    """Full gap pipeline for one partition: projections, the hierarchical
+    synthesis with its Youla data, spectral factors, and the gap-bound
+    report.
 
-    The H2 cost of :func:`doubly_projected_controller` is stored as
-    ``h2_equivalence``, and a warning is raised when it differs from J2* by
-    more than 1e-6 max(1, J2*).
+    The H2 cost of the :func:`doubly_projected_controller` loop, by the
+    observer separation, is stored as ``h2_equivalence``, and a warning is
+    raised when it differs from J2* by more than 1e-6 max(1, J2*).
     """
     return _evaluate(g, partition, weights,
                      synthesize_unconstrained(g, tol=tol), tol)
@@ -296,10 +284,10 @@ def _evaluate(g: GeneralizedPlant, partition: ClusterPartition,
         weights = WeightVectors.ones(partition.n_u, partition.n_y)
     p = build_projection(partition, weights)
     hier = synthesize_hierarchical(g, p, tol=tol)
-    yd, _ = structured_youla_data(g, p, hier, tol)
-    report = gap_report(yd, _factors(yd, unc, tol), p, g, hier=hier, tol=tol)
+    report = gap_report(hier, _factors(hier.youla, unc, tol), tol)
     j2 = report.j2_star
-    h2_equiv = h2_norm(lft_lower(g, doubly_projected_controller(g, p, tol)), tol)
+    h2_equiv = _observer_closed_loop_h2(doubly_projected_controller(g, p, tol),
+                                        tol)
     if abs(h2_equiv - j2) > 1e-6 * max(1.0, j2):
         warnings.warn(
             f"equivalence-form controller value {h2_equiv:.9g} differs "
@@ -408,13 +396,11 @@ def _align_labels(ref_labels, other_labels, r):
     for a, b in zip(ref_labels, other_labels):
         overlap[b, a] += 1
     mapping = -np.ones(r, int)
-    used = set()
     for _ in range(r):
         b, a = np.unravel_index(np.argmax(overlap), overlap.shape)
         mapping[b] = a
         overlap[b, :] = -1
         overlap[:, a] = -1
-        used.add(a)
     return np.array([mapping[b] for b in other_labels])
 
 

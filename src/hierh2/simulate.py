@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import DEFAULT_TOLERANCES, Tolerances
-from .errors import UnstableClosedLoop
+from .errors import DimensionMismatch, UnstableClosedLoop
 from .plant import GeneralizedPlant, lft_lower
 from .projection import ClusterPartition
 from .synthesis import HierarchicalController
@@ -138,6 +138,9 @@ def run_hier_simulation(g: GeneralizedPlant, controller: HierarchicalController,
     kind = disturbance[0]
     if kind == "impulse":
         channel = int(disturbance[1])
+        if not 0 <= channel < m1:
+            raise DimensionMismatch(
+                f"impulse channel {channel} is outside [0, {m1})")
         w_path = np.zeros((steps + 1, m1))
         x_init = g.b1[:, channel].copy()
     elif kind == "noise":

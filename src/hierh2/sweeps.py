@@ -117,8 +117,8 @@ class ExperimentConfig:
         raise ValueError(f"unknown weight policy {self.weight_policy!r}")
 
 
-def _partition_for(config: ExperimentConfig, g: GeneralizedPlant,
-                   r: int | None = None) -> ClusterPartition:
+def _partition_for(config: ExperimentConfig,
+                   g: GeneralizedPlant) -> ClusterPartition:
     if config.partition_source == "planted":
         return config.planted_partition(g)
     if config.partition_source == "file":
@@ -128,7 +128,7 @@ def _partition_for(config: ExperimentConfig, g: GeneralizedPlant,
         yd = reference_youla_data(g, config.tolerances)
         sf = spectral_factors(yd, g.d12, g.d21, config.tolerances)
         weights = WeightVectors.ones(g.n_u, g.n_y)
-        return design_clusters(sf, weights, r or config.n_blocks,
+        return design_clusters(sf, weights, config.n_blocks,
                                rng=np.random.default_rng(config.seed),
                                restarts=config.restarts)
     raise ValueError(f"unknown partition source {config.partition_source!r}")

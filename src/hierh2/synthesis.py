@@ -5,14 +5,13 @@ K = P_u^T K~ P_y reduces to an unconstrained two-Riccati design on the
 projected channels: X over (A, B2 P_u^T, C1) and Y over the dual, with the
 optimal reduced controller in observer form.  The exact backend solves both
 AREs through the full Hamiltonian subspace; the approximate backend swaps in
-kappa-truncated solutions.  Either way, the real Schur factors of the two
-closed-loop blocks decide stability and then give the closed-loop H2 norm
-through the observer separation.
+kappa-truncated solutions.
 
-The Youla data of the gap layer is kept in n-state blocks too: any
-stabilizing pair (F, L) gives the block-triangular closed-loop
-parameterization on A + B2 F and A + L C2, whose off-diagonal factors T12
-and T21 have n-state realizations.
+A synthesis returns its observer loop as :class:`YoulaData`: the gains
+F = P_u^T F2, L = L2 P_y and the real Schur factors of A + B2 F and
+A + L C2, each checked for stability where it is made (by the Riccati solver
+or by :func:`youla_data`).  The record gives the closed-loop H2 value by
+the observer separation, and the n-state Youla data of the gap layer.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ import scipy.linalg as sla
 
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import (ApproxNotStabilizing, HypothesisFailure, IllConditionedR,
-                     NotHurwitz, NotStabilizingGains)
+                     NotStabilizingGains)
 from .hamiltonian import approx_are, build_hamiltonian
 from .linalg import (RealSchur, _pbh_rank_deficient, _unstable_modes,
                      solve_are, solve_sylvester, symmetrize)
@@ -57,13 +56,14 @@ class HierarchicalController:
 
 @dataclass
 class YoulaData:
-    """Stabilizing gains F, L with the n-state data of the Youla system.
+    """An observer loop: stabilizing gains F, L with the n-state data of
+    its Youla system.
 
-    Every stable Q gives f(G, K_Q) = T11 + T12 Q T21.  The state matrix of T
-    is block triangular, with diagonal blocks A_F = A + B2 F and
-    A_L = A + L C2, whose real Schur factors are kept as `f_loop` and
-    `l_loop`; T12 and T21 are n-state systems on A_F and A_L, and T22
-    vanishes identically.
+    Every stable Q gives f(G, K_Q) = T11 + T12 Q T21, T11 being the closed
+    loop of :attr:`controller`.  The state matrix of T is block triangular,
+    with diagonal blocks A_F = A + B2 F and A_L = A + L C2, whose real Schur
+    factors are kept as `f_loop` and `l_loop`; T12 and T21 are n-state
+    systems on A_F and A_L, and T22 vanishes identically.
     """
 
     g: GeneralizedPlant
@@ -84,13 +84,21 @@ class YoulaData:
         g = self.g
         return StateSpace(self.l_loop.a, g.b1 + self.l @ g.d21, g.c2, g.d21)
 
+    @property
+    def controller(self) -> StateSpace:
+        """Observer controller (A + B2 F + L C2, -L, F, 0)."""
+        g = self.g
+        return StateSpace(g.a + g.b2 @ self.f + self.l @ g.c2, -self.l, self.f,
+                          np.zeros((g.n_u, g.n_y)))
+
 
 def youla_data(g: GeneralizedPlant, f, l,
                tol: Tolerances = DEFAULT_TOLERANCES) -> YoulaData:
     """Youla data of the stabilizing pair (F, L).
 
-    The real Schur factors of A + B2 F and A + L C2 decide stability:
-    NotStabilizingGains when either has an eigenvalue at
+    Makes the real Schur factors of A + B2 F and A + L C2 and decides
+    stability on them: NotStabilizingGains, naming the control or the
+    filter loop and its abscissa, when either has an eigenvalue at
     Re >= -hurwitz_margin.
     """
     f = np.asarray(f, float)
@@ -100,10 +108,12 @@ def youla_data(g: GeneralizedPlant, f, l,
             f"gain shapes {f.shape}, {l.shape} do not match plant dims")
     f_loop = RealSchur.of(g.a + g.b2 @ f)
     l_loop = RealSchur.of(g.a + l @ g.c2)
-    if f_loop.abscissa >= -tol.hurwitz_margin:
-        raise NotStabilizingGains("A + B2 F is not Hurwitz")
-    if l_loop.abscissa >= -tol.hurwitz_margin:
-        raise NotStabilizingGains("A + L C2 is not Hurwitz")
+    for loop, name in ((f_loop, "the control loop A + B2 F"),
+                       (l_loop, "the filter loop A + L C2")):
+        if loop.abscissa >= -tol.hurwitz_margin:
+            raise NotStabilizingGains(
+                f"{name} has spectral abscissa {loop.abscissa:.3e} "
+                f">= {-tol.hurwitz_margin:.1e}")
     return YoulaData(g=g, f=f, l=l, f_loop=f_loop, l_loop=l_loop)
 
 
@@ -113,26 +123,24 @@ def youla_data(g: GeneralizedPlant, f, l,
 
 @dataclass
 class SynthesisResult:
+    """The controller, X, Y, the reduced gains F2, L2, and `youla`, the
+    observer loop of P_u^T F2 and L2 P_y that gave `h2_value`."""
+
     controller: HierarchicalController
     x: np.ndarray
     y: np.ndarray
     f2: np.ndarray
     l2: np.ndarray
-    r1: np.ndarray
-    r2: np.ndarray
     h2_value: float
     solve_time: float
-    closed_loop_abscissa: float   # max Re(lambda) of the closed loop
+    youla: YoulaData
     x_solution: object = None     # AreSolution or ApproxAreSolution
     y_solution: object = None
 
-    def p_u_t_f2(self) -> np.ndarray:
-        """Projection-structured state feedback P_u^T F2 (stabilizes A)."""
-        return self.controller.p_u.T @ self.f2
-
-    def l2_p_y(self) -> np.ndarray:
-        """Projection-structured output injection L2 P_y (stabilizes A)."""
-        return self.l2 @ self.controller.p_y
+    @property
+    def closed_loop_abscissa(self) -> float:
+        """max Re(lambda) of the closed loop, read off the two loop factors."""
+        return max(self.youla.f_loop.abscissa, self.youla.l_loop.abscissa)
 
 
 def _spd_solve(r: np.ndarray, rhs: np.ndarray, what: str,
@@ -171,36 +179,27 @@ def _block_gramian(f1: RealSchur, f2: RealSchur, a12: np.ndarray,
     return solve_sylvester(f1, f1, q11, tol), phi12, phi22
 
 
-def _observer_closed_loop_h2(g: GeneralizedPlant, p: ProjectionPair,
-                             f2: np.ndarray, l2: np.ndarray, ctrl: RealSchur,
-                             filt: RealSchur, tol: Tolerances) -> tuple[float, float]:
-    """(H2 value, closed-loop abscissa) using the observer separation.
+def _observer_closed_loop_h2(yd: YoulaData, tol: Tolerances) -> float:
+    """H2 value of the closed loop of ``yd.controller``.
 
     In (x, e = x - xhat) coordinates the closed loop is block triangular
-    with diagonal blocks A + B2 Pu' F2 (control) and A + L2 Py C2 (filter),
-    whose real Schur factors `ctrl`, `filt` the caller supplies.  They decide
-    stability, raising NotHurwitz naming a block with an eigenvalue at
-    Re >= -hurwitz_margin, then give the Gramian through
-    :func:`_block_gramian`; this equals h2_norm(lft_lower(G, K)) without a
-    Schur form of the 2n matrix.
+    with diagonal blocks A + B2 F (control) and A + L C2 (filter), whose
+    Schur factors `yd` holds; :func:`_block_gramian` gives the Gramian from
+    them.  This equals h2_norm(lft_lower(G, yd.controller)) without a Schur
+    form of the 2n matrix.
     """
-    for f, side in ((ctrl, "control"), (filt, "filter")):
-        if f.abscissa >= -tol.hurwitz_margin:
-            raise NotHurwitz(f"the {side} loop has spectral abscissa "
-                             f"{f.abscissa:.3e} >= {-tol.hurwitz_margin:.1e}")
+    g, f = yd.g, yd.f
+    a12 = -g.b2 @ f
+    b_bot = g.b1 + yd.l @ g.d21
+    c_left = g.c1 + g.d12 @ f
+    c_right = -g.d12 @ f
 
-    a12 = -g.b2 @ (p.p_u.T @ f2)
-    b_top = g.b1
-    b_bot = g.b1 + (l2 @ p.p_y) @ g.d21
-    c_left = g.c1 + g.d12 @ (p.p_u.T @ f2)
-    c_right = -g.d12 @ (p.p_u.T @ f2)
-
-    phi11, phi12, phi22 = _block_gramian(ctrl, filt, a12, b_top, b_bot, tol)
+    phi11, phi12, phi22 = _block_gramian(yd.f_loop, yd.l_loop, a12, g.b1,
+                                         b_bot, tol)
     val = (np.trace(c_left @ phi11 @ c_left.T)
            + 2.0 * np.trace(c_left @ phi12 @ c_right.T)
            + np.trace(c_right @ phi22 @ c_right.T))
-    return (float(np.sqrt(max(val, 0.0))),
-            max(ctrl.abscissa, filt.abscissa))
+    return float(np.sqrt(max(val, 0.0)))
 
 
 def synthesize_hierarchical(g: GeneralizedPlant, p: ProjectionPair,
@@ -213,14 +212,15 @@ def synthesize_hierarchical(g: GeneralizedPlant, p: ProjectionPair,
     the full stable Hamiltonian subspace.  With ``'approx'`` they are
     replaced by kappa-truncated solutions; their residue certificates
     (``x_solution.stabilizing``, ``y_solution.stabilizing``) are recorded
-    as diagnostics only.  Stability is decided once, from the real Schur
-    factors of the control block A + B2 P_u^T F2 and the filter block
-    A + L2 P_y C2, at -hurwitz_margin.  The exact backend reuses the
-    Riccati closed-loop factors, which the Riccati solver has already
-    checked, raising :class:`NotHurwitz`; the approx backend factors both
-    blocks and raises :class:`ApproxNotStabilizing` naming the failing side
-    (raise kappa).  The same factors then give the closed-loop H2 value
-    through the observer separation.
+    as diagnostics only.  The result's ``youla`` holds the gains
+    F = P_u^T F2, L = L2 P_y and the real Schur factors of the control block
+    A + B2 F and the filter block A + L C2, and stability is decided once
+    per block, at -hurwitz_margin, where the factor is made.  The exact
+    backend takes the Riccati closed-loop factors, which the Riccati solver
+    has checked (:class:`NotHurwitz`); the approx backend factors both
+    blocks in :func:`youla_data` and raises :class:`ApproxNotStabilizing`
+    naming the failing loop (raise kappa).  The same factors then give the
+    closed-loop H2 value through the observer separation.
 
     ``solve_time`` measures Riccati solves plus gain assembly; closed-loop
     evaluation is excluded.
@@ -253,35 +253,31 @@ def synthesize_hierarchical(g: GeneralizedPlant, p: ProjectionPair,
     l2 = -_spd_solve(r2, p.p_y @ g.c2 @ y, "R2", tol).T
     elapsed = time.perf_counter() - t0
 
+    f, l = p.p_u.T @ f2, l2 @ p.p_y
     if are_backend == "exact":
-        ctrl, filt = x_sol.closed_loop, y_sol.closed_loop.transposed()
+        yd = YoulaData(g=g, f=f, l=l, f_loop=x_sol.closed_loop,
+                       l_loop=y_sol.closed_loop.transposed())
     else:
-        ctrl = RealSchur.of(g.a + g.b2 @ (p.p_u.T @ f2))
-        filt = RealSchur.of(g.a + (l2 @ p.p_y) @ g.c2)
-    try:
-        h2, abscissa = _observer_closed_loop_h2(g, p, f2, l2, ctrl, filt, tol)
-    except NotHurwitz as e:
-        if are_backend == "approx":
+        try:
+            yd = youla_data(g, f, l, tol)
+        except NotStabilizingGains as e:
             raise ApproxNotStabilizing(f"kappa={kappa}: {e}") from e
-        raise
 
     k_tilde = StateSpace(
         a=g.a + g.b2 @ p.p_u.T @ f2 + l2 @ p.p_y @ g.c2,
         b=-l2, c=f2, d=np.zeros((f2.shape[0], l2.shape[1])))
     controller = HierarchicalController(p_u=p.p_u, k_tilde=k_tilde, p_y=p.p_y)
     return SynthesisResult(
-        controller=controller, x=x, y=y, f2=f2, l2=l2, r1=r1, r2=r2,
-        h2_value=h2, solve_time=elapsed,
-        closed_loop_abscissa=abscissa, x_solution=x_sol, y_solution=y_sol)
+        controller=controller, x=x, y=y, f2=f2, l2=l2,
+        h2_value=_observer_closed_loop_h2(yd, tol), solve_time=elapsed,
+        youla=yd, x_solution=x_sol, y_solution=y_sol)
 
 
-def synthesize_unconstrained(g: GeneralizedPlant, are_backend: str = "exact",
-                             kappa: int | None = None, method: str = "dense",
+def synthesize_unconstrained(g: GeneralizedPlant,
                              tol: Tolerances = DEFAULT_TOLERANCES) -> SynthesisResult:
     """Standard two-Riccati H2 design: identity projections on both sides."""
     p = ProjectionPair(np.eye(g.n_u), np.eye(g.n_y))
-    return synthesize_hierarchical(g, p, are_backend=are_backend, kappa=kappa,
-                                   method=method, tol=tol)
+    return synthesize_hierarchical(g, p, tol=tol)
 
 
 @dataclass(frozen=True)

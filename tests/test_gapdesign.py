@@ -1,16 +1,17 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, example, given, reject, settings
 from hypothesis import strategies as st
 
 from hierh2 import (DEFAULT_TOLERANCES, ClusterPartition, ExperimentConfig,
-                    GeneralizedPlant, NetworkSpec, ProjectionPair, StateSpace,
+                    GeneralizedPlant, NetworkSpec, StateSpace,
                     WeightVectors, build_projection, design_clusters,
                     doubly_projected_controller, evaluate_partition,
                     gap_report, gapdesign, generate_consensus_network,
                     hinf_norm, model_matching_value, monotone_gap_sweep,
-                    reference_youla_data, solve_are,
-                    spectral_factors, structured_youla_data,
+                    reference_youla_data, solve_are, spectral_factors,
                     synthesize_hierarchical, synthesize_unconstrained,
                     weighted_kmeans, youla_data)
 from hierh2.errors import DegenerateData, NumericalError
@@ -104,7 +105,7 @@ def test_model_matching_value_equals_unconstrained_optimum():
     ]
     for g, part in cases:
         pair = build_projection(part, WeightVectors.ones(g.n_u, g.n_y))
-        yd, _ = structured_youla_data(g, pair)
+        yd = synthesize_hierarchical(g, pair).youla
         hat = hat_spectral_factors(yd, g.d12, g.d21)
         report = evaluate_partition(g, part)
         assert model_matching_value(yd, hat.q_star) == pytest.approx(
@@ -176,7 +177,7 @@ def test_equivalence_check_records_and_warns(monkeypatch):
     g = random_h2_plant(np.random.default_rng(23), 5, 3, 3)
     part = ClusterPartition(input_sets=((0, 1, 2),), output_sets=((0, 1, 2),))
     monkeypatch.setattr(gapdesign, "doubly_projected_controller",
-                        lambda g, p, tol: synthesize_unconstrained(g).controller.expand())
+                        lambda g, p, tol: synthesize_unconstrained(g).youla)
     with pytest.warns(UserWarning, match="equivalence-form"):
         report = evaluate_partition(g, part)
     assert report.j2_star > report.j1_star * (1 + 1e-6)
@@ -199,7 +200,7 @@ def test_xi_u_monotone_under_refinement():
     hier_part = ClusterPartition(input_sets=random_partition(rng, 6, 2),
                                  output_sets=random_partition(rng, 6, 2))
     pair = build_projection(hier_part, WeightVectors.ones(6, 6))
-    yd, _ = structured_youla_data(g, pair)
+    yd = synthesize_hierarchical(g, pair).youla
     sf = spectral_factors(yd, g.d12, g.d21)
     for _ in range(20):
         r = int(rng.integers(1, 6))
@@ -218,8 +219,8 @@ def test_xi_u_monotone_under_refinement():
         fine = build_projection(
             ClusterPartition(input_sets=fine_sets, output_sets=fine_sets),
             WeightVectors.ones(6, 6))
-        rep_c = gap_report(yd, sf, coarse, g)
-        rep_f = gap_report(yd, sf, fine, g)
+        rep_c = gap_report(synthesize_hierarchical(g, coarse), sf)
+        rep_f = gap_report(synthesize_hierarchical(g, fine), sf)
         assert rep_f.xi_u <= rep_c.xi_u + 1e-10
         assert rep_c.h2_equivalence is None
 
@@ -233,7 +234,7 @@ def test_doubly_projected_equivalence_controller():
         pair = build_projection(part, WeightVectors.ones(3, 3))
         hier = synthesize_hierarchical(g, pair)
         k_opt = hier.controller.expand()
-        k_equiv = doubly_projected_controller(g, pair)
+        k_equiv = doubly_projected_controller(g, pair).controller
         for w in np.logspace(-2, 2, 10):
             ref = k_opt.eval(1j * w)
             assert np.linalg.norm(k_equiv.eval(1j * w) - ref) <= \
@@ -247,11 +248,16 @@ def test_equivalence_form_matches_j2_on_consensus_n200():
     from hierh2 import h2_norm, lft_lower
     cfg = ExperimentConfig(seed=7)
     g = cfg.plant(200)
-    pair = build_projection(cfg.planted_partition(g, 200),
-                            WeightVectors.ones(g.n_u, g.n_y))
+    part = cfg.planted_partition(g, 200)
+    pair = build_projection(part, WeightVectors.ones(g.n_u, g.n_y))
     j2 = synthesize_hierarchical(g, pair).h2_value
-    h2_equiv = h2_norm(lft_lower(g, doubly_projected_controller(g, pair)))
+    k_equiv = doubly_projected_controller(g, pair).controller
+    h2_equiv = h2_norm(lft_lower(g, k_equiv))
     assert h2_equiv == pytest.approx(j2, rel=1e-9)
+    # the observer separation that evaluate_partition uses agrees with the
+    # 2n closed-loop oracle
+    report = evaluate_partition(g, part)
+    assert report.h2_equivalence == pytest.approx(h2_equiv, rel=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +349,9 @@ def _rel(a, b):
     return np.linalg.norm(a - b) / max(np.linalg.norm(b), 1e-300)
 
 
-def _assert_factors_match_oracle(yd, p, hier=None):
+def _assert_factors_match_oracle(yd, hier):
+    """Factors of `yd` against the oracle, with the gap weights of `hier`'s
+    projections evaluated on `yd`."""
     g = yd.g
     tol = DEFAULT_TOLERANCES
     sf = spectral_factors(yd, g.d12, g.d21)
@@ -352,7 +360,7 @@ def _assert_factors_match_oracle(yd, p, hier=None):
                       (sf.embed_u, hat.embed_u), (sf.embed_y, hat.embed_y)):
         assert mine.shape == ref.shape
         assert _rel(mine, ref) <= 1e-9
-    report = gap_report(yd, sf, p, g, hier=hier)
+    report = gap_report(dataclasses.replace(hier, youla=yd), sf)
     eps1, eps2 = hat_gap_weights(yd, hat)
     assert report.eps1 == pytest.approx(eps1, rel=tol.hinf_rel)
     assert report.eps2 == pytest.approx(eps2, rel=tol.hinf_rel)
@@ -376,24 +384,24 @@ def test_n_state_factors_match_hat_oracle_consensus(n):
     g = cfg.plant(n)
     p = build_projection(cfg.planted_partition(g, n),
                          WeightVectors.ones(g.n_u, g.n_y))
-    yd_struct, hier = structured_youla_data(g, p)
-    _assert_factors_match_oracle(yd_struct, p, hier)
-    _assert_factors_match_oracle(reference_youla_data(g), p, hier)
+    hier = synthesize_hierarchical(g, p)
+    _assert_factors_match_oracle(hier.youla, hier)
+    _assert_factors_match_oracle(reference_youla_data(g), hier)
 
 
 def test_n_state_factors_match_hat_oracle_small_plants():
     g = scalar_plant()
-    one = ProjectionPair(np.eye(1), np.eye(1))
-    _assert_factors_match_oracle(youla_data(g, f=[[-1.0]], l=[[-1.0]]), one)
+    _assert_factors_match_oracle(youla_data(g, f=[[-1.0]], l=[[-1.0]]),
+                                 synthesize_unconstrained(g))
     rng = np.random.default_rng(7)
     g = _non_identity_weight_plant(rng, 8, 3, 2)
     assert not np.allclose(g.d12.T @ g.d12, np.eye(3))
     assert not np.allclose(g.d21 @ g.d21.T, np.eye(2))
     part = ClusterPartition(input_sets=((0, 2), (1,)), output_sets=((0,), (1,)))
     p = build_projection(part, WeightVectors.ones(3, 2))
-    yd, hier = structured_youla_data(g, p)
-    _assert_factors_match_oracle(yd, p, hier)
-    _assert_factors_match_oracle(reference_youla_data(g), p, hier)
+    hier = synthesize_hierarchical(g, p)
+    _assert_factors_match_oracle(hier.youla, hier)
+    _assert_factors_match_oracle(reference_youla_data(g), hier)
 
 
 def test_spectral_factors_rejects_foreign_weights():
@@ -438,11 +446,38 @@ def test_gap_layer_runs_in_n_state_blocks(monkeypatch):
         record("schur", schur_of, lambda cls, a: np.asarray(a).shape[0])))
 
     sf = spectral_factors(yd, g.d12, g.d21)
-    gap_report(yd, sf, p, g)
+    gap_report(synthesize_hierarchical(g, p), sf)
     assert all(sides[kind] for kind in sides), sides
     assert max(max(v) for v in sides.values()) <= g.n, sides
     assert len(sides["riccati"]) == 4   # X, Y of the unconstrained pair and
     assert len(sides["hinf"]) == 4      # of the hierarchical synthesis
+
+
+def test_each_loop_factor_is_made_once(monkeypatch):
+    # counts of scipy.linalg.schur calls by form: every n x n factor is the
+    # closed loop of one Riccati solve (two in reference_youla_data; three
+    # pairs in evaluate_partition: unconstrained, hierarchical and the
+    # equivalence form), and no 2n closed loop is factored
+    from collections import Counter
+
+    import scipy.linalg
+    cfg = ExperimentConfig(seed=7)
+    g = cfg.plant(24)
+    part = cfg.planted_partition(g, 24)
+    calls = Counter()
+    schur = scipy.linalg.schur
+
+    def counting(a, *args, **kwargs):
+        form = "ordered" if kwargs.get("sort") is not None else "unsorted"
+        calls[form, np.shape(a)[0]] += 1
+        return schur(a, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "schur", counting)
+    reference_youla_data(g)
+    assert calls == {("unsorted", g.n): 2, ("ordered", 2 * g.n): 2}
+    calls.clear()
+    evaluate_partition(g, part)
+    assert calls == {("unsorted", g.n): 6, ("ordered", 2 * g.n): 6}
 
 
 def _lqr_youla_data(seed, n, nu, ny):

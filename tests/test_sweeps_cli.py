@@ -264,6 +264,26 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert rc == 2
     out = capsys.readouterr().out
     assert "A2: FAIL" in out and "all: FAIL" in out.splitlines()
+    # a malformed --backend or --disturbance string is a usage error
+    save_plant(g, tmp_path / "plant.json")
+    synth = ["synth", "--plant", str(tmp_path / "plant.json"), "--partition",
+             str(tmp_path / "part.json"), "--out", str(tmp_path)]
+    simulate = ["simulate", "--plant", str(tmp_path / "plant.json"),
+                "--controller", str(tmp_path / "controller.json"),
+                "--out", str(tmp_path)]
+    for argv in (synth + ["--backend", "approx"],
+                 synth + ["--backend", "approx:x"],
+                 synth + ["--backend", "bogus"],
+                 simulate + ["--disturbance", "impulse:x"],
+                 simulate + ["--disturbance", "bogus"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+        assert "expected" in capsys.readouterr().err
+    # an impulse on a channel the plant lacks is a precondition failure
+    assert main(synth) == 0
+    assert main(simulate + ["--disturbance", "impulse:999"]) == 2
+    assert "impulse channel 999" in capsys.readouterr().err
 
 
 def test_cli_eigenspan_weights_use_the_tol_profile(tmp_path, monkeypatch):

@@ -34,7 +34,7 @@ def scalar_plant():
 def h2_youla_data(g):
     """Youla data of the unconstrained H2 gains."""
     base = synthesize_unconstrained(g)
-    return youla_data(g, f=base.p_u_t_f2(), l=base.l2_p_y())
+    return youla_data(g, f=base.youla.f, l=base.youla.l)
 
 
 def test_scalar_plant_hat_matrices_by_hand():
@@ -303,14 +303,16 @@ def test_paper_scale_anchor_qualitative():
     assert hier.h2_value / unc.h2_value <= 1.05
 
 
-def _diagonal_truncation_plant(poles, weights):
-    """Decoupled scalar modes with B1 = C1 = diag(weights) on the process
-    and state channels and unit B2, C2, D12, D21."""
+def _diagonal_truncation_plant(poles, weights, b1_weights=None):
+    """Decoupled scalar modes with C1 = diag(weights) and B1 = diag(b1_weights)
+    (default: `weights`) on the state and process channels and unit B2, C2,
+    D12, D21."""
     n = len(poles)
     w = np.diag(weights)
+    w1 = w if b1_weights is None else np.diag(b1_weights)
     return GeneralizedPlant(
         a=np.diag(poles),
-        b1=np.hstack([w, np.zeros((n, n))]),
+        b1=np.hstack([w1, np.zeros((n, n))]),
         b2=np.eye(n),
         c1=np.vstack([w, np.zeros((n, n))]),
         c2=np.eye(n),
@@ -328,6 +330,17 @@ def test_approx_backend_raises_when_truncation_drops_unstable_mode():
     # full truncation order recovers the exact design
     res = synthesize_hierarchical(g, pair, are_backend="approx", kappa=2)
     assert spectral_abscissa(lft_lower(g, res.controller.expand()).a) < 0
+
+
+def test_approx_backend_names_the_filter_loop():
+    # the mirror instance: the control Hamiltonian's smallest retained mode
+    # is the unstable one, the filter's is the stable one, so at kappa = 1
+    # only the filter loop A + L C2 keeps the unstable mode
+    g = _diagonal_truncation_plant([0.3, -2.0], [0.1, 5.0],
+                                   b1_weights=[5.0, 0.1])
+    pair = ProjectionPair(np.eye(2), np.eye(2))
+    with pytest.raises(ApproxNotStabilizing, match="filter loop"):
+        synthesize_hierarchical(g, pair, are_backend="approx", kappa=1)
 
 
 def test_approx_backend_raises_on_padded_truncation_instance():
@@ -366,9 +379,12 @@ def test_exact_synthesis_reuses_riccati_closed_loops():
     res = synthesize_hierarchical(g, pair)
     assert res.closed_loop_abscissa == max(
         res.x_solution.closed_loop_abscissa, res.y_solution.closed_loop_abscissa)
+    # the Youla record holds the Riccati factors, not a second factorization
+    assert res.youla.f_loop is res.x_solution.closed_loop
+    assert np.shares_memory(res.youla.l_loop.t, res.y_solution.closed_loop.t)
     # the Riccati factors are those of the control and the filter block
-    ctrl = g.a + g.b2 @ res.p_u_t_f2()
-    filt = g.a + res.l2_p_y() @ g.c2
+    ctrl = g.a + g.b2 @ res.youla.f
+    filt = g.a + res.youla.l @ g.c2
     assert np.allclose(res.x_solution.closed_loop.a, ctrl, atol=1e-10)
     assert np.allclose(res.y_solution.closed_loop.a.T, filt, atol=1e-10)
     # the Riccati solver decides on the factors it returns, against the
