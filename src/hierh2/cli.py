@@ -192,7 +192,7 @@ def cmd_simulate(args) -> int:
         for i, t in enumerate(res.times):
             rec = {"t": float(t), "ybar": res.trace.ybar[i].tolist(),
                    "ubar": res.trace.ubar[i].tolist(),
-                   "u": res.trace.u[i].tolist()}
+                   "u": res.u[i].tolist()}
             fh.write(json.dumps(rec) + "\n")
     ok = privacy_audit(res.trace)
     print(json.dumps({

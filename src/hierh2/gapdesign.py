@@ -300,6 +300,12 @@ def _evaluate(g: GeneralizedPlant, partition: ClusterPartition,
 # Weighted k-means
 # ---------------------------------------------------------------------------
 
+# Lloyd stops after this many iterations or once the objective falls by no
+# more than this fraction in one iteration
+_KMEANS_MAX_ITER = 300
+_KMEANS_REL_TOL = 1e-9
+
+
 def _wcss(x, w, labels, centers):
     d = x - centers[labels]
     return float(np.sum(w * np.einsum("ij,ij->i", d, d)))
@@ -323,12 +329,12 @@ def _kmeanspp_seed(x, w, r, rng):
     return centers
 
 
-def _lloyd(x, w, r, rng, max_iter, rel_tol):
+def _lloyd(x, w, r, rng):
     n = x.shape[0]
     centers = _kmeanspp_seed(x, w, r, rng)
     prev = np.inf
     labels = np.zeros(n, int)
-    for _ in range(max_iter):
+    for _ in range(_KMEANS_MAX_ITER):
         d2 = ((x[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
         labels = np.argmin(d2, axis=1)
         # repair empty clusters by splitting the highest-inertia cluster
@@ -350,7 +356,7 @@ def _lloyd(x, w, r, rng, max_iter, rel_tol):
         if obj > prev * (1.0 + 1e-12) + 1e-15:
             raise AssertionError(
                 f"Lloyd objective increased: {prev:.6e} -> {obj:.6e}")
-        if prev - obj <= rel_tol * max(prev, 1e-300):
+        if prev - obj <= _KMEANS_REL_TOL * max(prev, 1e-300):
             prev = obj
             break
         prev = obj
@@ -358,8 +364,7 @@ def _lloyd(x, w, r, rng, max_iter, rel_tol):
 
 
 def weighted_kmeans(x: np.ndarray, weights: np.ndarray, r: int, rng=None,
-                    restarts: int = 10, max_iter: int = 300,
-                    rel_tol: float = 1e-9):
+                    restarts: int = 10):
     """Weighted Lloyd iteration with k-means++ seeding.
 
     Points are rows of `x` with non-negative masses `weights`; the best of
@@ -379,7 +384,7 @@ def weighted_kmeans(x: np.ndarray, weights: np.ndarray, r: int, rng=None,
         raise DegenerateData(f"fewer than {r} distinct rows")
     best = None
     for _ in range(max(restarts, 1)):
-        labels, centers, obj = _lloyd(x, weights, r, rng, max_iter, rel_tol)
+        labels, centers, obj = _lloyd(x, weights, r, rng)
         if best is None or obj < best[2]:
             best = (labels, centers, obj)
     return best

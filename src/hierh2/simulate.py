@@ -1,14 +1,15 @@
 """Three-step hierarchical execution of a projected controller.
 
 The controller K = P_u^T K~ P_y runs as an explicit message schedule per
-integration step: coordinators average their cluster outputs (ybar = P_y y),
+integration stage: coordinators average their cluster outputs (ybar = P_y y),
 exchange the averages and advance the shared low-order law
 (ubar from K~), then broadcast scaled controls back (u = P_u^T ubar).  The
-staged evaluation computes exactly the joint closed-loop vector field, so a
-monolithic simulation of the assembled LFT must agree to roundoff; the
-mismatch is checked on every run.  Coordinator logs record which raw
-signals each coordinator actually reads and writes (the supports of its
-P_y and P_u rows), supporting the structural privacy and link audits.
+staged evaluation computes exactly the joint closed-loop vector field of
+v = [x; x_K], so a monolithic simulation of the assembled LFT, stepped by
+the same Runge-Kutta routine, must agree to roundoff; the mismatch is
+checked on every run.  Coordinator logs record which raw signals each
+coordinator actually reads and writes (the supports of its P_y and P_u
+rows), supporting the structural privacy and link audits.
 """
 
 from __future__ import annotations
@@ -19,13 +20,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import DEFAULT_TOLERANCES, Tolerances
-from .errors import DimensionMismatch, UnstableClosedLoop
+from .errors import (DimensionMismatch, NumericalError, PreconditionError,
+                     UnstableClosedLoop)
 from .plant import GeneralizedPlant, lft_lower
 from .projection import ClusterPartition
 from .synthesis import HierarchicalController
 
 __all__ = ["SimTrace", "SimResult", "run_hier_simulation", "privacy_audit",
-           "impulse_disturbance", "noise_disturbance"]
+           "noise_disturbance"]
 
 _STAGED_MATCH_RTOL = 1e-9
 _DIVERGENCE_FACTOR = 1e6
@@ -39,17 +41,16 @@ class CoordinatorLog:
     cluster_inputs: tuple[int, ...]    # control channels it may broadcast to
     raw_outputs_seen: set = field(default_factory=set)  # support of P_y row
     inputs_written: set = field(default_factory=set)    # support of P_u row
-    ybar_entries_seen: set = field(default_factory=set)
 
 
 @dataclass
 class SimTrace:
-    """Per-step records of the three-step schedule plus link usage."""
+    """What the coordinators exchanged: per-sample averages and
+    low-dimensional controls, each coordinator's log, and link usage.  The
+    sample times and broadcast controls are ``SimResult.times`` and ``.u``."""
 
-    times: np.ndarray
-    ybar: np.ndarray                   # (steps, r) averaged outputs
-    ubar: np.ndarray                   # (steps, r) low-dimensional controls
-    u: np.ndarray                      # (steps, n_u) broadcast controls
+    ybar: np.ndarray                   # (samples, r) averaged outputs
+    ubar: np.ndarray                   # (samples, r) low-dimensional controls
     coordinator_logs: list
     link_usage: dict                   # edge -> use count
 
@@ -60,19 +61,17 @@ class SimTrace:
 
 @dataclass
 class SimResult:
+    """Signals at the samples t_k = k dt as the staged schedule evaluated
+    them, its trace, and the largest deviation from the monolithic run."""
+
     times: np.ndarray
-    x: np.ndarray                      # plant states (steps, n)
-    xk: np.ndarray                     # controller states (steps, n_k)
+    x: np.ndarray                      # plant states (samples, n)
+    xk: np.ndarray                     # controller states (samples, n_k)
     y: np.ndarray
     z: np.ndarray
-    u: np.ndarray
+    u: np.ndarray                      # broadcast controls (samples, n_u)
     trace: SimTrace
     staged_vs_monolithic: float        # max relative state deviation
-
-
-def impulse_disturbance(channel: int):
-    """Impulse on one disturbance channel, realized as x(0) = B1[:, channel]."""
-    return ("impulse", channel)
 
 
 def noise_disturbance(seed: int, scale: float = 1.0):
@@ -100,42 +99,57 @@ def _coordinator_layout(controller, partition: ClusterPartition | None):
     return logs
 
 
+def _rk4(field, v, k1, dt):
+    """One classical RK4 step of dv/dt = field(v), given k1 = field(v)."""
+    k2 = field(v + 0.5 * dt * k1)
+    k3 = field(v + 0.5 * dt * k2)
+    k4 = field(v + dt * k3)
+    return v + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+
+
 def run_hier_simulation(g: GeneralizedPlant, controller: HierarchicalController,
                         horizon: float, dt: float | None = None,
-                        disturbance=("impulse", 0), x0=None,
+                        disturbance=("impulse", 0),
                         partition: ClusterPartition | None = None,
                         tol: Tolerances = DEFAULT_TOLERANCES) -> SimResult:
     """Simulate the closed loop with the staged three-step controller.
 
-    Fixed-step classical Runge-Kutta on the joint plant/controller dynamics
-    with a zero-order-hold disturbance.  ``dt`` must resolve the fastest
-    closed-loop mode (dt <= 0.1 / |lambda_max|); by default half that limit
-    is used.  A monolithic simulation of lft_lower(G, P_u^T K~ P_y) runs
-    alongside and the maximum relative state deviation is checked against
-    1e-9 on every sample.
+    Fixed-step classical RK4 on the joint state v = [x; x_K].  The
+    disturbance w is held over each step, so B1 w, D21 w and the monolithic
+    Bcl w are formed once per sample.  Each RK4 stage runs the schedule
+    (average, law, broadcast); the first stage is the sample-point
+    evaluation that also yields the recorded y, ybar, ubar and u.  ``dt``
+    must lie in (0, 0.1 / |lambda_max|] to resolve the fastest closed-loop
+    mode; by default it is half that limit.  The monolithic loop
+    lft_lower(G, P_u^T K~ P_y), stepped by the same RK4 routine, runs
+    alongside; its relative deviation from v must stay within 1e-9.
 
-    Raises UnstableClosedLoop when the closed loop has an eigenvalue with
-    Re >= -hurwitz_margin, or when the trajectory norm exceeds 1e6 times its
-    initial scale.
+    Raises PreconditionError for a dt that is not finite, not positive or
+    above the limit, or a horizon that is not finite or negative;
+    UnstableClosedLoop when the closed loop has an eigenvalue with
+    Re >= -hurwitz_margin or the plant-state norm exceeds 1e6 times its
+    initial scale; NumericalError when the deviation exceeds 1e-9.
     """
-    k_full = controller.expand()
-    closed = lft_lower(g, k_full)
+    if not 0.0 <= horizon < np.inf:
+        raise PreconditionError(
+            f"horizon={horizon} must be finite and non-negative")
+    closed = lft_lower(g, controller.expand())
     eigs = np.linalg.eigvals(closed.a)
-    spectral_radius = float(np.max(np.abs(eigs)))
-    limit = 0.1 / max(spectral_radius, 1e-12)
+    limit = 0.1 / max(float(np.max(np.abs(eigs))), 1e-12)
     if dt is None:
         dt = 0.5 * limit
-    if dt > limit:
-        raise ValueError(f"dt={dt:.3e} exceeds the resolution limit {limit:.3e}")
+    if not 0.0 < dt <= limit:
+        raise PreconditionError(
+            f"dt={dt:.3e} must lie in (0, {limit:.3e}], the resolution limit")
     if np.max(eigs.real) >= -tol.hurwitz_margin:
         raise UnstableClosedLoop("closed loop is not Hurwitz")
 
-    n, nk = g.n, controller.k_tilde.n_states
-    m1 = g.m1
+    n, nk, m1 = g.n, controller.k_tilde.n_states, g.m1
     steps = int(np.ceil(horizon / dt))
     times = np.arange(steps + 1) * dt
 
     kind = disturbance[0]
+    x_init = np.zeros(n)
     if kind == "impulse":
         channel = int(disturbance[1])
         if not 0 <= channel < m1:
@@ -147,37 +161,28 @@ def run_hier_simulation(g: GeneralizedPlant, controller: HierarchicalController,
         seed, scale = int(disturbance[1]), float(disturbance[2])
         w_path = scale * np.random.default_rng(seed).standard_normal(
             (steps + 1, m1))
-        x_init = np.zeros(n)
     elif kind == "array":
         w_path = np.asarray(disturbance[1], float)
         if w_path.shape != (steps + 1, m1):
             raise ValueError("disturbance array must be (steps + 1, m1)")
-        x_init = np.zeros(n)
     else:
         raise ValueError(f"unknown disturbance kind {kind!r}")
-    if x0 is not None:
-        x_init = x_init + np.asarray(x0, float)
 
-    p_u, p_y = controller.p_u, controller.p_y
-    kt = controller.k_tilde
+    p_u, p_y, kt = controller.p_u, controller.p_y, controller.k_tilde
     r = p_u.shape[0]
     logs = _coordinator_layout(controller, partition)
 
     # map channels to owning subsystems so links are counted per subsystem
-    out_owner = {}
-    in_owner = {}
-    for s, sub in enumerate(g.subsystems):
-        for j in sub.outputs:
-            out_owner[int(j)] = s
-        for j in sub.inputs:
-            in_owner[int(j)] = s
+    out_owner = {int(j): s for s, sub in enumerate(g.subsystems)
+                 for j in sub.outputs}
+    in_owner = {int(j): s for s, sub in enumerate(g.subsystems)
+                for j in sub.inputs}
 
     # every read, write and coordinator exchange happens once per sample,
     # so a link's use count is its multiplicity in those lists times the
     # number of samples
     links = Counter()
     for i, log in enumerate(logs):
-        log.ybar_entries_seen.update(range(r))
         links.update(("sub", out_owner.get(j, j), "coord", i)
                      for j in sorted(log.raw_outputs_seen))
         links.update(("sub", in_owner.get(j, j), "coord", i)
@@ -186,83 +191,60 @@ def run_hier_simulation(g: GeneralizedPlant, controller: HierarchicalController,
                  for i in range(r) for j in range(i + 1, r))
     link_usage = {key: count * len(times) for key, count in links.items()}
 
-    def staged_field(x, xk, w):
-        """One evaluation of the joint vector field through the schedule."""
-        y = g.c2 @ x + g.d21 @ w
+    # both fields read the held products b1w, d21w and bclw of the current
+    # sample, which the loop below rebinds once per sample
+    def staged(v):
+        """The joint vector field through the schedule, and its signals."""
+        x, xk = v[:n], v[n:]
+        y = g.c2 @ x + d21w
         ybar = p_y @ y                      # step 1: output averaging
-        if nk:
-            dxk = kt.a @ xk + kt.b @ ybar   # step 2: low-dimensional law
-            ubar = kt.c @ xk + kt.d @ ybar
-        else:
-            dxk = xk
-            ubar = kt.d @ ybar
+        dxk = kt.a @ xk + kt.b @ ybar       # step 2: low-dimensional law
+        ubar = kt.c @ xk + kt.d @ ybar
         u = p_u.T @ ubar                    # step 3: control inversion
-        dx = g.a @ x + g.b1 @ w + g.b2 @ u
-        return dx, dxk, y, ybar, ubar, u
+        dx = g.a @ x + b1w + g.b2 @ u
+        return np.concatenate([dx, dxk]), (y, ybar, ubar, u)
 
-    # monolithic oracle on the assembled realization
-    acl, bcl = closed.a, closed.b
+    def staged_dv(v):
+        return staged(v)[0]
 
-    x = x_init.copy()
-    xk = np.zeros(nk)
-    x_mono = np.concatenate([x_init, np.zeros(nk)])
+    def monolithic(v):
+        return closed.a @ v + bclw
 
-    xs = np.empty((steps + 1, n))
-    xks = np.empty((steps + 1, nk))
-    ys = np.empty((steps + 1, g.n_y))
-    zs = np.empty((steps + 1, g.p1))
-    us = np.empty((steps + 1, g.n_u))
-    ybars = np.empty((steps + 1, r))
-    ubars = np.empty((steps + 1, r))
+    v = np.concatenate([x_init, np.zeros(nk)])
+    v_mono = v.copy()
+
+    xs, xks, ys, zs, us, ybars, ubars = (
+        np.empty((steps + 1, d)) for d in (n, nk, g.n_y, g.p1, g.n_u, r, r))
 
     guard = _DIVERGENCE_FACTOR * max(1.0, np.linalg.norm(x_init))
     max_rel = 0.0
 
     for step in range(steps + 1):
         w = w_path[step]
-        _, _, y, ybar, ubar, u = staged_field(x, xk, w)
-        xs[step], xks[step], ys[step] = x, xk, y
+        b1w, d21w, bclw = g.b1 @ w, g.d21 @ w, closed.b @ w
+        dv, (y, ybar, ubar, u) = staged(v)
+        x = v[:n]
+        xs[step], xks[step], ys[step] = x, v[n:], y
         ybars[step], ubars[step], us[step] = ybar, ubar, u
         zs[step] = g.c1 @ x + g.d12 @ u
 
-        mono_ref = np.concatenate([x, xk])
-        denom = max(1.0, float(np.linalg.norm(x_mono)))
-        max_rel = max(max_rel, float(np.linalg.norm(mono_ref - x_mono)) / denom)
+        denom = max(1.0, float(np.linalg.norm(v_mono)))
+        max_rel = max(max_rel, float(np.linalg.norm(v - v_mono)) / denom)
 
         if np.linalg.norm(x) > guard:
             raise UnstableClosedLoop(
                 f"trajectory norm exceeded {guard:.3e} at t={times[step]:.3f}")
         if step == steps:
             break
-
-        # staged RK4: each stage re-runs the three-step schedule
-        def f(xv, xkv):
-            dx, dxk, *_ = staged_field(xv, xkv, w)
-            return dx, dxk
-
-        k1x, k1k = f(x, xk)
-        k2x, k2k = f(x + 0.5 * dt * k1x, xk + 0.5 * dt * k1k)
-        k3x, k3k = f(x + 0.5 * dt * k2x, xk + 0.5 * dt * k2k)
-        k4x, k4k = f(x + dt * k3x, xk + dt * k3k)
-        x = x + dt / 6.0 * (k1x + 2 * k2x + 2 * k3x + k4x)
-        xk = xk + dt / 6.0 * (k1k + 2 * k2k + 2 * k3k + k4k)
-
-        # monolithic RK4 with the same held disturbance
-        def fm(v):
-            return acl @ v + bcl @ w
-
-        m1k = fm(x_mono)
-        m2k = fm(x_mono + 0.5 * dt * m1k)
-        m3k = fm(x_mono + 0.5 * dt * m2k)
-        m4k = fm(x_mono + dt * m3k)
-        x_mono = x_mono + dt / 6.0 * (m1k + 2 * m2k + 2 * m3k + m4k)
+        v = _rk4(staged_dv, v, dv, dt)
+        v_mono = _rk4(monolithic, v_mono, monolithic(v_mono), dt)
 
     if max_rel > _STAGED_MATCH_RTOL:
-        raise RuntimeError(
+        raise NumericalError(
             f"staged and monolithic simulations diverged: {max_rel:.3e}")
 
-    trace = SimTrace(times=times, ybar=ybars, ubar=ubars, u=us,
-                     coordinator_logs=logs, link_usage=link_usage)
+    trace = SimTrace(ybar=ybars, ubar=ubars, coordinator_logs=logs,
+                     link_usage=link_usage)
     return SimResult(times=times, x=xs, xk=xks, y=ys, z=zs, u=us, trace=trace,
                      staged_vs_monolithic=max_rel)
 

@@ -6,7 +6,8 @@ from hierh2 import (ClusterPartition, ExperimentConfig, GeneralizedPlant,
                     communication_links, generate_consensus_network,
                     lft_lower, privacy_audit, run_hier_simulation,
                     solve_lyapunov, synthesize_hierarchical)
-from hierh2.errors import UnstableClosedLoop
+from hierh2.errors import (NumericalError, PreconditionError,
+                           UnstableClosedLoop)
 from hierh2.synthesis import HierarchicalController
 
 
@@ -136,9 +137,44 @@ def test_dt_limit_enforced():
     part = line_graph_partition()
     pair = build_projection(part, WeightVectors.ones(3, 4))
     res = synthesize_hierarchical(g, pair)
-    with pytest.raises(ValueError):
+    with pytest.raises(PreconditionError):
         run_hier_simulation(g, res.controller, horizon=1.0, dt=10.0,
                             disturbance=("impulse", 0), partition=part)
+
+
+def test_staged_monolithic_mismatch_is_a_numerical_error(monkeypatch):
+    # perturb only the monolithic oracle's B: the staged loop is unchanged,
+    # so the two trajectories part and the per-sample check must fire
+    import hierh2.simulate
+    g = line_graph_plant()
+    part = line_graph_partition()
+    pair = build_projection(part, WeightVectors.ones(3, 4))
+    res = synthesize_hierarchical(g, pair)
+
+    def skewed(plant, k):
+        closed = lft_lower(plant, k)
+        return StateSpace(closed.a, closed.b + 1e-3, closed.c, closed.d)
+
+    monkeypatch.setattr(hierh2.simulate, "lft_lower", skewed)
+    with pytest.raises(NumericalError, match="diverged"):
+        run_hier_simulation(g, res.controller, horizon=1.0,
+                            disturbance=("noise", 3, 1.0), partition=part)
+
+
+def test_divergence_guard_trips():
+    # a Hurwitz loop driven by a held disturbance of 1e9 leaves the guard
+    # (1e6 times the unit initial scale) within the first step
+    g = line_graph_plant()
+    part = line_graph_partition()
+    pair = build_projection(part, WeightVectors.ones(3, 4))
+    res = synthesize_hierarchical(g, pair)
+    closed = lft_lower(g, res.controller.expand())
+    dt = 0.05 / float(np.max(np.abs(np.linalg.eigvals(closed.a))))
+    steps = int(np.ceil(1.0 / dt))
+    w = np.full((steps + 1, g.m1), 1e9)
+    with pytest.raises(UnstableClosedLoop, match="trajectory norm"):
+        run_hier_simulation(g, res.controller, horizon=1.0, dt=dt,
+                            disturbance=("array", w), partition=part)
 
 
 @pytest.mark.parametrize("leak", ["p_y", "p_u"])

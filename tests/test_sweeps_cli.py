@@ -284,6 +284,12 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert main(synth) == 0
     assert main(simulate + ["--disturbance", "impulse:999"]) == 2
     assert "impulse channel 999" in capsys.readouterr().err
+    # a step above the resolution limit, not positive or not finite, and a
+    # negative horizon, are precondition failures too
+    for flags in (["--dt", "10"], ["--dt", "0"], ["--dt", "nan"],
+                  ["--horizon", "-1"], ["--dt", "-1"]):
+        assert main(simulate + flags) == 2, flags
+        assert "precondition" in capsys.readouterr().err
 
 
 def test_cli_eigenspan_weights_use_the_tol_profile(tmp_path, monkeypatch):
