@@ -22,7 +22,7 @@ from .config import tolerance_profile
 from .errors import NumericalError, PreconditionError
 from .gapdesign import (design_clusters, evaluate_partition,
                         reference_youla_data, spectral_factors)
-from .hamiltonian import approx_are, build_hamiltonian, error_bound
+from .hamiltonian import approx_are, error_bound
 from .plant import NetworkSpec, generate_consensus_network, validate_assumptions
 from .projection import (ClusterPartition, WeightVectors, build_projection,
                          feasible_weights)
@@ -31,7 +31,8 @@ from .serialize import (load_controller, load_partition, load_plant,
                         write_manifest)
 from .simulate import privacy_audit, run_hier_simulation
 from .sweeps import ExperimentConfig, sweep_kappa, sweep_r, sweep_size
-from .synthesis import communication_links, synthesize_hierarchical
+from .synthesis import (communication_links, control_hamiltonian,
+                        synthesize_hierarchical)
 
 EXIT_OK = 0
 EXIT_PRECONDITION = 2
@@ -125,18 +126,15 @@ def cmd_synth(args) -> int:
 
 
 def cmd_approx(args) -> int:
+    """Diagnostics of X~ for the X equation that `synth` solves."""
     tol = tolerance_profile(args.tol_profile)
     g = load_plant(args.plant)
+    p_u = None
     if args.partition is not None:
         partition, weights = _resolve_partition_weights(args, g, tol)
-        p = build_projection(partition, weights)
-        b2pu = g.b2 @ p.p_u.T
-        r1 = p.p_u @ g.d12.T @ g.d12 @ p.p_u.T
-    else:
-        b2pu = g.b2
-        r1 = g.d12.T @ g.d12
-    hs = build_hamiltonian(g.a, b2pu, g.c1, r1, tol)
-    sol = approx_are(hs, args.kappa, method=args.method, tol=tol)
+        p_u = build_projection(partition, weights).p_u
+    sol = approx_are(control_hamiltonian(g, p_u, tol), args.kappa,
+                     method=args.method, tol=tol)
     eps = error_bound(sol, g.b1, tol)[0] if args.method == "dense" else None
     out = {
         "kappa": sol.kappa, "stabilizing": bool(sol.stabilizing),

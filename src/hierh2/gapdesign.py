@@ -44,7 +44,8 @@ import scipy.linalg as sla
 
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import DegenerateData, ToolkitError
-from .linalg import (h2_norm, hinf_norm, riccati_from_hamiltonian, solve_are,
+from .hamiltonian import build_hamiltonian
+from .linalg import (h2_norm, hinf_norm, riccati_from_hamiltonian,
                      solve_sylvester, sqrt_psd, symmetrize)
 from .plant import GeneralizedPlant, lft_lower
 from .projection import (ClusterPartition, ProjectionPair, WeightVectors,
@@ -249,12 +250,13 @@ def reference_youla_data(g: GeneralizedPlant,
 
     The optimal H2 gains make the factor gain F_hat vanish identically and
     would feed the clustering step zero rows, so the design phase uses the
-    neutral Q = R = I regulator/filter pair, with its Riccati closed loops.
+    neutral Q = R = I regulator/filter pair, with its Riccati closed loops,
+    solved from their HamiltonianSystems as the exact synthesis solves.
     """
-    x_sol = solve_are(g.a, g.b2, np.eye(g.n), np.eye(g.n_u), tol,
-                      check_stabilizable=False)
-    y_sol = solve_are(g.a.T, g.c2.T, np.eye(g.n), np.eye(g.n_y), tol,
-                      check_stabilizable=False)
+    x_hs = build_hamiltonian(g.a, g.b2, np.eye(g.n), np.eye(g.n_u), tol)
+    y_hs = build_hamiltonian(g.a.T, g.c2.T, np.eye(g.n), np.eye(g.n_y), tol)
+    x_sol = riccati_from_hamiltonian(x_hs.a, x_hs.m, x_hs.ctc, tol)
+    y_sol = riccati_from_hamiltonian(y_hs.a, y_hs.m, y_hs.ctc, tol)
     return YoulaData(g=g, f=-g.b2.T @ x_sol.x, l=-y_sol.x @ g.c2.T,
                      f_loop=x_sol.closed_loop,
                      l_loop=y_sol.closed_loop.transposed())

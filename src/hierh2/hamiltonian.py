@@ -6,7 +6,9 @@ kappa smallest-magnitude stable eigenvalues gives the truncated
 X~ = Z2k (Z2k' Z1k)^{-1} Z2k', whose weighted error admits the computable
 bound eps * ||E_k||_F, with eps read off the closed-loop Gramian in the
 eigenbasis by :func:`error_bound`, the one route to eps.  A residue
-factorization supplies a cheap sufficient stability certificate for A - M X~.
+factorization supplies a cheap sufficient stability certificate for A - M X~,
+computed when read.  Both Riccati backends solve from one
+:class:`HamiltonianSystem` per equation.
 
 The eigenpairs come from one dense eigendecomposition of H or, for large
 sparse A, from one structured shift-invert ARPACK run at a real shift
@@ -17,6 +19,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg as sla
@@ -91,7 +94,7 @@ def build_hamiltonian(a, b2pu, c1, r1,
     r1 = symmetrize(as_matrix(r1, "R1"))
     n = a.shape[0]
     if a.shape != (n, n) or b2pu.shape[0] != n or c1.shape[1] != n:
-        raise DimensionMismatch("build_hamiltonian: incompatible shapes")
+        raise DimensionMismatch("Riccati data A, B, C have incompatible shapes")
     if r1.shape != (b2pu.shape[1],) * 2:
         raise DimensionMismatch("R1 must be r x r for the effective input")
     try:
@@ -103,35 +106,53 @@ def build_hamiltonian(a, b2pu, c1, r1,
 
 @dataclass
 class ApproxAreSolution:
-    """kappa-truncated Riccati solution with diagnostics.
+    """kappa-truncated Riccati solution of the equation `hs`.
 
-    e_kappa_norm and subspace_full need the complement subspace and are None
-    on the Krylov path; :func:`error_bound` reads the bound off them.
-    `stabilizing` records the residue-based sufficient certificate
-    (:func:`stability_test`); it is a diagnostic only, since
-    :func:`~hierh2.synthesis.synthesize_hierarchical` decides stability from
-    the closed-loop abscissa.
+    Only X~ (`xbar`) and the pencil Gramian Z2k'Z1k (`gram`) are computed up
+    front.  The residue factor C1bar, ||E_k||_F and the residue certificate
+    `stabilizing` (:func:`stability_test`; a diagnostic only, since synthesis
+    decides stability from the closed-loop abscissa) are computed on first
+    read and cached.  `e_kappa_norm` and `subspace_full` are None on the
+    Krylov path.
     """
 
+    hs: HamiltonianSystem
+    subspace: StableSubspace
+    gram: np.ndarray
     xbar: np.ndarray
-    kappa: int
-    lambda_kappa: np.ndarray
-    residue_factor: np.ndarray
-    stabilizing: bool
-    e_kappa_norm: float | None = None
-    subspace_full: StableSubspace | None = None
-    method: str = "dense"
+    method: str
+    tol: Tolerances
 
+    @property
+    def kappa(self) -> int:
+        return self.subspace.k
 
-def _truncated_solution(sub_k: StableSubspace, tol: Tolerances):
-    """X~ and the pencil solve shared by the truncated formulas."""
-    z1k, z2k = sub_k.z1, sub_k.z2
-    gram = symmetrize(z2k.T @ z1k)
-    if np.linalg.cond(gram) > tol.cond_max:
-        raise SingularPencil(f"cond(Z2k' Z1k) = {np.linalg.cond(gram):.3e}")
-    w = sla.solve(gram, z2k.T, assume_a="sym")
-    xbar = symmetrize(z2k @ w)
-    return xbar, gram
+    @property
+    def lambda_kappa(self) -> np.ndarray:
+        return self.subspace.eigenvalues
+
+    @property
+    def subspace_full(self) -> StableSubspace | None:
+        return self.hs.full_subspace(self.tol) if self.method == "dense" else None
+
+    @cached_property
+    def residue_factor(self) -> np.ndarray:
+        return _residue_factor(self.hs.c1, self.subspace, self.gram)
+
+    @cached_property
+    def e_kappa_norm(self) -> float | None:
+        full = self.subspace_full
+        if full is None:
+            return None
+        k, z2k = self.kappa, self.subspace.z2
+        if full.k == k:
+            return 0.0
+        coupling = sla.solve(self.gram, z2k.T @ full.z1[:, k:], assume_a="sym")
+        return float(np.linalg.norm(full.z2[:, k:] - z2k @ coupling, "fro"))
+
+    @cached_property
+    def stabilizing(self) -> bool:
+        return stability_test(self, self.tol)
 
 
 def approx_are(hs: HamiltonianSystem, kappa: int, method: str = "dense",
@@ -140,13 +161,13 @@ def approx_are(hs: HamiltonianSystem, kappa: int, method: str = "dense",
 
     Retains the kappa smallest-magnitude stable eigenvalues of H (conjugate
     pairs kept atomic, bumping kappa by one with a warning when split).  The
-    dense method also keeps the full stable subspace and the norm of the
-    truncation factor E_k, which :func:`error_bound` needs; the Krylov method
-    leaves both unavailable and makes one shift-invert attempt
+    dense method takes them from the full stable subspace, cached on `hs`,
+    which :func:`error_bound` also needs; the Krylov method leaves it
+    unavailable and makes one shift-invert attempt
     (:func:`_krylov_stable_blocks`).  It sees at most 2n - 2 of the 2n
     eigenvalues, so at kappa = n it can miss a stable one and raise; the
-    dense method serves that case.  The residue factor C1bar and the
-    sufficient stability test are always computed.
+    dense method serves that case.  Only X~ is computed here; the residue
+    factor, E_k and the stability certificate wait for their first read.
 
     Raises
     ------
@@ -160,33 +181,17 @@ def approx_are(hs: HamiltonianSystem, kappa: int, method: str = "dense",
         raise ValueError(f"kappa must be in [1, {n}], got {kappa}")
     if method not in ("dense", "krylov"):
         raise ValueError(f"unknown method {method!r}")
-
     if method == "dense":
-        full = hs.full_subspace(tol)
-        sub_k = full.head(kappa)
-        xbar, gram = _truncated_solution(sub_k, tol)
-        kcols = sub_k.k
-        tail = full.tail_from(kcols)
-        if tail.k:
-            e_k = tail.z2 - sub_k.z2 @ sla.solve(gram, sub_k.z2.T @ tail.z1,
-                                                 assume_a="sym")
-            e_norm = float(np.linalg.norm(e_k, "fro"))
-        else:
-            e_norm = 0.0
-        sol = ApproxAreSolution(
-            xbar=xbar, kappa=kcols, lambda_kappa=sub_k.eigenvalues,
-            residue_factor=_residue_factor(hs.c1, sub_k, gram),
-            stabilizing=False, e_kappa_norm=e_norm, subspace_full=full,
-            method="dense")
+        sub_k = hs.full_subspace(tol).head(kappa)
     else:
         sub_k = _krylov_stable_blocks(hs, kappa, tol)
-        xbar, gram = _truncated_solution(sub_k, tol)
-        sol = ApproxAreSolution(
-            xbar=xbar, kappa=sub_k.k, lambda_kappa=sub_k.eigenvalues,
-            residue_factor=_residue_factor(hs.c1, sub_k, gram),
-            stabilizing=False, method="krylov")
-    sol.stabilizing = stability_test(sol, hs.a, hs.c1, tol)
-    return sol
+    z1k, z2k = sub_k.z1, sub_k.z2
+    gram = symmetrize(z2k.T @ z1k)
+    if np.linalg.cond(gram) > tol.cond_max:
+        raise SingularPencil(f"cond(Z2k' Z1k) = {np.linalg.cond(gram):.3e}")
+    xbar = symmetrize(z2k @ sla.solve(gram, z2k.T, assume_a="sym"))
+    return ApproxAreSolution(hs=hs, subspace=sub_k, gram=gram, xbar=xbar,
+                             method=method, tol=tol)
 
 
 def _residue_factor(c1: np.ndarray, sub_k: StableSubspace, gram: np.ndarray) -> np.ndarray:
@@ -227,10 +232,11 @@ def error_bound(sol: ApproxAreSolution, b1,
     epsilon = sqrt(sum of the complement diagonal of the eigenbasis
     Gramian on ``sol.subspace_full``); tiny negative diagonal entries are
     clipped at zero, with a warning above psd_floor magnitude, and an empty
-    complement gives 0.  Requires the dense approximation path.
+    complement gives 0.  Requires the dense approximation path; reads
+    ``sol.e_kappa_norm``, which is computed then if not read before.
     """
     full = sol.subspace_full
-    if full is None or sol.e_kappa_norm is None:
+    if full is None:
         raise ValueError("error_bound requires the complement subspace "
                          "(dense approximation path)")
     c = cauchy_coefficients(full, b1, tol)
@@ -255,18 +261,17 @@ def exact_error_norm(x: np.ndarray, xbar: np.ndarray, a, m, b1,
     return float(np.linalg.norm((x - xbar) @ sqrt_psd(phi, tol), "fro"))
 
 
-def stability_test(sol: ApproxAreSolution, a, c1,
+def stability_test(sol: ApproxAreSolution,
                    tol: Tolerances = DEFAULT_TOLERANCES) -> bool:
     """Sufficient residue-based test that X~ is stabilizing.
 
     True iff lambda_min(C1'C1 - C1bar'C1bar) >= -floor max(1, ||C1'C1||_2),
     floor = ``stability_test_floor``, and the pair has no unobservable
-    imaginary-axis modes of A (one eigensolve, once that holds).  Sufficient
-    only: a False result does not mean A - M X~ is unstable, so synthesis
-    records it as a diagnostic and decides stability from the closed loop.
+    imaginary-axis modes of A (one eigensolve, once that holds), with A, C1
+    from ``sol.hs``.  Sufficient only: a False result does not mean A - M X~
+    is unstable, so synthesis never runs it; ``sol.stabilizing`` does, once.
     """
-    a = as_matrix(a, "A")
-    c1 = as_matrix(c1, "C1")
+    a, c1 = sol.hs.a, sol.hs.c1
     cbar = sol.residue_factor
     d = symmetrize(c1.T @ c1 - cbar.T @ cbar)
     lam = np.linalg.eigvalsh(d).min()

@@ -34,7 +34,7 @@ from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import (ConjugatePairSplitWarning, DimensionMismatch,
                      HamiltonianImaginaryAxis, ImaginaryAxisEigenvalue,
                      NotHurwitz, NotPSD, NotStabilizable, NotStrictlyProper,
-                     NumericalError, SingularR, SingularZ1)
+                     NumericalError, SingularZ1)
 from .statespace import StateSpace, as_matrix
 
 __all__ = [
@@ -355,9 +355,11 @@ def riccati_from_hamiltonian(a, m, q, tol: Tolerances = DEFAULT_TOLERANCES) -> A
     return AreSolution(x=x, residual=res_norm, closed_loop=closed)
 
 
-def solve_are(a, b, c, r, tol: Tolerances = DEFAULT_TOLERANCES,
-              check_stabilizable: bool = True) -> AreSolution:
+def solve_are(a, b, c, r, tol: Tolerances = DEFAULT_TOLERANCES) -> AreSolution:
     """Stabilizing solution of A'X + XA + C'C - X B R^{-1} B' X = 0.
+
+    The raw-matrix entry: the PBH test on (A, B) always runs, then the
+    equation is solved from its HamiltonianSystem as synthesis solves it.
 
     Preconditions: (A, B) stabilizable, (C, A) free of unobservable
     imaginary-axis modes, R symmetric positive definite.
@@ -371,22 +373,11 @@ def solve_are(a, b, c, r, tol: Tolerances = DEFAULT_TOLERANCES,
     SingularR : R is not positive definite.
     NotHurwitz : the closed loop A - M X has abscissa >= -hurwitz_margin.
     """
-    a = as_matrix(a, "A")
-    b = as_matrix(b, "B")
-    c = as_matrix(c, "C")
-    r = symmetrize(as_matrix(r, "R"))
-    if b.shape[0] != a.shape[0] or c.shape[1] != a.shape[0]:
-        raise DimensionMismatch("solve_are: incompatible shapes")
-    if r.shape != (b.shape[1], b.shape[1]):
-        raise DimensionMismatch("solve_are: R must be m x m")
-    try:
-        r_chol = sla.cho_factor(r)
-    except sla.LinAlgError as e:
-        raise SingularR(f"R is not positive definite: {e}") from e
-    if check_stabilizable and not stabilizable(a, b, tol):
+    from .hamiltonian import build_hamiltonian   # that module imports this one
+    hs = build_hamiltonian(a, b, c, r, tol)
+    if not stabilizable(hs.a, hs.n_gain, tol):
         raise NotStabilizable("PBH stabilizability test failed for (A, B)")
-    m = b @ sla.cho_solve(r_chol, b.T)
-    return riccati_from_hamiltonian(a, m, c.T @ c, tol)
+    return riccati_from_hamiltonian(hs.a, hs.m, hs.ctc, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -555,18 +546,6 @@ class StableSubspace:
             z1=self.z1[:, :count], z2=self.z2[:, :count],
             eigenvalues=self.eigenvalues[:count],
             block_sizes=tuple(blocks), lam=self.lam[:count, :count])
-
-    def tail_from(self, k_cols: int) -> "StableSubspace":
-        """Complement blocks starting at column k_cols (a block boundary)."""
-        sizes, count = [], 0
-        for size in self.block_sizes:
-            if count >= k_cols:
-                sizes.append(size)
-            count += size
-        return StableSubspace(
-            z1=self.z1[:, k_cols:], z2=self.z2[:, k_cols:],
-            eigenvalues=self.eigenvalues[k_cols:], block_sizes=tuple(sizes),
-            lam=self.lam[k_cols:, k_cols:])
 
 
 def _order_key(lam: complex):

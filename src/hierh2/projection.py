@@ -171,12 +171,12 @@ def build_projection(partition: ClusterPartition, weights: WeightVectors) -> Pro
 # ---------------------------------------------------------------------------
 
 def subspace_member(k: StateSpace, p: ProjectionPair,
-                    tol: Tolerances = DEFAULT_TOLERANCES,
-                    freqs=_TEST_FREQS) -> tuple[bool, StateSpace | None]:
+                    tol: Tolerances = DEFAULT_TOLERANCES
+                    ) -> tuple[bool, StateSpace | None]:
     """Decide K in S = P_u^T S~ P_y and extract the reduced K~ when true.
 
-    Tests (I - P_u^T P_u) K(jw) and K(jw) (I - P_y^T P_y) at log-spaced
-    frequencies plus the feedthrough; on success returns
+    Tests (I - P_u^T P_u) K(jw) and K(jw) (I - P_y^T P_y) at the log-spaced
+    frequencies `_TEST_FREQS` plus the feedthrough; on success returns
     K~ = P_u K P_y^T with realization (A_K, B_K P_y^T, P_u C_K, P_u D_K P_y^T),
     which satisfies P_u^T K~ P_y = K.
     """
@@ -185,7 +185,7 @@ def subspace_member(k: StateSpace, p: ProjectionPair,
             f"K is {k.n_outputs}x{k.n_inputs}, projections expect {p.n_u}x{p.n_y}")
     qu = np.eye(p.n_u) - p.p_u.T @ p.p_u
     qy = np.eye(p.n_y) - p.p_y.T @ p.p_y
-    mats = [k.eval(1j * w) for w in freqs] + [k.d.astype(complex)]
+    mats = [k.eval(1j * w) for w in _TEST_FREQS] + [k.d.astype(complex)]
     for g in mats:
         scale = np.linalg.norm(g, "fro")
         if np.linalg.norm(qu @ g, "fro") > tol.membership_rel * scale or \
@@ -229,6 +229,18 @@ def verify_qi(g22: StateSpace, p: ProjectionPair, samples: int = 10,
 # Weight feasibility (unstable plants)
 # ---------------------------------------------------------------------------
 
+def _projected_pbh_failure(g: GeneralizedPlant, p: ProjectionPair,
+                           tol: Tolerances) -> str | None:
+    """Message of the first failing PBH test on (A, B2 P_u^T), then on
+    (P_y C2, A), at the unstable modes of ``g.spectrum``; None if both pass."""
+    unstable = _unstable_modes(g.spectrum, tol)
+    if _pbh_rank_deficient(g.a, g.b2 @ p.p_u.T, unstable, tol).any():
+        return "(A, B2 P_u^T) is not stabilizable"
+    if _pbh_rank_deficient(g.a.T, (p.p_y @ g.c2).T, unstable, tol).any():
+        return "(P_y C2, A) is not detectable"
+    return None
+
+
 def _cluster_restrictions_nonzero(w, sets) -> bool:
     return all(np.linalg.norm(w[list(s)]) > 0.0 for s in sets)
 
@@ -253,10 +265,8 @@ def feasible_weights(g: GeneralizedPlant, partition: ClusterPartition,
         if not (_cluster_restrictions_nonzero(wv.w_u, partition.input_sets)
                 and _cluster_restrictions_nonzero(wv.w_y, partition.output_sets)):
             return False
-        pair = build_projection(partition, wv)
-        unstable = _unstable_modes(g.spectrum, tol)
-        return not (_pbh_rank_deficient(g.a, g.b2 @ pair.p_u.T, unstable, tol).any()
-                    or _pbh_rank_deficient(g.a.T, (pair.p_y @ g.c2).T, unstable, tol).any())
+        return _projected_pbh_failure(g, build_projection(partition, wv),
+                                      tol) is None
 
     vl, vr = unstable_eigenbases(g.a, tol)
     if vl.shape[1] == 0 or certify(ones):

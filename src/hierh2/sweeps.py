@@ -139,8 +139,9 @@ def sweep_kappa(config: ExperimentConfig, out_dir=None) -> list[dict]:
 
     h2_ratio normalizes each approximate closed-loop norm by the
     exact-backend value.  ``certified`` is the residue certificate of both
-    truncated Riccati solutions (blank on the exact row);
-    ``closed_loop_abscissa`` is the abscissa that decided stability.
+    truncated Riccati solutions (blank on the exact row), computed here, as
+    it is read; ``closed_loop_abscissa`` is the abscissa that decided
+    stability.
     """
     tol = config.tolerances
     g = config.plant()

@@ -25,16 +25,16 @@ import scipy.linalg as sla
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import (ApproxNotStabilizing, HypothesisFailure, IllConditionedR,
                      NotStabilizingGains)
-from .hamiltonian import approx_are, build_hamiltonian
-from .linalg import (RealSchur, _pbh_rank_deficient, _unstable_modes,
-                     solve_are, solve_sylvester, symmetrize)
+from .hamiltonian import HamiltonianSystem, approx_are, build_hamiltonian
+from .linalg import (RealSchur, riccati_from_hamiltonian, solve_sylvester,
+                     symmetrize)
 from .plant import GeneralizedPlant, _a4_cross_terms
-from .projection import ClusterPartition, ProjectionPair
+from .projection import ClusterPartition, ProjectionPair, _projected_pbh_failure
 from .statespace import StateSpace
 
 __all__ = [
     "YoulaData", "SynthesisResult", "HierarchicalController", "LinkCount",
-    "youla_data", "synthesize_hierarchical",
+    "youla_data", "control_hamiltonian", "synthesize_hierarchical",
     "synthesize_unconstrained", "communication_links",
 ]
 
@@ -153,11 +153,9 @@ def _spd_solve(r: np.ndarray, rhs: np.ndarray, what: str,
 def _check_hypotheses(g: GeneralizedPlant, p: ProjectionPair, tol: Tolerances):
     if p.n_u != g.n_u or p.n_y != g.n_y:
         raise HypothesisFailure("projection dimensions do not match the plant")
-    unstable = _unstable_modes(g.spectrum, tol)
-    if _pbh_rank_deficient(g.a, g.b2 @ p.p_u.T, unstable, tol).any():
-        raise HypothesisFailure("(A, B2 P_u^T) is not stabilizable")
-    if _pbh_rank_deficient(g.a.T, (p.p_y @ g.c2).T, unstable, tol).any():
-        raise HypothesisFailure("(P_y C2, A) is not detectable")
+    pbh_failure = _projected_pbh_failure(g, p, tol)
+    if pbh_failure is not None:
+        raise HypothesisFailure(pbh_failure)
     w12 = np.linalg.eigvalsh(g.d12.T @ g.d12)
     w21 = np.linalg.eigvalsh(g.d21 @ g.d21.T)
     if (w12.size and w12.min() <= 0.0) or (w21.size and w21.min() <= 0.0):
@@ -202,17 +200,28 @@ def _observer_closed_loop_h2(yd: YoulaData, tol: Tolerances) -> float:
     return float(np.sqrt(max(val, 0.0)))
 
 
+def control_hamiltonian(g: GeneralizedPlant, p_u: np.ndarray | None,
+                        tol: Tolerances = DEFAULT_TOLERANCES) -> HamiltonianSystem:
+    """The X equation of the projected design: input B2 P_u^T and weight
+    R1 = P_u D12'D12 P_u^T, or B2 and D12'D12 when `p_u` is None."""
+    if p_u is None:
+        return build_hamiltonian(g.a, g.b2, g.c1, g.d12.T @ g.d12, tol)
+    return build_hamiltonian(g.a, g.b2 @ p_u.T, g.c1,
+                             p_u @ g.d12.T @ g.d12 @ p_u.T, tol)
+
+
 def synthesize_hierarchical(g: GeneralizedPlant, p: ProjectionPair,
                             are_backend: str = "exact", kappa: int | None = None,
                             method: str = "dense",
                             tol: Tolerances = DEFAULT_TOLERANCES) -> SynthesisResult:
     """Optimal hierarchical controller K = P_u^T K~ P_y for the given pair.
 
-    With ``are_backend='exact'`` both Riccati equations are solved through
-    the full stable Hamiltonian subspace.  With ``'approx'`` they are
-    replaced by kappa-truncated solutions; their residue certificates
-    (``x_solution.stabilizing``, ``y_solution.stabilizing``) are recorded
-    as diagnostics only.  The result's ``youla`` holds the gains
+    Each Riccati equation is built once, as a HamiltonianSystem.  With
+    ``are_backend='exact'`` both are solved through the full stable
+    Hamiltonian subspace.  With ``'approx'`` they are replaced by
+    kappa-truncated solutions, of which only X~ is computed; their residue
+    certificates (``x_solution.stabilizing``, ``y_solution.stabilizing``)
+    are diagnostics, computed when read.  The result's ``youla`` holds the gains
     F = P_u^T F2, L = L2 P_y and the real Schur factors of the control block
     A + B2 F and the filter block A + L C2, and stability is decided once
     per block, at -hurwitz_margin, where the factor is made.  The exact
@@ -231,26 +240,21 @@ def synthesize_hierarchical(g: GeneralizedPlant, p: ProjectionPair,
     if are_backend == "approx" and kappa is None:
         raise ValueError("approx backend requires kappa")
 
-    r1 = symmetrize(p.p_u @ g.d12.T @ g.d12 @ p.p_u.T)
-    r2 = symmetrize(p.p_y @ g.d21 @ g.d21.T @ p.p_y.T)
-    b2pu = g.b2 @ p.p_u.T
-    c2py = (p.p_y @ g.c2).T
-
     t0 = time.perf_counter()
-    x_sol = y_sol = None
+    hs_x = control_hamiltonian(g, p.p_u, tol)
+    hs_y = build_hamiltonian(g.a.T, (p.p_y @ g.c2).T, g.b1.T,
+                             p.p_y @ g.d21 @ g.d21.T @ p.p_y.T, tol)
     if are_backend == "exact":
-        x_sol = solve_are(g.a, b2pu, g.c1, r1, tol, check_stabilizable=False)
-        y_sol = solve_are(g.a.T, c2py, g.b1.T, r2, tol, check_stabilizable=False)
+        x_sol = riccati_from_hamiltonian(hs_x.a, hs_x.m, hs_x.ctc, tol)
+        y_sol = riccati_from_hamiltonian(hs_y.a, hs_y.m, hs_y.ctc, tol)
         x, y = x_sol.x, y_sol.x
     else:
-        hs_x = build_hamiltonian(g.a, b2pu, g.c1, r1, tol)
         x_sol = approx_are(hs_x, kappa, method=method, tol=tol)
-        hs_y = build_hamiltonian(g.a.T, c2py, g.b1.T, r2, tol)
         y_sol = approx_are(hs_y, kappa, method=method, tol=tol)
         x, y = x_sol.xbar, y_sol.xbar
 
-    f2 = -_spd_solve(r1, p.p_u @ g.b2.T @ x, "R1", tol)
-    l2 = -_spd_solve(r2, p.p_y @ g.c2 @ y, "R2", tol).T
+    f2 = -_spd_solve(hs_x.r1, p.p_u @ g.b2.T @ x, "R1", tol)
+    l2 = -_spd_solve(hs_y.r1, p.p_y @ g.c2 @ y, "R2", tol).T
     elapsed = time.perf_counter() - t0
 
     f, l = p.p_u.T @ f2, l2 @ p.p_y

@@ -219,7 +219,7 @@ def test_stability_test_full_kappa_and_consistency():
     hs, (a, b, c, r) = hamiltonian_instance(rng, 5)
     sol = approx_are(hs, kappa=5)
     assert np.linalg.norm(sol.residue_factor, "fro") <= 1e-7
-    assert stability_test(sol, a, c)
+    assert stability_test(sol)
 
 
 def test_stability_test_uncovered_marginal_mode():
@@ -373,4 +373,4 @@ def test_stability_test_floor_is_relative():
     sol = approx_are(hs, kappa=1, method="krylov")
     assert sol.stabilizing
     tight = DEFAULT_TOLERANCES.with_(stability_test_floor=1e-12)
-    assert not stability_test(sol, g.a, c1, tight)
+    assert not stability_test(sol, tight)

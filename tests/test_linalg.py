@@ -610,6 +610,17 @@ def test_group_conjugates_keeps_one_member_per_pair():
         assert np.array_equal(vec, ref)
 
 
+@pytest.mark.parametrize("lam,vec,is_pair,message", [
+    # Im v parallel to Re v: the pair spans one real direction
+    (-1 + 2j, (1 + 1j) * np.array([1.0, 2.0, 0.5, -1.0]), True,
+     "degenerate conjugate-pair realification"),
+    (-1 + 0j, np.zeros(4, complex), False, "zero eigenvector column"),
+])
+def test_realify_rejects_degenerate_eigenvectors(lam, vec, is_pair, message):
+    with pytest.raises(NumericalError, match=message):
+        linalg._realify_sorted([(lam, vec, is_pair)], 2)
+
+
 def test_stable_eigenspace_ordering_by_magnitude():
     rng = np.random.default_rng(101)
     a, b, c, r = random_are_instance(rng, 7)

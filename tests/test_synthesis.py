@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from hierh2 import (DEFAULT_TOLERANCES, ClusterPartition, ExperimentConfig,
                     youla_data)
 from hierh2.errors import (ApproxNotStabilizing, HypothesisFailure,
                            NotHurwitz, NotStabilizingGains)
+from hierh2 import hamiltonian, linalg
 from hierh2.projection import random_stable_statespace
 
 from conftest import random_h2_plant, random_partition
@@ -392,3 +395,50 @@ def test_exact_synthesis_reuses_riccati_closed_loops():
     with pytest.raises(NotHurwitz, match="Riccati closed loop not Hurwitz"):
         synthesize_hierarchical(g, pair, tol=DEFAULT_TOLERANCES.with_(
             hurwitz_margin=1e6))
+
+
+def _count_calls(monkeypatch, module, name):
+    """Wrap `module.name` in every hierh2 namespace that binds it and return
+    the call counter."""
+    fn = getattr(module, name)
+    counter = {"calls": 0}
+
+    def wrapper(*args, **kwargs):
+        counter["calls"] += 1
+        return fn(*args, **kwargs)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.split(".")[0] == "hierh2" and getattr(mod, name, None) is fn:
+            monkeypatch.setattr(mod, name, wrapper)
+    return counter
+
+
+@pytest.mark.parametrize("method", ["dense", "krylov"])
+def test_approx_synthesis_computes_certificates_on_read(monkeypatch, method):
+    cfg = ExperimentConfig(n_s=60, seed=7)
+    g = cfg.plant()
+    pair = build_projection(cfg.planted_partition(g),
+                            WeightVectors.ones(g.n_u, g.n_y))
+    tests = _count_calls(monkeypatch, hamiltonian, "stability_test")
+    residues = _count_calls(monkeypatch, hamiltonian, "_residue_factor")
+    res = synthesize_hierarchical(g, pair, are_backend="approx", kappa=4,
+                                  method=method)
+    assert tests["calls"] == residues["calls"] == 0
+    first = [sol.stabilizing for sol in (res.x_solution, res.y_solution)]
+    assert tests["calls"] == residues["calls"] == 2
+    again = [sol.stabilizing for sol in (res.x_solution, res.y_solution)]
+    assert again == first and tests["calls"] == 2
+    for sol in (res.x_solution, res.y_solution):
+        assert sol.stabilizing is hamiltonian.stability_test(sol, sol.tol)
+        assert (sol.e_kappa_norm is None) is (method == "krylov")
+
+
+def test_exact_synthesis_solves_from_the_hamiltonian_record(monkeypatch):
+    cfg = ExperimentConfig(n_s=60, seed=7)
+    g = cfg.plant()
+    pair = build_projection(cfg.planted_partition(g),
+                            WeightVectors.ones(g.n_u, g.n_y))
+    riccati = _count_calls(monkeypatch, linalg, "riccati_from_hamiltonian")
+    raw = _count_calls(monkeypatch, linalg, "solve_are")
+    synthesize_hierarchical(g, pair)
+    assert riccati["calls"] == 2 and raw["calls"] == 0
