@@ -115,7 +115,8 @@ def _factors(yd: YoulaData, unc: SynthesisResult,
     fhat = np.hstack([df, f])
     # only the off-diagonal block Y12 of Y_hat = [[., Y12], [Y12', Y]] is new
     y12 = solve_sylvester(yd.f_loop, filt,
-                          g.b1 @ g.b1.T - g.b2 @ f @ unc.y, tol)
+                          g.b1 @ g.b1.T - yd.fold_u(g.b2) @ (yd.f2 @ unc.y),
+                          tol)
     v_chol = sla.cho_factor(symmetrize(g.d21 @ g.d21.T))
     lhat1 = -sla.cho_solve(v_chol, g.c2 @ y12.T).T
     lhat = np.vstack([lhat1, dl])
@@ -124,12 +125,17 @@ def _factors(yd: YoulaData, unc: SynthesisResult,
     # Phi_u = diag(LYAP(A + B2 F2, I), LYAP(A_L, I))
     sqrt_u1 = sqrt_psd(solve_sylvester(ctrl, ctrl, eye, tol), tol)
     sqrt_u2 = sqrt_psd(solve_sylvester(yd.l_loop, yd.l_loop, eye, tol), tol)
-    # A_Lhat' in reversed block order is [[(A + L2 C2)', K'], [0, A_F']]
-    k = lhat1 @ g.c2 - g.b2 @ f
+    # A_Lhat' in reversed block order is [[(A + L2 C2)', K'], [0, A_F']];
+    # with B = I its Q blocks are I, 0, I in any orthonormal bases
+    k = lhat1 @ g.c2 - yd.fold_u(g.b2) @ yd.f2
+    ctrl_t = yd.f_loop.transposed()
+    u1, u2 = filt_t.u, ctrl_t.u
+    k_hat = u1.T @ k.T @ u2
     psi11, psi12, psi22 = _block_gramian(
-        filt_t, yd.f_loop.transposed(), k.T, np.eye(g.n, 2 * g.n),
-        np.eye(g.n, 2 * g.n, g.n), tol)
-    phi_y = np.block([[psi22, psi12.T], [psi12, psi11]])
+        filt_t, ctrl_t, lambda y: k_hat @ y, eye, np.zeros((g.n, g.n)), eye,
+        tol)
+    phi_y = np.block([[u2 @ psi22 @ u2.T, u2 @ psi12.T @ u1.T],
+                      [u1 @ psi12 @ u2.T, u1 @ psi11 @ u1.T]])
     return SpectralFactors(
         g=g, fhat=fhat, lhat=lhat,
         embed_u=np.hstack([df @ sqrt_u1, f @ sqrt_u2]),
@@ -204,7 +210,7 @@ def doubly_projected_controller(g: GeneralizedPlant, p: ProjectionPair,
     m = cp.T @ rp_inv @ cp
     y_sol = riccati_from_hamiltonian(g.a.T, m, g.b1 @ g.b1.T, tol)
     l_brev = -y_sol.x @ cp.T @ rp_inv
-    return YoulaData(g=g, f=f_brev, l=l_brev, f_loop=x_sol.closed_loop,
+    return YoulaData(g=g, f2=f_brev, l2=l_brev, f_loop=x_sol.closed_loop,
                      l_loop=y_sol.closed_loop.transposed())
 
 
@@ -257,7 +263,7 @@ def reference_youla_data(g: GeneralizedPlant,
     y_hs = build_hamiltonian(g.a.T, g.c2.T, np.eye(g.n), np.eye(g.n_y), tol)
     x_sol = riccati_from_hamiltonian(x_hs.a, x_hs.m, x_hs.ctc, tol)
     y_sol = riccati_from_hamiltonian(y_hs.a, y_hs.m, y_hs.ctc, tol)
-    return YoulaData(g=g, f=-g.b2.T @ x_sol.x, l=-y_sol.x @ g.c2.T,
+    return YoulaData(g=g, f2=-g.b2.T @ x_sol.x, l2=-y_sol.x @ g.c2.T,
                      f_loop=x_sol.closed_loop,
                      l_loop=y_sol.closed_loop.transposed())
 
@@ -271,7 +277,8 @@ def evaluate_partition(g: GeneralizedPlant, partition: ClusterPartition,
 
     The H2 cost of the :func:`doubly_projected_controller` loop, by the
     observer separation, is stored as ``h2_equivalence``, and a warning is
-    raised when it differs from J2* by more than 1e-6 max(1, J2*).
+    raised when it differs from J2* by more than
+    ``tol.equivalence_rel`` max(1, J2*).
     """
     return _evaluate(g, partition, weights,
                      synthesize_unconstrained(g, tol=tol), tol)
@@ -290,7 +297,7 @@ def _evaluate(g: GeneralizedPlant, partition: ClusterPartition,
     j2 = report.j2_star
     h2_equiv = _observer_closed_loop_h2(doubly_projected_controller(g, p, tol),
                                         tol)
-    if abs(h2_equiv - j2) > 1e-6 * max(1.0, j2):
+    if abs(h2_equiv - j2) > tol.equivalence_rel * max(1.0, j2):
         warnings.warn(
             f"equivalence-form controller value {h2_equiv:.9g} differs "
             f"from hierarchical optimum {j2:.9g}")

@@ -11,9 +11,13 @@ the recursive blocked algorithm of Jonsson & Kagstrom ("Recursive blocked
 algorithms for solving triangular systems", ACM TOMS 28, 2002), with
 LAPACK ``trsyl`` on the leaves; if a leaf has to scale against overflow, the
 whole triangular solve falls back to one ``trsyl`` call.
-:func:`solve_sylvester` wraps the kernel in the residual contract (at most two
-refinement steps reusing the factors, then :class:`NumericalError`), and the
-Riccati Newton step calls it directly.  The Riccati solver returns the Schur
+:func:`solve_sylvester_schur` is the Schur-coordinate core: it solves
+T1 Y + Y T2' + Q^ = 0 and checks the residual contract there (at most two
+refinement steps on the same factors, then :class:`NumericalError`), so a
+caller holding its data in the Schur bases, such as the synthesis Gramian
+chain, never changes basis.  :func:`solve_sylvester` transforms Q in,
+calls the core and transforms Y back, and the Riccati Newton step calls
+the kernel directly.  The Riccati solver returns the Schur
 factors of its closed loop A - M X, which every consumer reuses;
 :meth:`RealSchur.transposed` gives those of A' without a second factorization.
 The unstable left and right eigenbases come from one LAPACK ``geev`` call
@@ -39,7 +43,7 @@ from .statespace import StateSpace, as_matrix
 
 __all__ = [
     "AreSolution", "StableSubspace", "RealSchur",
-    "solve_sylvester", "solve_lyapunov", "solve_are",
+    "solve_sylvester", "solve_sylvester_schur", "solve_lyapunov", "solve_are",
     "riccati_from_hamiltonian",
     "h2_norm", "hinf_norm", "stable_eigenspace", "unstable_eigenbases",
     "sqrt_psd", "spectral_abscissa", "stabilizable",
@@ -174,30 +178,118 @@ def _recursive_trsyl(t1: np.ndarray, t2: np.ndarray, c: np.ndarray) -> bool:
     return _recursive_trsyl(t1, t2[:k, :k], c[:, :k])
 
 
-def _bartels_stewart(f1: RealSchur, f2: RealSchur, q: np.ndarray) -> np.ndarray:
-    """X with A1 X + X A2' + Q = 0, solved as T1 Y + Y T2' = -U1' Q U2.
+def _recursive_trlyap(t: np.ndarray, c: np.ndarray) -> bool:
+    """Overwrite the symmetric `c` with Y, T Y + Y T' = C, for upper
+    quasi-triangular T.
 
-    The triangular solve is :func:`_recursive_trsyl`, in place in one array.
-    trsyl's overflow guard scales a leaf's right-hand side by scale <= 1,
-    and the recursion cannot carry that factor across its GEMM updates; so
-    if any leaf returns scale != 1 the whole triangular solve is redone with
-    one plain trsyl call, whose Y is divided by its scale.
+    The Lyapunov recursion of Jonsson & Kagstrom (ACM TOMS 28, 2002): with
+    T split as [[T11, T12], [0, T22]], solve the trailing Lyapunov block,
+    the off-diagonal block by :func:`_recursive_trsyl` and the leading
+    Lyapunov block after a symmetric rank-2k update, so only one triangle's
+    worth of Sylvester work is done.  Returns False as soon as a leaf
+    returns scale != 1, leaving `c` partly overwritten.
     """
-    y = -(f1.u.T @ q @ f2.u)
-    if not _recursive_trsyl(f1.t, f2.t, y):
-        y, scale = _trsyl(f1.t, f2.t, -(f1.u.T @ q @ f2.u))
+    n = c.shape[0]
+    if n <= _TRSYL_LEAF:
+        y, scale = _trsyl(t, t, c)
+        c[...] = y
+        return scale == 1.0
+    k = _split(t)
+    if not _recursive_trlyap(t[k:, k:], c[k:, k:]):
+        return False
+    c[:k, k:] -= t[:k, k:] @ c[k:, k:]
+    if not _recursive_trsyl(t[:k, :k], t[k:, k:], c[:k, k:]):
+        return False
+    update = t[:k, k:] @ c[:k, k:].T
+    c[:k, :k] -= update + update.T
+    c[k:, :k] = c[:k, k:].T
+    return _recursive_trlyap(t[:k, :k], c[:k, :k])
+
+
+def _schur_solve(t1: np.ndarray, t2: np.ndarray, c: np.ndarray,
+                 lyapunov: bool = False) -> np.ndarray:
+    """Y with T1 Y + Y T2' = C for upper quasi-triangular T1, T2.
+
+    The triangular solve is :func:`_recursive_trsyl`, or
+    :func:`_recursive_trlyap` for a Lyapunov equation (T1 = T2 and C
+    symmetric), in place in a copy of `c`.  trsyl's overflow guard scales a
+    leaf's right-hand side by scale <= 1, and the recursion cannot carry
+    that factor across its GEMM updates; so if any leaf returns scale != 1
+    the whole triangular solve is redone with one plain trsyl call, whose Y
+    is divided by its scale.
+    """
+    y = np.array(c)
+    solved = (_recursive_trlyap(t1, y) if lyapunov
+              else _recursive_trsyl(t1, t2, y))
+    if not solved:
+        y, scale = _trsyl(t1, t2, c)
         y = y / scale
-    return f1.u @ y @ f2.u.T
+    return y
+
+
+def _bartels_stewart(f1: RealSchur, f2: RealSchur, q: np.ndarray) -> np.ndarray:
+    """X with A1 X + X A2' + Q = 0, solved as T1 Y + Y T2' = -U1' Q U2."""
+    return f1.u @ _schur_solve(f1.t, f2.t, -(f1.u.T @ q @ f2.u)) @ f2.u.T
+
+
+def solve_sylvester_schur(f1: RealSchur, f2: RealSchur, q_hat,
+                          tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
+    """Solve T1 Y + Y T2' + Q^ = 0 in the Schur bases of A1 and A2.
+
+    The core of every Sylvester and Lyapunov solve: with A_i = U_i T_i U_i',
+    Y = U1' X U2 and Q^ = U1' Q U2, this is A1 X + X A2' + Q = 0 without a
+    change of basis, so a caller that holds its data in the two bases never
+    leaves them.  When ``f1 is f2`` the equation is a Lyapunov equation:
+    Q^ is taken as symmetric (its symmetric part is used), the triangular
+    solve is the symmetric recursion and Y is symmetrized.  The residual
+    contract: ||T1 Y + Y T2' + Q^||_F <= lyap_residual * max(1, ||Q^||_F),
+    reached after at most two refinement steps on the same triangular
+    factors.
+
+    Raises
+    ------
+    NumericalError : the residual contract could not be met.
+    """
+    q_hat = as_matrix(q_hat, "Q")
+    if q_hat.shape != (f1.t.shape[0], f2.t.shape[0]):
+        raise DimensionMismatch("solve_sylvester_schur: Q must be n1 x n2")
+    t1, t2 = f1.t, f2.t
+    lyapunov = f1 is f2
+
+    def residual(y):
+        if lyapunov:         # Y = Y', so Y T1' = (T1 Y)'
+            ty = t1 @ y
+            return ty + ty.T + q_hat
+        return t1 @ y + y @ t2.T + q_hat
+
+    finish = symmetrize if lyapunov else np.asarray
+    if lyapunov:
+        q_hat = symmetrize(q_hat)
+    y = finish(_schur_solve(t1, t2, -q_hat, lyapunov))
+    bound = tol.lyap_residual * max(1.0, np.linalg.norm(q_hat, "fro"))
+    for _ in range(2):
+        res = residual(y)
+        if np.linalg.norm(res, "fro") <= bound:
+            return y
+        y = finish(y - _schur_solve(t1, t2, res, lyapunov))
+    res = np.linalg.norm(residual(y), "fro")
+    if res > bound:
+        raise NumericalError(
+            f"Sylvester residual {res:.3e} exceeds bound {bound:.3e}")
+    return y
 
 
 def solve_sylvester(f1: RealSchur, f2: RealSchur, q,
                     tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
     """Solve A1 X + X A2' + Q = 0 from the real Schur factors of A1 and A2.
 
-    When ``f1 is f2`` the equation is the Lyapunov equation and X is
-    symmetrized.  The residual contract: ||A1 X + X A2' + Q||_F <=
-    lyap_residual * max(1, ||Q||_F), reached after at most two refinement
-    steps that reuse the factors.
+    Transforms Q into the two Schur bases, calls :func:`solve_sylvester_schur`
+    and transforms Y back.  The residual contract is checked there, in
+    Schur coordinates: the Frobenius norm is invariant under the orthogonal
+    changes of basis, ||A1 X + X A2' + Q||_F = ||T1 Y + Y T2' + Q^||_F and
+    ||Q||_F = ||Q^||_F, so it is the contract ||A1 X + X A2' + Q||_F <=
+    lyap_residual * max(1, ||Q||_F) up to the rounding of the Schur
+    factorization and the transforms.  When ``f1 is f2`` X is symmetrized.
 
     Raises
     ------
@@ -206,19 +298,8 @@ def solve_sylvester(f1: RealSchur, f2: RealSchur, q,
     q = as_matrix(q, "Q")
     if q.shape != (f1.a.shape[0], f2.a.shape[0]):
         raise DimensionMismatch("solve_sylvester: Q must be n1 x n2")
-    finish = symmetrize if f1 is f2 else np.asarray
-    x = finish(_bartels_stewart(f1, f2, q))
-    bound = tol.lyap_residual * max(1.0, np.linalg.norm(q, "fro"))
-    for _ in range(2):
-        res = f1.a @ x + x @ f2.a.T + q
-        if np.linalg.norm(res, "fro") <= bound:
-            return x
-        x = finish(x + _bartels_stewart(f1, f2, res))
-    res = np.linalg.norm(f1.a @ x + x @ f2.a.T + q, "fro")
-    if res > bound:
-        raise NumericalError(
-            f"Sylvester residual {res:.3e} exceeds bound {bound:.3e}")
-    return x
+    x = f1.u @ solve_sylvester_schur(f1, f2, f1.u.T @ q @ f2.u, tol) @ f2.u.T
+    return symmetrize(x) if f1 is f2 else x
 
 
 def solve_lyapunov(a, b, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:

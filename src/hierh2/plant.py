@@ -5,8 +5,12 @@ The plant is the four-block system mapping (disturbance w, control u) to
 matrices over the subsystem structure; the (z,w) and (y,u) feedthroughs are
 zero.  A plant is frozen and caches the spectrum of A on first use; every PBH
 test on a plant reads its modes there and applies the one rule of
-:func:`~hierh2.linalg._pbh_rank_deficient`.  Consensus-network generation
-produces the clustered first-order integrator plants used by the experiments.
+:func:`~hierh2.linalg._pbh_rank_deficient`.  The tolerance-free numbers of
+assumptions A2 and A4 (the weight minima and the cross-term norms) are
+cached the same way, and each check compares them with its ``tol``; so are
+the n x k factors of B1 B1' and C1'C1 that the synthesis H2 chain reads.
+Consensus-network generation produces the clustered first-order integrator
+plants used by the experiments.
 """
 
 from __future__ import annotations
@@ -104,6 +108,38 @@ class GeneralizedPlant:
         """Eigenvalues of A (and of A'), computed on first use only."""
         return np.linalg.eigvals(self.a)
 
+    @cached_property
+    def b1_factor(self) -> np.ndarray:
+        """n x k factor with B1 B1' = b1_factor b1_factor', k = min(n, m1)
+        (R' of a QR of B1'); computed on first use only."""
+        return np.linalg.qr(self.b1.T, mode="r").T
+
+    @cached_property
+    def c1_factor(self) -> np.ndarray:
+        """k x n factor with C1'C1 = c1_factor' c1_factor, k = min(n, p1)
+        (R of a QR of C1); computed on first use only."""
+        return np.linalg.qr(self.c1, mode="r")
+
+    @cached_property
+    def weight_minima(self) -> tuple[float | None, float | None]:
+        """(lambda_min(D12'D12), lambda_min(D21 D21')), None for an empty
+        weight; computed on first use only (assumption A2)."""
+        def lam_min(w):
+            eigs = np.linalg.eigvalsh(w)
+            return float(eigs.min()) if eigs.size else None
+
+        return lam_min(self.d12.T @ self.d12), lam_min(self.d21 @ self.d21.T)
+
+    @cached_property
+    def cross_term_norms(self) -> tuple[float, float, float, float]:
+        """(||D12' C1||_F, ||D12||_F ||C1||_F, ||B1 D21'||_F,
+        ||B1||_F ||D21||_F), computed on first use only (assumption A4)."""
+        def fro(m):
+            return float(np.linalg.norm(m, "fro"))
+
+        return (fro(self.d12.T @ self.c1), fro(self.d12) * fro(self.c1),
+                fro(self.b1 @ self.d21.T), fro(self.b1) * fro(self.d21))
+
     @property
     def n(self) -> int:
         return self.a.shape[0]
@@ -173,15 +209,11 @@ def _a4_cross_terms(g: GeneralizedPlant,
     """(||D12' C1||_F, ||B1 D21'||_F, whether A4 holds).
 
     Each cross term must be at most ``tol.cross_term_rel`` times the product
-    of its two factors' Frobenius norms.
+    of its two factors' Frobenius norms, read off ``g.cross_term_norms``.
     """
-    def fro(m):
-        return float(np.linalg.norm(m, "fro"))
-
-    cross_u = fro(g.d12.T @ g.c1)
-    cross_y = fro(g.b1 @ g.d21.T)
-    holds = (cross_u <= tol.cross_term_rel * fro(g.d12) * fro(g.c1)
-             and cross_y <= tol.cross_term_rel * fro(g.b1) * fro(g.d21))
+    cross_u, scale_u, cross_y, scale_y = g.cross_term_norms
+    holds = (cross_u <= tol.cross_term_rel * scale_u
+             and cross_y <= tol.cross_term_rel * scale_y)
     return cross_u, cross_y, holds
 
 
@@ -201,10 +233,9 @@ def validate_assumptions(g: GeneralizedPlant,
         details[key] = not _pbh_rank_deficient(a, b, unstable, tol).any()
     a1 = details["a1_stabilizable"] and details["a1_detectable"]
 
-    w12 = np.linalg.eigvalsh(g.d12.T @ g.d12)
-    w21 = np.linalg.eigvalsh(g.d21 @ g.d21.T)
-    details["lambda_min_D12tD12"] = float(w12.min()) if w12.size else 0.0
-    details["lambda_min_D21D21t"] = float(w21.min()) if w21.size else 0.0
+    w12, w21 = g.weight_minima
+    details["lambda_min_D12tD12"] = 0.0 if w12 is None else w12
+    details["lambda_min_D21D21t"] = 0.0 if w21 is None else w21
     a2 = details["lambda_min_D12tD12"] > 0.0 and details["lambda_min_D21D21t"] > 0.0
 
     on_axis = g.spectrum[_on_axis(g.spectrum, tol)]

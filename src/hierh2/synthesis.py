@@ -8,10 +8,16 @@ AREs through the full Hamiltonian subspace; the approximate backend swaps in
 kappa-truncated solutions.
 
 A synthesis returns its observer loop as :class:`YoulaData`: the gains
-F = P_u^T F2, L = L2 P_y and the real Schur factors of A + B2 F and
-A + L C2, each checked for stability where it is made (by the Riccati solver
-or by :func:`youla_data`).  The record gives the closed-loop H2 value by
-the observer separation, and the n-state Youla data of the gap layer.
+F = P_u^T F2, L = L2 P_y, kept as their rank-r factors, and the real Schur
+factors of A + B2 F and A + L C2, each checked for stability where it is
+made (by the Riccati solver or by :func:`youla_data`).  The record gives the
+closed-loop H2 value by the observer separation, and the n-state Youla data
+of the gap layer.  The H2 value never leaves the two Schur bases: the
+closed-loop Gramian is one chain of three triangular solves
+(:func:`_block_gramian` on :func:`~hierh2.linalg.solve_sylvester_schur`),
+its data are moved into the bases once, every gain term is formed from the
+factors P_u^T, F2, L2, P_y rather than as an n x n product, and the traces
+are contracted in Schur coordinates (:func:`_observer_closed_loop_h2`).
 """
 
 from __future__ import annotations
@@ -26,8 +32,8 @@ from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import (ApproxNotStabilizing, HypothesisFailure, IllConditionedR,
                      NotStabilizingGains)
 from .hamiltonian import HamiltonianSystem, approx_are, build_hamiltonian
-from .linalg import (RealSchur, riccati_from_hamiltonian, solve_sylvester,
-                     symmetrize)
+from .linalg import (RealSchur, riccati_from_hamiltonian,
+                     solve_sylvester_schur, symmetrize)
 from .plant import GeneralizedPlant, _a4_cross_terms
 from .projection import ClusterPartition, ProjectionPair, _projected_pbh_failure
 from .statespace import StateSpace
@@ -54,10 +60,28 @@ class HierarchicalController:
                           self.p_u.T @ k.d @ self.p_y)
 
 
+def _times_pt(m: np.ndarray, p: np.ndarray | None) -> np.ndarray:
+    """m P^T, or m when there is no projection."""
+    return m if p is None else m @ p.T
+
+
+def _p_times(p: np.ndarray | None, m: np.ndarray) -> np.ndarray:
+    """P m, or m when there is no projection."""
+    return m if p is None else p @ m
+
+
 @dataclass
 class YoulaData:
     """An observer loop: stabilizing gains F, L with the n-state data of
     its Youla system.
+
+    The gains are kept factored: F = P_u^T F2 and L = L2 P_y with the
+    reduced gains `f2` (r x n) and `l2` (n x r) and the projections `p_u`,
+    `p_y`.  An unprojected gain (the unconstrained, reference and
+    equivalence-form loops) has ``p_u`` or ``p_y`` None, and its reduced
+    gain is the gain itself.  :meth:`fold_u` and :meth:`fold_y` fold a
+    projection into a plant matrix, so B2 F = fold_u(B2) F2 and
+    L C2 = L2 fold_y(C2) cost O(r n^2), not an n x n product.
 
     Every stable Q gives f(G, K_Q) = T11 + T12 Q T21, T11 being the closed
     loop of :attr:`controller`.  The state matrix of T is block triangular,
@@ -67,54 +91,84 @@ class YoulaData:
     """
 
     g: GeneralizedPlant
-    f: np.ndarray
-    l: np.ndarray
+    f2: np.ndarray
+    l2: np.ndarray
     f_loop: RealSchur
     l_loop: RealSchur
+    p_u: np.ndarray | None = None
+    p_y: np.ndarray | None = None
+
+    def fold_u(self, m: np.ndarray) -> np.ndarray:
+        """m P_u^T (m when F is unprojected), so that m F = fold_u(m) F2."""
+        return _times_pt(m, self.p_u)
+
+    def fold_y(self, m: np.ndarray) -> np.ndarray:
+        """P_y m (m when L is unprojected), so that L m = L2 fold_y(m)."""
+        return _p_times(self.p_y, m)
+
+    @property
+    def f(self) -> np.ndarray:
+        """F = P_u^T F2."""
+        return self.f2 if self.p_u is None else self.p_u.T @ self.f2
+
+    @property
+    def l(self) -> np.ndarray:
+        """L = L2 P_y."""
+        return self.l2 if self.p_y is None else self.l2 @ self.p_y
 
     @property
     def t12(self) -> StateSpace:
         """(A_F, B2, C1 + D12 F, D12)."""
         g = self.g
-        return StateSpace(self.f_loop.a, g.b2, g.c1 + g.d12 @ self.f, g.d12)
+        return StateSpace(self.f_loop.a, g.b2,
+                          g.c1 + self.fold_u(g.d12) @ self.f2, g.d12)
 
     @property
     def t21(self) -> StateSpace:
         """(A_L, B1 + L D21, C2, D21)."""
         g = self.g
-        return StateSpace(self.l_loop.a, g.b1 + self.l @ g.d21, g.c2, g.d21)
+        return StateSpace(self.l_loop.a, g.b1 + self.l2 @ self.fold_y(g.d21),
+                          g.c2, g.d21)
 
     @property
     def controller(self) -> StateSpace:
         """Observer controller (A + B2 F + L C2, -L, F, 0)."""
         g = self.g
-        return StateSpace(g.a + g.b2 @ self.f + self.l @ g.c2, -self.l, self.f,
-                          np.zeros((g.n_u, g.n_y)))
+        a = g.a + self.fold_u(g.b2) @ self.f2 + self.l2 @ self.fold_y(g.c2)
+        return StateSpace(a, -self.l, self.f, np.zeros((g.n_u, g.n_y)))
 
 
 def youla_data(g: GeneralizedPlant, f, l,
-               tol: Tolerances = DEFAULT_TOLERANCES) -> YoulaData:
-    """Youla data of the stabilizing pair (F, L).
+               tol: Tolerances = DEFAULT_TOLERANCES, *,
+               p_u: np.ndarray | None = None,
+               p_y: np.ndarray | None = None) -> YoulaData:
+    """Youla data of the stabilizing pair F = P_u^T f, L = l P_y (F = f and
+    L = l when no projection is given).
 
-    Makes the real Schur factors of A + B2 F and A + L C2 and decides
-    stability on them: NotStabilizingGains, naming the control or the
-    filter loop and its abscissa, when either has an eigenvalue at
-    Re >= -hurwitz_margin.
+    Makes the real Schur factors of A + B2 F and A + L C2, each formed from
+    the gain factors, and decides stability on them: NotStabilizingGains,
+    naming the control or the filter loop and its abscissa, when either has
+    an eigenvalue at Re >= -hurwitz_margin.
     """
     f = np.asarray(f, float)
     l = np.asarray(l, float)
-    if f.shape != (g.n_u, g.n) or l.shape != (g.n, g.n_y):
+    rows_u = g.n_u if p_u is None else p_u.shape[0]
+    cols_y = g.n_y if p_y is None else p_y.shape[0]
+    if (f.shape != (rows_u, g.n) or l.shape != (g.n, cols_y)
+            or (p_u is not None and p_u.shape[1] != g.n_u)
+            or (p_y is not None and p_y.shape[1] != g.n_y)):
         raise HypothesisFailure(
             f"gain shapes {f.shape}, {l.shape} do not match plant dims")
-    f_loop = RealSchur.of(g.a + g.b2 @ f)
-    l_loop = RealSchur.of(g.a + l @ g.c2)
+    f_loop = RealSchur.of(g.a + _times_pt(g.b2, p_u) @ f)
+    l_loop = RealSchur.of(g.a + l @ _p_times(p_y, g.c2))
     for loop, name in ((f_loop, "the control loop A + B2 F"),
                        (l_loop, "the filter loop A + L C2")):
         if loop.abscissa >= -tol.hurwitz_margin:
             raise NotStabilizingGains(
                 f"{name} has spectral abscissa {loop.abscissa:.3e} "
                 f">= {-tol.hurwitz_margin:.1e}")
-    return YoulaData(g=g, f=f, l=l, f_loop=f_loop, l_loop=l_loop)
+    return YoulaData(g=g, f2=f, l2=l, f_loop=f_loop, l_loop=l_loop,
+                     p_u=p_u, p_y=p_y)
 
 
 # ---------------------------------------------------------------------------
@@ -150,53 +204,81 @@ def _spd_solve(r: np.ndarray, rhs: np.ndarray, what: str,
     return sla.cho_solve(sla.cho_factor(symmetrize(r)), rhs)
 
 
-def _check_hypotheses(g: GeneralizedPlant, p: ProjectionPair, tol: Tolerances):
-    if p.n_u != g.n_u or p.n_y != g.n_y:
+def _check_hypotheses(g: GeneralizedPlant, p: ProjectionPair | None,
+                      tol: Tolerances):
+    if p is not None and (p.n_u != g.n_u or p.n_y != g.n_y):
         raise HypothesisFailure("projection dimensions do not match the plant")
     pbh_failure = _projected_pbh_failure(g, p, tol)
     if pbh_failure is not None:
         raise HypothesisFailure(pbh_failure)
-    w12 = np.linalg.eigvalsh(g.d12.T @ g.d12)
-    w21 = np.linalg.eigvalsh(g.d21 @ g.d21.T)
-    if (w12.size and w12.min() <= 0.0) or (w21.size and w21.min() <= 0.0):
+    if any(w is not None and w <= 0.0 for w in g.weight_minima):
         raise HypothesisFailure("assumption A2 fails (D12/D21 weights singular)")
     if not _a4_cross_terms(g, tol)[2]:
         raise HypothesisFailure("assumption A4 fails (cross terms non-zero)")
 
 
-def _block_gramian(f1: RealSchur, f2: RealSchur, a12: np.ndarray,
-                   b1: np.ndarray, b2: np.ndarray, tol: Tolerances):
-    """(Phi11, Phi12, Phi22) with A Phi + Phi A' + B B' = 0 for the block
-    upper triangular A = [[A1, A12], [0, A2]] and B = [B1; B2], given the
-    real Schur factors of A1 and A2: one Lyapunov solve per diagonal block
-    plus one Sylvester coupling, with no factorization of A.
+def _block_gramian(f1: RealSchur, f2: RealSchur, a12, q11: np.ndarray,
+                   q12: np.ndarray, q22: np.ndarray, tol: Tolerances):
+    """Gramian blocks (Y11, Y12, Y22) of the block upper triangular
+    A = [[A1, A12], [0, A2]], in the Schur bases of A1 = U1 T1 U1' and
+    A2 = U2 T2 U2' (`f1`, `f2`).
+
+    Phi_ij = U_i Y_ij U_j' solves A Phi + Phi A' + Q = 0 when
+    q_ij = U_i' Q_ij U_j; ``a12(y)`` returns U1' A12 U2 y, so that a
+    low-rank coupling is applied factor by factor.  One Lyapunov solve per
+    diagonal block plus one Sylvester coupling, all three through
+    :func:`~hierh2.linalg.solve_sylvester_schur` with its residual contract,
+    and no factorization of A and no change of basis.
     """
-    phi22 = solve_sylvester(f2, f2, b2 @ b2.T, tol)
-    phi12 = solve_sylvester(f1, f2, b1 @ b2.T + a12 @ phi22, tol)
-    q11 = b1 @ b1.T + a12 @ phi12.T + phi12 @ a12.T
-    return solve_sylvester(f1, f1, q11, tol), phi12, phi22
+    y22 = solve_sylvester_schur(f2, f2, q22, tol)
+    y12 = solve_sylvester_schur(f1, f2, q12 + a12(y22), tol)
+    cross = a12(y12.T)
+    return solve_sylvester_schur(f1, f1, q11 + cross + cross.T, tol), y12, y22
 
 
 def _observer_closed_loop_h2(yd: YoulaData, tol: Tolerances) -> float:
-    """H2 value of the closed loop of ``yd.controller``.
+    """H2 value of the closed loop of ``yd.controller``, in Schur coordinates.
 
-    In (x, e = x - xhat) coordinates the closed loop is block triangular
-    with diagonal blocks A + B2 F (control) and A + L C2 (filter), whose
-    Schur factors `yd` holds; :func:`_block_gramian` gives the Gramian from
-    them.  This equals h2_norm(lft_lower(G, yd.controller)) without a Schur
-    form of the 2n matrix.
+    In (x, e = x - xhat) coordinates the closed loop is block triangular,
+    A = [[A_F, -B2 F], [0, A_L]], B = [B1; B1 + L D21] and
+    C = [C1 + D12 F, -D12 F].  With A_F = U1 T1 U1' and A_L = U2 T2 U2' the
+    factors `yd` holds, the Gramian blocks come from :func:`_block_gramian`
+    in those bases.  The plant's factors of B1 B1' and C1'C1 are moved into
+    them once; every gain term is formed from the gain factors
+    (B2 F = fold_u(B2) F2, L D21 = L2 fold_y(D21)), so it costs O(r n^2);
+    and the traces tr(C Phi C') are contracted against the Schur-coordinate
+    blocks, with no transform back.  This equals
+    h2_norm(lft_lower(G, yd.controller)) without a Schur form of the 2n
+    matrix.
     """
-    g, f = yd.g, yd.f
-    a12 = -g.b2 @ f
-    b_bot = g.b1 + yd.l @ g.d21
-    c_left = g.c1 + g.d12 @ f
-    c_right = -g.d12 @ f
+    g, f2, l2 = yd.g, yd.f2, yd.l2
+    u1, u2 = yd.f_loop.u, yd.l_loop.u
+    f2_1, f2_2 = f2 @ u1, f2 @ u2            # F2 in either basis
+    b2_1 = u1.T @ yd.fold_u(g.b2)            # U1' B2 F = b2_1 F2
+    d12u = yd.fold_u(g.d12)                  # D12 F = d12u F2
+    d21y = yd.fold_y(g.d21)                  # L D21 = L2 d21y
+    l2_2 = u2.T @ l2
 
-    phi11, phi12, phi22 = _block_gramian(yd.f_loop, yd.l_loop, a12, g.b1,
-                                         b_bot, tol)
-    val = (np.trace(c_left @ phi11 @ c_left.T)
-           + 2.0 * np.trace(c_left @ phi12 @ c_right.T)
-           + np.trace(c_right @ phi22 @ c_right.T))
+    # B B' in the two bases, B = [B1; B1 + L D21], B1 B1' = Bf Bf'
+    bf_1, bf_2 = u1.T @ g.b1_factor, u2.T @ g.b1_factor
+    b1_l = g.b1 @ d21y.T                     # B1 D21' P_y'
+    q12 = bf_1 @ bf_2.T + (u1.T @ b1_l) @ l2_2.T
+    cross = (u2.T @ b1_l) @ l2_2.T
+    q22 = (bf_2 @ bf_2.T + cross + cross.T
+           + l2_2 @ (d21y @ d21y.T) @ l2_2.T)
+    y11, y12, y22 = _block_gramian(
+        yd.f_loop, yd.l_loop, lambda y: -(b2_1 @ (f2_2 @ y)),
+        bf_1 @ bf_1.T, q12, q22, tol)
+
+    # C'C in the two bases, C = [C1 + D12 F, -D12 F], C1'C1 = Cf' Cf
+    cf_1 = g.c1_factor @ u1
+    r1 = d12u.T @ d12u
+    e1 = u1.T @ (g.c1.T @ d12u)              # U1' C1' D12 P_u'
+    z1 = f2_1 @ y11
+    val = (np.sum(y11 * (cf_1.T @ cf_1))
+           + 2.0 * np.trace(z1 @ e1) + np.trace(r1 @ z1 @ f2_1.T)
+           - 2.0 * np.sum((y12 @ f2_2.T) * (e1 + f2_1.T @ r1))
+           + np.trace(r1 @ (f2_2 @ y22) @ f2_2.T))
     return float(np.sqrt(max(val, 0.0)))
 
 
@@ -210,26 +292,38 @@ def control_hamiltonian(g: GeneralizedPlant, p_u: np.ndarray | None,
                              p_u @ g.d12.T @ g.d12 @ p_u.T, tol)
 
 
-def synthesize_hierarchical(g: GeneralizedPlant, p: ProjectionPair,
+def _filter_hamiltonian(g: GeneralizedPlant, p_y: np.ndarray | None,
+                        tol: Tolerances) -> HamiltonianSystem:
+    """The Y equation, dual to :func:`control_hamiltonian`."""
+    if p_y is None:
+        return build_hamiltonian(g.a.T, g.c2.T, g.b1.T, g.d21 @ g.d21.T, tol)
+    return build_hamiltonian(g.a.T, (p_y @ g.c2).T, g.b1.T,
+                             p_y @ g.d21 @ g.d21.T @ p_y.T, tol)
+
+
+def synthesize_hierarchical(g: GeneralizedPlant, p: ProjectionPair | None,
                             are_backend: str = "exact", kappa: int | None = None,
                             method: str = "dense",
                             tol: Tolerances = DEFAULT_TOLERANCES) -> SynthesisResult:
     """Optimal hierarchical controller K = P_u^T K~ P_y for the given pair.
 
-    Each Riccati equation is built once, as a HamiltonianSystem.  With
+    ``p=None`` is the unconstrained design (no projection on either side,
+    see :func:`synthesize_unconstrained`).  Each Riccati equation is built
+    once, as a HamiltonianSystem.  With
     ``are_backend='exact'`` both are solved through the full stable
     Hamiltonian subspace.  With ``'approx'`` they are replaced by
     kappa-truncated solutions, of which only X~ is computed; their residue
     certificates (``x_solution.stabilizing``, ``y_solution.stabilizing``)
-    are diagnostics, computed when read.  The result's ``youla`` holds the gains
-    F = P_u^T F2, L = L2 P_y and the real Schur factors of the control block
-    A + B2 F and the filter block A + L C2, and stability is decided once
-    per block, at -hurwitz_margin, where the factor is made.  The exact
-    backend takes the Riccati closed-loop factors, which the Riccati solver
-    has checked (:class:`NotHurwitz`); the approx backend factors both
-    blocks in :func:`youla_data` and raises :class:`ApproxNotStabilizing`
-    naming the failing loop (raise kappa).  The same factors then give the
-    closed-loop H2 value through the observer separation.
+    are diagnostics, computed when read.  The result's ``youla`` holds the
+    gain factors (F = P_u^T F2, L = L2 P_y) and the real Schur factors of
+    the control block A + B2 F and the filter block A + L C2, and stability
+    is decided once per block, at -hurwitz_margin, where the factor is made.
+    The exact backend takes the Riccati closed-loop factors, which the
+    Riccati solver has checked (:class:`NotHurwitz`); the approx backend
+    factors both blocks in :func:`youla_data` and raises
+    :class:`ApproxNotStabilizing` naming the failing loop (raise kappa).
+    The same factors then give the closed-loop H2 value through the
+    observer separation, computed in their Schur bases.
 
     ``solve_time`` measures Riccati solves plus gain assembly; closed-loop
     evaluation is excluded.
@@ -239,11 +333,11 @@ def synthesize_hierarchical(g: GeneralizedPlant, p: ProjectionPair,
         raise ValueError(f"unknown are_backend {are_backend!r}")
     if are_backend == "approx" and kappa is None:
         raise ValueError("approx backend requires kappa")
+    p_u, p_y = (None, None) if p is None else (p.p_u, p.p_y)
 
     t0 = time.perf_counter()
-    hs_x = control_hamiltonian(g, p.p_u, tol)
-    hs_y = build_hamiltonian(g.a.T, (p.p_y @ g.c2).T, g.b1.T,
-                             p.p_y @ g.d21 @ g.d21.T @ p.p_y.T, tol)
+    hs_x = control_hamiltonian(g, p_u, tol)
+    hs_y = _filter_hamiltonian(g, p_y, tol)
     if are_backend == "exact":
         x_sol = riccati_from_hamiltonian(hs_x.a, hs_x.m, hs_x.ctc, tol)
         y_sol = riccati_from_hamiltonian(hs_y.a, hs_y.m, hs_y.ctc, tol)
@@ -253,23 +347,24 @@ def synthesize_hierarchical(g: GeneralizedPlant, p: ProjectionPair,
         y_sol = approx_are(hs_y, kappa, method=method, tol=tol)
         x, y = x_sol.xbar, y_sol.xbar
 
-    f2 = -_spd_solve(hs_x.r1, p.p_u @ g.b2.T @ x, "R1", tol)
-    l2 = -_spd_solve(hs_y.r1, p.p_y @ g.c2 @ y, "R2", tol).T
+    f2 = -_spd_solve(hs_x.r1, _p_times(p_u, g.b2.T) @ x, "R1", tol)
+    l2 = -_spd_solve(hs_y.r1, _p_times(p_y, g.c2) @ y, "R2", tol).T
     elapsed = time.perf_counter() - t0
 
-    f, l = p.p_u.T @ f2, l2 @ p.p_y
     if are_backend == "exact":
-        yd = YoulaData(g=g, f=f, l=l, f_loop=x_sol.closed_loop,
-                       l_loop=y_sol.closed_loop.transposed())
+        yd = YoulaData(g=g, f2=f2, l2=l2, f_loop=x_sol.closed_loop,
+                       l_loop=y_sol.closed_loop.transposed(), p_u=p_u, p_y=p_y)
     else:
         try:
-            yd = youla_data(g, f, l, tol)
+            yd = youla_data(g, f2, l2, tol, p_u=p_u, p_y=p_y)
         except NotStabilizingGains as e:
             raise ApproxNotStabilizing(f"kappa={kappa}: {e}") from e
 
     k_tilde = StateSpace(
-        a=g.a + g.b2 @ p.p_u.T @ f2 + l2 @ p.p_y @ g.c2,
+        a=g.a + _times_pt(g.b2, p_u) @ f2 + l2 @ _p_times(p_y, g.c2),
         b=-l2, c=f2, d=np.zeros((f2.shape[0], l2.shape[1])))
+    if p is None:
+        p = ProjectionPair(np.eye(g.n_u), np.eye(g.n_y))
     controller = HierarchicalController(p_u=p.p_u, k_tilde=k_tilde, p_y=p.p_y)
     return SynthesisResult(
         controller=controller, x=x, y=y, f2=f2, l2=l2,
@@ -279,9 +374,10 @@ def synthesize_hierarchical(g: GeneralizedPlant, p: ProjectionPair,
 
 def synthesize_unconstrained(g: GeneralizedPlant,
                              tol: Tolerances = DEFAULT_TOLERANCES) -> SynthesisResult:
-    """Standard two-Riccati H2 design: identity projections on both sides."""
-    p = ProjectionPair(np.eye(g.n_u), np.eye(g.n_y))
-    return synthesize_hierarchical(g, p, tol=tol)
+    """Standard two-Riccati H2 design: no projection on either side, so the
+    reduced gains F2 and L2 are the gains F and L themselves (the
+    controller's P_u and P_y are identities)."""
+    return synthesize_hierarchical(g, None, tol=tol)
 
 
 @dataclass(frozen=True)

@@ -11,11 +11,11 @@ from hierh2 import (DEFAULT_TOLERANCES, STRICT_TOLERANCES, GeneralizedPlant,
                     spectral_abscissa, sqrt_psd, stabilizable,
                     stable_eigenspace, unstable_eigenbases,
                     validate_assumptions)
-from hierh2.errors import (HamiltonianImaginaryAxis, HypothesisFailure,
-                           NotHurwitz, NotPSD, NotStabilizable,
+from hierh2.errors import (DimensionMismatch, HamiltonianImaginaryAxis,
+                           HypothesisFailure, NotHurwitz, NotPSD, NotStabilizable,
                            NotStrictlyProper, NumericalError,
                            ConjugatePairSplitWarning)
-from hierh2.linalg import RealSchur, solve_sylvester
+from hierh2.linalg import RealSchur, solve_sylvester, solve_sylvester_schur
 from hierh2.synthesis import _check_hypotheses
 
 from conftest import random_are_instance, random_stable_matrix
@@ -114,6 +114,55 @@ def test_transposed_schur_factors():
     assert np.linalg.norm(x - ref, "fro") <= 1e-12 * np.linalg.norm(ref, "fro")
 
 
+@pytest.mark.parametrize("lyapunov", [False, True])
+def test_schur_core_residual_is_the_original_coordinate_residual(lyapunov):
+    # the contract is checked in Schur coordinates; the Frobenius norm is
+    # invariant under the orthogonal change of basis, so for any Y the
+    # core's residual equals that of X = U1 Y U2' in the original
+    # coordinates to rounding, and the solved X meets the original contract
+    rng = np.random.default_rng(23)
+    a1 = _with_rotation(rng, [[[-1.0, 3.0], [-3.0, -1.0]], -2.0,
+                              [[-0.5, 1.5], [-1.5, -0.5]], -4.0])
+    f1 = RealSchur.of(a1)
+    if lyapunov:
+        f2 = f1
+        q = rng.standard_normal((6, 4))
+        q = q @ q.T
+    else:
+        f2 = RealSchur.of(_with_rotation(rng, [-0.7, [[-2.0, 5.0], [-5.0, -2.0]]]))
+        q = rng.standard_normal((6, 3))
+    q_hat = f1.u.T @ q @ f2.u
+    assert np.linalg.norm(q_hat) == pytest.approx(np.linalg.norm(q), rel=1e-14)
+    tol = DEFAULT_TOLERANCES
+    y = solve_sylvester_schur(f1, f2, q_hat, tol)
+    if lyapunov:
+        assert np.array_equal(y, y.T)
+    for pert in (0.0, 1e-3, 1.0):
+        yp = y + pert * rng.standard_normal(y.shape)
+        x = f1.u @ yp @ f2.u.T
+        res_schur = np.linalg.norm(f1.t @ yp + yp @ f2.t.T + q_hat)
+        res_orig = np.linalg.norm(f1.a @ x + x @ f2.a.T + q)
+        scale = (np.linalg.norm(f1.a) + np.linalg.norm(f2.a)) \
+            * np.linalg.norm(x) + np.linalg.norm(q)
+        assert abs(res_schur - res_orig) <= 1e-13 * scale
+        if pert == 0.0:
+            assert res_orig <= tol.lyap_residual * max(1.0, np.linalg.norm(q))
+    x = solve_sylvester(f1, f2, q, tol)
+    assert np.linalg.norm(x - f1.u @ y @ f2.u.T) <= 1e-14 * np.linalg.norm(x)
+
+
+def test_schur_core_contract_rejects():
+    rng = np.random.default_rng(24)
+    f1 = RealSchur.of(random_stable_matrix(rng, 7))
+    f2 = RealSchur.of(random_stable_matrix(rng, 4))
+    q_hat = rng.standard_normal((7, 4))
+    with pytest.raises(NumericalError, match="Sylvester residual"):
+        solve_sylvester_schur(f1, f2, q_hat,
+                              DEFAULT_TOLERANCES.with_(lyap_residual=1e-30))
+    with pytest.raises(DimensionMismatch):
+        solve_sylvester_schur(f1, f2, q_hat.T)
+
+
 def _split_straddling_pairs(n, start=0):
     """Rows s of the 2x2 blocks (s, s+1) that sit on every split point the
     recursive kernel meets on an n x n factor: each block covers the
@@ -172,6 +221,46 @@ def test_recursive_kernel_matches_trsyl_and_scipy(m, n):
     assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
     res = f1.a @ x + x @ f2.a.T + q
     assert np.linalg.norm(res) <= 1e-13 * np.linalg.norm(q)
+
+
+@pytest.mark.parametrize("n", [65, 129, 201])
+def test_recursive_lyapunov_kernel_matches_trsyl(monkeypatch, n):
+    # the symmetric recursion solves T Y + Y T' = C as one trsyl call does,
+    # keeps the 2x2 blocks on its split points whole, and falls back to one
+    # whole-size trsyl call when a leaf scales
+    rng = np.random.default_rng(n)
+    f = _quasi_triangular_factors(rng, n, _split_straddling_pairs(n))
+    c = rng.standard_normal((n, n))
+    c = c + c.T
+    ref, scale = linalg._trsyl(f.t, f.t, c)
+    ref = ref / scale
+    y = c.copy()
+    assert linalg._recursive_trlyap(f.t, y)
+    assert np.linalg.norm(y - ref) <= 1e-14 * np.linalg.norm(ref)
+    assert np.linalg.norm(y - y.T) <= 1e-14 * np.linalg.norm(ref)
+    y = solve_sylvester_schur(f, f, -c)
+    assert np.array_equal(y, y.T)
+    assert np.linalg.norm(y - ref) <= 1e-14 * np.linalg.norm(ref)
+
+    shapes = []
+    plain = linalg._trsyl
+
+    def scaling_trsyl(t1, t2, cc):
+        shapes.append(cc.shape)
+        yy, sc = plain(t1, t2, cc)
+        return 0.5 * yy, 0.5 * sc
+
+    with monkeypatch.context() as m:
+        m.setattr(linalg, "_trsyl", scaling_trsyl)
+        y = linalg._schur_solve(f.t, f.t, c, lyapunov=True)
+    assert shapes[0] != (n, n) and shapes[-1] == (n, n)
+    assert shapes.count((n, n)) == 1
+    assert np.linalg.norm(y - ref) <= 1e-14 * np.linalg.norm(ref)
+
+    monkeypatch.setattr(linalg, "_split", lambda t: t.shape[0] // 2)
+    y = c.copy()
+    linalg._recursive_trlyap(f.t, y)
+    assert np.linalg.norm(y - ref) > 1e-3 * np.linalg.norm(ref)
 
 
 def test_recursive_kernel_split_that_cuts_a_pair_fails(monkeypatch):

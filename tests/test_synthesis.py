@@ -10,11 +10,11 @@ from hierh2 import (DEFAULT_TOLERANCES, ClusterPartition, ExperimentConfig,
                     synthesize_unconstrained, validate_assumptions,
                     youla_data)
 from hierh2.errors import (ApproxNotStabilizing, HypothesisFailure,
-                           NotHurwitz, NotStabilizingGains)
-from hierh2 import hamiltonian, linalg
+                           NotHurwitz, NotStabilizingGains, NumericalError)
+from hierh2 import hamiltonian, linalg, synthesis
 from hierh2.projection import random_stable_statespace
 
-from conftest import random_h2_plant, random_partition
+from conftest import random_h2_plant, random_partition, random_stable_matrix
 from oracles import lft_controller, youla_hat
 
 FREQS = np.logspace(-2, 2, 15)
@@ -359,19 +359,133 @@ def test_approx_backend_raises_on_padded_truncation_instance():
         synthesize_hierarchical(g, pair, are_backend="approx", kappa=1)
 
 
-@pytest.mark.parametrize("n_s", [60, 260])
-def test_h2_value_matches_closed_loop_oracle(n_s):
+@pytest.mark.parametrize("n_s, backends", [
+    pytest.param(60, ("exact",), id="60"),
+    # approx kappa = 4 Krylov is the benchmark's route, with rank r = 4 < n
+    # gain factors
+    pytest.param(260, ("exact", "approx"), id="260")])
+def test_h2_value_matches_closed_loop_oracle(n_s, backends):
     cfg = ExperimentConfig(seed=7)
     g = cfg.plant(n_s)
     pair = build_projection(cfg.planted_partition(g, n_s),
                             WeightVectors.ones(g.n_u, g.n_y))
-    res = synthesize_hierarchical(g, pair)
-    oracle = h2_norm(lft_lower(g, res.controller.expand()))
-    assert res.h2_value == pytest.approx(oracle, rel=1e-9)
-    # the closed loop has a repeated eigenvalue, which a dense eigensolve of
-    # the 2n matrix resolves only to about sqrt(machine epsilon)
-    assert res.closed_loop_abscissa == pytest.approx(
-        spectral_abscissa(lft_lower(g, res.controller.expand()).a), rel=1e-6)
+    for backend in backends:
+        res = synthesize_hierarchical(g, pair, are_backend=backend, kappa=4,
+                                      method="krylov")
+        closed = lft_lower(g, res.controller.expand())
+        assert res.h2_value == pytest.approx(h2_norm(closed), rel=1e-9)
+        # the closed loop has a repeated eigenvalue, which a dense
+        # eigensolve of the 2n matrix resolves only to about
+        # sqrt(machine epsilon)
+        assert res.closed_loop_abscissa == pytest.approx(
+            spectral_abscissa(closed.a), rel=1e-6)
+
+
+def _weighted_plant(seed, n=8, nu=4, ny=4):
+    """A plant of random_h2_plant's form with non-identity D12'D12 and
+    D21 D21' (A2 and A4 still hold exactly)."""
+    rng = np.random.default_rng(seed)
+    g = random_h2_plant(rng, n, nu, ny)
+    m_u = rng.standard_normal((nu, nu)) + 3.0 * np.eye(nu)
+    m_y = rng.standard_normal((ny, ny)) + 3.0 * np.eye(ny)
+    d12 = np.vstack([np.zeros((n, nu)), m_u])
+    d21 = np.hstack([np.zeros((ny, n)), m_y])
+    return GeneralizedPlant(a=g.a, b1=g.b1, b2=g.b2, c1=g.c1, c2=g.c2,
+                            d12=d12, d21=d21), rng
+
+
+def test_h2_value_matches_closed_loop_oracle_weighted_plant():
+    # non-unit projection weights and non-identity D12'D12, D21 D21': every
+    # gain factor of the Schur-coordinate chain carries a non-trivial term
+    g, rng = _weighted_plant(31)
+    assert not np.allclose(g.d12.T @ g.d12, np.eye(4))
+    assert not np.allclose(g.d21 @ g.d21.T, np.eye(4))
+    part = ClusterPartition(input_sets=((0, 2), (1, 3)),
+                            output_sets=((0, 1), (2, 3)))
+    weights = WeightVectors(rng.uniform(0.5, 2.0, 4), rng.uniform(0.5, 2.0, 4))
+    pair = build_projection(part, weights)
+    results = [synthesize_unconstrained(g), synthesize_hierarchical(g, pair),
+               synthesize_hierarchical(g, pair, are_backend="approx",
+                                       kappa=g.n, method="dense")]
+    for res in results:
+        oracle = h2_norm(lft_lower(g, res.controller.expand()))
+        assert res.h2_value == pytest.approx(oracle, rel=1e-9)
+    # the unconstrained loop keeps its gains unprojected
+    assert results[0].youla.p_u is None and results[0].youla.p_y is None
+    assert results[1].youla.f2 is results[1].f2
+    assert np.allclose(results[1].youla.f, pair.p_u.T @ results[1].f2)
+
+
+def test_h2_chain_keeps_the_cross_terms():
+    # D12'C1 and B1 D21' vanish under A4, but the chain keeps their terms:
+    # on a plant without A4 the value is still the closed-loop H2 norm, for
+    # the factored gains and for the same gains unprojected
+    rng = np.random.default_rng(33)
+    n, nu, ny = 6, 3, 3
+    g = GeneralizedPlant(
+        a=random_stable_matrix(rng, n), b1=rng.standard_normal((n, 4)),
+        b2=rng.standard_normal((n, nu)), c1=rng.standard_normal((5, n)),
+        c2=rng.standard_normal((ny, n)), d12=rng.standard_normal((5, nu)),
+        d21=rng.standard_normal((ny, 4)))
+    assert not validate_assumptions(g).a4
+    pair = build_projection(
+        ClusterPartition(input_sets=((0, 2), (1,)), output_sets=((0,), (1, 2))),
+        WeightVectors(rng.uniform(0.5, 2.0, nu), rng.uniform(0.5, 2.0, ny)))
+    f2 = 0.01 * rng.standard_normal((2, n))
+    l2 = 0.01 * rng.standard_normal((n, 2))
+    factored = youla_data(g, f2, l2, p_u=pair.p_u, p_y=pair.p_y)
+    full = youla_data(g, factored.f, factored.l)
+    oracle = h2_norm(lft_lower(g, factored.controller))
+    for yd in (factored, full):
+        value = synthesis._observer_closed_loop_h2(yd, DEFAULT_TOLERANCES)
+        assert value == pytest.approx(oracle, rel=1e-9)
+
+
+def test_h2_chain_residual_contract_can_fail(monkeypatch):
+    # lyap_residual = 1e-30 is below rounding: the Schur-coordinate core of
+    # the synthesis Gramian chain must refuse its solves
+    cfg = ExperimentConfig(seed=7)
+    g = cfg.plant(24)
+    pair = build_projection(cfg.planted_partition(g, 24),
+                            WeightVectors.ones(g.n_u, g.n_y))
+    core = _count_calls(monkeypatch, linalg, "solve_sylvester_schur")
+    with pytest.raises(NumericalError, match="Sylvester residual"):
+        synthesize_hierarchical(g, pair, tol=DEFAULT_TOLERANCES.with_(
+            lyap_residual=1e-30))
+    assert core["calls"] == 1
+    synthesize_hierarchical(g, pair)
+    assert core["calls"] == 4
+
+
+def test_singular_weight_fails_a2():
+    rng = np.random.default_rng(8)
+    g = random_h2_plant(rng, 3, 2, 2)
+    bad = GeneralizedPlant(a=g.a, b1=g.b1, b2=g.b2, c1=g.c1, c2=g.c2,
+                           d12=np.zeros_like(g.d12), d21=g.d21)
+    with pytest.raises(HypothesisFailure, match="A2"):
+        synthesize_unconstrained(bad)
+
+
+def test_a2_a4_facts_computed_once_per_plant(monkeypatch):
+    g, _ = _weighted_plant(32)
+    pair = ProjectionPair(np.eye(4), np.eye(4))
+    d12_gram = g.d12.T @ g.d12
+    calls = {"eigvalsh": 0, "cross": 0}
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting(m, *args, **kw):
+        if np.shape(m) == d12_gram.shape and np.array_equal(m, d12_gram):
+            calls["eigvalsh"] += 1
+        return eigvalsh(m, *args, **kw)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    for _ in range(2):
+        synthesize_hierarchical(g, pair)
+    report = validate_assumptions(g)
+    assert calls["eigvalsh"] == 1
+    assert report.a2 and report.a4
+    assert report.details["lambda_min_D12tD12"] == g.weight_minima[0]
+    assert report.details["norm_D12tC1"] == g.cross_term_norms[0]
 
 
 def test_exact_synthesis_reuses_riccati_closed_loops():
