@@ -34,9 +34,6 @@ class Tolerances:
     # A4: ||D12' C1||_F <= cross_term_rel ||D12||_F ||C1||_F, and likewise
     # ||B1 D21'||_F against ||B1||_F ||D21||_F
     cross_term_rel: float = 1e-12
-    # evaluate_partition warns when the equivalence-form H2 cost differs
-    # from J2* by more than equivalence_rel max(1, J2*)
-    equivalence_rel: float = 1e-6
 
     # iterative procedures
     # hinf_norm returns the midpoint of a bracket [lb, (1 + hinf_rel) lb] of

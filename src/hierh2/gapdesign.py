@@ -268,6 +268,11 @@ def reference_youla_data(g: GeneralizedPlant,
                      l_loop=y_sol.closed_loop.transposed())
 
 
+# evaluate_partition warns when the equivalence-form H2 cost differs from J2*
+# by more than _EQUIVALENCE_REL max(1, J2*)
+_EQUIVALENCE_REL = 1e-6
+
+
 def evaluate_partition(g: GeneralizedPlant, partition: ClusterPartition,
                        weights: WeightVectors | None = None,
                        tol: Tolerances = DEFAULT_TOLERANCES) -> GapReport:
@@ -277,8 +282,8 @@ def evaluate_partition(g: GeneralizedPlant, partition: ClusterPartition,
 
     The H2 cost of the :func:`doubly_projected_controller` loop, by the
     observer separation, is stored as ``h2_equivalence``, and a warning is
-    raised when it differs from J2* by more than
-    ``tol.equivalence_rel`` max(1, J2*).
+    raised when it differs from J2* by more than 1e-6 max(1, J2*)
+    (``_EQUIVALENCE_REL``).
     """
     return _evaluate(g, partition, weights,
                      synthesize_unconstrained(g, tol=tol), tol)
@@ -297,7 +302,7 @@ def _evaluate(g: GeneralizedPlant, partition: ClusterPartition,
     j2 = report.j2_star
     h2_equiv = _observer_closed_loop_h2(doubly_projected_controller(g, p, tol),
                                         tol)
-    if abs(h2_equiv - j2) > tol.equivalence_rel * max(1.0, j2):
+    if abs(h2_equiv - j2) > _EQUIVALENCE_REL * max(1.0, j2):
         warnings.warn(
             f"equivalence-form controller value {h2_equiv:.9g} differs "
             f"from hierarchical optimum {j2:.9g}")

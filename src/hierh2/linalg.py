@@ -16,10 +16,11 @@ T1 Y + Y T2' + Q^ = 0 and checks the residual contract there (at most two
 refinement steps on the same factors, then :class:`NumericalError`), so a
 caller holding its data in the Schur bases, such as the synthesis Gramian
 chain, never changes basis.  :func:`solve_sylvester` transforms Q in,
-calls the core and transforms Y back, and the Riccati Newton step calls
-the kernel directly.  The Riccati solver returns the Schur
-factors of its closed loop A - M X, which every consumer reuses;
-:meth:`RealSchur.transposed` gives those of A' without a second factorization.
+calls the core, transforms Y back and checks the contract once more in the
+original coordinates; the Riccati Newton step calls the kernel directly.
+The Riccati solver returns the Schur factors of its closed loop A - M X,
+which every consumer reuses; :meth:`RealSchur.transposed` gives those of A'
+without a second factorization.
 The unstable left and right eigenbases come from one LAPACK ``geev`` call
 (:func:`unstable_eigenbases`).  Every PBH rank test is one rule,
 :func:`_pbh_rank_deficient`; callers holding a plant pass it the modes of
@@ -178,50 +179,17 @@ def _recursive_trsyl(t1: np.ndarray, t2: np.ndarray, c: np.ndarray) -> bool:
     return _recursive_trsyl(t1, t2[:k, :k], c[:, :k])
 
 
-def _recursive_trlyap(t: np.ndarray, c: np.ndarray) -> bool:
-    """Overwrite the symmetric `c` with Y, T Y + Y T' = C, for upper
-    quasi-triangular T.
-
-    The Lyapunov recursion of Jonsson & Kagstrom (ACM TOMS 28, 2002): with
-    T split as [[T11, T12], [0, T22]], solve the trailing Lyapunov block,
-    the off-diagonal block by :func:`_recursive_trsyl` and the leading
-    Lyapunov block after a symmetric rank-2k update, so only one triangle's
-    worth of Sylvester work is done.  Returns False as soon as a leaf
-    returns scale != 1, leaving `c` partly overwritten.
-    """
-    n = c.shape[0]
-    if n <= _TRSYL_LEAF:
-        y, scale = _trsyl(t, t, c)
-        c[...] = y
-        return scale == 1.0
-    k = _split(t)
-    if not _recursive_trlyap(t[k:, k:], c[k:, k:]):
-        return False
-    c[:k, k:] -= t[:k, k:] @ c[k:, k:]
-    if not _recursive_trsyl(t[:k, :k], t[k:, k:], c[:k, k:]):
-        return False
-    update = t[:k, k:] @ c[:k, k:].T
-    c[:k, :k] -= update + update.T
-    c[k:, :k] = c[:k, k:].T
-    return _recursive_trlyap(t[:k, :k], c[:k, :k])
-
-
-def _schur_solve(t1: np.ndarray, t2: np.ndarray, c: np.ndarray,
-                 lyapunov: bool = False) -> np.ndarray:
+def _schur_solve(t1: np.ndarray, t2: np.ndarray, c: np.ndarray) -> np.ndarray:
     """Y with T1 Y + Y T2' = C for upper quasi-triangular T1, T2.
 
-    The triangular solve is :func:`_recursive_trsyl`, or
-    :func:`_recursive_trlyap` for a Lyapunov equation (T1 = T2 and C
-    symmetric), in place in a copy of `c`.  trsyl's overflow guard scales a
-    leaf's right-hand side by scale <= 1, and the recursion cannot carry
-    that factor across its GEMM updates; so if any leaf returns scale != 1
-    the whole triangular solve is redone with one plain trsyl call, whose Y
-    is divided by its scale.
+    The triangular solve is :func:`_recursive_trsyl`, in place in a copy of
+    `c`.  trsyl's overflow guard scales a leaf's right-hand side by
+    scale <= 1, and the recursion cannot carry that factor across its GEMM
+    updates; so if any leaf returns scale != 1 the whole triangular solve is
+    redone with one plain trsyl call, whose Y is divided by its scale.
     """
     y = np.array(c)
-    solved = (_recursive_trlyap(t1, y) if lyapunov
-              else _recursive_trsyl(t1, t2, y))
-    if not solved:
+    if not _recursive_trsyl(t1, t2, y):
         y, scale = _trsyl(t1, t2, c)
         y = y / scale
     return y
@@ -232,19 +200,38 @@ def _bartels_stewart(f1: RealSchur, f2: RealSchur, q: np.ndarray) -> np.ndarray:
     return f1.u @ _schur_solve(f1.t, f2.t, -(f1.u.T @ q @ f2.u)) @ f2.u.T
 
 
+def _refine(x: np.ndarray, residual, correct, finish, bound: float) -> np.ndarray:
+    """`x` once ||residual(x)||_F <= bound, after at most two refinement
+    steps x <- finish(x + correct(residual(x))) that reuse the factors.
+
+    Raises
+    ------
+    NumericalError : the bound is not met after the two steps.
+    """
+    for _ in range(2):
+        res = residual(x)
+        if np.linalg.norm(res, "fro") <= bound:
+            return x
+        x = finish(x + correct(res))
+    res = np.linalg.norm(residual(x), "fro")
+    if res > bound:
+        raise NumericalError(
+            f"Sylvester residual {res:.3e} exceeds bound {bound:.3e}")
+    return x
+
+
 def solve_sylvester_schur(f1: RealSchur, f2: RealSchur, q_hat,
                           tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
     """Solve T1 Y + Y T2' + Q^ = 0 in the Schur bases of A1 and A2.
 
-    The core of every Sylvester and Lyapunov solve: with A_i = U_i T_i U_i',
-    Y = U1' X U2 and Q^ = U1' Q U2, this is A1 X + X A2' + Q = 0 without a
-    change of basis, so a caller that holds its data in the two bases never
-    leaves them.  When ``f1 is f2`` the equation is a Lyapunov equation:
-    Q^ is taken as symmetric (its symmetric part is used), the triangular
-    solve is the symmetric recursion and Y is symmetrized.  The residual
-    contract: ||T1 Y + Y T2' + Q^||_F <= lyap_residual * max(1, ||Q^||_F),
-    reached after at most two refinement steps on the same triangular
-    factors.
+    The Schur-coordinate core: with A_i = U_i T_i U_i', Y = U1' X U2 and
+    Q^ = U1' Q U2, this is A1 X + X A2' + Q = 0 without a change of basis,
+    so a caller that holds its data in the two bases never leaves them.
+    When ``f1 is f2`` the equation is a Lyapunov equation: Q^ is taken as
+    symmetric (its symmetric part is used) and Y is symmetrized.  The
+    residual contract: ||T1 Y + Y T2' + Q^||_F <= lyap_residual *
+    max(1, ||Q^||_F), reached after at most two refinement steps on the
+    same triangular factors.
 
     Raises
     ------
@@ -265,18 +252,10 @@ def solve_sylvester_schur(f1: RealSchur, f2: RealSchur, q_hat,
     finish = symmetrize if lyapunov else np.asarray
     if lyapunov:
         q_hat = symmetrize(q_hat)
-    y = finish(_schur_solve(t1, t2, -q_hat, lyapunov))
+    y = finish(_schur_solve(t1, t2, -q_hat))
     bound = tol.lyap_residual * max(1.0, np.linalg.norm(q_hat, "fro"))
-    for _ in range(2):
-        res = residual(y)
-        if np.linalg.norm(res, "fro") <= bound:
-            return y
-        y = finish(y - _schur_solve(t1, t2, res, lyapunov))
-    res = np.linalg.norm(residual(y), "fro")
-    if res > bound:
-        raise NumericalError(
-            f"Sylvester residual {res:.3e} exceeds bound {bound:.3e}")
-    return y
+    return _refine(y, residual, lambda res: -_schur_solve(t1, t2, res),
+                   finish, bound)
 
 
 def solve_sylvester(f1: RealSchur, f2: RealSchur, q,
@@ -284,12 +263,15 @@ def solve_sylvester(f1: RealSchur, f2: RealSchur, q,
     """Solve A1 X + X A2' + Q = 0 from the real Schur factors of A1 and A2.
 
     Transforms Q into the two Schur bases, calls :func:`solve_sylvester_schur`
-    and transforms Y back.  The residual contract is checked there, in
-    Schur coordinates: the Frobenius norm is invariant under the orthogonal
-    changes of basis, ||A1 X + X A2' + Q||_F = ||T1 Y + Y T2' + Q^||_F and
-    ||Q||_F = ||Q^||_F, so it is the contract ||A1 X + X A2' + Q||_F <=
-    lyap_residual * max(1, ||Q||_F) up to the rounding of the Schur
-    factorization and the transforms.  When ``f1 is f2`` X is symmetrized.
+    and transforms Y back.  The Frobenius norm is invariant under the
+    orthogonal changes of basis, ||A1 X + X A2' + Q||_F =
+    ||T1 Y + Y T2' + Q^||_F and ||Q||_F = ||Q^||_F, so the core's contract
+    is the contract ||A1 X + X A2' + Q||_F <= lyap_residual * max(1, ||Q||_F)
+    for exact factors.  Computed factors have A_i - U_i T_i U_i' of order
+    eps ||A_i||, so the two residuals can differ by about
+    eps (||A1|| + ||A2||) ||X||; the contract is therefore checked once more
+    in the original coordinates, with at most two refinement steps that
+    reuse the factors.  When ``f1 is f2`` X is symmetrized.
 
     Raises
     ------
@@ -298,8 +280,12 @@ def solve_sylvester(f1: RealSchur, f2: RealSchur, q,
     q = as_matrix(q, "Q")
     if q.shape != (f1.a.shape[0], f2.a.shape[0]):
         raise DimensionMismatch("solve_sylvester: Q must be n1 x n2")
-    x = f1.u @ solve_sylvester_schur(f1, f2, f1.u.T @ q @ f2.u, tol) @ f2.u.T
-    return symmetrize(x) if f1 is f2 else x
+    finish = symmetrize if f1 is f2 else np.asarray
+    x = finish(f1.u @ solve_sylvester_schur(f1, f2, f1.u.T @ q @ f2.u, tol)
+               @ f2.u.T)
+    bound = tol.lyap_residual * max(1.0, np.linalg.norm(q, "fro"))
+    return _refine(x, lambda x: f1.a @ x + x @ f2.a.T + q,
+                   lambda res: _bartels_stewart(f1, f2, res), finish, bound)
 
 
 def solve_lyapunov(a, b, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:

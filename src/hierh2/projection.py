@@ -229,17 +229,14 @@ def verify_qi(g22: StateSpace, p: ProjectionPair, samples: int = 10,
 # Weight feasibility (unstable plants)
 # ---------------------------------------------------------------------------
 
-def _projected_pbh_failure(g: GeneralizedPlant, p: ProjectionPair | None,
+def _projected_pbh_failure(g: GeneralizedPlant, p: ProjectionPair,
                            tol: Tolerances) -> str | None:
     """Message of the first failing PBH test on (A, B2 P_u^T), then on
-    (P_y C2, A), at the unstable modes of ``g.spectrum``; None if both pass.
-    ``p=None`` tests (A, B2) and (C2, A)."""
+    (P_y C2, A), at the unstable modes of ``g.spectrum``; None if both pass."""
     unstable = _unstable_modes(g.spectrum, tol)
-    b2u = g.b2 if p is None else g.b2 @ p.p_u.T
-    if _pbh_rank_deficient(g.a, b2u, unstable, tol).any():
+    if _pbh_rank_deficient(g.a, g.b2 @ p.p_u.T, unstable, tol).any():
         return "(A, B2 P_u^T) is not stabilizable"
-    c2y = g.c2 if p is None else p.p_y @ g.c2
-    if _pbh_rank_deficient(g.a.T, c2y.T, unstable, tol).any():
+    if _pbh_rank_deficient(g.a.T, (p.p_y @ g.c2).T, unstable, tol).any():
         return "(P_y C2, A) is not detectable"
     return None
 

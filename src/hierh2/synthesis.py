@@ -60,16 +60,6 @@ class HierarchicalController:
                           self.p_u.T @ k.d @ self.p_y)
 
 
-def _times_pt(m: np.ndarray, p: np.ndarray | None) -> np.ndarray:
-    """m P^T, or m when there is no projection."""
-    return m if p is None else m @ p.T
-
-
-def _p_times(p: np.ndarray | None, m: np.ndarray) -> np.ndarray:
-    """P m, or m when there is no projection."""
-    return m if p is None else p @ m
-
-
 @dataclass
 class YoulaData:
     """An observer loop: stabilizing gains F, L with the n-state data of
@@ -77,9 +67,9 @@ class YoulaData:
 
     The gains are kept factored: F = P_u^T F2 and L = L2 P_y with the
     reduced gains `f2` (r x n) and `l2` (n x r) and the projections `p_u`,
-    `p_y`.  An unprojected gain (the unconstrained, reference and
-    equivalence-form loops) has ``p_u`` or ``p_y`` None, and its reduced
-    gain is the gain itself.  :meth:`fold_u` and :meth:`fold_y` fold a
+    `p_y`.  A loop with no projection (the reference and equivalence-form
+    loops of the gap layer) has ``p_u`` and ``p_y`` None, and its reduced
+    gains are the gains themselves.  :meth:`fold_u` and :meth:`fold_y` fold a
     projection into a plant matrix, so B2 F = fold_u(B2) F2 and
     L C2 = L2 fold_y(C2) cost O(r n^2), not an n x n product.
 
@@ -100,11 +90,11 @@ class YoulaData:
 
     def fold_u(self, m: np.ndarray) -> np.ndarray:
         """m P_u^T (m when F is unprojected), so that m F = fold_u(m) F2."""
-        return _times_pt(m, self.p_u)
+        return m if self.p_u is None else m @ self.p_u.T
 
     def fold_y(self, m: np.ndarray) -> np.ndarray:
         """P_y m (m when L is unprojected), so that L m = L2 fold_y(m)."""
-        return _p_times(self.p_y, m)
+        return m if self.p_y is None else self.p_y @ m
 
     @property
     def f(self) -> np.ndarray:
@@ -159,8 +149,10 @@ def youla_data(g: GeneralizedPlant, f, l,
             or (p_y is not None and p_y.shape[1] != g.n_y)):
         raise HypothesisFailure(
             f"gain shapes {f.shape}, {l.shape} do not match plant dims")
-    f_loop = RealSchur.of(g.a + _times_pt(g.b2, p_u) @ f)
-    l_loop = RealSchur.of(g.a + l @ _p_times(p_y, g.c2))
+    b2u = g.b2 if p_u is None else g.b2 @ p_u.T
+    c2y = g.c2 if p_y is None else p_y @ g.c2
+    f_loop = RealSchur.of(g.a + b2u @ f)
+    l_loop = RealSchur.of(g.a + l @ c2y)
     for loop, name in ((f_loop, "the control loop A + B2 F"),
                        (l_loop, "the filter loop A + L C2")):
         if loop.abscissa >= -tol.hurwitz_margin:
@@ -204,9 +196,8 @@ def _spd_solve(r: np.ndarray, rhs: np.ndarray, what: str,
     return sla.cho_solve(sla.cho_factor(symmetrize(r)), rhs)
 
 
-def _check_hypotheses(g: GeneralizedPlant, p: ProjectionPair | None,
-                      tol: Tolerances):
-    if p is not None and (p.n_u != g.n_u or p.n_y != g.n_y):
+def _check_hypotheses(g: GeneralizedPlant, p: ProjectionPair, tol: Tolerances):
+    if p.n_u != g.n_u or p.n_y != g.n_y:
         raise HypothesisFailure("projection dimensions do not match the plant")
     pbh_failure = _projected_pbh_failure(g, p, tol)
     if pbh_failure is not None:
@@ -292,24 +283,13 @@ def control_hamiltonian(g: GeneralizedPlant, p_u: np.ndarray | None,
                              p_u @ g.d12.T @ g.d12 @ p_u.T, tol)
 
 
-def _filter_hamiltonian(g: GeneralizedPlant, p_y: np.ndarray | None,
-                        tol: Tolerances) -> HamiltonianSystem:
-    """The Y equation, dual to :func:`control_hamiltonian`."""
-    if p_y is None:
-        return build_hamiltonian(g.a.T, g.c2.T, g.b1.T, g.d21 @ g.d21.T, tol)
-    return build_hamiltonian(g.a.T, (p_y @ g.c2).T, g.b1.T,
-                             p_y @ g.d21 @ g.d21.T @ p_y.T, tol)
-
-
-def synthesize_hierarchical(g: GeneralizedPlant, p: ProjectionPair | None,
+def synthesize_hierarchical(g: GeneralizedPlant, p: ProjectionPair,
                             are_backend: str = "exact", kappa: int | None = None,
                             method: str = "dense",
                             tol: Tolerances = DEFAULT_TOLERANCES) -> SynthesisResult:
     """Optimal hierarchical controller K = P_u^T K~ P_y for the given pair.
 
-    ``p=None`` is the unconstrained design (no projection on either side,
-    see :func:`synthesize_unconstrained`).  Each Riccati equation is built
-    once, as a HamiltonianSystem.  With
+    Each Riccati equation is built once, as a HamiltonianSystem.  With
     ``are_backend='exact'`` both are solved through the full stable
     Hamiltonian subspace.  With ``'approx'`` they are replaced by
     kappa-truncated solutions, of which only X~ is computed; their residue
@@ -333,11 +313,11 @@ def synthesize_hierarchical(g: GeneralizedPlant, p: ProjectionPair | None,
         raise ValueError(f"unknown are_backend {are_backend!r}")
     if are_backend == "approx" and kappa is None:
         raise ValueError("approx backend requires kappa")
-    p_u, p_y = (None, None) if p is None else (p.p_u, p.p_y)
 
     t0 = time.perf_counter()
-    hs_x = control_hamiltonian(g, p_u, tol)
-    hs_y = _filter_hamiltonian(g, p_y, tol)
+    hs_x = control_hamiltonian(g, p.p_u, tol)
+    hs_y = build_hamiltonian(g.a.T, (p.p_y @ g.c2).T, g.b1.T,
+                             p.p_y @ g.d21 @ g.d21.T @ p.p_y.T, tol)
     if are_backend == "exact":
         x_sol = riccati_from_hamiltonian(hs_x.a, hs_x.m, hs_x.ctc, tol)
         y_sol = riccati_from_hamiltonian(hs_y.a, hs_y.m, hs_y.ctc, tol)
@@ -347,24 +327,23 @@ def synthesize_hierarchical(g: GeneralizedPlant, p: ProjectionPair | None,
         y_sol = approx_are(hs_y, kappa, method=method, tol=tol)
         x, y = x_sol.xbar, y_sol.xbar
 
-    f2 = -_spd_solve(hs_x.r1, _p_times(p_u, g.b2.T) @ x, "R1", tol)
-    l2 = -_spd_solve(hs_y.r1, _p_times(p_y, g.c2) @ y, "R2", tol).T
+    f2 = -_spd_solve(hs_x.r1, p.p_u @ g.b2.T @ x, "R1", tol)
+    l2 = -_spd_solve(hs_y.r1, p.p_y @ g.c2 @ y, "R2", tol).T
     elapsed = time.perf_counter() - t0
 
     if are_backend == "exact":
         yd = YoulaData(g=g, f2=f2, l2=l2, f_loop=x_sol.closed_loop,
-                       l_loop=y_sol.closed_loop.transposed(), p_u=p_u, p_y=p_y)
+                       l_loop=y_sol.closed_loop.transposed(),
+                       p_u=p.p_u, p_y=p.p_y)
     else:
         try:
-            yd = youla_data(g, f2, l2, tol, p_u=p_u, p_y=p_y)
+            yd = youla_data(g, f2, l2, tol, p_u=p.p_u, p_y=p.p_y)
         except NotStabilizingGains as e:
             raise ApproxNotStabilizing(f"kappa={kappa}: {e}") from e
 
     k_tilde = StateSpace(
-        a=g.a + _times_pt(g.b2, p_u) @ f2 + l2 @ _p_times(p_y, g.c2),
+        a=g.a + yd.fold_u(g.b2) @ f2 + l2 @ yd.fold_y(g.c2),
         b=-l2, c=f2, d=np.zeros((f2.shape[0], l2.shape[1])))
-    if p is None:
-        p = ProjectionPair(np.eye(g.n_u), np.eye(g.n_y))
     controller = HierarchicalController(p_u=p.p_u, k_tilde=k_tilde, p_y=p.p_y)
     return SynthesisResult(
         controller=controller, x=x, y=y, f2=f2, l2=l2,
@@ -374,10 +353,9 @@ def synthesize_hierarchical(g: GeneralizedPlant, p: ProjectionPair | None,
 
 def synthesize_unconstrained(g: GeneralizedPlant,
                              tol: Tolerances = DEFAULT_TOLERANCES) -> SynthesisResult:
-    """Standard two-Riccati H2 design: no projection on either side, so the
-    reduced gains F2 and L2 are the gains F and L themselves (the
-    controller's P_u and P_y are identities)."""
-    return synthesize_hierarchical(g, None, tol=tol)
+    """Standard two-Riccati H2 design: identity projections on both sides."""
+    p = ProjectionPair(np.eye(g.n_u), np.eye(g.n_y))
+    return synthesize_hierarchical(g, p, tol=tol)
 
 
 @dataclass(frozen=True)

@@ -172,19 +172,20 @@ def test_property_gap_bound_orders_j1_j2_bound(seed, n, nu, ny, data):
     assert report.j2_star <= report.bound_rhs * slack
 
 
-def test_equivalence_warning_threshold_is_a_tolerance():
-    # the warning compares |h2_equivalence - J2*| with equivalence_rel
-    # max(1, J2*): silent at the default, raised below the observed gap
+def test_equivalence_warning_threshold(monkeypatch):
+    # the warning compares |h2_equivalence - J2*| with
+    # _EQUIVALENCE_REL max(1, J2*): silent as shipped, raised below the
+    # observed gap
     g = random_h2_plant(np.random.default_rng(3), 7, 3, 3)
     part = ClusterPartition(input_sets=((0, 2), (1,)), output_sets=((0,), (1, 2)))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         report = evaluate_partition(g, part)
     gap = abs(report.h2_equivalence - report.j2_star) / max(1.0, report.j2_star)
-    assert 0.0 < gap <= DEFAULT_TOLERANCES.equivalence_rel
+    assert 0.0 < gap <= gapdesign._EQUIVALENCE_REL
+    monkeypatch.setattr(gapdesign, "_EQUIVALENCE_REL", gap / 2)
     with pytest.warns(UserWarning, match="equivalence-form"):
-        evaluate_partition(g, part, tol=DEFAULT_TOLERANCES.with_(
-            equivalence_rel=gap / 2))
+        evaluate_partition(g, part)
 
 
 def test_equivalence_check_records_and_warns(monkeypatch):

@@ -223,44 +223,42 @@ def test_recursive_kernel_matches_trsyl_and_scipy(m, n):
     assert np.linalg.norm(res) <= 1e-13 * np.linalg.norm(q)
 
 
-@pytest.mark.parametrize("n", [65, 129, 201])
-def test_recursive_lyapunov_kernel_matches_trsyl(monkeypatch, n):
-    # the symmetric recursion solves T Y + Y T' = C as one trsyl call does,
-    # keeps the 2x2 blocks on its split points whole, and falls back to one
-    # whole-size trsyl call when a leaf scales
-    rng = np.random.default_rng(n)
-    f = _quasi_triangular_factors(rng, n, _split_straddling_pairs(n))
-    c = rng.standard_normal((n, n))
-    c = c + c.T
-    ref, scale = linalg._trsyl(f.t, f.t, c)
-    ref = ref / scale
-    y = c.copy()
-    assert linalg._recursive_trlyap(f.t, y)
-    assert np.linalg.norm(y - ref) <= 1e-14 * np.linalg.norm(ref)
-    assert np.linalg.norm(y - y.T) <= 1e-14 * np.linalg.norm(ref)
-    y = solve_sylvester_schur(f, f, -c)
-    assert np.array_equal(y, y.T)
-    assert np.linalg.norm(y - ref) <= 1e-14 * np.linalg.norm(ref)
+@pytest.mark.parametrize("lyapunov", [False, True])
+def test_solve_sylvester_checks_the_contract_in_original_coordinates(lyapunov):
+    # factors with A - U T U' != 0, as rounding leaves them: the core meets
+    # its contract in Schur coordinates, and solve_sylvester still returns
+    # an X that meets ||A1 X + X A2' + Q||_F <= lyap_residual max(1, ||Q||_F)
+    # after refining in the original coordinates, or raises
+    rng = np.random.default_rng(25)
+    n = 40
+    exact = _quasi_triangular_factors(rng, n, [3, 20])
 
-    shapes = []
-    plain = linalg._trsyl
+    def perturbed(rel):
+        e = rng.standard_normal((n, n))
+        e *= rel * np.linalg.norm(exact.a) / np.linalg.norm(e)
+        return RealSchur(a=exact.a + e, t=exact.t, u=exact.u)
 
-    def scaling_trsyl(t1, t2, cc):
-        shapes.append(cc.shape)
-        yy, sc = plain(t1, t2, cc)
-        return 0.5 * yy, 0.5 * sc
+    tol = DEFAULT_TOLERANCES
+    for rel, meets in ((1e-8, True), (5e-2, False)):
+        f1 = perturbed(rel)
+        f2 = f1 if lyapunov else perturbed(rel)
+        q = rng.standard_normal((n, n))
+        q = q @ q.T if lyapunov else q
+        bound = tol.lyap_residual * max(1.0, np.linalg.norm(q))
 
-    with monkeypatch.context() as m:
-        m.setattr(linalg, "_trsyl", scaling_trsyl)
-        y = linalg._schur_solve(f.t, f.t, c, lyapunov=True)
-    assert shapes[0] != (n, n) and shapes[-1] == (n, n)
-    assert shapes.count((n, n)) == 1
-    assert np.linalg.norm(y - ref) <= 1e-14 * np.linalg.norm(ref)
+        def res(x):
+            return np.linalg.norm(f1.a @ x + x @ f2.a.T + q)
 
-    monkeypatch.setattr(linalg, "_split", lambda t: t.shape[0] // 2)
-    y = c.copy()
-    linalg._recursive_trlyap(f.t, y)
-    assert np.linalg.norm(y - ref) > 1e-3 * np.linalg.norm(ref)
+        y = solve_sylvester_schur(f1, f2, f1.u.T @ q @ f2.u, tol)
+        assert res(f1.u @ y @ f2.u.T) > bound
+        if meets:
+            x = solve_sylvester(f1, f2, q, tol)
+            assert res(x) <= bound
+            if lyapunov:
+                assert np.array_equal(x, x.T)
+        else:
+            with pytest.raises(NumericalError, match="Sylvester residual"):
+                solve_sylvester(f1, f2, q, tol)
 
 
 def test_recursive_kernel_split_that_cuts_a_pair_fails(monkeypatch):

@@ -410,8 +410,7 @@ def test_h2_value_matches_closed_loop_oracle_weighted_plant():
     for res in results:
         oracle = h2_norm(lft_lower(g, res.controller.expand()))
         assert res.h2_value == pytest.approx(oracle, rel=1e-9)
-    # the unconstrained loop keeps its gains unprojected
-    assert results[0].youla.p_u is None and results[0].youla.p_y is None
+    # the synthesis keeps its gains factored
     assert results[1].youla.f2 is results[1].f2
     assert np.allclose(results[1].youla.f, pair.p_u.T @ results[1].f2)
 
