@@ -5,7 +5,10 @@ checks: Lyapunov via the Kronecker vectorization linear system, Riccati
 via matrix sign iteration, the H2 norm via frequency quadrature, the
 H-infinity norm via dense frequency gridding, and the gap-layer spectral
 factors via the two 2n-state hat Riccati equations on the Youla system,
-whose 2n-state realization and nominal controller K_nom live here too.
+whose 2n-state realization and nominal controller K_nom live here too.  The
+staged simulation is checked against a sample-by-sample run that forms
+every held product with its own matrix-vector product and steps the
+monolithic loop through the RK4 stages of its vector field.
 """
 
 from dataclasses import dataclass
@@ -16,6 +19,8 @@ import scipy.linalg as sla
 from hierh2 import DEFAULT_TOLERANCES, StateSpace, Tolerances, neg, series
 from hierh2.linalg import (hinf_norm, riccati_from_hamiltonian,
                            solve_sylvester, sqrt_psd, symmetrize)
+from hierh2.plant import lft_lower
+from hierh2.simulate import _rk4
 from hierh2.statespace import lft_lower_partitioned
 
 
@@ -237,3 +242,58 @@ def hat_gap_weights(yd, hsf: HatSpectralFactors,
     t12_t21 = hinf_norm(t12, tol) * hinf_norm(t21, tol)
     return (t12_t21 * hinf_norm(hsf.wbar_r, tol),
             t12_t21 * hinf_norm(hsf.wbar_l, tol))
+
+
+@dataclass
+class PerSampleRun:
+    """Staged signals and the monolithic joint state at every sample."""
+
+    w: np.ndarray                      # the held disturbance (samples, m1)
+    x: np.ndarray
+    xk: np.ndarray
+    z: np.ndarray
+    u: np.ndarray
+    v_mono: np.ndarray                 # (samples, n + n_k)
+
+
+def per_sample_simulation(g, controller, horizon: float, dt: float,
+                          disturbance) -> PerSampleRun:
+    """The staged three-step run and its monolithic check, with B1 w, D21 w,
+    Bcl w and z formed one sample at a time and the monolithic loop stepped
+    by RK4 on its field Acl v + Bcl w.  Disturbances as in
+    ``run_hier_simulation``; no check or guard is applied."""
+    closed = lft_lower(g, controller.expand())
+    n, nk, m1 = g.n, controller.k_tilde.n_states, g.m1
+    steps = int(np.ceil(horizon / dt))
+    kind = disturbance[0]
+    x_init = np.zeros(n)
+    if kind == "impulse":
+        w_path = np.zeros((steps + 1, m1))
+        x_init = g.b1[:, int(disturbance[1])].copy()
+    elif kind == "noise":
+        w_path = float(disturbance[2]) * np.random.default_rng(
+            int(disturbance[1])).standard_normal((steps + 1, m1))
+    else:
+        w_path = np.asarray(disturbance[1], float)
+    p_u, p_y, kt = controller.p_u, controller.p_y, controller.k_tilde
+
+    def staged(v, w):
+        x, xk = v[:n], v[n:]
+        ybar = p_y @ (g.c2 @ x + g.d21 @ w)
+        u = p_u.T @ (kt.c @ xk + kt.d @ ybar)
+        dx = g.a @ x + g.b1 @ w + g.b2 @ u
+        return np.concatenate([dx, kt.a @ xk + kt.b @ ybar]), u
+
+    v = np.concatenate([x_init, np.zeros(nk)])
+    v_mono = v.copy()
+    out = PerSampleRun(w_path, *(np.empty((steps + 1, d)) for d in
+                                 (n, nk, g.p1, g.n_u, n + nk)))
+    for step, w in enumerate(w_path):
+        dv, u = staged(v, w)
+        out.x[step], out.xk[step], out.u[step] = v[:n], v[n:], u
+        out.z[step] = g.c1 @ v[:n] + g.d12 @ u
+        out.v_mono[step] = v_mono
+        v = _rk4(lambda s: staged(s, w)[0], v, dv, dt)
+        v_mono = _rk4(lambda s: closed.a @ s + closed.b @ w, v_mono,
+                      closed.a @ v_mono + closed.b @ w, dt)
+    return out

@@ -1,14 +1,22 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
 from hierh2 import (ClusterPartition, ExperimentConfig, GeneralizedPlant,
                     NetworkSpec, StateSpace, WeightVectors, build_projection,
                     communication_links, generate_consensus_network,
                     lft_lower, privacy_audit, run_hier_simulation,
                     solve_lyapunov, synthesize_hierarchical)
-from hierh2.errors import (NumericalError, PreconditionError,
+from hierh2.errors import (NumericalError, PreconditionError, ToolkitError,
                            UnstableClosedLoop)
+from hierh2.simulate import _BLOCK, _STAGED_MATCH_RTOL, _rk4_transition
 from hierh2.synthesis import HierarchicalController
+
+from conftest import random_h2_plant, random_partition
+from oracles import per_sample_simulation
 
 
 def line_graph_plant():
@@ -232,3 +240,119 @@ def test_audits_catch_a_missing_link():
     log = sim.trace.coordinator_logs[0]
     assert not set(g.subsystems[sub].outputs) & set(log.raw_outputs_seen)
     assert not set(g.subsystems[sub].inputs) & set(log.inputs_written)
+
+
+def _rel_dev(a, ref):
+    """Largest entry of |a - ref|, relative to max(1, largest |ref|)."""
+    return float(np.max(np.abs(a - ref), initial=0.0)) / max(
+        1.0, float(np.max(np.abs(ref), initial=0.0)))
+
+
+def _line_graph_loop():
+    g = line_graph_plant()
+    part = line_graph_partition()
+    pair = build_projection(part, WeightVectors.ones(3, 4))
+    ctrl = synthesize_hierarchical(g, pair).controller
+    closed = lft_lower(g, ctrl.expand())
+    dt = 0.05 / float(np.max(np.abs(np.linalg.eigvals(closed.a))))
+    return g, part, ctrl, closed, dt
+
+
+def _horizon(steps, dt):
+    """A horizon that run_hier_simulation splits into exactly ``steps``."""
+    return 0.0 if steps == 0 else (steps - 0.5) * dt
+
+
+@pytest.mark.parametrize("kind", ["impulse", "noise", "array"])
+@pytest.mark.parametrize("steps", [0, _BLOCK - 1, _BLOCK, _BLOCK + 1,
+                                   3 * _BLOCK + 5])
+def test_blocked_run_matches_the_per_sample_oracle(kind, steps):
+    # held products formed per block, z per finished block and the
+    # monolithic loop stepped by its transition matrix give the signals of
+    # the per-sample route on either side of every block boundary
+    g, part, ctrl, closed, dt = _line_graph_loop()
+    disturbance = {
+        "impulse": ("impulse", 2),
+        "noise": ("noise", 5, 0.5),
+        "array": ("array", np.random.default_rng(9).standard_normal(
+            (steps + 1, g.m1))),
+    }[kind]
+    sim = run_hier_simulation(g, ctrl, horizon=_horizon(steps, dt), dt=dt,
+                              disturbance=disturbance, partition=part)
+    ref = per_sample_simulation(g, ctrl, _horizon(steps, dt), dt, disturbance)
+    assert len(sim.times) == steps + 1
+    for mine, theirs in ((sim.x, ref.x), (sim.xk, ref.xk), (sim.z, ref.z),
+                         (sim.u, ref.u)):
+        assert _rel_dev(mine, theirs) <= 1e-12
+    phi, gamma = _rk4_transition(closed.a, closed.b, dt)
+    v_mono = np.empty_like(ref.v_mono)
+    v_mono[0] = ref.v_mono[0]
+    for k in range(steps):
+        v_mono[k + 1] = phi @ v_mono[k] + gamma @ ref.w[k]
+    assert _rel_dev(v_mono, ref.v_mono) <= 1e-12
+    assert sim.staged_vs_monolithic <= 1e-12
+
+
+def test_skewed_closed_loop_a_is_a_numerical_error(monkeypatch):
+    # perturb only the monolithic loop's A, from which its transition
+    # matrix is built; the loop stays Hurwitz and the staged run is
+    # unchanged, so the per-sample check must fire
+    import hierh2.simulate
+    g, part, ctrl, _, _ = _line_graph_loop()
+
+    def skewed(plant, k):
+        closed = lft_lower(plant, k)
+        return StateSpace(closed.a + 1e-3 * np.eye(closed.n_states),
+                          closed.b, closed.c, closed.d)
+
+    monkeypatch.setattr(hierh2.simulate, "lft_lower", skewed)
+    with pytest.raises(NumericalError, match="diverged"):
+        run_hier_simulation(g, ctrl, horizon=1.0,
+                            disturbance=("noise", 3, 1.0), partition=part)
+
+
+def test_divergence_guard_fires_at_a_sample_past_the_first_block():
+    # the disturbance stays zero until it jumps to 1e9 over the step into
+    # sample j > _BLOCK: the state is zero up to t_{j-1}, so the guard must
+    # fire at t_j, from inside the second block, and not before
+    g, part, ctrl, _, dt = _line_graph_loop()
+    steps, j = 2 * _BLOCK, _BLOCK + 7
+    times = np.arange(steps + 1) * dt
+    assert f"{times[j - 1]:.3f}" != f"{times[j]:.3f}"
+    w = np.zeros((steps + 1, g.m1))
+    w[j - 1:] = 1e9
+    with pytest.raises(UnstableClosedLoop,
+                       match=re.escape(f"at t={times[j]:.3f}") + "$"):
+        run_hier_simulation(g, ctrl, horizon=_horizon(steps, dt), dt=dt,
+                            disturbance=("array", w), partition=part)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2 ** 31 - 1), n=st.integers(2, 6),
+       nu=st.integers(1, 3), ny=st.integers(1, 3), data=st.data())
+def test_property_staged_run_equals_monolithic_run(seed, n, nu, ny, data):
+    """On random A1-A4 plants and partitions, the staged run equals the
+    monolithic loop stepped per sample through its field, within the
+    tolerance of the run's own check, at step counts across several
+    blocks.  Draws whose synthesis raises are rejected."""
+    r = data.draw(st.integers(1, min(nu, ny)), label="r")
+    steps = data.draw(st.integers(0, 3 * _BLOCK + 5), label="steps")
+    rng = np.random.default_rng(seed)
+    g = random_h2_plant(rng, n, nu, ny)
+    part = ClusterPartition(input_sets=random_partition(rng, nu, r),
+                            output_sets=random_partition(rng, ny, r))
+    pair = build_projection(part, WeightVectors.ones(nu, ny))
+    try:
+        ctrl = synthesize_hierarchical(g, pair).controller
+    except ToolkitError:
+        reject()
+    closed = lft_lower(g, ctrl.expand())
+    dt = 0.05 / float(np.max(np.abs(np.linalg.eigvals(closed.a))))
+    disturbance = ("noise", seed % 1000, 1.0)
+    sim = run_hier_simulation(g, ctrl, horizon=_horizon(steps, dt), dt=dt,
+                              disturbance=disturbance, partition=part)
+    assert sim.staged_vs_monolithic <= _STAGED_MATCH_RTOL
+    ref = per_sample_simulation(g, ctrl, _horizon(steps, dt), dt, disturbance)
+    dev = np.linalg.norm(np.hstack([sim.x, sim.xk]) - ref.v_mono, axis=1)
+    scale = np.maximum(1.0, np.linalg.norm(ref.v_mono, axis=1))
+    assert np.max(dev / scale) <= _STAGED_MATCH_RTOL

@@ -10,7 +10,7 @@ from hierh2 import (ClusterPartition, ExperimentConfig, NetworkSpec,
 from hierh2.cli import main
 from hierh2.serialize import (load_controller, load_partition, load_plant,
                               save_controller, save_partition, save_plant)
-from hierh2.synthesis import synthesize_hierarchical
+from hierh2.synthesis import HierarchicalController, synthesize_hierarchical
 from hierh2.projection import build_projection
 
 
@@ -207,13 +207,18 @@ def test_cli_end_to_end(tmp_path, capsys):
     ctl_path = out / "controller.json"
     assert ctl_path.exists()
 
-    rc = main(["simulate", "--plant", str(plant_path), "--controller",
-               str(ctl_path), "--horizon", "0.5", "--out", str(out)])
+    simulate = ["simulate", "--plant", str(plant_path), "--controller",
+                str(ctl_path), "--horizon", "0.5", "--out", str(out)]
+    rc = main(simulate + ["--partition", str(part_path)])
     assert rc == 0
     sim_report = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert sim_report["privacy_audit"] is True
     assert sim_report["staged_vs_monolithic"] <= 1e-9
     assert (out / "trace.jsonl").exists()
+    # without a partition there is no declared cluster to audit against
+    assert main(simulate) == 0
+    sim_report = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert sim_report["privacy_audit"] is None
 
     rc = main(["gap", "--plant", str(plant_path), "--partition",
                str(part_path), "--out", str(out)])
@@ -229,6 +234,36 @@ def test_cli_end_to_end(tmp_path, capsys):
     rc = main(["approx", "--plant", str(plant_path), "--partition",
                str(part_path), "--kappa", "3", "--out", str(out)])
     assert rc == 0
+
+
+def test_cli_simulate_audits_against_the_partition(tmp_path, capsys):
+    # coordinator 0 of a saved controller reads output 23, which lies in
+    # another cluster: `simulate --partition` must report the leak, and a
+    # partition with another cluster count is a precondition failure
+    cfg = ExperimentConfig(seed=7)
+    g = cfg.plant(24)
+    part = cfg.planted_partition(g, 24)
+    assert 23 not in part.output_sets[0]
+    pair = build_projection(part, WeightVectors.ones(g.n_u, g.n_y))
+    ctrl = synthesize_hierarchical(g, pair).controller
+    p_y = ctrl.p_y.copy()
+    p_y[0, 23] += 1e-3
+    save_plant(g, tmp_path / "plant.json")
+    save_partition(part, tmp_path / "part.json")
+    save_controller(HierarchicalController(p_u=ctrl.p_u, k_tilde=ctrl.k_tilde,
+                                           p_y=p_y), tmp_path / "leaky.json")
+    simulate = ["simulate", "--plant", str(tmp_path / "plant.json"),
+                "--controller", str(tmp_path / "leaky.json"),
+                "--horizon", "0.2", "--out", str(tmp_path)]
+    assert main(simulate + ["--partition", str(tmp_path / "part.json")]) == 0
+    report = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert report["privacy_audit"] is False
+    assert report["staged_vs_monolithic"] <= 1e-9
+    merged = ClusterPartition(input_sets=(tuple(range(g.n_u)),),
+                              output_sets=(tuple(range(g.n_y)),))
+    save_partition(merged, tmp_path / "merged.json")
+    assert main(simulate + ["--partition", str(tmp_path / "merged.json")]) == 2
+    assert "partition has r=1" in capsys.readouterr().err
 
 
 def test_cli_sweep_r_small(tmp_path):
