@@ -24,8 +24,8 @@ from .gapdesign import (design_clusters, evaluate_partition,
                         reference_youla_data, spectral_factors)
 from .hamiltonian import approx_are, error_bound
 from .plant import NetworkSpec, generate_consensus_network, validate_assumptions
-from .projection import (ClusterPartition, WeightVectors, build_projection,
-                         feasible_weights)
+from .projection import (ClusterPartition, ProjectionPair, WeightVectors,
+                         build_projection, feasible_weights)
 from .serialize import (load_controller, load_partition, load_plant,
                         save_controller, save_partition, save_plant,
                         write_manifest)
@@ -129,11 +129,10 @@ def cmd_approx(args) -> int:
     """Diagnostics of X~ for the X equation that `synth` solves."""
     tol = tolerance_profile(args.tol_profile)
     g = load_plant(args.plant)
-    p_u = None
+    p = ProjectionPair(np.eye(g.n_u), np.eye(g.n_y))
     if args.partition is not None:
-        partition, weights = _resolve_partition_weights(args, g, tol)
-        p_u = build_projection(partition, weights).p_u
-    sol = approx_are(control_hamiltonian(g, p_u, tol), args.kappa,
+        p = build_projection(*_resolve_partition_weights(args, g, tol))
+    sol = approx_are(control_hamiltonian(g, p, tol), args.kappa,
                      method=args.method, tol=tol)
     eps = error_bound(sol, g.b1, tol)[0] if args.method == "dense" else None
     out = {
@@ -183,11 +182,9 @@ def cmd_simulate(args) -> int:
         dist = ("impulse", int(k or 0))
     else:
         dist = ("noise", args.seed if args.seed is not None else 0, 1.0)
-    # the privacy audit needs each coordinator's declared cluster; without
-    # a partition there is nothing to audit against
-    partition = None
-    if args.partition is not None:
-        partition, _ = load_partition(args.partition)
+    # without a declared cluster per coordinator the privacy audit is None
+    partition = (None if args.partition is None
+                 else load_partition(args.partition)[0])
     res = run_hier_simulation(g, controller, horizon=args.horizon, dt=args.dt,
                               disturbance=dist, partition=partition)
     args.out.mkdir(parents=True, exist_ok=True)
@@ -200,8 +197,7 @@ def cmd_simulate(args) -> int:
     print(json.dumps({
         "samples": len(res.times),
         "staged_vs_monolithic": res.staged_vs_monolithic,
-        "privacy_audit": (None if partition is None
-                          else privacy_audit(res.trace)),
+        "privacy_audit": privacy_audit(res.trace),
         "links_used": res.trace.links_used,
     }))
     return EXIT_OK

@@ -25,13 +25,12 @@ and A + L2 C2) and the Youla data (F, L and the factors of A_F, A_L):
 The 2n hat-Riccati construction, with the optimizer Q* whose model-matching
 value equals J1*, is kept in the tests as the oracle of these formulas.
 
-The bound machinery requires the Youla data to be built from
-projection-structured gains (P_u^T F2, L2 P_y): with those gains the
-constrained problem over the same T is exactly the hierarchical problem,
-and they are the synthesis's own ``youla`` record, which :func:`gap_report`
-reads.  :func:`evaluate_partition` assembles the whole chain and checks J2*
-against the equivalence form, and :func:`monotone_gap_sweep` runs the same
-chain once per cluster count on one unconstrained synthesis of the plant.
+The bound needs Youla data with projection-structured gains (P_u^T F2,
+L2 P_y), over which the constrained problem is the hierarchical one: the
+synthesis's own ``youla`` record, which :func:`gap_report` reads.
+:func:`evaluate_partition` assembles the whole chain and checks J2* against
+the equivalence form, and :func:`monotone_gap_sweep` runs it once per
+cluster count on one unconstrained synthesis of the plant.
 """
 
 from __future__ import annotations
@@ -153,7 +152,7 @@ def model_matching_value(yd: YoulaData, q: StateSpace,
     T11 is the closed loop of the plant with ``yd.controller`` (the Youla
     parameter Q = 0), a 2n-state system.
     """
-    t11 = lft_lower(yd.g, yd.controller)
+    t11 = lft_lower(yd.g, yd.controller.expand())
     return h2_norm(add(t11, series(yd.t21, q, yd.t12)), tol)
 
 
@@ -191,13 +190,13 @@ def doubly_projected_controller(g: GeneralizedPlant, p: ProjectionPair,
                                 tol: Tolerances = DEFAULT_TOLERANCES) -> YoulaData:
     """Observer loop of the P_u^T P_u / P_y^T P_y-weighted plant.
 
-    The equivalence form of the constrained problem: its ``.controller``
-    coincides with the hierarchical optimal controller, and its loop factors
-    are the closed loops of its two Riccati solutions.  The projected
-    weights P_u^T P_u D12' D12 P_u^T P_u and P_y^T P_y D21 D21' P_y^T P_y
-    have the rank of P_u and P_y, and are inverted on that range; a
-    cutoff-based pinv would also invert the rounding-level eigenvalues of
-    the null space, which grow with n.
+    The equivalence form of the constrained problem, with the identity
+    pair: its ``.controller.expand()`` is the hierarchical optimal
+    controller, and its loop factors are the closed loops of its two
+    Riccati solutions.  The projected weights P_u^T P_u D12' D12 P_u^T P_u
+    and P_y^T P_y D21 D21' P_y^T P_y have the rank of P_u and P_y, and are
+    inverted on that range; a cutoff-based pinv would also invert the
+    rounding-level eigenvalues of the null space, which grow with n.
     """
     pu, py = p.p_u.T @ p.p_u, p.p_y.T @ p.p_y
     bp = g.b2 @ pu
@@ -210,7 +209,8 @@ def doubly_projected_controller(g: GeneralizedPlant, p: ProjectionPair,
     m = cp.T @ rp_inv @ cp
     y_sol = riccati_from_hamiltonian(g.a.T, m, g.b1 @ g.b1.T, tol)
     l_brev = -y_sol.x @ cp.T @ rp_inv
-    return YoulaData(g=g, f2=f_brev, l2=l_brev, f_loop=x_sol.closed_loop,
+    return YoulaData(g=g, p=ProjectionPair(np.eye(g.n_u), np.eye(g.n_y)),
+                     f2=f_brev, l2=l_brev, f_loop=x_sol.closed_loop,
                      l_loop=y_sol.closed_loop.transposed())
 
 
@@ -228,9 +228,9 @@ def gap_report(hier: SynthesisResult, sf: SpectralFactors,
     ``hier.youla`` too (see :func:`evaluate_partition`).  Only the bound is
     computed: ``h2_equivalence`` is left None.
     """
-    yd, k = hier.youla, hier.controller
-    qu = np.eye(k.p_u.shape[1]) - k.p_u.T @ k.p_u
-    qy = np.eye(k.p_y.shape[1]) - k.p_y.T @ k.p_y
+    yd, p = hier.youla, hier.youla.p
+    qu = np.eye(p.n_u) - p.p_u.T @ p.p_u
+    qy = np.eye(p.n_y) - p.p_y.T @ p.p_y
     xi_u = float(np.linalg.norm(qu @ sf.embed_u, "fro"))
     xi_y = float(np.linalg.norm(qy @ sf.embed_y, "fro"))
 
@@ -256,14 +256,15 @@ def reference_youla_data(g: GeneralizedPlant,
 
     The optimal H2 gains make the factor gain F_hat vanish identically and
     would feed the clustering step zero rows, so the design phase uses the
-    neutral Q = R = I regulator/filter pair, with its Riccati closed loops,
-    solved from their HamiltonianSystems as the exact synthesis solves.
+    neutral Q = R = I regulator/filter pair and the identity pair, solved
+    from its HamiltonianSystems as the exact synthesis solves.
     """
     x_hs = build_hamiltonian(g.a, g.b2, np.eye(g.n), np.eye(g.n_u), tol)
     y_hs = build_hamiltonian(g.a.T, g.c2.T, np.eye(g.n), np.eye(g.n_y), tol)
     x_sol = riccati_from_hamiltonian(x_hs.a, x_hs.m, x_hs.ctc, tol)
     y_sol = riccati_from_hamiltonian(y_hs.a, y_hs.m, y_hs.ctc, tol)
-    return YoulaData(g=g, f2=-g.b2.T @ x_sol.x, l2=-y_sol.x @ g.c2.T,
+    return YoulaData(g=g, p=ProjectionPair(np.eye(g.n_u), np.eye(g.n_y)),
+                     f2=x_hs.gain(x_sol.x), l2=y_hs.gain(y_sol.x).T,
                      f_loop=x_sol.closed_loop,
                      l_loop=y_sol.closed_loop.transposed())
 

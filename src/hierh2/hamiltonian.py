@@ -8,7 +8,8 @@ bound eps * ||E_k||_F, with eps read off the closed-loop Gramian in the
 eigenbasis by :func:`error_bound`, the one route to eps.  A residue
 factorization supplies a cheap sufficient stability certificate for A - M X~,
 computed when read.  Both Riccati backends solve from one
-:class:`HamiltonianSystem` per equation.
+:class:`HamiltonianSystem` per equation, whose one Cholesky factor of R
+serves M, the Krylov operators and the gain (:meth:`HamiltonianSystem.gain`).
 
 The eigenpairs come from one dense eigendecomposition of H or, for large
 sparse A, from one structured shift-invert ARPACK run at a real shift
@@ -28,8 +29,8 @@ import scipy.sparse.linalg as spla
 
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import (ArnoldiNoConvergence, DimensionMismatch,
-                     ImaginaryAxisEigenvalue, SingularPencil, SingularR,
-                     SingularZ1)
+                     IllConditionedR, ImaginaryAxisEigenvalue, SingularPencil,
+                     SingularR, SingularZ1)
 from .linalg import (RealSchur, StableSubspace, _check_imag_axis,
                      _group_conjugates, _on_axis, _pbh_rank_deficient,
                      _realify_sorted, solve_lyapunov, solve_sylvester,
@@ -47,16 +48,16 @@ __all__ = [
 class HamiltonianSystem:
     """Hamiltonian data for one Riccati equation, kept in factored form.
 
-    `a` is the dense state matrix; `n_gain` is the effective input matrix
-    (B2 P_u^T for the projected design), `r1` the positive definite weight,
-    and `c1` the performance output.  M = n_gain R1^{-1} n_gain' is formed
-    on demand; the Krylov path never densifies H.
+    `a` is the dense state matrix, `n_gain` the effective input matrix N
+    (B2 P_u^T for the projected design) and `c1` the performance output.
+    The weight R is kept only as the Cholesky factor that
+    :func:`build_hamiltonian` made; :meth:`gain` and M = N R^{-1} N' (formed
+    on demand) solve with it, and the Krylov path never densifies H.
     """
 
     a: object
     n_gain: np.ndarray
     c1: np.ndarray
-    r1: np.ndarray
     _r1_chol: object = field(repr=False, default=None)
     _full: StableSubspace | None = field(repr=False, default=None)
 
@@ -67,6 +68,10 @@ class HamiltonianSystem:
     @property
     def m(self) -> np.ndarray:
         return self.n_gain @ sla.cho_solve(self._r1_chol, self.n_gain.T)
+
+    def gain(self, x: np.ndarray) -> np.ndarray:
+        """-R^{-1} N' x, the optimal gain of a solution x = X."""
+        return -sla.cho_solve(self._r1_chol, self.n_gain.T @ x)
 
     @property
     def ctc(self) -> np.ndarray:
@@ -86,7 +91,13 @@ class HamiltonianSystem:
 def build_hamiltonian(a, b2pu, c1, r1,
                       tol: Tolerances = DEFAULT_TOLERANCES) -> HamiltonianSystem:
     """Assemble the Hamiltonian system for A'X + XA + C1'C1 - X M X = 0
-    with M = b2pu R1^{-1} b2pu'.
+    with M = b2pu R1^{-1} b2pu'; the system keeps the factor of R1.
+
+    Raises
+    ------
+    DimensionMismatch : A, B, C or R1 have incompatible shapes.
+    SingularR : R1 is not positive definite (its factorization fails).
+    IllConditionedR : cond(R1) exceeds ``cond_max``.
     """
     a = as_matrix(a, "A")
     b2pu = as_matrix(b2pu, "B2Pu")
@@ -101,7 +112,10 @@ def build_hamiltonian(a, b2pu, c1, r1,
         chol = sla.cho_factor(r1)
     except sla.LinAlgError as e:
         raise SingularR(f"R1 is not positive definite: {e}") from e
-    return HamiltonianSystem(a=a, n_gain=b2pu, c1=c1, r1=r1, _r1_chol=chol)
+    if np.linalg.cond(r1) > tol.cond_max:
+        raise IllConditionedR(
+            f"R1 condition number exceeds {tol.cond_max:.1e}")
+    return HamiltonianSystem(a=a, n_gain=b2pu, c1=c1, _r1_chol=chol)
 
 
 @dataclass
@@ -315,15 +329,12 @@ def _smw_shift_invert(hs: HamiltonianSystem, sigma: float, a_sp, c1_sp):
     u[:n] = hs.n_gain
     su = np.column_stack([s_solve(u[:, j]) for j in range(r)])
 
-    def v_t(x):
-        return -sla.cho_solve(hs._r1_chol, hs.n_gain.T @ x[n:])
-
-    cap = np.eye(r) + np.column_stack([v_t(su[:, j]) for j in range(r)])
+    cap = np.eye(r) + np.column_stack([hs.gain(su[n:, j]) for j in range(r)])
     cap_lu = sla.lu_factor(cap)
 
     def apply(b):
         t = s_solve(np.asarray(b, dtype=float))
-        return t - su @ sla.lu_solve(cap_lu, v_t(t))
+        return t - su @ sla.lu_solve(cap_lu, hs.gain(t[n:]))
 
     return apply
 
@@ -334,11 +345,19 @@ def _h_matvec(hs: HamiltonianSystem, a_sp, c1_sp):
 
     def apply(x):
         x1, x2 = x[:n], x[n:]
-        top = a_sp @ x1 - hs.n_gain @ sla.cho_solve(hs._r1_chol, hs.n_gain.T @ x2)
+        top = a_sp @ x1 + hs.n_gain @ hs.gain(x2)
         bot = -(c1_t @ (c1_sp @ x1)) - a_t @ x2
         return np.concatenate([top, bot])
 
     return apply
+
+
+# Krylov eigenpairs pass when ||H Z - Z Lambda||_F <= this max(1, ||H Z||_F),
+# a check of the realified block against H itself.  Converged runs on the
+# seed-7 consensus plants (n = 24 to 800, kappa = 4) read 5e-14 to 2e-12, and
+# Ritz vectors perturbed by 1e-3 fail.  It guards one algorithm's output, so
+# it is a module constant, not a Tolerances field.
+_KRYLOV_BLOCK_RESIDUAL = 1e-6
 
 
 def _krylov_stable_blocks(hs: HamiltonianSystem, kappa: int,
@@ -353,7 +372,7 @@ def _krylov_stable_blocks(hs: HamiltonianSystem, kappa: int,
     needs no matching tolerance.  Every failure raises
     ArnoldiNoConvergence naming its cause: a singular shifted LU factor, an
     ARPACK error or non-convergence, fewer than kappa stable columns, or a
-    block residual ||H Z - Z Lambda||_F above 1e-6 max(1, ||H Z||_F).
+    block residual above the ``_KRYLOV_BLOCK_RESIDUAL`` gate.
     """
     n = hs.n
     a_sp = sp.csc_matrix(hs.a)
@@ -388,6 +407,6 @@ def _krylov_stable_blocks(hs: HamiltonianSystem, kappa: int,
     z = np.vstack([sub.z1, sub.z2])
     hz = np.column_stack([h_apply(z[:, j]) for j in range(z.shape[1])])
     res = np.linalg.norm(hz - z @ sub.lam, "fro")
-    if res > 1e-6 * max(1.0, float(np.linalg.norm(hz, "fro"))):
+    if res > _KRYLOV_BLOCK_RESIDUAL * max(1.0, np.linalg.norm(hz, "fro")):
         raise ArnoldiNoConvergence(f"block residual {res:.3e}")
     return sub

@@ -437,7 +437,7 @@ def solve_are(a, b, c, r, tol: Tolerances = DEFAULT_TOLERANCES) -> AreSolution:
     HamiltonianImaginaryAxis : H has an eigenvalue on jR (signals the
         imaginary-axis observability assumption is violated).
     SingularZ1 : the stable subspace is not complementary to the graph axis.
-    SingularR : R is not positive definite.
+    SingularR, IllConditionedR : R is singular, or cond(R) > cond_max.
     NotHurwitz : the closed loop A - M X has abscissa >= -hurwitz_margin.
     """
     from .hamiltonian import build_hamiltonian   # that module imports this one
@@ -620,6 +620,14 @@ def _order_key(lam: complex):
     return (abs(lam), lam.real, abs(lam.imag))
 
 
+# [Re v, Im v] of a conjugate pair is degenerate when |det R| of its QR
+# factor is below this times ||[Re v, Im v]||_F^2 = ||R||_F^2.  The ratio is
+# 1 / (c + 1/c), c = cond(R), so the test reads c > 1e14 at any scale of v
+# (||R||_F = 1 for a unit v, as geev gives); the similarity
+# R [[a, b], [-b, a]] R^{-1} would then keep two digits at most.
+_REALIFY_DEGENERATE = 1e-14
+
+
 def _realify_sorted(pairs, n) -> StableSubspace:
     """pairs: list of (lambda, vector(2n complex), is_pair) sorted already.
 
@@ -633,7 +641,8 @@ def _realify_sorted(pairs, n) -> StableSubspace:
         if is_pair:
             raw = np.column_stack([vec.real, vec.imag])
             q, r_fac = np.linalg.qr(raw)
-            if abs(np.linalg.det(r_fac)) < 1e-14 * np.linalg.norm(raw):
+            area = abs(np.linalg.det(r_fac))
+            if area < _REALIFY_DEGENERATE * np.linalg.norm(raw) ** 2:
                 raise NumericalError("degenerate conjugate-pair realification")
             a_, b_ = lam.real, lam.imag
             base = np.array([[a_, b_], [-b_, a_]])

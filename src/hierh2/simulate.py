@@ -57,8 +57,8 @@ _BLOCK = 128
 class CoordinatorLog:
     """Structural record of everything one coordinator observed."""
 
-    cluster_outputs: tuple[int, ...]   # raw measurement indices it may read
-    cluster_inputs: tuple[int, ...]    # control channels it may broadcast to
+    cluster_outputs: tuple[int, ...] | None  # raw outputs it may read
+    cluster_inputs: tuple[int, ...] | None   # inputs it may broadcast to
     raw_outputs_seen: set = field(default_factory=set)  # support of P_y row
     inputs_written: set = field(default_factory=set)    # support of P_u row
 
@@ -100,17 +100,15 @@ def noise_disturbance(seed: int, scale: float = 1.0):
 
 
 def _coordinator_layout(controller, partition: ClusterPartition | None):
-    """One log per coordinator: the declared cluster (the partition's, or by
-    default the supports of the projection rows) and what the staged
-    schedule actually reads and writes, the supports of its P_y and P_u
-    rows."""
+    """One log per coordinator: the declared cluster (the partition's, or
+    None without one) and what the staged schedule actually reads and
+    writes, the supports of its P_y and P_u rows."""
     logs = []
     for i in range(controller.p_u.shape[0]):
         reads = tuple(int(j) for j in np.nonzero(controller.p_y[i])[0])
         writes = tuple(int(j) for j in np.nonzero(controller.p_u[i])[0])
-        if partition is None:
-            outs, ins = reads, writes
-        else:
+        outs = ins = None
+        if partition is not None:
             outs = tuple(partition.output_sets[i])
             ins = tuple(partition.input_sets[i])
         logs.append(CoordinatorLog(cluster_outputs=outs, cluster_inputs=ins,
@@ -183,9 +181,8 @@ def run_hier_simulation(g: GeneralizedPlant, controller: HierarchicalController,
     product each, and so is z = C1 x + D12 u once a block is done.
 
     ``partition`` declares each coordinator's cluster, which the privacy
-    audit checks the reads against.  Without it, each coordinator's cluster
-    is taken to be what it reads, so ``privacy_audit`` of the trace holds
-    by construction and shows nothing.
+    audit checks the reads against.  Without it no cluster is declared,
+    and ``privacy_audit`` of the trace returns None.
 
     Raises PreconditionError for a dt that is not finite, not positive or
     above the limit, a horizon that is not finite or negative, or a
@@ -312,15 +309,17 @@ def run_hier_simulation(g: GeneralizedPlant, controller: HierarchicalController,
                      staged_vs_monolithic=max_rel)
 
 
-def privacy_audit(trace: SimTrace) -> bool:
+def privacy_audit(trace: SimTrace) -> bool | None:
     """Structural check: no coordinator read raw outputs outside its cluster.
 
     Coordinators legitimately see every averaged entry of ybar; the raw
     measurements a coordinator reads (the support of its P_y row) must stay
     within its own cluster.  A write outside the cluster (the support of a
-    P_u row) shows up as an extra link in ``links_used``.
+    P_u row) shows up as an extra link in ``links_used``.  None when the
+    run declared no clusters (no partition): there is nothing to audit.
     """
-    for log in trace.coordinator_logs:
-        if not set(log.raw_outputs_seen) <= set(log.cluster_outputs):
-            return False
-    return True
+    logs = trace.coordinator_logs
+    if any(log.cluster_outputs is None for log in logs):
+        return None
+    return all(set(log.raw_outputs_seen) <= set(log.cluster_outputs)
+               for log in logs)

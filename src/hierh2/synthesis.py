@@ -5,35 +5,33 @@ K = P_u^T K~ P_y reduces to an unconstrained two-Riccati design on the
 projected channels: X over (A, B2 P_u^T, C1) and Y over the dual, with the
 optimal reduced controller in observer form.  The exact backend solves both
 AREs through the full Hamiltonian subspace; the approximate backend swaps in
-kappa-truncated solutions.
+kappa-truncated solutions.  Each gain comes from its equation's
+:meth:`~hierh2.hamiltonian.HamiltonianSystem.gain`, on the one factor of R.
 
-A synthesis returns its observer loop as :class:`YoulaData`: the gains
-F = P_u^T F2, L = L2 P_y, kept as their rank-r factors, and the real Schur
-factors of A + B2 F and A + L C2, each checked for stability where it is
-made (by the Riccati solver or by :func:`youla_data`).  The record gives the
-closed-loop H2 value by the observer separation, and the n-state Youla data
-of the gap layer.  The H2 value never leaves the two Schur bases: the
-closed-loop Gramian is one chain of three triangular solves
-(:func:`_block_gramian` on :func:`~hierh2.linalg.solve_sylvester_schur`),
-its data are moved into the bases once, every gain term is formed from the
-factors P_u^T, F2, L2, P_y rather than as an n x n product, and the traces
-are contracted in Schur coordinates (:func:`_observer_closed_loop_h2`).
+A synthesis returns its observer loop as :class:`YoulaData`: the projection
+pair (the identity pair for an unprojected loop), the reduced gains F2, L2,
+and the real Schur factors of A + B2 F and A + L C2, each checked for
+stability where it is made.  The record forms the controller (P_u, K~, P_y)
+once, and gives the closed-loop H2 value by the observer separation without
+leaving the two Schur bases: one chain of three triangular solves
+(:func:`_block_gramian`), with every gain term formed from the factors
+rather than as an n x n product (:func:`_observer_closed_loop_h2`).
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-import scipy.linalg as sla
 
 from .config import DEFAULT_TOLERANCES, Tolerances
-from .errors import (ApproxNotStabilizing, HypothesisFailure, IllConditionedR,
+from .errors import (ApproxNotStabilizing, HypothesisFailure,
                      NotStabilizingGains)
 from .hamiltonian import HamiltonianSystem, approx_are, build_hamiltonian
 from .linalg import (RealSchur, riccati_from_hamiltonian,
-                     solve_sylvester_schur, symmetrize)
+                     solve_sylvester_schur)
 from .plant import GeneralizedPlant, _a4_cross_terms
 from .projection import ClusterPartition, ProjectionPair, _projected_pbh_failure
 from .statespace import StateSpace
@@ -66,12 +64,10 @@ class YoulaData:
     its Youla system.
 
     The gains are kept factored: F = P_u^T F2 and L = L2 P_y with the
-    reduced gains `f2` (r x n) and `l2` (n x r) and the projections `p_u`,
-    `p_y`.  A loop with no projection (the reference and equivalence-form
-    loops of the gap layer) has ``p_u`` and ``p_y`` None, and its reduced
-    gains are the gains themselves.  :meth:`fold_u` and :meth:`fold_y` fold a
-    projection into a plant matrix, so B2 F = fold_u(B2) F2 and
-    L C2 = L2 fold_y(C2) cost O(r n^2), not an n x n product.
+    reduced gains `f2` (r_u x n), `l2` (n x r_y) and the projection pair
+    `p`, the identity pair for a loop with no cluster structure.
+    :meth:`fold_u` and :meth:`fold_y` fold a projection into a plant
+    matrix, so B2 F = fold_u(B2) F2 and L C2 = L2 fold_y(C2) cost O(r n^2).
 
     Every stable Q gives f(G, K_Q) = T11 + T12 Q T21, T11 being the closed
     loop of :attr:`controller`.  The state matrix of T is block triangular,
@@ -81,30 +77,29 @@ class YoulaData:
     """
 
     g: GeneralizedPlant
+    p: ProjectionPair
     f2: np.ndarray
     l2: np.ndarray
     f_loop: RealSchur
     l_loop: RealSchur
-    p_u: np.ndarray | None = None
-    p_y: np.ndarray | None = None
 
     def fold_u(self, m: np.ndarray) -> np.ndarray:
-        """m P_u^T (m when F is unprojected), so that m F = fold_u(m) F2."""
-        return m if self.p_u is None else m @ self.p_u.T
+        """m P_u^T, so that m F = fold_u(m) F2."""
+        return m @ self.p.p_u.T
 
     def fold_y(self, m: np.ndarray) -> np.ndarray:
-        """P_y m (m when L is unprojected), so that L m = L2 fold_y(m)."""
-        return m if self.p_y is None else self.p_y @ m
+        """P_y m, so that L m = L2 fold_y(m)."""
+        return self.p.p_y @ m
 
     @property
     def f(self) -> np.ndarray:
         """F = P_u^T F2."""
-        return self.f2 if self.p_u is None else self.p_u.T @ self.f2
+        return self.p.p_u.T @ self.f2
 
     @property
     def l(self) -> np.ndarray:
         """L = L2 P_y."""
-        return self.l2 if self.p_y is None else self.l2 @ self.p_y
+        return self.l2 @ self.p.p_y
 
     @property
     def t12(self) -> StateSpace:
@@ -120,47 +115,42 @@ class YoulaData:
         return StateSpace(self.l_loop.a, g.b1 + self.l2 @ self.fold_y(g.d21),
                           g.c2, g.d21)
 
-    @property
-    def controller(self) -> StateSpace:
-        """Observer controller (A + B2 F + L C2, -L, F, 0)."""
+    @cached_property
+    def controller(self) -> HierarchicalController:
+        """Observer controller P_u^T K~ P_y, K~ = (A + B2 F + L C2, -L2,
+        F2, 0), formed once; ``.expand()`` is (A + B2 F + L C2, -L, F, 0)."""
         g = self.g
         a = g.a + self.fold_u(g.b2) @ self.f2 + self.l2 @ self.fold_y(g.c2)
-        return StateSpace(a, -self.l, self.f, np.zeros((g.n_u, g.n_y)))
+        k_tilde = StateSpace(a, -self.l2, self.f2,
+                             np.zeros((self.f2.shape[0], self.l2.shape[1])))
+        return HierarchicalController(self.p.p_u, k_tilde, self.p.p_y)
 
 
-def youla_data(g: GeneralizedPlant, f, l,
-               tol: Tolerances = DEFAULT_TOLERANCES, *,
-               p_u: np.ndarray | None = None,
-               p_y: np.ndarray | None = None) -> YoulaData:
-    """Youla data of the stabilizing pair F = P_u^T f, L = l P_y (F = f and
-    L = l when no projection is given).
+def youla_data(g: GeneralizedPlant, p: ProjectionPair, f2, l2,
+               tol: Tolerances = DEFAULT_TOLERANCES) -> YoulaData:
+    """Youla data of the stabilizing pair F = P_u^T f2, L = l2 P_y.
 
     Makes the real Schur factors of A + B2 F and A + L C2, each formed from
     the gain factors, and decides stability on them: NotStabilizingGains,
     naming the control or the filter loop and its abscissa, when either has
-    an eigenvalue at Re >= -hurwitz_margin.
+    an eigenvalue at Re >= -hurwitz_margin.  HypothesisFailure when the
+    pair or the gain shapes do not match the plant.
     """
-    f = np.asarray(f, float)
-    l = np.asarray(l, float)
-    rows_u = g.n_u if p_u is None else p_u.shape[0]
-    cols_y = g.n_y if p_y is None else p_y.shape[0]
-    if (f.shape != (rows_u, g.n) or l.shape != (g.n, cols_y)
-            or (p_u is not None and p_u.shape[1] != g.n_u)
-            or (p_y is not None and p_y.shape[1] != g.n_y)):
-        raise HypothesisFailure(
-            f"gain shapes {f.shape}, {l.shape} do not match plant dims")
-    b2u = g.b2 if p_u is None else g.b2 @ p_u.T
-    c2y = g.c2 if p_y is None else p_y @ g.c2
-    f_loop = RealSchur.of(g.a + b2u @ f)
-    l_loop = RealSchur.of(g.a + l @ c2y)
+    f2, l2 = np.asarray(f2, float), np.asarray(l2, float)
+    if (p.n_u != g.n_u or p.n_y != g.n_y
+            or f2.shape != (p.p_u.shape[0], g.n)
+            or l2.shape != (g.n, p.p_y.shape[0])):
+        raise HypothesisFailure(f"gains {f2.shape}, {l2.shape} or projections "
+                                f"{p.p_u.shape}, {p.p_y.shape} do not fit the plant")
+    f_loop = RealSchur.of(g.a + (g.b2 @ p.p_u.T) @ f2)
+    l_loop = RealSchur.of(g.a + l2 @ (p.p_y @ g.c2))
     for loop, name in ((f_loop, "the control loop A + B2 F"),
                        (l_loop, "the filter loop A + L C2")):
         if loop.abscissa >= -tol.hurwitz_margin:
             raise NotStabilizingGains(
                 f"{name} has spectral abscissa {loop.abscissa:.3e} "
                 f">= {-tol.hurwitz_margin:.1e}")
-    return YoulaData(g=g, f2=f, l2=l, f_loop=f_loop, l_loop=l_loop,
-                     p_u=p_u, p_y=p_y)
+    return YoulaData(g=g, p=p, f2=f2, l2=l2, f_loop=f_loop, l_loop=l_loop)
 
 
 # ---------------------------------------------------------------------------
@@ -169,31 +159,25 @@ def youla_data(g: GeneralizedPlant, f, l,
 
 @dataclass
 class SynthesisResult:
-    """The controller, X, Y, the reduced gains F2, L2, and `youla`, the
-    observer loop of P_u^T F2 and L2 P_y that gave `h2_value`."""
+    """X, Y and `youla`, the observer loop that gave `h2_value`, off which
+    the controller and the reduced gains F2, L2 are read."""
 
-    controller: HierarchicalController
     x: np.ndarray
     y: np.ndarray
-    f2: np.ndarray
-    l2: np.ndarray
     h2_value: float
     solve_time: float
     youla: YoulaData
     x_solution: object = None     # AreSolution or ApproxAreSolution
     y_solution: object = None
 
+    controller = property(lambda self: self.youla.controller)
+    f2 = property(lambda self: self.youla.f2)
+    l2 = property(lambda self: self.youla.l2)
+
     @property
     def closed_loop_abscissa(self) -> float:
         """max Re(lambda) of the closed loop, read off the two loop factors."""
         return max(self.youla.f_loop.abscissa, self.youla.l_loop.abscissa)
-
-
-def _spd_solve(r: np.ndarray, rhs: np.ndarray, what: str,
-               tol: Tolerances) -> np.ndarray:
-    if np.linalg.cond(r) > tol.cond_max:
-        raise IllConditionedR(f"{what} condition number exceeds {tol.cond_max:.1e}")
-    return sla.cho_solve(sla.cho_factor(symmetrize(r)), rhs)
 
 
 def _check_hypotheses(g: GeneralizedPlant, p: ProjectionPair, tol: Tolerances):
@@ -228,19 +212,17 @@ def _block_gramian(f1: RealSchur, f2: RealSchur, a12, q11: np.ndarray,
 
 
 def _observer_closed_loop_h2(yd: YoulaData, tol: Tolerances) -> float:
-    """H2 value of the closed loop of ``yd.controller``, in Schur coordinates.
+    """H2 value of the closed loop of ``yd.controller``, in Schur coordinates:
+    h2_norm(lft_lower(G, yd.controller.expand())) without a 2n Schur form.
 
     In (x, e = x - xhat) coordinates the closed loop is block triangular,
     A = [[A_F, -B2 F], [0, A_L]], B = [B1; B1 + L D21] and
-    C = [C1 + D12 F, -D12 F].  With A_F = U1 T1 U1' and A_L = U2 T2 U2' the
-    factors `yd` holds, the Gramian blocks come from :func:`_block_gramian`
-    in those bases.  The plant's factors of B1 B1' and C1'C1 are moved into
-    them once; every gain term is formed from the gain factors
-    (B2 F = fold_u(B2) F2, L D21 = L2 fold_y(D21)), so it costs O(r n^2);
-    and the traces tr(C Phi C') are contracted against the Schur-coordinate
-    blocks, with no transform back.  This equals
-    h2_norm(lft_lower(G, yd.controller)) without a Schur form of the 2n
-    matrix.
+    C = [C1 + D12 F, -D12 F].  The Gramian blocks come from
+    :func:`_block_gramian` in the Schur bases of A_F and A_L that `yd`
+    holds.  The plant's factors of B1 B1' and C1'C1 are moved into them
+    once; every gain term is formed from the gain factors
+    (B2 F = fold_u(B2) F2, L D21 = L2 fold_y(D21)) in O(r n^2); and the
+    traces tr(C Phi C') are contracted in Schur coordinates.
     """
     g, f2, l2 = yd.g, yd.f2, yd.l2
     u1, u2 = yd.f_loop.u, yd.l_loop.u
@@ -273,14 +255,12 @@ def _observer_closed_loop_h2(yd: YoulaData, tol: Tolerances) -> float:
     return float(np.sqrt(max(val, 0.0)))
 
 
-def control_hamiltonian(g: GeneralizedPlant, p_u: np.ndarray | None,
+def control_hamiltonian(g: GeneralizedPlant, p: ProjectionPair,
                         tol: Tolerances = DEFAULT_TOLERANCES) -> HamiltonianSystem:
     """The X equation of the projected design: input B2 P_u^T and weight
-    R1 = P_u D12'D12 P_u^T, or B2 and D12'D12 when `p_u` is None."""
-    if p_u is None:
-        return build_hamiltonian(g.a, g.b2, g.c1, g.d12.T @ g.d12, tol)
-    return build_hamiltonian(g.a, g.b2 @ p_u.T, g.c1,
-                             p_u @ g.d12.T @ g.d12 @ p_u.T, tol)
+    R1 = P_u D12'D12 P_u^T."""
+    return build_hamiltonian(g.a, g.b2 @ p.p_u.T, g.c1,
+                             p.p_u @ g.d12.T @ g.d12 @ p.p_u.T, tol)
 
 
 def synthesize_hierarchical(g: GeneralizedPlant, p: ProjectionPair,
@@ -289,21 +269,22 @@ def synthesize_hierarchical(g: GeneralizedPlant, p: ProjectionPair,
                             tol: Tolerances = DEFAULT_TOLERANCES) -> SynthesisResult:
     """Optimal hierarchical controller K = P_u^T K~ P_y for the given pair.
 
-    Each Riccati equation is built once, as a HamiltonianSystem.  With
+    Each Riccati equation is built once, as a HamiltonianSystem, which
+    rejects a singular or ill-conditioned weight and gives the gains
+    F2 = -R1^{-1} P_u B2' X and L2' = -R2^{-1} P_y C2 Y.  With
     ``are_backend='exact'`` both are solved through the full stable
     Hamiltonian subspace.  With ``'approx'`` they are replaced by
     kappa-truncated solutions, of which only X~ is computed; their residue
     certificates (``x_solution.stabilizing``, ``y_solution.stabilizing``)
     are diagnostics, computed when read.  The result's ``youla`` holds the
-    gain factors (F = P_u^T F2, L = L2 P_y) and the real Schur factors of
-    the control block A + B2 F and the filter block A + L C2, and stability
-    is decided once per block, at -hurwitz_margin, where the factor is made.
-    The exact backend takes the Riccati closed-loop factors, which the
-    Riccati solver has checked (:class:`NotHurwitz`); the approx backend
-    factors both blocks in :func:`youla_data` and raises
-    :class:`ApproxNotStabilizing` naming the failing loop (raise kappa).
-    The same factors then give the closed-loop H2 value through the
-    observer separation, computed in their Schur bases.
+    pair, the gain factors and the real Schur factors of the control block
+    A + B2 F and the filter block A + L C2, and stability is decided once
+    per block, at -hurwitz_margin, where the factor is made.  The exact
+    backend takes the Riccati closed-loop factors, which the Riccati solver
+    has checked (:class:`NotHurwitz`); the approx backend factors both
+    blocks in :func:`youla_data` and raises :class:`ApproxNotStabilizing`
+    naming the failing loop (raise kappa).  The same factors then give the
+    closed-loop H2 value through the observer separation.
 
     ``solve_time`` measures Riccati solves plus gain assembly; closed-loop
     evaluation is excluded.
@@ -315,7 +296,7 @@ def synthesize_hierarchical(g: GeneralizedPlant, p: ProjectionPair,
         raise ValueError("approx backend requires kappa")
 
     t0 = time.perf_counter()
-    hs_x = control_hamiltonian(g, p.p_u, tol)
+    hs_x = control_hamiltonian(g, p, tol)
     hs_y = build_hamiltonian(g.a.T, (p.p_y @ g.c2).T, g.b1.T,
                              p.p_y @ g.d21 @ g.d21.T @ p.p_y.T, tol)
     if are_backend == "exact":
@@ -327,28 +308,21 @@ def synthesize_hierarchical(g: GeneralizedPlant, p: ProjectionPair,
         y_sol = approx_are(hs_y, kappa, method=method, tol=tol)
         x, y = x_sol.xbar, y_sol.xbar
 
-    f2 = -_spd_solve(hs_x.r1, p.p_u @ g.b2.T @ x, "R1", tol)
-    l2 = -_spd_solve(hs_y.r1, p.p_y @ g.c2 @ y, "R2", tol).T
+    f2, l2 = hs_x.gain(x), hs_y.gain(y).T
     elapsed = time.perf_counter() - t0
 
     if are_backend == "exact":
-        yd = YoulaData(g=g, f2=f2, l2=l2, f_loop=x_sol.closed_loop,
-                       l_loop=y_sol.closed_loop.transposed(),
-                       p_u=p.p_u, p_y=p.p_y)
+        yd = YoulaData(g=g, p=p, f2=f2, l2=l2, f_loop=x_sol.closed_loop,
+                       l_loop=y_sol.closed_loop.transposed())
     else:
         try:
-            yd = youla_data(g, f2, l2, tol, p_u=p.p_u, p_y=p.p_y)
+            yd = youla_data(g, p, f2, l2, tol)
         except NotStabilizingGains as e:
             raise ApproxNotStabilizing(f"kappa={kappa}: {e}") from e
 
-    k_tilde = StateSpace(
-        a=g.a + yd.fold_u(g.b2) @ f2 + l2 @ yd.fold_y(g.c2),
-        b=-l2, c=f2, d=np.zeros((f2.shape[0], l2.shape[1])))
-    controller = HierarchicalController(p_u=p.p_u, k_tilde=k_tilde, p_y=p.p_y)
     return SynthesisResult(
-        controller=controller, x=x, y=y, f2=f2, l2=l2,
-        h2_value=_observer_closed_loop_h2(yd, tol), solve_time=elapsed,
-        youla=yd, x_solution=x_sol, y_solution=y_sol)
+        x=x, y=y, h2_value=_observer_closed_loop_h2(yd, tol),
+        solve_time=elapsed, youla=yd, x_solution=x_sol, y_solution=y_sol)
 
 
 def synthesize_unconstrained(g: GeneralizedPlant,

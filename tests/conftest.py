@@ -2,7 +2,12 @@ import numpy as np
 import pytest
 
 from hierh2 import (ClusterPartition, GeneralizedPlant, NetworkSpec,
-                    generate_consensus_network)
+                    ProjectionPair, generate_consensus_network)
+
+
+def identity_pair(g):
+    """The projection pair of an unprojected loop on the plant `g`."""
+    return ProjectionPair(np.eye(g.n_u), np.eye(g.n_y))
 
 
 def random_stable_matrix(rng, n, margin=0.3):

@@ -287,7 +287,7 @@ def test_criterion_10_qi_and_equivalence():
         pair = build_projection(part, WeightVectors.ones(nu, nu))
         hier = synthesize_hierarchical(g, pair)
         k_opt = hier.controller.expand()
-        k_equiv = doubly_projected_controller(g, pair).controller
+        k_equiv = doubly_projected_controller(g, pair).controller.expand()
         for w in np.logspace(-2, 2, 10):
             ref = k_opt.eval(1j * w)
             err = np.linalg.norm(k_equiv.eval(1j * w) - ref)

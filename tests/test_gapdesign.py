@@ -17,7 +17,7 @@ from hierh2 import (DEFAULT_TOLERANCES, ClusterPartition, ExperimentConfig,
                     weighted_kmeans, youla_data)
 from hierh2.errors import DegenerateData, NumericalError
 
-from conftest import random_h2_plant, random_partition
+from conftest import identity_pair, random_h2_plant, random_partition
 from oracles import (hat_gap_weights, hat_spectral_factors, lyapunov_kron,
                      youla_hat)
 from test_synthesis import scalar_plant
@@ -35,7 +35,7 @@ def test_scalar_plant_hat_riccati_hand_value():
     # unconstrained optimizer Q* is identically zero; the n-state factors
     # give the same Fhat and Lhat
     g = scalar_plant()
-    yd = youla_data(g, f=[[-1.0]], l=[[-1.0]])
+    yd = youla_data(g, identity_pair(g), [[-1.0]], [[-1.0]])
     sf = spectral_factors(yd, g.d12, g.d21)
     hat = hat_spectral_factors(yd, g.d12, g.d21)
     assert np.allclose(hat.xhat, [[1.0, 0.0], [0.0, 0.0]], atol=1e-9)
@@ -251,7 +251,7 @@ def test_doubly_projected_equivalence_controller():
         pair = build_projection(part, WeightVectors.ones(3, 3))
         hier = synthesize_hierarchical(g, pair)
         k_opt = hier.controller.expand()
-        k_equiv = doubly_projected_controller(g, pair).controller
+        k_equiv = doubly_projected_controller(g, pair).controller.expand()
         for w in np.logspace(-2, 2, 10):
             ref = k_opt.eval(1j * w)
             assert np.linalg.norm(k_equiv.eval(1j * w) - ref) <= \
@@ -268,7 +268,7 @@ def test_equivalence_form_matches_j2_on_consensus_n200():
     part = cfg.planted_partition(g, 200)
     pair = build_projection(part, WeightVectors.ones(g.n_u, g.n_y))
     j2 = synthesize_hierarchical(g, pair).h2_value
-    k_equiv = doubly_projected_controller(g, pair).controller
+    k_equiv = doubly_projected_controller(g, pair).controller.expand()
     h2_equiv = h2_norm(lft_lower(g, k_equiv))
     assert h2_equiv == pytest.approx(j2, rel=1e-9)
     # the observer separation that evaluate_partition uses agrees with the
@@ -408,8 +408,9 @@ def test_n_state_factors_match_hat_oracle_consensus(n):
 
 def test_n_state_factors_match_hat_oracle_small_plants():
     g = scalar_plant()
-    _assert_factors_match_oracle(youla_data(g, f=[[-1.0]], l=[[-1.0]]),
-                                 synthesize_unconstrained(g))
+    _assert_factors_match_oracle(
+        youla_data(g, identity_pair(g), [[-1.0]], [[-1.0]]),
+        synthesize_unconstrained(g))
     rng = np.random.default_rng(7)
     g = _non_identity_weight_plant(rng, 8, 3, 2)
     assert not np.allclose(g.d12.T @ g.d12, np.eye(3))
@@ -517,7 +518,7 @@ def _lqr_youla_data(seed, n, nu, ny):
         return None
     f = -np.linalg.solve(r_u, g.b2.T @ x)
     l = -np.linalg.solve(r_y, g.c2 @ y).T
-    return youla_data(g, f=f, l=l)
+    return youla_data(g, identity_pair(g), f, l)
 
 
 def test_large_x_riccati_meets_its_scaled_bound():

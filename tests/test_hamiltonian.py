@@ -3,10 +3,10 @@ import pytest
 
 from hierh2 import (DEFAULT_TOLERANCES, StateSpace, approx_are,
                     build_hamiltonian, cauchy_coefficients, error_bound,
-                    exact_error_norm, h2_norm, solve_are, solve_lyapunov,
-                    spectral_abscissa, stability_test)
+                    exact_error_norm, h2_norm, hamiltonian, solve_are,
+                    solve_lyapunov, spectral_abscissa, stability_test)
 from hierh2.linalg import solve_sylvester
-from hierh2.errors import ArnoldiNoConvergence, SingularR
+from hierh2.errors import ArnoldiNoConvergence, IllConditionedR, SingularR
 
 from conftest import random_are_instance
 
@@ -47,6 +47,24 @@ def test_hamiltonian_eigenvalues_mirror():
 def test_build_rejects_singular_r():
     with pytest.raises(SingularR):
         build_hamiltonian(np.eye(2), np.eye(2), np.eye(2), np.zeros((2, 2)))
+
+
+def test_build_rejects_ill_conditioned_r():
+    # R is positive definite, so its Cholesky factor exists, but
+    # cond(R) = 1e13 exceeds cond_max = 1e12
+    r = np.diag([1.0, 1e-13])
+    with pytest.raises(IllConditionedR):
+        build_hamiltonian(np.eye(2), np.eye(2), np.eye(2), r)
+    build_hamiltonian(np.eye(2), np.eye(2), np.eye(2), r,
+                      DEFAULT_TOLERANCES.with_(cond_max=1e14))
+
+
+def test_gain_solves_with_the_factor_of_r():
+    rng = np.random.default_rng(4)
+    hs, (a, b, c, r) = hamiltonian_instance(rng, 5)
+    x = solve_are(a, b, c, r).x
+    assert np.allclose(hs.gain(x), -np.linalg.solve(r, b.T @ x),
+                       rtol=1e-12, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -338,6 +356,16 @@ def test_krylov_rejects_a_bad_ritz_set(monkeypatch, corrupt, cause):
     monkeypatch.setattr(spla, "eigs", bad_ritz)
     with pytest.raises(ArnoldiNoConvergence, match=cause):
         approx_are(_consensus_hamiltonian(), kappa=4, method="krylov")
+
+
+def test_krylov_block_residual_gate_fires_on_a_clean_run(monkeypatch):
+    # the run converges (the default gate passes it), but no residual is
+    # below 1e-20 max(1, ||H Z||_F)
+    hs = _consensus_hamiltonian()
+    approx_are(hs, kappa=4, method="krylov")
+    monkeypatch.setattr(hamiltonian, "_KRYLOV_BLOCK_RESIDUAL", 1e-20)
+    with pytest.raises(ArnoldiNoConvergence, match="block residual"):
+        approx_are(hs, kappa=4, method="krylov")
 
 
 def test_krylov_is_reproducible():

@@ -218,6 +218,27 @@ def test_audits_catch_a_leaky_projection(leak):
     assert 23 in seen
 
 
+def test_privacy_audit_without_a_partition_reads_none():
+    # without a partition no cluster is declared, so there is nothing to
+    # audit against: the audit reads None, not a vacuous True, even for a
+    # coordinator that reads output 23 of another cluster
+    cfg = ExperimentConfig(seed=7)
+    g = cfg.plant(24)
+    part = cfg.planted_partition(g, 24)
+    pair = build_projection(part, WeightVectors.ones(g.n_u, g.n_y))
+    ctrl = synthesize_hierarchical(g, pair).controller
+    p_y = ctrl.p_y.copy()
+    p_y[0, 23] += 1e-3
+    leaky = HierarchicalController(p_u=ctrl.p_u, k_tilde=ctrl.k_tilde,
+                                   p_y=p_y)
+    sim = run_hier_simulation(g, leaky, horizon=0.2)
+    assert all(log.cluster_outputs is None
+               for log in sim.trace.coordinator_logs)
+    assert privacy_audit(sim.trace) is None
+    sim = run_hier_simulation(g, leaky, horizon=0.2, partition=part)
+    assert privacy_audit(sim.trace) is False
+
+
 def test_audits_catch_a_missing_link():
     # zero both weights of one subsystem inside a cluster: its coordinator
     # neither reads its output nor writes its input, so one link goes

@@ -14,7 +14,8 @@ from hierh2.errors import (ApproxNotStabilizing, HypothesisFailure,
 from hierh2 import hamiltonian, linalg, synthesis
 from hierh2.projection import random_stable_statespace
 
-from conftest import random_h2_plant, random_partition, random_stable_matrix
+from conftest import (identity_pair, random_h2_plant, random_partition,
+                      random_stable_matrix)
 from oracles import lft_controller, youla_hat
 
 FREQS = np.logspace(-2, 2, 15)
@@ -37,12 +38,12 @@ def scalar_plant():
 def h2_youla_data(g):
     """Youla data of the unconstrained H2 gains."""
     base = synthesize_unconstrained(g)
-    return youla_data(g, f=base.youla.f, l=base.youla.l)
+    return youla_data(g, identity_pair(g), base.youla.f, base.youla.l)
 
 
 def test_scalar_plant_hat_matrices_by_hand():
     g = scalar_plant()
-    hat = youla_hat(youla_data(g, f=[[-1.0]], l=[[-1.0]]))
+    hat = youla_hat(youla_data(g, identity_pair(g), [[-1.0]], [[-1.0]]))
     assert np.allclose(hat.a_hat, [[-1.0, 1.0], [0.0, -1.0]])
     assert np.allclose(hat.b1_hat, [[1.0, 0.0], [1.0, -1.0]])
     assert np.allclose(hat.b2_hat, [[1.0], [0.0]])
@@ -106,7 +107,21 @@ def test_t22_vanishes():
 def test_rejects_nonstabilizing_gains():
     g = scalar_plant()
     with pytest.raises(NotStabilizingGains):
-        youla_data(g, f=[[1.0]], l=[[-1.0]])
+        youla_data(g, identity_pair(g), [[1.0]], [[-1.0]])
+
+
+def test_youla_data_rejects_a_pair_or_gains_foreign_to_the_plant():
+    g = scalar_plant()
+    one = np.eye(1)
+    youla_data(g, identity_pair(g), [[-1.0]], [[-1.0]])
+    for pair, f2, l2 in (
+            (ProjectionPair(np.eye(2), one), [[-1.0], [0.0]], [[-1.0]]),
+            (ProjectionPair(one, np.eye(2)), [[-1.0]], [[-1.0, 0.0]]),
+            (ProjectionPair(one, one), [[-1.0, 0.0]], [[-1.0]]),
+            (ProjectionPair(one, one), [[-1.0]], [[-1.0], [0.0]]),
+            (ProjectionPair(one, one), [[-1.0], [0.0]], [[-1.0]])):
+        with pytest.raises(HypothesisFailure):
+            youla_data(g, pair, f2, l2)
 
 
 # ---------------------------------------------------------------------------
@@ -432,9 +447,9 @@ def test_h2_chain_keeps_the_cross_terms():
         WeightVectors(rng.uniform(0.5, 2.0, nu), rng.uniform(0.5, 2.0, ny)))
     f2 = 0.01 * rng.standard_normal((2, n))
     l2 = 0.01 * rng.standard_normal((n, 2))
-    factored = youla_data(g, f2, l2, p_u=pair.p_u, p_y=pair.p_y)
-    full = youla_data(g, factored.f, factored.l)
-    oracle = h2_norm(lft_lower(g, factored.controller))
+    factored = youla_data(g, pair, f2, l2)
+    full = youla_data(g, identity_pair(g), factored.f, factored.l)
+    oracle = h2_norm(lft_lower(g, factored.controller.expand()))
     for yd in (factored, full):
         value = synthesis._observer_closed_loop_h2(yd, DEFAULT_TOLERANCES)
         assert value == pytest.approx(oracle, rel=1e-9)
