@@ -25,7 +25,7 @@ from .gapdesign import (design_clusters, evaluate_partition,
 from .hamiltonian import approx_are, error_bound
 from .plant import NetworkSpec, generate_consensus_network, validate_assumptions
 from .projection import (ClusterPartition, ProjectionPair, WeightVectors,
-                         build_projection, feasible_weights)
+                         _policy_weights, build_projection)
 from .serialize import (load_controller, load_partition, load_plant,
                         save_controller, save_partition, save_plant,
                         write_manifest)
@@ -69,13 +69,11 @@ def _experiment_config(args) -> ExperimentConfig:
 
 
 def _resolve_partition_weights(args, g, tol):
+    """The partition file's stored weights, else those of ``--weights``."""
     partition, weights = load_partition(args.partition)
     if weights is None:
-        if getattr(args, "weights", "ones") == "eigenspan":
-            rng = np.random.default_rng(args.seed or 0)
-            weights = feasible_weights(g, partition, rng=rng, tol=tol)
-        else:
-            weights = WeightVectors.ones(g.n_u, g.n_y)
+        weights = _policy_weights(args.weights, g, partition, args.seed or 0,
+                                  tol)
     return partition, weights
 
 
@@ -162,11 +160,9 @@ def cmd_gap(args) -> int:
 def cmd_design_clusters(args) -> int:
     tol = tolerance_profile(args.tol_profile)
     g = load_plant(args.plant)
-    yd = reference_youla_data(g, tol)
-    sf = spectral_factors(yd, g.d12, g.d21, tol)
+    sf = spectral_factors(reference_youla_data(g, tol), g.d12, g.d21, tol)
     weights = WeightVectors.ones(g.n_u, g.n_y)
-    partition = design_clusters(sf, weights, args.r,
-                                rng=np.random.default_rng(args.seed or 0),
+    partition = design_clusters(sf, weights, args.r, rng=args.seed or 0,
                                 restarts=args.restarts)
     args.out.mkdir(parents=True, exist_ok=True)
     save_partition(partition, args.out / "partition.json", weights)
@@ -175,6 +171,7 @@ def cmd_design_clusters(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    tol = tolerance_profile(args.tol_profile)
     g = load_plant(args.plant)
     controller = load_controller(args.controller)
     kind, _, k = args.disturbance.partition(":")
@@ -186,7 +183,7 @@ def cmd_simulate(args) -> int:
     partition = (None if args.partition is None
                  else load_partition(args.partition)[0])
     res = run_hier_simulation(g, controller, horizon=args.horizon, dt=args.dt,
-                              disturbance=dist, partition=partition)
+                              disturbance=dist, partition=partition, tol=tol)
     args.out.mkdir(parents=True, exist_ok=True)
     with (args.out / "trace.jsonl").open("w") as fh:
         for i, t in enumerate(res.times):

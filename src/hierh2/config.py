@@ -7,6 +7,8 @@ override them coherently (e.g. the CLI's ``--tol-profile``).  Functions take a
 
 from dataclasses import dataclass, replace
 
+from .errors import InvalidInput
+
 
 @dataclass(frozen=True)
 class Tolerances:
@@ -64,4 +66,4 @@ def tolerance_profile(name: str) -> Tolerances:
     try:
         return _PROFILES[name]
     except KeyError:
-        raise ValueError(f"unknown tolerance profile {name!r}") from None
+        raise InvalidInput(f"unknown tolerance profile {name!r}") from None

@@ -3,6 +3,8 @@
 Two families matter for callers: :class:`PreconditionError` (bad inputs,
 violated hypotheses) and :class:`NumericalError` (a computation could not be
 completed reliably).  The CLI maps them to exit codes 2 and 3.
+:class:`InvalidInput` is the precondition error for an argument, document
+or config value outside its domain; it is also a ``ValueError``.
 """
 
 
@@ -19,6 +21,10 @@ class NumericalError(ToolkitError):
 
 
 # -- precondition violations -------------------------------------------------
+
+class InvalidInput(PreconditionError, ValueError):
+    """An argument, document or config value lies outside its domain."""
+
 
 class DimensionMismatch(PreconditionError):
     pass

@@ -42,7 +42,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from .config import DEFAULT_TOLERANCES, Tolerances
-from .errors import DegenerateData, ToolkitError
+from .errors import DegenerateData, InvalidInput, ToolkitError
 from .hamiltonian import build_hamiltonian
 from .linalg import (h2_norm, hinf_norm, riccati_from_hamiltonian,
                      solve_sylvester, sqrt_psd, symmetrize)
@@ -97,7 +97,7 @@ def spectral_factors(yd: YoulaData, d12, d21,
     """
     g = yd.g
     if not (np.array_equal(d12, g.d12) and np.array_equal(d21, g.d21)):
-        raise ValueError("d12, d21 differ from the Youla data's plant")
+        raise InvalidInput("d12, d21 differ from the Youla data's plant")
     return _factors(yd, synthesize_unconstrained(g, tol=tol), tol)
 
 
@@ -392,9 +392,9 @@ def weighted_kmeans(x: np.ndarray, weights: np.ndarray, r: int, rng=None,
     x = np.asarray(x, float)
     weights = np.asarray(weights, float).ravel()
     if x.ndim != 2 or weights.shape[0] != x.shape[0]:
-        raise ValueError("x must be (n, d) with one weight per row")
+        raise InvalidInput("x must be (n, d) with one weight per row")
     if not np.all(np.isfinite(x)):
-        raise ValueError("clustering data must be finite")
+        raise InvalidInput("clustering data must be finite")
     if np.unique(x, axis=0).shape[0] < r:
         raise DegenerateData(f"fewer than {r} distinct rows")
     best = None
@@ -437,7 +437,7 @@ def design_clusters(sf: SpectralFactors, weights: WeightVectors, r: int,
     rng = np.random.default_rng(rng)
     data_u, data_y = sf.embed_u, sf.embed_y
     if r > min(data_u.shape[0], data_y.shape[0]):
-        raise ValueError("r exceeds the number of inputs or outputs")
+        raise InvalidInput("r exceeds the number of inputs or outputs")
     labels_u, _, _ = weighted_kmeans(data_u, weights.w_u ** 2, r, rng, restarts)
     labels_y, _, _ = weighted_kmeans(data_y, weights.w_y ** 2, r, rng, restarts)
     if data_u.shape[0] == data_y.shape[0]:
@@ -475,7 +475,7 @@ def monotone_gap_sweep(sf: SpectralFactors, weights: WeightVectors, r_list,
     """
     r_list = list(r_list)
     if r_list != sorted(r_list):
-        raise ValueError("r_list must be ascending")
+        raise InvalidInput("r_list must be ascending")
     rng = np.random.default_rng(rng)
     rows = []
     for r in r_list:

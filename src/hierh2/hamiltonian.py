@@ -29,12 +29,11 @@ import scipy.sparse.linalg as spla
 
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import (ArnoldiNoConvergence, DimensionMismatch,
-                     IllConditionedR, ImaginaryAxisEigenvalue, SingularPencil,
-                     SingularR, SingularZ1)
-from .linalg import (RealSchur, StableSubspace, _check_imag_axis,
-                     _group_conjugates, _on_axis, _pbh_rank_deficient,
-                     _realify_sorted, solve_lyapunov, solve_sylvester,
-                     sqrt_psd, stable_eigenspace, symmetrize)
+                     IllConditionedR, InvalidInput, SingularPencil, SingularR,
+                     SingularZ1)
+from .linalg import (RealSchur, StableSubspace, _on_axis, _pbh_rank_deficient,
+                     _require_conditioned, _stable_set, solve_lyapunov,
+                     solve_sylvester, sqrt_psd, stable_eigenspace, symmetrize)
 from .statespace import as_matrix
 
 __all__ = [
@@ -97,7 +96,9 @@ def build_hamiltonian(a, b2pu, c1, r1,
     ------
     DimensionMismatch : A, B, C or R1 have incompatible shapes.
     SingularR : R1 is not positive definite (its factorization fails).
-    IllConditionedR : cond(R1) exceeds ``cond_max``.
+    IllConditionedR : cond(R1) exceeds ``cond_max``.  R1 is SPD once its
+        factor exists, so cond(R1) is lambda_max / lambda_min from
+        ``scipy.linalg.eigvalsh``, infinite when lambda_min <= 0.
     """
     a = as_matrix(a, "A")
     b2pu = as_matrix(b2pu, "B2Pu")
@@ -112,9 +113,9 @@ def build_hamiltonian(a, b2pu, c1, r1,
         chol = sla.cho_factor(r1)
     except sla.LinAlgError as e:
         raise SingularR(f"R1 is not positive definite: {e}") from e
-    if np.linalg.cond(r1) > tol.cond_max:
-        raise IllConditionedR(
-            f"R1 condition number exceeds {tol.cond_max:.1e}")
+    w = sla.eigvalsh(r1)
+    _require_conditioned(w[-1] / w[0] if w[0] > 0 else np.inf, tol,
+                         IllConditionedR, "R1")
     return HamiltonianSystem(a=a, n_gain=b2pu, c1=c1, _r1_chol=chol)
 
 
@@ -192,17 +193,16 @@ def approx_are(hs: HamiltonianSystem, kappa: int, method: str = "dense",
     """
     n = hs.n
     if not 1 <= kappa <= n:
-        raise ValueError(f"kappa must be in [1, {n}], got {kappa}")
+        raise InvalidInput(f"kappa must be in [1, {n}], got {kappa}")
     if method not in ("dense", "krylov"):
-        raise ValueError(f"unknown method {method!r}")
+        raise InvalidInput(f"unknown method {method!r}")
     if method == "dense":
         sub_k = hs.full_subspace(tol).head(kappa)
     else:
         sub_k = _krylov_stable_blocks(hs, kappa, tol)
     z1k, z2k = sub_k.z1, sub_k.z2
     gram = symmetrize(z2k.T @ z1k)
-    if np.linalg.cond(gram) > tol.cond_max:
-        raise SingularPencil(f"cond(Z2k' Z1k) = {np.linalg.cond(gram):.3e}")
+    _require_conditioned(np.linalg.cond(gram), tol, SingularPencil, "Z2k' Z1k")
     xbar = symmetrize(z2k @ sla.solve(gram, z2k.T, assume_a="sym"))
     return ApproxAreSolution(hs=hs, subspace=sub_k, gram=gram, xbar=xbar,
                              method=method, tol=tol)
@@ -231,8 +231,7 @@ def cauchy_coefficients(sub: StableSubspace, b1: np.ndarray,
     n = z1.shape[0]
     if z1.shape != (n, n):
         raise SingularZ1("cauchy_coefficients needs the full square Z1")
-    if np.linalg.cond(z1) > tol.cond_max:
-        raise SingularZ1(f"cond(Z1) = {np.linalg.cond(z1):.3e}")
+    _require_conditioned(np.linalg.cond(z1), tol, SingularZ1, "Z1")
     g = sla.solve(z1, as_matrix(b1, "B1"))
     f = RealSchur.of(sub.lam)
     return solve_sylvester(f, f, g @ g.T, tol)
@@ -251,8 +250,8 @@ def error_bound(sol: ApproxAreSolution, b1,
     """
     full = sol.subspace_full
     if full is None:
-        raise ValueError("error_bound requires the complement subspace "
-                         "(dense approximation path)")
+        raise InvalidInput("error_bound requires the complement subspace "
+                           "(dense approximation path)")
     c = cauchy_coefficients(full, b1, tol)
     diag_tail = np.diag(c)[sol.kappa:]
     bad = diag_tail[diag_tail < -tol.psd_floor]
@@ -368,11 +367,12 @@ def _krylov_stable_blocks(hs: HamiltonianSystem, kappa: int,
     real arithmetic at the real shift sigma = -0.02 scale, with
     scale = max(1, sum|A_ij| / n), asks for min(2 kappa + 10, 2n - 2) Ritz
     pairs from a fixed start vector.  Real-mode ARPACK returns each complex
-    pair as exact conjugates, so :func:`~hierh2.linalg._group_conjugates`
-    needs no matching tolerance.  Every failure raises
-    ArnoldiNoConvergence naming its cause: a singular shifted LU factor, an
-    ARPACK error or non-convergence, fewer than kappa stable columns, or a
-    block residual above the ``_KRYLOV_BLOCK_RESIDUAL`` gate.
+    pair as exact conjugates, so the stable-set selection
+    (:func:`~hierh2.linalg._stable_set`) needs no matching tolerance.
+    Every failure raises ArnoldiNoConvergence naming its cause: a singular
+    shifted LU factor, an ARPACK error or non-convergence, fewer than kappa
+    stable columns, or a block residual above the
+    ``_KRYLOV_BLOCK_RESIDUAL`` gate.
     """
     n = hs.n
     a_sp = sp.csc_matrix(hs.a)
@@ -396,14 +396,11 @@ def _krylov_stable_blocks(hs: HamiltonianSystem, kappa: int,
     except spla.ArpackError as e:   # ArpackNoConvergence is a subclass
         raise ArnoldiNoConvergence(
             f"ARPACK at sigma={sigma:.3e}, k={k_req}: {e}") from e
-    _check_imag_axis(vals, tol, ImaginaryAxisEigenvalue)
-    sel = vals.real < 0
-    reps = _group_conjugates(vals[sel], vecs[:, sel])
-    ncols = sum(2 if p else 1 for _, _, p in reps)
-    if ncols < kappa:
+    sub = _stable_set(vals, vecs, n, tol)
+    if sub.k < kappa:
         raise ArnoldiNoConvergence(
-            f"{ncols} stable columns from {k_req} Ritz pairs, kappa={kappa}")
-    sub = _realify_sorted(reps, n).head(kappa)
+            f"{sub.k} stable columns from {k_req} Ritz pairs, kappa={kappa}")
+    sub = sub.head(kappa)
     z = np.vstack([sub.z1, sub.z2])
     hz = np.column_stack([h_apply(z[:, j]) for j in range(z.shape[1])])
     res = np.linalg.norm(hz - z @ sub.lam, "fro")

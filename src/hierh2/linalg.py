@@ -25,6 +25,9 @@ The unstable left and right eigenbases come from one LAPACK ``geev`` call
 (:func:`unstable_eigenbases`).  Every PBH rank test is one rule,
 :func:`_pbh_rank_deficient`; callers holding a plant pass it the modes of
 the plant's cached spectrum, so A is eigendecomposed once per plant.
+Likewise every Hurwitz test is :func:`_require_hurwitz`, every
+conditioning test :func:`_require_conditioned`, and the dense and the
+Krylov eigen-path select their stable set through :func:`_stable_set`.
 """
 
 from __future__ import annotations
@@ -62,6 +65,21 @@ def spectral_abscissa(a: np.ndarray) -> float:
     if a.shape[0] == 0:
         return -np.inf
     return float(np.max(np.linalg.eigvals(a).real))
+
+
+def _require_hurwitz(abscissa: float, tol: Tolerances, error, what) -> None:
+    """The package's one Hurwitz decision: raise `error`, naming `what`,
+    when the spectral abscissa is at or above -hurwitz_margin."""
+    if abscissa >= -tol.hurwitz_margin:
+        raise error(f"{what} not Hurwitz: spectral abscissa {abscissa:.3e} "
+                    f">= {-tol.hurwitz_margin:.1e}")
+
+
+def _require_conditioned(cond: float, tol: Tolerances, error, what) -> None:
+    """The package's one conditioning decision: raise `error`, naming
+    `what`, when the condition number exceeds cond_max."""
+    if cond > tol.cond_max:
+        raise error(f"cond({what}) = {cond:.3e} exceeds {tol.cond_max:.1e}")
 
 
 def _unstable_modes(eigs: np.ndarray, tol: Tolerances) -> np.ndarray:
@@ -309,9 +327,7 @@ def solve_lyapunov(a, b, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
     if b.shape[0] != a.shape[0]:
         raise DimensionMismatch("solve_lyapunov: B rows must match A")
     f = RealSchur.of(a)
-    if f.abscissa >= -tol.hurwitz_margin:
-        raise NotHurwitz(f"A has spectral abscissa {f.abscissa:.3e} "
-                         f">= {-tol.hurwitz_margin:.1e}")
+    _require_hurwitz(f.abscissa, tol, NotHurwitz, "A")
     return solve_sylvester(f, f, b @ b.T, tol)
 
 
@@ -385,8 +401,7 @@ def riccati_from_hamiltonian(a, m, q, tol: Tolerances = DEFAULT_TOLERANCES) -> A
             f"stable subspace has dimension {sdim}, expected {n}")
     z1 = z[:n, :n]
     z2 = z[n:, :n]
-    if np.linalg.cond(z1) > tol.cond_max:
-        raise SingularZ1(f"cond(Z1) = {np.linalg.cond(z1):.3e}")
+    _require_conditioned(np.linalg.cond(z1), tol, SingularZ1, "Z1")
     x = symmetrize(sla.solve(z1.T, z2.T).T)
     target = tol.are_residual * max(1.0, np.linalg.norm(q, "fro"))
 
@@ -416,9 +431,7 @@ def riccati_from_hamiltonian(a, m, q, tol: Tolerances = DEFAULT_TOLERANCES) -> A
         raise NumericalError(
             f"ARE residual {res_norm:.3e} exceeds bound {bound:.3e}")
     closed = RealSchur.of(a - m @ x)
-    if closed.abscissa >= -tol.hurwitz_margin:
-        raise NotHurwitz(
-            f"Riccati closed loop not Hurwitz (abscissa {closed.abscissa:.3e})")
+    _require_hurwitz(closed.abscissa, tol, NotHurwitz, "Riccati closed loop")
     return AreSolution(x=x, residual=res_norm, closed_loop=closed)
 
 
@@ -538,10 +551,7 @@ def hinf_norm(sys: StateSpace, tol: Tolerances = DEFAULT_TOLERANCES) -> float:
     if sys.n_states == 0:
         return d_norm
     eigs = np.linalg.eigvals(sys.a)
-    alpha = float(np.max(eigs.real))
-    if alpha >= -tol.hurwitz_margin:
-        raise NotHurwitz(f"A has spectral abscissa {alpha:.3e} "
-                         f">= {-tol.hurwitz_margin:.1e}")
+    _require_hurwitz(float(np.max(eigs.real)), tol, NotHurwitz, "A")
 
     def sv_at(w):
         return _sigma_max(sys.eval(1j * w))
@@ -698,6 +708,22 @@ def _group_conjugates(vals, vecs):
     return reps
 
 
+def _stable_set(vals: np.ndarray, vecs: np.ndarray, n: int,
+                tol: Tolerances) -> StableSubspace:
+    """Realified stable subspace of the eigenpairs (vals, vecs) of a 2n x 2n
+    Hamiltonian: the package's one stable-set selection, for the dense and
+    the Krylov eigen-path alike.
+
+    Raises ImaginaryAxisEigenvalue when an eigenvalue is numerically on jR;
+    otherwise keeps Re lambda < 0, one representative per real eigenvalue
+    or conjugate pair (:func:`_group_conjugates`), realified in order
+    (:func:`_realify_sorted`).
+    """
+    _check_imag_axis(vals, tol, ImaginaryAxisEigenvalue)
+    sel = vals.real < 0
+    return _realify_sorted(_group_conjugates(vals[sel], vecs[:, sel]), n)
+
+
 def stable_eigenspace(h, tol: Tolerances = DEFAULT_TOLERANCES) -> StableSubspace:
     """Stable invariant subspace of a dense Hamiltonian matrix.
 
@@ -718,11 +744,7 @@ def stable_eigenspace(h, tol: Tolerances = DEFAULT_TOLERANCES) -> StableSubspace
     if n2 % 2:
         raise DimensionMismatch("Hamiltonian must be 2n x 2n")
     n = n2 // 2
-    vals, vecs = np.linalg.eig(h)
-    _check_imag_axis(vals, tol, ImaginaryAxisEigenvalue)
-    sel = vals.real < 0
-    reps = _group_conjugates(vals[sel], vecs[:, sel])
-    out = _realify_sorted(reps, n)
+    out = _stable_set(*np.linalg.eig(h), n, tol)
     if out.k:
         z = np.vstack([out.z1, out.z2])
         res = np.linalg.norm(h @ z - z @ out.lam, "fro")

@@ -22,7 +22,8 @@ from functools import cached_property
 import numpy as np
 
 from .config import DEFAULT_TOLERANCES, Tolerances
-from .errors import DimensionMismatch, DisconnectedIntraBlockWarning
+from .errors import (DimensionMismatch, DisconnectedIntraBlockWarning,
+                     InvalidInput)
 from .linalg import _on_axis, _pbh_rank_deficient, _unstable_modes
 from .statespace import StateSpace, as_matrix, lft_lower_partitioned
 
@@ -274,16 +275,16 @@ class NetworkSpec:
 
     def __post_init__(self):
         if not (0.0 < self.p_in <= 1.0):
-            raise ValueError("p_in must be in (0, 1]")
+            raise InvalidInput("p_in must be in (0, 1]")
         if not (0.0 <= self.p_out < 1.0):
-            raise ValueError("p_out must be in [0, 1)")
+            raise InvalidInput("p_out must be in [0, 1)")
         if self.p_out >= self.p_in:
-            raise ValueError("clustered regime requires p_out < p_in")
+            raise InvalidInput("clustered regime requires p_out < p_in")
         if not (0.0 <= self.a_lo <= self.a_hi):
-            raise ValueError("need 0 <= a_lo <= a_hi")
+            raise InvalidInput("need 0 <= a_lo <= a_hi")
         covered = sorted(i for blk in self.blocks for i in blk)
         if covered != list(range(self.n_s)):
-            raise ValueError("blocks must partition 0..n_s-1")
+            raise InvalidInput("blocks must partition 0..n_s-1")
 
     @classmethod
     def even_blocks(cls, n_s: int, n_blocks: int, p_in: float, p_out: float,

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import DEFAULT_TOLERANCES, Tolerances
-from .errors import (DimensionMismatch, NoFeasibleWeights, ZeroClusterWeight)
+from .errors import (DimensionMismatch, InvalidInput, NoFeasibleWeights,
+                     ZeroClusterWeight)
 from .linalg import _pbh_rank_deficient, _unstable_modes, unstable_eigenbases
 from .plant import GeneralizedPlant
 from .statespace import StateSpace, series
@@ -32,10 +33,10 @@ def _check_partition(sets, n_items, what):
     seen = []
     for s in sets:
         if len(s) == 0:
-            raise ValueError(f"{what}: clusters must be non-empty")
+            raise InvalidInput(f"{what}: clusters must be non-empty")
         seen.extend(s)
     if sorted(seen) != list(range(n_items)):
-        raise ValueError(f"{what}: sets must partition 0..{n_items - 1}")
+        raise InvalidInput(f"{what}: sets must partition 0..{n_items - 1}")
 
 
 @dataclass(frozen=True)
@@ -52,9 +53,9 @@ class ClusterPartition:
 
     def __post_init__(self):
         if len(self.input_sets) != len(self.output_sets):
-            raise ValueError("input and output partitions must share r")
+            raise InvalidInput("input and output partitions must share r")
         if self.subsystem_sets is not None and len(self.subsystem_sets) != self.r:
-            raise ValueError("subsystem partition must share r")
+            raise InvalidInput("subsystem partition must share r")
         _check_partition(self.input_sets, self.n_u, "input_sets")
         _check_partition(self.output_sets, self.n_y, "output_sets")
         if self.subsystem_sets is not None:
@@ -75,7 +76,7 @@ class ClusterPartition:
     @property
     def n_s(self) -> int:
         if self.subsystem_sets is None:
-            raise ValueError("partition has no subsystem sets")
+            raise InvalidInput("partition has no subsystem sets")
         return sum(len(s) for s in self.subsystem_sets)
 
     @classmethod
@@ -97,7 +98,7 @@ class ClusterPartition:
         """One cluster per channel; requires n_u == n_y for a square pairing."""
         n_y = n_u if n_y is None else n_y
         if n_u != n_y:
-            raise ValueError("singleton partition needs n_u == n_y")
+            raise InvalidInput("singleton partition needs n_u == n_y")
         sets = tuple((i,) for i in range(n_u))
         return cls(sets, sets, sets)
 
@@ -293,3 +294,14 @@ def feasible_weights(g: GeneralizedPlant, partition: ClusterPartition,
     raise NoFeasibleWeights(
         f"no feasible weights after {max_tries} tries; the partition may be "
         "incompatible with the unstable modes")
+
+
+def _policy_weights(policy, g, partition, seed, tol) -> WeightVectors:
+    """The package's one weight policy: unit weights for ``'ones'``, and
+    for ``'eigenspan'`` :func:`feasible_weights` seeded with `seed` under
+    the run's tolerances `tol`."""
+    if policy == "ones":
+        return WeightVectors.ones(g.n_u, g.n_y)
+    if policy == "eigenspan":
+        return feasible_weights(g, partition, rng=seed, tol=tol)
+    raise InvalidInput(f"unknown weight policy {policy!r}")

@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 import scipy
 
+from .errors import InvalidInput
 from .plant import GeneralizedPlant, Subsystem
 from .projection import ClusterPartition, WeightVectors
 from .statespace import StateSpace
@@ -65,7 +66,7 @@ def save_plant(g: GeneralizedPlant, path, matrix_format: str = "json") -> None:
             mmwrite(str(side), np.asarray(v))
             doc["matrix_files"][k] = side.name
     else:
-        raise ValueError(f"unknown matrix_format {matrix_format!r}")
+        raise InvalidInput(f"unknown matrix_format {matrix_format!r}")
     _dump(doc, path)
 
 
@@ -73,7 +74,7 @@ def load_plant(path) -> GeneralizedPlant:
     path = Path(path)
     doc = _load(path)
     if doc.get("type") != "generalized_plant":
-        raise ValueError(f"{path} is not a plant document")
+        raise InvalidInput(f"{path} is not a plant document")
     if "matrix_files" in doc:
         from scipy.io import mmread
         mats = {k: np.asarray(mmread(str(path.parent / fname)))
@@ -107,7 +108,7 @@ def save_partition(partition: ClusterPartition, path,
 def load_partition(path) -> tuple[ClusterPartition, WeightVectors | None]:
     doc = _load(path)
     if doc.get("type") != "cluster_partition":
-        raise ValueError(f"{path} is not a partition document")
+        raise InvalidInput(f"{path} is not a partition document")
     partition = ClusterPartition(
         input_sets=tuple(tuple(s) for s in doc["input_sets"]),
         output_sets=tuple(tuple(s) for s in doc["output_sets"]),
@@ -135,7 +136,7 @@ def save_controller(controller: HierarchicalController, path) -> None:
 def load_controller(path) -> HierarchicalController:
     doc = _load(path)
     if doc.get("type") != "hierarchical_controller":
-        raise ValueError(f"{path} is not a controller document")
+        raise InvalidInput(f"{path} is not a controller document")
     kt = doc["k_tilde"]
     return HierarchicalController(
         p_u=np.asarray(doc["p_u"], float),

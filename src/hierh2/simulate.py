@@ -26,8 +26,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import DEFAULT_TOLERANCES, Tolerances
-from .errors import (DimensionMismatch, NumericalError, PreconditionError,
-                     UnstableClosedLoop)
+from .errors import (DimensionMismatch, InvalidInput, NumericalError,
+                     PreconditionError, UnstableClosedLoop)
+from .linalg import _require_hurwitz
 from .plant import GeneralizedPlant, lft_lower
 from .projection import ClusterPartition
 from .synthesis import HierarchicalController
@@ -156,8 +157,8 @@ def _monolithic_step(g, controller, dt, tol):
     if not 0.0 < dt <= limit:
         raise PreconditionError(
             f"dt={dt:.3e} must lie in (0, {limit:.3e}], the resolution limit")
-    if np.max(eigs.real) >= -tol.hurwitz_margin:
-        raise UnstableClosedLoop("closed loop is not Hurwitz")
+    _require_hurwitz(float(np.max(eigs.real)), tol, UnstableClosedLoop,
+                     "the closed loop")
     return (dt, *_rk4_transition(closed.a, closed.b, dt))
 
 
@@ -224,9 +225,9 @@ def run_hier_simulation(g: GeneralizedPlant, controller: HierarchicalController,
     elif kind == "array":
         w_path = np.asarray(disturbance[1], float)
         if w_path.shape != (steps + 1, m1):
-            raise ValueError("disturbance array must be (steps + 1, m1)")
+            raise InvalidInput("disturbance array must be (steps + 1, m1)")
     else:
-        raise ValueError(f"unknown disturbance kind {kind!r}")
+        raise InvalidInput(f"unknown disturbance kind {kind!r}")
 
     p_u, p_y, kt = controller.p_u, controller.p_y, controller.k_tilde
     logs = _coordinator_layout(controller, partition)

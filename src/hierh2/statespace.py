@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, InvalidInput
 
 
 def as_matrix(m, name: str = "matrix") -> np.ndarray:
@@ -21,7 +21,7 @@ def as_matrix(m, name: str = "matrix") -> np.ndarray:
     if a.ndim != 2:
         raise DimensionMismatch(f"{name} must be 2-d, got shape {a.shape}")
     if a.size and not np.all(np.isfinite(a)):
-        raise ValueError(f"{name} has non-finite entries")
+        raise InvalidInput(f"{name} has non-finite entries")
     return a
 
 
@@ -115,7 +115,7 @@ def _series2(g: StateSpace, h: StateSpace) -> StateSpace:
 def series(*systems: StateSpace) -> StateSpace:
     """Cascade in application order: series(g, h) realizes h(s) g(s)."""
     if not systems:
-        raise ValueError("series needs at least one system")
+        raise InvalidInput("series needs at least one system")
     out = systems[0]
     for nxt in systems[1:]:
         out = _series2(out, nxt)

@@ -12,16 +12,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
 from .config import Tolerances, tolerance_profile
-from .errors import ToolkitError
+from .errors import InvalidInput, ToolkitError
 from .gapdesign import (design_clusters, monotone_gap_sweep,
                         reference_youla_data, spectral_factors)
 from .hamiltonian import error_bound
 from .plant import GeneralizedPlant, NetworkSpec, generate_consensus_network
-from .projection import (ClusterPartition, WeightVectors, build_projection,
-                         feasible_weights)
+from .projection import (ClusterPartition, WeightVectors, _policy_weights,
+                         build_projection)
 from .serialize import load_partition, write_csv
 from .synthesis import synthesize_hierarchical
 
@@ -67,7 +65,7 @@ class ExperimentConfig:
         known = {f for f in cls.__dataclass_fields__}
         unknown = set(doc) - known
         if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
+            raise InvalidInput(f"unknown config keys: {sorted(unknown)}")
         doc = dict(doc)
         for key in ("kappa_list", "r_list", "n_list"):
             if key in doc:
@@ -109,12 +107,8 @@ class ExperimentConfig:
 
     def weights(self, g: GeneralizedPlant,
                 partition: ClusterPartition) -> WeightVectors:
-        if self.weight_policy == "ones":
-            return WeightVectors.ones(g.n_u, g.n_y)
-        if self.weight_policy == "eigenspan":
-            return feasible_weights(g, partition,
-                                    rng=np.random.default_rng(self.seed))
-        raise ValueError(f"unknown weight policy {self.weight_policy!r}")
+        return _policy_weights(self.weight_policy, g, partition, self.seed,
+                               self.tolerances)
 
 
 def _partition_for(config: ExperimentConfig,
@@ -125,13 +119,12 @@ def _partition_for(config: ExperimentConfig,
         part, _ = load_partition(config.partition_file)
         return part
     if config.partition_source == "designed":
-        yd = reference_youla_data(g, config.tolerances)
-        sf = spectral_factors(yd, g.d12, g.d21, config.tolerances)
-        weights = WeightVectors.ones(g.n_u, g.n_y)
-        return design_clusters(sf, weights, config.n_blocks,
-                               rng=np.random.default_rng(config.seed),
+        tol = config.tolerances
+        sf = spectral_factors(reference_youla_data(g, tol), g.d12, g.d21, tol)
+        return design_clusters(sf, WeightVectors.ones(g.n_u, g.n_y),
+                               config.n_blocks, rng=config.seed,
                                restarts=config.restarts)
-    raise ValueError(f"unknown partition source {config.partition_source!r}")
+    raise InvalidInput(f"unknown partition source {config.partition_source!r}")
 
 
 def sweep_kappa(config: ExperimentConfig, out_dir=None) -> list[dict]:

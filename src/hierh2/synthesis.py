@@ -27,10 +27,10 @@ from functools import cached_property
 import numpy as np
 
 from .config import DEFAULT_TOLERANCES, Tolerances
-from .errors import (ApproxNotStabilizing, HypothesisFailure,
-                     NotStabilizingGains)
+from .errors import (ApproxNotStabilizing, DimensionMismatch,
+                     HypothesisFailure, InvalidInput, NotStabilizingGains)
 from .hamiltonian import HamiltonianSystem, approx_are, build_hamiltonian
-from .linalg import (RealSchur, riccati_from_hamiltonian,
+from .linalg import (RealSchur, _require_hurwitz, riccati_from_hamiltonian,
                      solve_sylvester_schur)
 from .plant import GeneralizedPlant, _a4_cross_terms
 from .projection import ClusterPartition, ProjectionPair, _projected_pbh_failure
@@ -45,11 +45,18 @@ __all__ = [
 
 @dataclass
 class HierarchicalController:
-    """Triple (P_u, K~, P_y) realizing K = P_u^T K~ P_y."""
+    """Triple (P_u, K~, P_y) realizing K = P_u^T K~ P_y; DimensionMismatch
+    unless P_u has a row per output of K~ and P_y a row per input."""
 
     p_u: np.ndarray
     k_tilde: StateSpace
     p_y: np.ndarray
+
+    def __post_init__(self):
+        rows, io = (self.p_u.shape[0], self.p_y.shape[0]), self.k_tilde.d.shape
+        if rows != io:
+            raise DimensionMismatch(f"P_u, P_y have {rows} rows; K~ has "
+                                    f"(outputs, inputs) {io}")
 
     def expand(self) -> StateSpace:
         """Full controller realization (A_K~, B_K~ P_y, P_u^T C_K~, P_u^T D_K~ P_y)."""
@@ -146,10 +153,7 @@ def youla_data(g: GeneralizedPlant, p: ProjectionPair, f2, l2,
     l_loop = RealSchur.of(g.a + l2 @ (p.p_y @ g.c2))
     for loop, name in ((f_loop, "the control loop A + B2 F"),
                        (l_loop, "the filter loop A + L C2")):
-        if loop.abscissa >= -tol.hurwitz_margin:
-            raise NotStabilizingGains(
-                f"{name} has spectral abscissa {loop.abscissa:.3e} "
-                f">= {-tol.hurwitz_margin:.1e}")
+        _require_hurwitz(loop.abscissa, tol, NotStabilizingGains, name)
     return YoulaData(g=g, p=p, f2=f2, l2=l2, f_loop=f_loop, l_loop=l_loop)
 
 
@@ -291,9 +295,9 @@ def synthesize_hierarchical(g: GeneralizedPlant, p: ProjectionPair,
     """
     _check_hypotheses(g, p, tol)
     if are_backend not in ("exact", "approx"):
-        raise ValueError(f"unknown are_backend {are_backend!r}")
+        raise InvalidInput(f"unknown are_backend {are_backend!r}")
     if are_backend == "approx" and kappa is None:
-        raise ValueError("approx backend requires kappa")
+        raise InvalidInput("approx backend requires kappa")
 
     t0 = time.perf_counter()
     hs_x = control_hamiltonian(g, p, tol)

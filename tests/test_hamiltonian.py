@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from hierh2 import (DEFAULT_TOLERANCES, StateSpace, approx_are,
                     build_hamiltonian, cauchy_coefficients, error_bound,
                     exact_error_norm, h2_norm, hamiltonian, solve_are,
                     solve_lyapunov, spectral_abscissa, stability_test)
-from hierh2.linalg import solve_sylvester
-from hierh2.errors import ArnoldiNoConvergence, IllConditionedR, SingularR
+from hierh2.linalg import riccati_from_hamiltonian, solve_sylvester, symmetrize
+from hierh2.errors import (ArnoldiNoConvergence, IllConditionedR,
+                           SingularPencil, SingularR, SingularZ1)
 
 from conftest import random_are_instance
 
@@ -57,6 +59,59 @@ def test_build_rejects_ill_conditioned_r():
         build_hamiltonian(np.eye(2), np.eye(2), np.eye(2), r)
     build_hamiltonian(np.eye(2), np.eye(2), np.eye(2), r,
                       DEFAULT_TOLERANCES.with_(cond_max=1e14))
+
+
+@pytest.mark.parametrize("r_min,rejected", [(1e-13, True), (1e-11, False)])
+def test_build_decides_cond_r_from_its_eigenvalues(monkeypatch, r_min,
+                                                    rejected):
+    # R1 = diag(1, r_min) has cond 1/r_min on either side of cond_max = 1e12;
+    # the decision reads the eigenvalues of the factored R1, with no SVD
+    def no_svd(*args, **kw):
+        raise AssertionError("cond(R1) needs no SVD")
+
+    monkeypatch.setattr(np.linalg, "cond", no_svd)
+    args = (np.eye(2), np.eye(2), np.eye(2), np.diag([1.0, r_min]))
+    if rejected:
+        with pytest.raises(IllConditionedR, match=r"cond\(R1\)"):
+            build_hamiltonian(*args)
+    else:
+        build_hamiltonian(*args)
+
+
+def _cond_max_around(cond):
+    """Tolerances with cond_max just below and just above `cond`."""
+    return (DEFAULT_TOLERANCES.with_(cond_max=cond * (1.0 - 1e-6)),
+            DEFAULT_TOLERANCES.with_(cond_max=cond * (1.0 + 1e-6)))
+
+
+def test_riccati_rejects_z1_above_cond_max():
+    hs, _ = hamiltonian_instance(np.random.default_rng(11), 6)
+    m, q = symmetrize(hs.m), symmetrize(hs.ctc)
+    h = np.block([[hs.a, -m], [-q, -hs.a.T]])
+    # cond(Z1) is the same for every orthonormal basis of the subspace
+    z = sla.schur(h, output="real", sort="lhp")[1]
+    below, above = _cond_max_around(np.linalg.cond(z[:6, :6]))
+    with pytest.raises(SingularZ1, match=r"cond\(Z1\)"):
+        riccati_from_hamiltonian(hs.a, hs.m, hs.ctc, below)
+    riccati_from_hamiltonian(hs.a, hs.m, hs.ctc, above)
+
+
+def test_cauchy_coefficients_reject_z1_above_cond_max():
+    hs, (_, b, _, _) = hamiltonian_instance(np.random.default_rng(12), 6)
+    full = hs.full_subspace()
+    below, above = _cond_max_around(np.linalg.cond(full.z1))
+    with pytest.raises(SingularZ1, match=r"cond\(Z1\)"):
+        cauchy_coefficients(full, b, below)
+    cauchy_coefficients(full, b, above)
+
+
+def test_approx_are_rejects_a_pencil_above_cond_max():
+    hs, _ = hamiltonian_instance(np.random.default_rng(13), 6)
+    below, above = _cond_max_around(
+        np.linalg.cond(approx_are(hs, kappa=3).gram))
+    with pytest.raises(SingularPencil, match="Z2k' Z1k"):
+        approx_are(hs, kappa=3, tol=below)
+    approx_are(hs, kappa=3, tol=above)
 
 
 def test_gain_solves_with_the_factor_of_r():
@@ -279,15 +334,15 @@ def test_krylov_matches_dense_on_non_symmetric_plants(monkeypatch):
     # random stable non-symmetric A, n 6..29: the Hamiltonians have complex
     # pairs, and seeds 1 (n = 17) and 2 (n = 26) at kappa = 8 end the Ritz
     # set with one lone member of a pair
-    import hierh2.hamiltonian as hm
+    import hierh2.linalg as la
     ritz_sets = []
-    group = hm._group_conjugates
+    group = la._group_conjugates
 
     def spy(vals, vecs):
         ritz_sets.append(vals.copy())
         return group(vals, vecs)
 
-    monkeypatch.setattr(hm, "_group_conjugates", spy)
+    monkeypatch.setattr(la, "_group_conjugates", spy)
     kept_pairs = 0
     for seed in range(5):
         rng = np.random.default_rng(seed)

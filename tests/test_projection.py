@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hierh2 import (ClusterPartition, GeneralizedPlant, StateSpace,
+from hierh2 import (ClusterPartition, GeneralizedPlant, StateSpace, Subsystem,
                     WeightVectors, build_projection, feasible_weights,
                     subspace_member, verify_qi)
 from hierh2.errors import ZeroClusterWeight
-from hierh2.projection import random_stable_statespace
+from hierh2.projection import _TEST_FREQS, random_stable_statespace
 
 from conftest import random_h2_plant, random_partition
 
@@ -148,6 +150,70 @@ def test_qi_trivial_for_singletons():
     pair = build_projection(part, WeightVectors.ones(3, 3))
     g22 = random_stable_statespace(rng, 4, 3, 3)
     assert verify_qi(g22, pair, samples=5, rng=rng)
+
+
+def _block_diagonal_plant(rng, n_s):
+    """Random plant of n_s subsystems with 1-2 states, inputs and outputs
+    each: A couples every state, B2 and C2 are block diagonal."""
+    subsystems, counts = [], np.zeros(3, int)
+    for _ in range(n_s):
+        sizes = rng.integers(1, 3, size=3)
+        subsystems.append(Subsystem(*(tuple(range(c, c + k))
+                                      for c, k in zip(counts, sizes))))
+        counts += sizes
+    n, nu, ny = (int(c) for c in counts)
+    b2, c2 = np.zeros((n, nu)), np.zeros((ny, n))
+    for sub in subsystems:
+        b2[np.ix_(sub.states, sub.inputs)] = rng.standard_normal(
+            (len(sub.states), len(sub.inputs)))
+        c2[np.ix_(sub.outputs, sub.states)] = rng.standard_normal(
+            (len(sub.outputs), len(sub.states)))
+    return GeneralizedPlant(
+        a=rng.standard_normal((n, n)),
+        b1=np.hstack([np.eye(n), np.zeros((n, ny))]), b2=b2,
+        c1=np.vstack([np.eye(n), np.zeros((nu, n))]), c2=c2,
+        d12=np.vstack([np.zeros((n, nu)), np.eye(nu)]),
+        d21=np.hstack([np.zeros((ny, n)), np.eye(ny)]),
+        subsystems=tuple(subsystems))
+
+
+def _random_clustering(seed, n_s, data):
+    """A random block-diagonal plant, a random subsystem partition of it
+    and the projection pair of random non-zero weights."""
+    rng = np.random.default_rng(seed)
+    g = _block_diagonal_plant(rng, n_s)
+    r = data.draw(st.integers(1, n_s), label="r")
+    part = ClusterPartition.from_subsystems(
+        random_partition(rng, n_s, r), g)
+    weights = WeightVectors(rng.standard_normal(g.n_u),
+                            rng.standard_normal(g.n_y))
+    return rng, g, build_projection(part, weights)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2 ** 31 - 1), n_s=st.integers(2, 6), data=st.data())
+def test_property_qi_holds_on_block_diagonal_plants(seed, n_s, data):
+    rng, g, pair = _random_clustering(seed, n_s, data)
+    assert verify_qi(g.g22(), pair, samples=3, rng=rng)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2 ** 31 - 1), n_s=st.integers(2, 6), data=st.data())
+def test_property_member_round_trip(seed, n_s, data):
+    """P_u^T K~ P_y is a member, and the K~ that subspace_member extracts
+    gives P_u^T K~ P_y back at every test frequency."""
+    rng, g, pair = _random_clustering(seed, n_s, data)
+    k_tilde = random_stable_statespace(rng, int(rng.integers(1, 4)), pair.r,
+                                       pair.r, strictly_proper=False)
+    k = StateSpace(k_tilde.a, k_tilde.b @ pair.p_y, pair.p_u.T @ k_tilde.c,
+                   pair.p_u.T @ k_tilde.d @ pair.p_y)
+    ok, rec = subspace_member(k, pair)
+    assert ok
+    assert len(_TEST_FREQS) == 20
+    for w in _TEST_FREQS:
+        ref = k.eval(1j * w)
+        back = pair.p_u.T @ rec.eval(1j * w) @ pair.p_y
+        assert np.linalg.norm(back - ref) <= 1e-9 * max(1.0, np.linalg.norm(ref))
 
 
 # ---------------------------------------------------------------------------

@@ -328,7 +328,7 @@ def test_cli_exit_codes(tmp_path, capsys):
 
 
 def test_cli_eigenspan_weights_use_the_tol_profile(tmp_path, monkeypatch):
-    import hierh2.cli
+    import hierh2.projection
     from hierh2 import STRICT_TOLERANCES, feasible_weights
     spec = NetworkSpec.even_blocks(n_s=8, n_blocks=2, p_in=0.9, p_out=0.05,
                                    a_lo=1.0, a_hi=2.0, seed=2)
@@ -342,7 +342,7 @@ def test_cli_eigenspan_weights_use_the_tol_profile(tmp_path, monkeypatch):
         seen.append(tol)
         return feasible_weights(*args, tol=tol, **kw)
 
-    monkeypatch.setattr(hierh2.cli, "feasible_weights", recording)
+    monkeypatch.setattr(hierh2.projection, "feasible_weights", recording)
     rc = main(["synth", "--plant", str(tmp_path / "plant.json"),
                "--partition", str(tmp_path / "part.json"),
                "--weights", "eigenspan", "--tol-profile", "strict",
@@ -376,3 +376,91 @@ def test_cli_numerical_failure_exit_code(tmp_path, capsys):
                "--backend", "approx:1", "--out", str(tmp_path)])
     assert rc == 3
     assert "numerical" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def cli_24(tmp_path_factory):
+    """The 24-node plant of `gen-network`, its planted partition and
+    controller, a controller whose P_y lost a row, and a config with an
+    unknown key."""
+    d = tmp_path_factory.mktemp("cli24")
+    assert main(["gen-network", "--nodes", "24", "--seed", "7",
+                 "--out", str(d)]) == 0
+    assert main(["synth", "--plant", str(d / "plant.json"), "--partition",
+                 str(d / "planted_partition.json"), "--out", str(d)]) == 0
+    doc = json.loads((d / "controller.json").read_text())
+    assert len(doc["p_y"]) == 4
+    doc["p_y"] = doc["p_y"][:3]
+    (d / "short_py.json").write_text(json.dumps(doc))
+    (d / "bad_config.json").write_text(json.dumps({"n_s": 24, "r_lst": [2]}))
+    return d
+
+
+@pytest.mark.parametrize("argv", [
+    ["synth", "--plant", "{d}/planted_partition.json",
+     "--partition", "{d}/planted_partition.json"],
+    ["synth", "--plant", "{d}/plant.json",
+     "--partition", "{d}/planted_partition.json", "--backend", "approx:99"],
+    ["design-clusters", "--plant", "{d}/plant.json", "--r", "1000"],
+    ["gen-network", "--nodes", "24", "--p-in", "2"],
+    ["sweep-r", "--config", "{d}/bad_config.json"],
+    ["simulate", "--plant", "{d}/plant.json",
+     "--controller", "{d}/short_py.json"],
+], ids=["plant-is-a-partition", "kappa-above-n", "r-above-channels",
+        "p-in-above-1", "unknown-config-key", "p_y-rows-below-k-inputs"])
+def test_cli_bad_input_exits_2(cli_24, tmp_path, capsys, argv):
+    argv = [a.format(d=cli_24) for a in argv] + ["--out", str(tmp_path)]
+    assert main(argv) == 2
+    assert "precondition failure" in capsys.readouterr().err
+
+
+def test_cli_simulate_uses_the_tol_profile(cli_24, tmp_path, monkeypatch):
+    import hierh2.cli
+    from hierh2 import STRICT_TOLERANCES, run_hier_simulation
+    seen = []
+
+    def recording(*args, tol, **kw):
+        seen.append(tol)
+        return run_hier_simulation(*args, tol=tol, **kw)
+
+    monkeypatch.setattr(hierh2.cli, "run_hier_simulation", recording)
+    rc = main(["simulate", "--plant", str(cli_24 / "plant.json"),
+               "--controller", str(cli_24 / "controller.json"),
+               "--horizon", "0", "--tol-profile", "strict",
+               "--out", str(tmp_path)])
+    assert rc == 0
+    assert seen == [STRICT_TOLERANCES]
+
+
+def test_sweep_eigenspan_weights_use_the_tol_profile(monkeypatch):
+    import hierh2.projection
+    from hierh2 import STRICT_TOLERANCES, feasible_weights
+    config = ExperimentConfig.from_dict({
+        "n_s": 8, "n_blocks": 2, "p_in": 0.9, "p_out": 0.05, "a_lo": 1.0,
+        "a_hi": 2.0, "seed": 2, "weight_policy": "eigenspan",
+        "tol_profile": "strict"})
+    g = config.plant()
+    seen = []
+
+    def recording(*args, tol, **kw):
+        seen.append(tol)
+        return feasible_weights(*args, tol=tol, **kw)
+
+    monkeypatch.setattr(hierh2.projection, "feasible_weights", recording)
+    config.weights(g, config.planted_partition(g))
+    assert seen == [STRICT_TOLERANCES]
+
+
+def test_sweeps_record_an_out_of_range_row(tmp_path):
+    # kappa > n and r > n_u are bad inputs of one row: the row records the
+    # error and the sweep goes on
+    config = small_config(n_s=24, kappa_list=(2, 25), r_list=(1, 25))
+    kappa_rows = sweep_kappa(config, tmp_path)
+    assert [r["kappa"] for r in kappa_rows] == ["exact", 2, 25]
+    assert kappa_rows[1]["status"] == "ok"
+    assert kappa_rows[2]["status"] == "error: kappa must be in [1, 24], got 25"
+    r_rows = sweep_r(config, tmp_path)
+    assert [r["r"] for r in r_rows] == [1, 25]
+    assert r_rows[0]["status"] == "ok"
+    assert r_rows[1]["status"] == \
+        "error: r exceeds the number of inputs or outputs"
