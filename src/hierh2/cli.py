@@ -25,12 +25,13 @@ from .gapdesign import (design_clusters, evaluate_partition,
 from .hamiltonian import approx_are, error_bound
 from .plant import NetworkSpec, generate_consensus_network, validate_assumptions
 from .projection import (ClusterPartition, ProjectionPair, WeightVectors,
-                         _policy_weights, build_projection)
-from .serialize import (load_controller, load_partition, load_plant,
+                         build_projection)
+from .serialize import (_load, load_controller, load_partition, load_plant,
                         save_controller, save_partition, save_plant,
                         write_manifest)
 from .simulate import privacy_audit, run_hier_simulation
-from .sweeps import ExperimentConfig, sweep_kappa, sweep_r, sweep_size
+from .sweeps import (ExperimentConfig, load_weighted_partition, sweep_kappa,
+                     sweep_r, sweep_size)
 from .synthesis import (communication_links, control_hamiltonian,
                         synthesize_hierarchical)
 
@@ -39,13 +40,15 @@ EXIT_PRECONDITION = 2
 EXIT_NUMERICAL = 3
 
 
-def _add_common(sub):
-    sub.add_argument("--config", type=Path, help="JSON config file")
+def _add_common(sub, seed=True, tol_profile=True):
+    """--out, plus --seed and --tol-profile for the commands that read them."""
     sub.add_argument("--out", type=Path, default=Path("out"),
                      help="output directory")
-    sub.add_argument("--seed", type=int, default=None, help="RNG seed override")
-    sub.add_argument("--tol-profile", choices=["strict", "default"],
-                     default="default")
+    if seed:
+        sub.add_argument("--seed", type=int, default=0, help="RNG seed")
+    if tol_profile:
+        sub.add_argument("--tol-profile", choices=["strict", "default"],
+                         default="default")
 
 
 def _matching(pattern: str, expected: str):
@@ -57,31 +60,10 @@ def _matching(pattern: str, expected: str):
     return check
 
 
-def _experiment_config(args) -> ExperimentConfig:
-    doc = {}
-    if args.config is not None:
-        doc = json.loads(Path(args.config).read_text())
-    config = ExperimentConfig.from_dict(doc)
-    if args.seed is not None:
-        config.seed = args.seed
-    config.tol_profile = args.tol_profile
-    return config
-
-
-def _resolve_partition_weights(args, g, tol):
-    """The partition file's stored weights, else those of ``--weights``."""
-    partition, weights = load_partition(args.partition)
-    if weights is None:
-        weights = _policy_weights(args.weights, g, partition, args.seed or 0,
-                                  tol)
-    return partition, weights
-
-
 def cmd_gen_network(args) -> int:
     spec = NetworkSpec.even_blocks(
         n_s=args.nodes, n_blocks=args.blocks, p_in=args.p_in,
-        p_out=args.p_out, a_lo=args.a_lo, a_hi=args.a_hi,
-        seed=args.seed if args.seed is not None else 0)
+        p_out=args.p_out, a_lo=args.a_lo, a_hi=args.a_hi, seed=args.seed)
     g = generate_consensus_network(spec, c1_scale=args.c1_scale,
                                    b1_scale=args.b1_scale)
     args.out.mkdir(parents=True, exist_ok=True)
@@ -105,7 +87,8 @@ def cmd_validate(args) -> int:
 def cmd_synth(args) -> int:
     tol = tolerance_profile(args.tol_profile)
     g = load_plant(args.plant)
-    partition, weights = _resolve_partition_weights(args, g, tol)
+    partition, weights = load_weighted_partition(
+        args.partition, args.weights, g, args.seed, tol)
     p = build_projection(partition, weights)
     backend, _, k = args.backend.partition(":")
     kappa = int(k) if k else None
@@ -129,7 +112,8 @@ def cmd_approx(args) -> int:
     g = load_plant(args.plant)
     p = ProjectionPair(np.eye(g.n_u), np.eye(g.n_y))
     if args.partition is not None:
-        p = build_projection(*_resolve_partition_weights(args, g, tol))
+        p = build_projection(*load_weighted_partition(
+            args.partition, args.weights, g, args.seed, tol))
     sol = approx_are(control_hamiltonian(g, p, tol), args.kappa,
                      method=args.method, tol=tol)
     eps = error_bound(sol, g.b1, tol)[0] if args.method == "dense" else None
@@ -145,7 +129,8 @@ def cmd_approx(args) -> int:
 def cmd_gap(args) -> int:
     tol = tolerance_profile(args.tol_profile)
     g = load_plant(args.plant)
-    partition, weights = _resolve_partition_weights(args, g, tol)
+    partition, weights = load_weighted_partition(
+        args.partition, args.weights, g, args.seed, tol)
     report = evaluate_partition(g, partition, weights, tol=tol)
     out = {
         "J1": report.j1_star, "J2": report.j2_star, "ratio": report.ratio,
@@ -162,7 +147,7 @@ def cmd_design_clusters(args) -> int:
     g = load_plant(args.plant)
     sf = spectral_factors(reference_youla_data(g, tol), g.d12, g.d21, tol)
     weights = WeightVectors.ones(g.n_u, g.n_y)
-    partition = design_clusters(sf, weights, args.r, rng=args.seed or 0,
+    partition = design_clusters(sf, weights, args.r, rng=args.seed,
                                 restarts=args.restarts)
     args.out.mkdir(parents=True, exist_ok=True)
     save_partition(partition, args.out / "partition.json", weights)
@@ -178,7 +163,7 @@ def cmd_simulate(args) -> int:
     if kind == "impulse":
         dist = ("impulse", int(k or 0))
     else:
-        dist = ("noise", args.seed if args.seed is not None else 0, 1.0)
+        dist = ("noise", args.seed, 1.0)
     # without a declared cluster per coordinator the privacy audit is None
     partition = (None if args.partition is None
                  else load_partition(args.partition)[0])
@@ -201,7 +186,9 @@ def cmd_simulate(args) -> int:
 
 
 def _run_sweep(args, fn) -> int:
-    config = _experiment_config(args)
+    """Run sweep `fn` on the --config file, its one source of settings."""
+    config = ExperimentConfig.from_dict(
+        {} if args.config is None else _load(args.config))
     t0 = time.perf_counter()
     args.out.mkdir(parents=True, exist_ok=True)
     fn(config, args.out)
@@ -218,7 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     s = subs.add_parser("gen-network", help="generate a clustered consensus plant")
-    _add_common(s)
+    _add_common(s, tol_profile=False)
     s.add_argument("--nodes", type=int, required=True)
     s.add_argument("--blocks", type=int, default=4)
     s.add_argument("--p-in", dest="p_in", type=float, default=0.5)
@@ -231,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(fn=cmd_gen_network)
 
     s = subs.add_parser("validate", help="check the standing plant assumptions")
-    _add_common(s)
+    _add_common(s, seed=False)
     s.add_argument("--plant", type=Path, required=True)
     s.set_defaults(fn=cmd_validate)
 
@@ -287,7 +274,8 @@ def build_parser() -> argparse.ArgumentParser:
     for name, fn in [("sweep-kappa", sweep_kappa), ("sweep-size", sweep_size),
                      ("sweep-r", sweep_r)]:
         s = subs.add_parser(name, help=f"run the {name.replace('-', ' ')}")
-        _add_common(s)
+        s.add_argument("--config", type=Path, help="JSON config file")
+        _add_common(s, seed=False, tol_profile=False)
         s.set_defaults(fn=lambda a, _f=fn: _run_sweep(a, _f))
 
     return parser
@@ -309,7 +297,7 @@ def main(argv=None) -> int:
         config_doc = {"command": args.command,
                       "args": {k: str(v) for k, v in vars(args).items()
                                if k != "fn"}}
-        write_manifest(args.out, config_doc, args.seed,
+        write_manifest(args.out, config_doc, vars(args).get("seed"),
                        time.perf_counter() - t0)
     return code
 

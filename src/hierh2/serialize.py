@@ -39,8 +39,24 @@ def _dump(doc: dict, path) -> None:
     Path(path).write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
 
 
-def _load(path) -> dict:
-    return json.loads(Path(path).read_text())
+def _load(path, doc_type: str | None = None) -> dict:
+    """The JSON object in the file at `path`, whose "type" tag must be
+    `doc_type` when one is given.  A file that cannot be read, is not valid
+    JSON, holds anything but an object or carries another tag is an
+    InvalidInput, and so is reading a key that one of its objects lacks."""
+    class Document(dict):
+        def __missing__(self, key):
+            raise InvalidInput(f"{path} has no {key!r} key")
+
+    try:
+        doc = json.loads(Path(path).read_text(), object_hook=Document)
+    except (OSError, ValueError) as e:
+        raise InvalidInput(f"cannot read {path}: {e}") from None
+    if not isinstance(doc, dict):
+        raise InvalidInput(f"{path} does not hold a JSON object")
+    if doc_type is not None and doc.get("type") != doc_type:
+        raise InvalidInput(f"{path} is not a {doc_type} document")
+    return doc
 
 
 def save_plant(g: GeneralizedPlant, path, matrix_format: str = "json") -> None:
@@ -72,9 +88,7 @@ def save_plant(g: GeneralizedPlant, path, matrix_format: str = "json") -> None:
 
 def load_plant(path) -> GeneralizedPlant:
     path = Path(path)
-    doc = _load(path)
-    if doc.get("type") != "generalized_plant":
-        raise InvalidInput(f"{path} is not a plant document")
+    doc = _load(path, "generalized_plant")
     if "matrix_files" in doc:
         from scipy.io import mmread
         mats = {k: np.asarray(mmread(str(path.parent / fname)))
@@ -106,9 +120,7 @@ def save_partition(partition: ClusterPartition, path,
 
 
 def load_partition(path) -> tuple[ClusterPartition, WeightVectors | None]:
-    doc = _load(path)
-    if doc.get("type") != "cluster_partition":
-        raise InvalidInput(f"{path} is not a partition document")
+    doc = _load(path, "cluster_partition")
     partition = ClusterPartition(
         input_sets=tuple(tuple(s) for s in doc["input_sets"]),
         output_sets=tuple(tuple(s) for s in doc["output_sets"]),
@@ -134,14 +146,11 @@ def save_controller(controller: HierarchicalController, path) -> None:
 
 
 def load_controller(path) -> HierarchicalController:
-    doc = _load(path)
-    if doc.get("type") != "hierarchical_controller":
-        raise InvalidInput(f"{path} is not a controller document")
+    doc = _load(path, "hierarchical_controller")
     kt = doc["k_tilde"]
     return HierarchicalController(
         p_u=np.asarray(doc["p_u"], float),
-        k_tilde=StateSpace(np.asarray(kt["a"], float), np.asarray(kt["b"], float),
-                           np.asarray(kt["c"], float), np.asarray(kt["d"], float)),
+        k_tilde=StateSpace(*(np.asarray(kt[k], float) for k in "abcd")),
         p_y=np.asarray(doc["p_y"], float))
 
 

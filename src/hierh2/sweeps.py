@@ -23,8 +23,8 @@ from .projection import (ClusterPartition, WeightVectors, _policy_weights,
 from .serialize import load_partition, write_csv
 from .synthesis import synthesize_hierarchical
 
-__all__ = ["ExperimentConfig", "sweep_kappa", "sweep_size", "sweep_r",
-           "KAPPA_FIELDS", "SIZE_FIELDS", "R_FIELDS"]
+__all__ = ["ExperimentConfig", "load_weighted_partition", "sweep_kappa",
+           "sweep_size", "sweep_r", "KAPPA_FIELDS", "SIZE_FIELDS", "R_FIELDS"]
 
 KAPPA_FIELDS = ["kappa", "solve_time_s", "h2_norm", "h2_ratio",
                 "epsilon_bound", "certified", "closed_loop_abscissa", "status"]
@@ -32,6 +32,20 @@ SIZE_FIELDS = ["n", "time_exact_s", "time_approx_s", "h2_exact", "h2_approx",
                "status"]
 R_FIELDS = ["r", "J1", "J2", "ratio", "xi_u", "xi_y", "xi", "bound_rhs",
             "partition_recovery", "status"]
+
+# the JSON values a config field takes, by its annotation
+_JSON_TYPES = {"int": int, "float": (int, float), "str": str,
+               "str | None": (str, type(None)), "bool": bool,
+               "tuple[int, ...]": (list, tuple)}
+
+
+def _of_type(value, kind: str) -> bool:
+    """Whether `value` fits a config field annotated `kind`; a bool is never
+    a number."""
+    if kind == "tuple[int, ...]" and isinstance(value, (list, tuple)):
+        return all(_of_type(v, "int") for v in value)
+    return (isinstance(value, _JSON_TYPES[kind])
+            and isinstance(value, bool) == (kind == "bool"))
 
 
 @dataclass
@@ -62,22 +76,22 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(doc) - known
+        """The config of a JSON object; an unknown key or a value of the
+        wrong type is an InvalidInput."""
+        fields = cls.__dataclass_fields__
+        unknown = set(doc) - set(fields)
         if unknown:
             raise InvalidInput(f"unknown config keys: {sorted(unknown)}")
-        doc = dict(doc)
-        for key in ("kappa_list", "r_list", "n_list"):
-            if key in doc:
-                doc[key] = tuple(int(v) for v in doc[key])
-        return cls(**doc)
+        for key, value in doc.items():
+            if not _of_type(value, fields[key].type):
+                raise InvalidInput(f"config key {key!r} takes "
+                                   f"{fields[key].type}, got {value!r}")
+        return cls(**{k: tuple(v) if isinstance(v, list) else v
+                      for k, v in doc.items()})
 
     def as_dict(self) -> dict:
-        out = {}
-        for name in self.__dataclass_fields__:
-            val = getattr(self, name)
-            out[name] = list(val) if isinstance(val, tuple) else val
-        return out
+        return {k: list(v) if isinstance(v, tuple) else v
+                for k, v in vars(self).items()}
 
     @property
     def tolerances(self) -> Tolerances:
@@ -111,20 +125,38 @@ class ExperimentConfig:
                                self.tolerances)
 
 
-def _partition_for(config: ExperimentConfig,
-                   g: GeneralizedPlant) -> ClusterPartition:
-    if config.partition_source == "planted":
-        return config.planted_partition(g)
+def load_weighted_partition(path, policy: str, g: GeneralizedPlant, seed: int,
+                            tol: Tolerances
+                            ) -> tuple[ClusterPartition, WeightVectors]:
+    """The partition file at `path` and its weights: the stored weights win,
+    and a file without them gets the weight `policy`, run with `seed` and
+    the run's tolerances `tol`."""
+    partition, weights = load_partition(path)
+    if weights is None:
+        weights = _policy_weights(policy, g, partition, seed, tol)
+    return partition, weights
+
+
+def _partition_for(config: ExperimentConfig, g: GeneralizedPlant
+                   ) -> tuple[ClusterPartition, WeightVectors]:
+    """The sweep's partition and weights; only a partition file can carry
+    weights of its own."""
+    tol = config.tolerances
     if config.partition_source == "file":
-        part, _ = load_partition(config.partition_file)
-        return part
-    if config.partition_source == "designed":
-        tol = config.tolerances
+        return load_weighted_partition(config.partition_file,
+                                       config.weight_policy, g, config.seed,
+                                       tol)
+    if config.partition_source == "planted":
+        partition = config.planted_partition(g)
+    elif config.partition_source == "designed":
         sf = spectral_factors(reference_youla_data(g, tol), g.d12, g.d21, tol)
-        return design_clusters(sf, WeightVectors.ones(g.n_u, g.n_y),
-                               config.n_blocks, rng=config.seed,
-                               restarts=config.restarts)
-    raise InvalidInput(f"unknown partition source {config.partition_source!r}")
+        partition = design_clusters(sf, WeightVectors.ones(g.n_u, g.n_y),
+                                    config.n_blocks, rng=config.seed,
+                                    restarts=config.restarts)
+    else:
+        raise InvalidInput(
+            f"unknown partition source {config.partition_source!r}")
+    return partition, config.weights(g, partition)
 
 
 def sweep_kappa(config: ExperimentConfig, out_dir=None) -> list[dict]:
@@ -138,26 +170,21 @@ def sweep_kappa(config: ExperimentConfig, out_dir=None) -> list[dict]:
     """
     tol = config.tolerances
     g = config.plant()
-    partition = _partition_for(config, g)
-    weights = config.weights(g, partition)
-    p = build_projection(partition, weights)
+    p = build_projection(*_partition_for(config, g))
 
     exact = synthesize_hierarchical(g, p, tol=tol)
-    rows = [{
+    rows = [dict.fromkeys(KAPPA_FIELDS) | {
         "kappa": "exact", "solve_time_s": exact.solve_time,
-        "h2_norm": exact.h2_value, "h2_ratio": 1.0, "epsilon_bound": None,
-        "certified": None, "closed_loop_abscissa": exact.closed_loop_abscissa,
-        "status": "ok",
-    }]
+        "h2_norm": exact.h2_value, "h2_ratio": 1.0,
+        "closed_loop_abscissa": exact.closed_loop_abscissa, "status": "ok"}]
 
     def one(kappa: int) -> dict:
         try:
             res = synthesize_hierarchical(
                 g, p, are_backend="approx", kappa=kappa,
                 method=config.method, tol=tol)
-            eps_bound = None
-            if config.method == "dense":
-                eps_bound = error_bound(res.x_solution, g.b1, tol)[1]
+            eps_bound = (error_bound(res.x_solution, g.b1, tol)[1]
+                         if config.method == "dense" else None)
             return {
                 "kappa": kappa, "solve_time_s": res.solve_time,
                 "h2_norm": res.h2_value,
@@ -169,10 +196,8 @@ def sweep_kappa(config: ExperimentConfig, out_dir=None) -> list[dict]:
                 "status": "ok",
             }
         except ToolkitError as e:
-            return {"kappa": kappa, "solve_time_s": None, "h2_norm": None,
-                    "h2_ratio": None, "epsilon_bound": None,
-                    "certified": None, "closed_loop_abscissa": None,
-                    "status": f"error: {e}"}
+            return (dict.fromkeys(KAPPA_FIELDS)
+                    | {"kappa": kappa, "status": f"error: {e}"})
 
     rows += [one(kappa) for kappa in config.kappa_list]
     if out_dir is not None:
@@ -187,15 +212,13 @@ def sweep_size(config: ExperimentConfig, out_dir=None) -> list[dict]:
     remaining exact cells are left blank.
     """
     tol = config.tolerances
-    n_list = sorted(config.n_list)
     exact_dead = False
     rows = []
-    for n in n_list:
+    for n in sorted(config.n_list):
         g = config.plant(n)
         partition = config.planted_partition(g, n)
-        weights = config.weights(g, partition)
-        p = build_projection(partition, weights)
-        row: dict = {"n": n, "status": "ok"}
+        p = build_projection(partition, config.weights(g, partition))
+        row = dict.fromkeys(SIZE_FIELDS) | {"n": n, "status": "ok"}
         try:
             res_a = synthesize_hierarchical(
                 g, p, are_backend="approx", kappa=config.kappa,
@@ -203,19 +226,14 @@ def sweep_size(config: ExperimentConfig, out_dir=None) -> list[dict]:
             row["time_approx_s"] = res_a.solve_time
             row["h2_approx"] = res_a.h2_value
         except ToolkitError as e:
-            row["time_approx_s"] = row["h2_approx"] = None
             row["status"] = f"approx error: {e}"
-        if exact_dead:
-            row["time_exact_s"] = row["h2_exact"] = None
-        else:
+        if not exact_dead:
             try:
                 res_e = synthesize_hierarchical(g, p, tol=tol)
                 row["time_exact_s"] = res_e.solve_time
                 row["h2_exact"] = res_e.h2_value
-                if res_e.solve_time > config.exact_time_cap_s:
-                    exact_dead = True
+                exact_dead = res_e.solve_time > config.exact_time_cap_s
             except ToolkitError as e:
-                row["time_exact_s"] = row["h2_exact"] = None
                 row["status"] = f"exact error: {e}"
         rows.append(row)
     if out_dir is not None:

@@ -381,8 +381,8 @@ def test_cli_numerical_failure_exit_code(tmp_path, capsys):
 @pytest.fixture(scope="module")
 def cli_24(tmp_path_factory):
     """The 24-node plant of `gen-network`, its planted partition and
-    controller, a controller whose P_y lost a row, and a config with an
-    unknown key."""
+    controller, a controller whose P_y lost a row, a config with an unknown
+    key, and malformed documents and configs."""
     d = tmp_path_factory.mktemp("cli24")
     assert main(["gen-network", "--nodes", "24", "--seed", "7",
                  "--out", str(d)]) == 0
@@ -393,6 +393,13 @@ def cli_24(tmp_path_factory):
     doc["p_y"] = doc["p_y"][:3]
     (d / "short_py.json").write_text(json.dumps(doc))
     (d / "bad_config.json").write_text(json.dumps({"n_s": 24, "r_lst": [2]}))
+    (d / "not_json.txt").write_text("not a JSON document\n")
+    (d / "plant_no_matrices.json").write_text(
+        json.dumps({"type": "generalized_plant"}))
+    doc = json.loads((d / "planted_partition.json").read_text())
+    del doc["output_sets"]
+    (d / "partition_no_output_sets.json").write_text(json.dumps(doc))
+    (d / "config_wrong_type.json").write_text(json.dumps({"n_s": "abc"}))
     return d
 
 
@@ -406,8 +413,17 @@ def cli_24(tmp_path_factory):
     ["sweep-r", "--config", "{d}/bad_config.json"],
     ["simulate", "--plant", "{d}/plant.json",
      "--controller", "{d}/short_py.json"],
+    ["synth", "--plant", "{d}/not_json.txt",
+     "--partition", "{d}/planted_partition.json"],
+    ["validate", "--plant", "{d}/plant_no_matrices.json"],
+    ["gap", "--plant", "{d}/plant.json",
+     "--partition", "{d}/partition_no_output_sets.json"],
+    ["sweep-r", "--config", "{d}/no_such_config.json"],
+    ["sweep-r", "--config", "{d}/config_wrong_type.json"],
 ], ids=["plant-is-a-partition", "kappa-above-n", "r-above-channels",
-        "p-in-above-1", "unknown-config-key", "p_y-rows-below-k-inputs"])
+        "p-in-above-1", "unknown-config-key", "p_y-rows-below-k-inputs",
+        "plant-not-json", "plant-missing-key", "partition-missing-key",
+        "config-missing-file", "config-wrong-type"])
 def test_cli_bad_input_exits_2(cli_24, tmp_path, capsys, argv):
     argv = [a.format(d=cli_24) for a in argv] + ["--out", str(tmp_path)]
     assert main(argv) == 2
@@ -464,3 +480,80 @@ def test_sweeps_record_an_out_of_range_row(tmp_path):
     assert r_rows[0]["status"] == "ok"
     assert r_rows[1]["status"] == \
         "error: r exceeds the number of inputs or outputs"
+
+
+@pytest.mark.parametrize("argv", [
+    ["gap", "--plant", "p.json", "--partition", "q.json", "--config", "x.json"],
+    ["validate", "--plant", "p.json", "--seed", "3"],
+    ["gen-network", "--nodes", "24", "--tol-profile", "strict"],
+    ["sweep-r", "--seed", "3", "--config", "x.json"],
+    ["sweep-kappa", "--tol-profile", "strict", "--config", "x.json"],
+], ids=["gap-config", "validate-seed", "gen-network-tol-profile",
+        "sweep-seed", "sweep-tol-profile"])
+def test_cli_rejects_a_flag_the_command_does_not_read(tmp_path, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_config_checks_value_types():
+    from hierh2.errors import InvalidInput
+    assert ExperimentConfig.from_dict({"p_in": 1, "kappa_list": [2, 3]}) == \
+        ExperimentConfig(p_in=1, kappa_list=(2, 3))
+    for doc in ({"n_s": "24"}, {"n_s": 24.0}, {"n_s": True},
+                {"degree_preserving": 1}, {"kappa_list": [1, "2"]},
+                {"kappa_list": 2}, {"tol_profile": None}):
+        with pytest.raises(InvalidInput, match="config key"):
+            ExperimentConfig.from_dict(doc)
+
+
+def test_sweep_reads_the_tol_profile_of_its_config(cli_24, tmp_path,
+                                                   monkeypatch):
+    import hierh2.sweeps
+    from hierh2 import STRICT_TOLERANCES
+    seen = []
+
+    def recording(*args, tol, **kw):
+        seen.append(tol)
+        return synthesize_hierarchical(*args, tol=tol, **kw)
+
+    monkeypatch.setattr(hierh2.sweeps, "synthesize_hierarchical", recording)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "n_s": 24, "p_in": 0.5, "p_out": 0.01, "a_lo": 1.0, "a_hi": 2.0,
+        "seed": 7, "kappa_list": [24], "method": "dense",
+        "tol_profile": "strict"}))
+    assert main(["sweep-kappa", "--config", str(cfg),
+                 "--out", str(tmp_path)]) == 0
+    assert seen == [STRICT_TOLERANCES] * 2
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["config"]["tol_profile"] == "strict"
+
+
+def test_sweep_and_synth_read_the_stored_weights_alike(cli_24, tmp_path,
+                                                       capsys):
+    # one partition file gives one controller: its stored weights win in
+    # `synth --partition` and in a sweep with partition_source "file"
+    part, _ = load_partition(cli_24 / "planted_partition.json")
+    n_u = sum(len(s) for s in part.input_sets)
+    n_y = sum(len(s) for s in part.output_sets)
+    weighted = tmp_path / "weighted.json"
+    save_partition(part, weighted, WeightVectors(np.linspace(1, 2, n_u),
+                                                 np.linspace(1, 2, n_y)))
+    assert main(["synth", "--plant", str(cli_24 / "plant.json"),
+                 "--partition", str(weighted),
+                 "--out", str(tmp_path / "synth")]) == 0
+    h2 = json.loads((tmp_path / "synth" / "synthesis.json").read_text())
+    unit = json.loads((cli_24 / "synthesis.json").read_text())
+    assert h2["h2_value"] != unit["h2_value"]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "n_s": 24, "p_in": 0.5, "p_out": 0.01, "a_lo": 1.0, "a_hi": 2.0,
+        "seed": 7, "kappa_list": [], "partition_source": "file",
+        "partition_file": str(weighted)}))
+    assert main(["sweep-kappa", "--config", str(cfg),
+                 "--out", str(tmp_path / "sweep")]) == 0
+    exact = read_csv(tmp_path / "sweep" / "kappa_sweep.csv")[0]
+    assert exact["kappa"] == "exact"
+    assert float(exact["h2_norm"]) == h2["h2_value"]
