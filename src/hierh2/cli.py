@@ -16,8 +16,6 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
 from .config import tolerance_profile
 from .errors import NumericalError, PreconditionError
 from .gapdesign import (design_clusters, evaluate_partition,
@@ -110,7 +108,7 @@ def cmd_approx(args) -> int:
     """Diagnostics of X~ for the X equation that `synth` solves."""
     tol = tolerance_profile(args.tol_profile)
     g = load_plant(args.plant)
-    p = ProjectionPair(np.eye(g.n_u), np.eye(g.n_y))
+    p = ProjectionPair.identity(g.n_u, g.n_y)
     if args.partition is not None:
         p = build_projection(*load_weighted_partition(
             args.partition, args.weights, g, args.seed, tol))

@@ -22,7 +22,9 @@ class Tolerances:
     # Riccati: Newton refines X down to are_residual max(1, ||Q||_F) and
     # accepts it within are_residual max(1, ||Q||_F, ||X M X||_F)
     are_residual: float = 1e-8
-    subspace_residual: float = 1e-8     # relative to ||H||_F
+    # eigenpair block Z, Lambda of H: ||H Z - Z Lambda||_F relative to
+    # max(1, ||H Z||_F), on the dense and the Krylov path
+    subspace_residual: float = 1e-8
 
     # conditioning / definiteness
     cond_max: float = 1e12

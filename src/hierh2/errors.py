@@ -4,7 +4,12 @@ Two families matter for callers: :class:`PreconditionError` (bad inputs,
 violated hypotheses) and :class:`NumericalError` (a computation could not be
 completed reliably).  The CLI maps them to exit codes 2 and 3.
 :class:`InvalidInput` is the precondition error for an argument, document
-or config value outside its domain; it is also a ``ValueError``.
+or config value outside its domain; it is also a ``ValueError``.  Each
+numerical decision has one error: an eigenvalue of a Hamiltonian on jR is
+:class:`HamiltonianImaginaryAxis` on every Riccati and eigen-path, and a
+realified eigenpair block that fails the one acceptance rule
+(``linalg._require_invariant``) raises :class:`NumericalError` on the dense
+path and :class:`ArnoldiNoConvergence` on the Krylov path.
 """
 
 
@@ -65,11 +70,9 @@ class DegenerateData(PreconditionError):
 # -- numerical failures --------------------------------------------------------
 
 class HamiltonianImaginaryAxis(NumericalError):
-    """The Hamiltonian matrix has an eigenvalue numerically on jR."""
-
-
-class ImaginaryAxisEigenvalue(NumericalError):
-    """An eigenvalue lies within tolerance of the imaginary axis."""
+    """The Hamiltonian matrix has an eigenvalue numerically on jR; raised
+    alike by the ordered-Schur Riccati solver and the dense and Krylov
+    eigen-paths."""
 
 
 class SingularZ1(NumericalError):

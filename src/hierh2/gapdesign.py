@@ -209,9 +209,8 @@ def doubly_projected_controller(g: GeneralizedPlant, p: ProjectionPair,
     m = cp.T @ rp_inv @ cp
     y_sol = riccati_from_hamiltonian(g.a.T, m, g.b1 @ g.b1.T, tol)
     l_brev = -y_sol.x @ cp.T @ rp_inv
-    return YoulaData(g=g, p=ProjectionPair(np.eye(g.n_u), np.eye(g.n_y)),
-                     f2=f_brev, l2=l_brev, f_loop=x_sol.closed_loop,
-                     l_loop=y_sol.closed_loop.transposed())
+    return YoulaData.from_riccati(g, ProjectionPair.identity(g.n_u, g.n_y),
+                                  f_brev, l_brev, x_sol, y_sol)
 
 
 def gap_report(hier: SynthesisResult, sf: SpectralFactors,
@@ -263,10 +262,9 @@ def reference_youla_data(g: GeneralizedPlant,
     y_hs = build_hamiltonian(g.a.T, g.c2.T, np.eye(g.n), np.eye(g.n_y), tol)
     x_sol = riccati_from_hamiltonian(x_hs.a, x_hs.m, x_hs.ctc, tol)
     y_sol = riccati_from_hamiltonian(y_hs.a, y_hs.m, y_hs.ctc, tol)
-    return YoulaData(g=g, p=ProjectionPair(np.eye(g.n_u), np.eye(g.n_y)),
-                     f2=x_hs.gain(x_sol.x), l2=y_hs.gain(y_sol.x).T,
-                     f_loop=x_sol.closed_loop,
-                     l_loop=y_sol.closed_loop.transposed())
+    return YoulaData.from_riccati(g, ProjectionPair.identity(g.n_u, g.n_y),
+                                  x_hs.gain(x_sol.x), y_hs.gain(y_sol.x).T,
+                                  x_sol, y_sol)
 
 
 # evaluate_partition warns when the equivalence-form H2 cost differs from J2*

@@ -26,8 +26,13 @@ The unstable left and right eigenbases come from one LAPACK ``geev`` call
 :func:`_pbh_rank_deficient`; callers holding a plant pass it the modes of
 the plant's cached spectrum, so A is eigendecomposed once per plant.
 Likewise every Hurwitz test is :func:`_require_hurwitz`, every
-conditioning test :func:`_require_conditioned`, and the dense and the
-Krylov eigen-path select their stable set through :func:`_stable_set`.
+conditioning test :func:`_require_conditioned`, and every Hamiltonian
+eigenvalue on jR is caught by :func:`_check_imag_axis`, which raises
+:class:`~hierh2.errors.HamiltonianImaginaryAxis` on the ordered-Schur, the
+dense and the Krylov path alike.  The dense and the Krylov eigen-path select
+their stable set through :func:`_stable_set` and accept the realified block
+Z, lam by one rule, :func:`_require_invariant`:
+||H Z - Z lam||_F <= subspace_residual max(1, ||H Z||_F).
 """
 
 from __future__ import annotations
@@ -40,9 +45,9 @@ import scipy.linalg as sla
 
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import (ConjugatePairSplitWarning, DimensionMismatch,
-                     HamiltonianImaginaryAxis, ImaginaryAxisEigenvalue,
-                     NotHurwitz, NotPSD, NotStabilizable, NotStrictlyProper,
-                     NumericalError, SingularZ1)
+                     HamiltonianImaginaryAxis, NotHurwitz, NotPSD,
+                     NotStabilizable, NotStrictlyProper, NumericalError,
+                     SingularZ1)
 from .statespace import StateSpace, as_matrix
 
 __all__ = [
@@ -80,6 +85,16 @@ def _require_conditioned(cond: float, tol: Tolerances, error, what) -> None:
     `what`, when the condition number exceeds cond_max."""
     if cond > tol.cond_max:
         raise error(f"cond({what}) = {cond:.3e} exceeds {tol.cond_max:.1e}")
+
+
+def _require_invariant(hz, z, lam, tol: Tolerances, error, what) -> None:
+    """The package's one acceptance rule for a realified eigenpair block
+    Z, lam of a Hamiltonian H, given H Z as `hz`: raise `error`, naming
+    `what`, when ||H Z - Z lam||_F > subspace_residual max(1, ||H Z||_F)."""
+    res = np.linalg.norm(hz - z @ lam, "fro")
+    bound = tol.subspace_residual * max(1.0, np.linalg.norm(hz, "fro"))
+    if res > bound:
+        raise error(f"{what} residual {res:.3e} exceeds {bound:.3e}")
 
 
 def _unstable_modes(eigs: np.ndarray, tol: Tolerances) -> np.ndarray:
@@ -369,11 +384,14 @@ def _on_axis(eigs: np.ndarray, tol: Tolerances) -> np.ndarray:
     return np.abs(eigs.real) <= tol.imag_axis * np.maximum(1.0, np.abs(eigs))
 
 
-def _check_imag_axis(eigvals: np.ndarray, tol: Tolerances, exc=HamiltonianImaginaryAxis):
+def _check_imag_axis(eigvals: np.ndarray, tol: Tolerances) -> None:
+    """The package's one imaginary-axis decision on the eigenvalues of a
+    Hamiltonian: raise HamiltonianImaginaryAxis when one is on jR."""
     on_axis = eigvals[_on_axis(eigvals, tol)]
     if on_axis.size:
         worst = on_axis[np.argmin(np.abs(on_axis.real))]
-        raise exc(f"eigenvalue {worst:.6e} is within tolerance of the imaginary axis")
+        raise HamiltonianImaginaryAxis(
+            f"eigenvalue {worst:.6e} is within tolerance of the imaginary axis")
 
 
 def riccati_from_hamiltonian(a, m, q, tol: Tolerances = DEFAULT_TOLERANCES) -> AreSolution:
@@ -714,12 +732,12 @@ def _stable_set(vals: np.ndarray, vecs: np.ndarray, n: int,
     Hamiltonian: the package's one stable-set selection, for the dense and
     the Krylov eigen-path alike.
 
-    Raises ImaginaryAxisEigenvalue when an eigenvalue is numerically on jR;
-    otherwise keeps Re lambda < 0, one representative per real eigenvalue
-    or conjugate pair (:func:`_group_conjugates`), realified in order
-    (:func:`_realify_sorted`).
+    Raises HamiltonianImaginaryAxis when an eigenvalue is numerically on jR
+    (:func:`_check_imag_axis`); otherwise keeps Re lambda < 0, one
+    representative per real eigenvalue or conjugate pair
+    (:func:`_group_conjugates`), realified in order (:func:`_realify_sorted`).
     """
-    _check_imag_axis(vals, tol, ImaginaryAxisEigenvalue)
+    _check_imag_axis(vals, tol)
     sel = vals.real < 0
     return _realify_sorted(_group_conjugates(vals[sel], vecs[:, sel]), n)
 
@@ -736,8 +754,8 @@ def stable_eigenspace(h, tol: Tolerances = DEFAULT_TOLERANCES) -> StableSubspace
 
     Raises
     ------
-    ImaginaryAxisEigenvalue : some eigenvalue is numerically on jR.
-    NumericalError : the subspace residual ||H Z - Z lam||_F is too large.
+    HamiltonianImaginaryAxis : some eigenvalue is numerically on jR.
+    NumericalError : the block fails :func:`_require_invariant`.
     """
     h = np.asarray(h, float)
     n2 = h.shape[0]
@@ -745,13 +763,8 @@ def stable_eigenspace(h, tol: Tolerances = DEFAULT_TOLERANCES) -> StableSubspace
         raise DimensionMismatch("Hamiltonian must be 2n x 2n")
     n = n2 // 2
     out = _stable_set(*np.linalg.eig(h), n, tol)
-    if out.k:
-        z = np.vstack([out.z1, out.z2])
-        res = np.linalg.norm(h @ z - z @ out.lam, "fro")
-        if res > tol.subspace_residual * max(1.0, np.linalg.norm(h, "fro")):
-            raise NumericalError(
-                f"invariant subspace residual {res:.3e} exceeds "
-                f"{tol.subspace_residual:.1e} * ||H||")
+    z = np.vstack([out.z1, out.z2])
+    _require_invariant(h @ z, z, out.lam, tol, NumericalError, "invariant subspace")
     return out
 
 

@@ -8,7 +8,6 @@ under the plant is checked numerically on random members.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -134,6 +133,12 @@ class ProjectionPair:
         object.__setattr__(self, "p_u", np.asarray(self.p_u, float))
         object.__setattr__(self, "p_y", np.asarray(self.p_y, float))
 
+    @classmethod
+    def identity(cls, n_u: int, n_y: int) -> "ProjectionPair":
+        """The pair (I, I) of an unprojected loop with n_u inputs and n_y
+        outputs."""
+        return cls(np.eye(n_u), np.eye(n_y))
+
     @property
     def r(self) -> int:
         return self.p_u.shape[0]
@@ -256,8 +261,7 @@ def feasible_weights(g: GeneralizedPlant, partition: ClusterPartition,
     spans B2' V_L and C2 V_R of the realified unstable left/right
     eigenvectors (:func:`~hierh2.linalg.unstable_eigenbases`); every
     candidate is certified by PBH on (A, B2 P_u^T) and (P_y C2, A) at the
-    unstable modes of ``g.spectrum``.  When the eigenvector-span condition
-    holds but PBH fails, a warning records the mismatch.
+    unstable modes of ``g.spectrum``.
     """
     rng = np.random.default_rng(rng)
     ones = WeightVectors.ones(g.n_u, g.n_y)
@@ -276,21 +280,13 @@ def feasible_weights(g: GeneralizedPlant, partition: ClusterPartition,
     # the eigenvector spans pulled back to input/output coordinates
     basis_u = g.b2.T @ vl
     basis_y = g.c2 @ vr
-    gram_u = basis_u.T @ basis_u
-    gram_y = basis_y.T @ basis_y
     q = vl.shape[1]
     for _ in range(max_tries):
         v_u = rng.standard_normal(q)
         v_y = rng.standard_normal(q)
-        span_ok = (np.linalg.norm(gram_u @ v_u) > tol.pbh_rel
-                   and np.linalg.norm(gram_y @ v_y) > tol.pbh_rel)
         cand = WeightVectors(basis_u @ v_u, basis_y @ v_y)
         if certify(cand):
             return cand
-        if span_ok:
-            warnings.warn(
-                "eigenvector-span condition held but direct PBH failed; "
-                "partition may be incompatible with the unstable modes")
     raise NoFeasibleWeights(
         f"no feasible weights after {max_tries} tries; the partition may be "
         "incompatible with the unstable modes")

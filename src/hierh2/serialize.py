@@ -2,7 +2,9 @@
 
 Matrices are dense row-major nested lists; every document carries a "type"
 tag.  Large plant matrices can optionally be exported in Matrix Market
-format as sidecar files next to the main document.  CSV emission formats
+format as sidecar files next to the main document.  Every stored matrix or
+vector, in JSON or in a sidecar, is read by one decoder that turns a bad
+value or an unreadable sidecar into an InvalidInput.  CSV emission formats
 floats with repr so identical values give byte-identical files.
 """
 
@@ -59,6 +61,19 @@ def _load(path, doc_type: str | None = None) -> dict:
     return doc
 
 
+def _array(path, key: str, value, sidecar: bool = False) -> np.ndarray:
+    """The float array stored under `key` of the document at `path`: the
+    JSON array `value` or, with `sidecar`, the Matrix Market file named
+    `value` next to the document.  A sidecar that cannot be read, or a value
+    that is not a rectangular array of numbers, is an InvalidInput naming
+    the file and the key."""
+    try:
+        return np.asarray(scipy.io.mmread(str(Path(path).parent / value))
+                          if sidecar else value, float)
+    except (OSError, ValueError, TypeError) as e:
+        raise InvalidInput(f"{path}: {key!r} is not a numeric array: {e}") from None
+
+
 def save_plant(g: GeneralizedPlant, path, matrix_format: str = "json") -> None:
     """Write a plant document; matrix_format 'mm' stores the matrices as
     Matrix Market sidecar files referenced from the JSON."""
@@ -75,11 +90,10 @@ def save_plant(g: GeneralizedPlant, path, matrix_format: str = "json") -> None:
     if matrix_format == "json":
         doc.update({k: _mat(v) for k, v in mats.items()})
     elif matrix_format == "mm":
-        from scipy.io import mmwrite
         doc["matrix_files"] = {}
         for k, v in mats.items():
             side = path.with_suffix(f".{k}.mtx")
-            mmwrite(str(side), np.asarray(v))
+            scipy.io.mmwrite(str(side), np.asarray(v))
             doc["matrix_files"][k] = side.name
     else:
         raise InvalidInput(f"unknown matrix_format {matrix_format!r}")
@@ -89,13 +103,10 @@ def save_plant(g: GeneralizedPlant, path, matrix_format: str = "json") -> None:
 def load_plant(path) -> GeneralizedPlant:
     path = Path(path)
     doc = _load(path, "generalized_plant")
-    if "matrix_files" in doc:
-        from scipy.io import mmread
-        mats = {k: np.asarray(mmread(str(path.parent / fname)))
-                for k, fname in doc["matrix_files"].items()}
-    else:
-        mats = {k: np.asarray(doc[k], float)
-                for k in ("a", "b1", "b2", "c1", "c2", "d12", "d21")}
+    sidecar = "matrix_files" in doc
+    source = doc["matrix_files"] if sidecar else doc
+    mats = {k: _array(path, k, source[k], sidecar)
+            for k in ("a", "b1", "b2", "c1", "c2", "d12", "d21")}
     subsystems = tuple(
         Subsystem(states=tuple(s["states"]), inputs=tuple(s["inputs"]),
                   outputs=tuple(s["outputs"]))
@@ -126,10 +137,9 @@ def load_partition(path) -> tuple[ClusterPartition, WeightVectors | None]:
         output_sets=tuple(tuple(s) for s in doc["output_sets"]),
         subsystem_sets=(None if doc.get("subsystem_sets") is None
                         else tuple(tuple(s) for s in doc["subsystem_sets"])))
-    weights = None
-    if "weights" in doc:
-        weights = WeightVectors(np.asarray(doc["weights"]["w_u"]),
-                                np.asarray(doc["weights"]["w_y"]))
+    stored = doc.get("weights")
+    weights = None if stored is None else WeightVectors(
+        *(_array(path, f"weights.{k}", stored[k]) for k in ("w_u", "w_y")))
     return partition, weights
 
 
@@ -149,9 +159,10 @@ def load_controller(path) -> HierarchicalController:
     doc = _load(path, "hierarchical_controller")
     kt = doc["k_tilde"]
     return HierarchicalController(
-        p_u=np.asarray(doc["p_u"], float),
-        k_tilde=StateSpace(*(np.asarray(kt[k], float) for k in "abcd")),
-        p_y=np.asarray(doc["p_y"], float))
+        p_u=_array(path, "p_u", doc["p_u"]),
+        k_tilde=StateSpace(*(_array(path, f"k_tilde.{k}", kt[k])
+                             for k in "abcd")),
+        p_y=_array(path, "p_y", doc["p_y"]))
 
 
 def config_hash(config: dict) -> str:

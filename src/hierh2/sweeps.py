@@ -209,16 +209,25 @@ def sweep_size(config: ExperimentConfig, out_dir=None) -> list[dict]:
     """Construction-time scaling of the exact versus approximate backends.
 
     The exact column is capped: once a row exceeds exact_time_cap_s the
-    remaining exact cells are left blank.
+    remaining exact cells are left blank.  A row whose plant, weights or
+    projection fail reads ``error: ...``; a row where a backend fails reads
+    ``approx error: ...`` or ``exact error: ...``, and both, joined by
+    "; ", when both fail.
     """
     tol = config.tolerances
     exact_dead = False
     rows = []
     for n in sorted(config.n_list):
-        g = config.plant(n)
-        partition = config.planted_partition(g, n)
-        p = build_projection(partition, config.weights(g, partition))
-        row = dict.fromkeys(SIZE_FIELDS) | {"n": n, "status": "ok"}
+        row = dict.fromkeys(SIZE_FIELDS) | {"n": n}
+        rows.append(row)
+        try:
+            g = config.plant(n)
+            partition = config.planted_partition(g, n)
+            p = build_projection(partition, config.weights(g, partition))
+        except ToolkitError as e:
+            row["status"] = f"error: {e}"
+            continue
+        errors = []
         try:
             res_a = synthesize_hierarchical(
                 g, p, are_backend="approx", kappa=config.kappa,
@@ -226,7 +235,7 @@ def sweep_size(config: ExperimentConfig, out_dir=None) -> list[dict]:
             row["time_approx_s"] = res_a.solve_time
             row["h2_approx"] = res_a.h2_value
         except ToolkitError as e:
-            row["status"] = f"approx error: {e}"
+            errors.append(f"approx error: {e}")
         if not exact_dead:
             try:
                 res_e = synthesize_hierarchical(g, p, tol=tol)
@@ -234,8 +243,8 @@ def sweep_size(config: ExperimentConfig, out_dir=None) -> list[dict]:
                 row["h2_exact"] = res_e.h2_value
                 exact_dead = res_e.solve_time > config.exact_time_cap_s
             except ToolkitError as e:
-                row["status"] = f"exact error: {e}"
-        rows.append(row)
+                errors.append(f"exact error: {e}")
+        row["status"] = "; ".join(errors) or "ok"
     if out_dir is not None:
         write_csv(Path(out_dir) / "size_sweep.csv", SIZE_FIELDS, rows)
     return rows

@@ -90,6 +90,15 @@ class YoulaData:
     f_loop: RealSchur
     l_loop: RealSchur
 
+    @classmethod
+    def from_riccati(cls, g, p, f2, l2, x_sol, y_sol) -> "YoulaData":
+        """The observer loop of two Riccati solutions and their gains: the
+        control loop is the closed loop of the X equation, and the filter
+        loop the transposed closed loop of the Y equation, which is solved
+        on the dual.  Both were checked for stability by the solver."""
+        return cls(g=g, p=p, f2=f2, l2=l2, f_loop=x_sol.closed_loop,
+                   l_loop=y_sol.closed_loop.transposed())
+
     def fold_u(self, m: np.ndarray) -> np.ndarray:
         """m P_u^T, so that m F = fold_u(m) F2."""
         return m @ self.p.p_u.T
@@ -316,8 +325,7 @@ def synthesize_hierarchical(g: GeneralizedPlant, p: ProjectionPair,
     elapsed = time.perf_counter() - t0
 
     if are_backend == "exact":
-        yd = YoulaData(g=g, p=p, f2=f2, l2=l2, f_loop=x_sol.closed_loop,
-                       l_loop=y_sol.closed_loop.transposed())
+        yd = YoulaData.from_riccati(g, p, f2, l2, x_sol, y_sol)
     else:
         try:
             yd = youla_data(g, p, f2, l2, tol)
@@ -332,8 +340,7 @@ def synthesize_hierarchical(g: GeneralizedPlant, p: ProjectionPair,
 def synthesize_unconstrained(g: GeneralizedPlant,
                              tol: Tolerances = DEFAULT_TOLERANCES) -> SynthesisResult:
     """Standard two-Riccati H2 design: identity projections on both sides."""
-    p = ProjectionPair(np.eye(g.n_u), np.eye(g.n_y))
-    return synthesize_hierarchical(g, p, tol=tol)
+    return synthesize_hierarchical(g, ProjectionPair.identity(g.n_u, g.n_y), tol=tol)
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,7 @@ from hierh2 import (ClusterPartition, GeneralizedPlant, NetworkSpec,
 
 def identity_pair(g):
     """The projection pair of an unprojected loop on the plant `g`."""
-    return ProjectionPair(np.eye(g.n_u), np.eye(g.n_y))
+    return ProjectionPair.identity(g.n_u, g.n_y)
 
 
 def random_stable_matrix(rng, n, margin=0.3):

@@ -4,11 +4,12 @@ import scipy.linalg as sla
 
 from hierh2 import (DEFAULT_TOLERANCES, StateSpace, approx_are,
                     build_hamiltonian, cauchy_coefficients, error_bound,
-                    exact_error_norm, h2_norm, hamiltonian, solve_are,
-                    solve_lyapunov, spectral_abscissa, stability_test)
+                    exact_error_norm, h2_norm, solve_are, solve_lyapunov,
+                    spectral_abscissa, stability_test, stable_eigenspace)
 from hierh2.linalg import riccati_from_hamiltonian, solve_sylvester, symmetrize
-from hierh2.errors import (ArnoldiNoConvergence, IllConditionedR,
-                           SingularPencil, SingularR, SingularZ1)
+from hierh2.errors import (ArnoldiNoConvergence, HamiltonianImaginaryAxis,
+                           IllConditionedR, SingularPencil, SingularR,
+                           SingularZ1)
 
 from conftest import random_are_instance
 
@@ -413,14 +414,30 @@ def test_krylov_rejects_a_bad_ritz_set(monkeypatch, corrupt, cause):
         approx_are(_consensus_hamiltonian(), kappa=4, method="krylov")
 
 
-def test_krylov_block_residual_gate_fires_on_a_clean_run(monkeypatch):
+def test_krylov_block_residual_gate_fires_on_a_clean_run():
     # the run converges (the default gate passes it), but no residual is
     # below 1e-20 max(1, ||H Z||_F)
     hs = _consensus_hamiltonian()
     approx_are(hs, kappa=4, method="krylov")
-    monkeypatch.setattr(hamiltonian, "_KRYLOV_BLOCK_RESIDUAL", 1e-20)
     with pytest.raises(ArnoldiNoConvergence, match="block residual"):
-        approx_are(hs, kappa=4, method="krylov")
+        approx_are(hs, kappa=4, method="krylov",
+                   tol=DEFAULT_TOLERANCES.with_(subspace_residual=1e-20))
+
+
+@pytest.mark.parametrize("path", ["dense", "krylov", "riccati"])
+def test_imaginary_axis_eigenvalue_raises_on_every_path(path):
+    # A has a zero mode that B does not actuate and C1 does not observe, so
+    # H has the eigenvalue 0 twice; every path raises the one axis error,
+    # from the axis check itself (the ordered-Schur path would otherwise
+    # report a stable subspace of dimension n - 1)
+    n = 6
+    a = np.diag(-np.arange(n, dtype=float))
+    hs = build_hamiltonian(a, np.eye(n)[:, 1:], np.eye(n)[1:], np.eye(n - 1))
+    run = {"dense": lambda: stable_eigenspace(hs.h),
+           "krylov": lambda: approx_are(hs, kappa=1, method="krylov"),
+           "riccati": lambda: riccati_from_hamiltonian(hs.a, hs.m, hs.ctc)}
+    with pytest.raises(HamiltonianImaginaryAxis, match="imaginary axis"):
+        run[path]()
 
 
 def test_krylov_is_reproducible():

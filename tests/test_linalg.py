@@ -708,6 +708,26 @@ def test_realify_rejects_degenerate_eigenvectors(lam, vec, is_pair, message):
         linalg._realify_sorted([(lam, vec, is_pair)], 2)
 
 
+def test_stable_eigenspace_rejects_a_perturbed_block(monkeypatch):
+    # eigenvectors off by 1e-6 leave ||H Z - Z lam||_F far above
+    # subspace_residual max(1, ||H Z||_F); the unperturbed block passes
+    rng = np.random.default_rng(29)
+    a, b, c, r = random_are_instance(rng, 6)
+    m = b @ np.linalg.solve(r, b.T)
+    h = np.block([[a, -m], [-c.T @ c, -a.T]])
+    stable_eigenspace(h)
+    eig = np.linalg.eig
+
+    def perturbed(mat):
+        vals, vecs = eig(mat)
+        noise = np.random.default_rng(1).standard_normal(vecs.shape)
+        return vals, vecs + 1e-6 * noise
+
+    monkeypatch.setattr(np.linalg, "eig", perturbed)
+    with pytest.raises(NumericalError, match="invariant subspace residual"):
+        stable_eigenspace(h)
+
+
 def test_stable_eigenspace_ordering_by_magnitude():
     rng = np.random.default_rng(101)
     a, b, c, r = random_are_instance(rng, 7)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -294,5 +296,10 @@ def test_no_feasible_weights_for_incompatible_partition():
         d12=np.vstack([np.zeros((2, 1)), np.eye(1)]),
         d21=np.hstack([np.zeros((2, 2)), np.eye(2)]))
     part = ClusterPartition(input_sets=((0,),), output_sets=((0, 1),))
-    with pytest.raises(NoFeasibleWeights):
-        feasible_weights(g, part, max_tries=10, rng=1)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(NoFeasibleWeights):
+            feasible_weights(g, part, max_tries=10, rng=1)
+    # a failed candidate is not a warning: only the error reports it
+    assert not [w for w in caught if issubclass(w.category, UserWarning)
+                and w.filename.endswith("projection.py")]

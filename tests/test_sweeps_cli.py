@@ -76,6 +76,27 @@ def test_sweep_size_columns(tmp_path):
         assert float(r["h2_approx"]) <= 1.02 * float(r["h2_exact"])
 
 
+@pytest.mark.parametrize("policy,status", [
+    ("eigenspan", "error: no feasible weights after 50 tries"),
+    ("ones", "approx error: (A, B2 P_u^T) is not stabilizable; "
+             "exact error: (A, B2 P_u^T) is not stabilizable"),
+], ids=["eigenspan", "ones"])
+def test_sweep_size_records_a_failing_row(tmp_path, policy, status):
+    # the gen-network plant at n = 48: its planted partition leaves an
+    # unstable mode unreachable, so no eigenspan weights exist, and with
+    # unit weights both backends fail; the row records it and the sweep
+    # still writes its CSV
+    config = ExperimentConfig(n_s=24, n_blocks=4, p_in=0.5, p_out=0.01,
+                              a_lo=1.0, a_hi=2.0, seed=0, n_list=(24, 48),
+                              weight_policy=policy)
+    sweep_size(config, tmp_path)
+    table = read_csv(tmp_path / "size_sweep.csv")
+    assert [r["n"] for r in table] == ["24", "48"]
+    assert table[0]["h2_exact"] != ""
+    assert table[1]["status"].startswith(status)
+    assert table[1]["h2_exact"] == table[1]["h2_approx"] == ""
+
+
 def test_sweep_r_rows(tmp_path):
     rows = sweep_r(small_config(), tmp_path)
     table = read_csv(tmp_path / "r_sweep.csv")
@@ -382,7 +403,8 @@ def test_cli_numerical_failure_exit_code(tmp_path, capsys):
 def cli_24(tmp_path_factory):
     """The 24-node plant of `gen-network`, its planted partition and
     controller, a controller whose P_y lost a row, a config with an unknown
-    key, and malformed documents and configs."""
+    key, malformed documents and configs, and a Matrix Market plant whose
+    A sidecar is gone."""
     d = tmp_path_factory.mktemp("cli24")
     assert main(["gen-network", "--nodes", "24", "--seed", "7",
                  "--out", str(d)]) == 0
@@ -400,6 +422,17 @@ def cli_24(tmp_path_factory):
     del doc["output_sets"]
     (d / "partition_no_output_sets.json").write_text(json.dumps(doc))
     (d / "config_wrong_type.json").write_text(json.dumps({"n_s": "abc"}))
+    assert main(["gen-network", "--nodes", "24", "--seed", "7",
+                 "--matrix-format", "mm", "--out", str(d / "mm")]) == 0
+    (d / "mm" / "plant.a.mtx").unlink()
+    plant = json.loads((d / "plant.json").read_text())
+    plant["a"][0][0] = "abc"
+    (d / "plant_text_entry.json").write_text(json.dumps(plant))
+    plant["a"][0] = plant["a"][0][1:]
+    (d / "plant_ragged.json").write_text(json.dumps(plant))
+    doc = json.loads((d / "planted_partition.json").read_text())
+    doc["weights"]["w_u"][0] = "x"
+    (d / "partition_text_weight.json").write_text(json.dumps(doc))
     return d
 
 
@@ -420,10 +453,16 @@ def cli_24(tmp_path_factory):
      "--partition", "{d}/partition_no_output_sets.json"],
     ["sweep-r", "--config", "{d}/no_such_config.json"],
     ["sweep-r", "--config", "{d}/config_wrong_type.json"],
+    ["validate", "--plant", "{d}/mm/plant.json"],
+    ["validate", "--plant", "{d}/plant_text_entry.json"],
+    ["validate", "--plant", "{d}/plant_ragged.json"],
+    ["synth", "--plant", "{d}/plant.json",
+     "--partition", "{d}/partition_text_weight.json"],
 ], ids=["plant-is-a-partition", "kappa-above-n", "r-above-channels",
         "p-in-above-1", "unknown-config-key", "p_y-rows-below-k-inputs",
         "plant-not-json", "plant-missing-key", "partition-missing-key",
-        "config-missing-file", "config-wrong-type"])
+        "config-missing-file", "config-wrong-type", "plant-missing-sidecar",
+        "plant-text-entry", "plant-ragged-matrix", "partition-text-weight"])
 def test_cli_bad_input_exits_2(cli_24, tmp_path, capsys, argv):
     argv = [a.format(d=cli_24) for a in argv] + ["--out", str(tmp_path)]
     assert main(argv) == 2
