@@ -331,15 +331,17 @@ def _smw_shift_invert(hs: HamiltonianSystem, sigma: float, a_sp, c1_sp):
     lu2 = spla.splu((-a_sp.T - sigma * eye).tocsc())
 
     def s_solve(b):
+        """S^{-1} b for a vector or a block of columns."""
         z1 = lu1.solve(b[:n])
         z2 = lu2.solve(b[n:] + c1_t @ (c1_sp @ z1))
         return np.concatenate([z1, z2])
 
+    # the r Woodbury columns as one block: one solve per factor
     u = np.zeros((2 * n, r))
     u[:n] = hs.n_gain
-    su = np.column_stack([s_solve(u[:, j]) for j in range(r)])
+    su = s_solve(u)
 
-    cap = np.eye(r) + np.column_stack([hs.gain(su[n:, j]) for j in range(r)])
+    cap = np.eye(r) + hs.gain(su[n:])
     cap_lu = sla.lu_factor(cap)
 
     def apply(b):

@@ -4,8 +4,10 @@ Matrices are dense row-major nested lists; every document carries a "type"
 tag.  Large plant matrices can optionally be exported in Matrix Market
 format as sidecar files next to the main document.  Every stored matrix or
 vector, in JSON or in a sidecar, is read by one decoder that turns a bad
-value or an unreadable sidecar into an InvalidInput.  CSV emission formats
-floats with repr so identical values give byte-identical files.
+value or an unreadable sidecar into an InvalidInput, and every nested object
+or index array by another that does the same for a value of the wrong JSON
+type.  Documents are written as one line; floats, in JSON and in CSV, are
+written with repr, so identical values give byte-identical files.
 """
 
 from __future__ import annotations
@@ -38,7 +40,10 @@ def _mat(m) -> list:
 
 
 def _dump(doc: dict, path) -> None:
-    Path(path).write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+    """Write `doc` as one line of JSON with sorted keys.  Without an indent
+    the json module runs its C encoder; floats are written with repr, so a
+    load and save gives the same bytes."""
+    Path(path).write_text(json.dumps(doc, sort_keys=True) + "\n")
 
 
 def _load(path, doc_type: str | None = None) -> dict:
@@ -74,6 +79,27 @@ def _array(path, key: str, value, sidecar: bool = False) -> np.ndarray:
         raise InvalidInput(f"{path}: {key!r} is not a numeric array: {e}") from None
 
 
+def _nested(path, key: str, value, kind: str):
+    """The value stored under `key` of the document at `path`, which must be
+    a JSON object (`kind` "object"), an array ("array") or an array of
+    integers ("index array", returned as a tuple).  Anything else is an
+    InvalidInput naming the file and the key."""
+    if kind == "object":
+        ok = isinstance(value, dict)
+    else:
+        ok = isinstance(value, list) and (kind == "array" or all(
+            isinstance(j, int) and not isinstance(j, bool) for j in value))
+    if not ok:
+        raise InvalidInput(f"{path}: {key!r} is not a JSON {kind}")
+    return tuple(value) if kind == "index array" else value
+
+
+def _index_sets(path, key: str, value) -> tuple[tuple[int, ...], ...]:
+    """The array of index arrays stored under `key`, as nested tuples."""
+    return tuple(_nested(path, f"{key}[{i}]", s, "index array")
+                 for i, s in enumerate(_nested(path, key, value, "array")))
+
+
 def save_plant(g: GeneralizedPlant, path, matrix_format: str = "json") -> None:
     """Write a plant document; matrix_format 'mm' stores the matrices as
     Matrix Market sidecar files referenced from the JSON."""
@@ -104,14 +130,19 @@ def load_plant(path) -> GeneralizedPlant:
     path = Path(path)
     doc = _load(path, "generalized_plant")
     sidecar = "matrix_files" in doc
-    source = doc["matrix_files"] if sidecar else doc
+    source = (_nested(path, "matrix_files", doc["matrix_files"], "object")
+              if sidecar else doc)
     mats = {k: _array(path, k, source[k], sidecar)
             for k in ("a", "b1", "b2", "c1", "c2", "d12", "d21")}
-    subsystems = tuple(
-        Subsystem(states=tuple(s["states"]), inputs=tuple(s["inputs"]),
-                  outputs=tuple(s["outputs"]))
-        for s in doc["subsystems"])
-    return GeneralizedPlant(subsystems=subsystems, **mats)
+    subsystems = []
+    for i, s in enumerate(_nested(path, "subsystems", doc["subsystems"],
+                                  "array")):
+        key = f"subsystems[{i}]"
+        s = _nested(path, key, s, "object")
+        subsystems.append(Subsystem(*(
+            _nested(path, f"{key}.{part}", s[part], "index array")
+            for part in ("states", "inputs", "outputs"))))
+    return GeneralizedPlant(subsystems=tuple(subsystems), **mats)
 
 
 def save_partition(partition: ClusterPartition, path,
@@ -133,13 +164,16 @@ def save_partition(partition: ClusterPartition, path,
 def load_partition(path) -> tuple[ClusterPartition, WeightVectors | None]:
     doc = _load(path, "cluster_partition")
     partition = ClusterPartition(
-        input_sets=tuple(tuple(s) for s in doc["input_sets"]),
-        output_sets=tuple(tuple(s) for s in doc["output_sets"]),
-        subsystem_sets=(None if doc.get("subsystem_sets") is None
-                        else tuple(tuple(s) for s in doc["subsystem_sets"])))
+        input_sets=_index_sets(path, "input_sets", doc["input_sets"]),
+        output_sets=_index_sets(path, "output_sets", doc["output_sets"]),
+        subsystem_sets=(None if doc.get("subsystem_sets") is None else
+                        _index_sets(path, "subsystem_sets",
+                                    doc["subsystem_sets"])))
     stored = doc.get("weights")
     weights = None if stored is None else WeightVectors(
-        *(_array(path, f"weights.{k}", stored[k]) for k in ("w_u", "w_y")))
+        *(_array(path, f"weights.{k}",
+                 _nested(path, "weights", stored, "object")[k])
+          for k in ("w_u", "w_y")))
     return partition, weights
 
 
@@ -157,7 +191,7 @@ def save_controller(controller: HierarchicalController, path) -> None:
 
 def load_controller(path) -> HierarchicalController:
     doc = _load(path, "hierarchical_controller")
-    kt = doc["k_tilde"]
+    kt = _nested(path, "k_tilde", doc["k_tilde"], "object")
     return HierarchicalController(
         p_u=_array(path, "p_u", doc["p_u"]),
         k_tilde=StateSpace(*(_array(path, f"k_tilde.{k}", kt[k])

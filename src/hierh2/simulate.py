@@ -11,9 +11,14 @@ With the disturbance held over a step, the field of the LFT is linear, and
 its classical RK4 step is the fixed map v+ = Phi v + Gamma w, the truncated
 Taylor series of the matrix exponential (Moler & Van Loan, SIAM Review
 2003).  The monolithic check is stepped by that map, built once per run.
-The products of the held disturbance (B1 w, D21 w, Gamma w) and the
-regulated output z are formed a block of samples at a time, as one matrix
-product each.  Coordinator logs record which raw signals each coordinator
+The coordinators' read map P_y C2 and broadcast map B2 P_u^T have only r
+rows or columns, so they are formed once per run and each stage costs two
+n-state products, [A; P_y C2] x and [A_K; C_K] x_K; the other products of
+a stage have r rows or columns.  The products of the held disturbance
+(B1 w, P_y D21 w, Gamma w), the recorded raw outputs y, broadcast controls
+u and regulated outputs z, and the staged-vs-monolithic deviation are
+formed a block of samples at a time; the divergence guard runs on every
+sample.  Coordinator logs record which raw signals each coordinator
 actually reads and writes (the supports of its P_y and P_u rows),
 supporting the structural privacy and link audits.
 """
@@ -171,15 +176,20 @@ def run_hier_simulation(g: GeneralizedPlant, controller: HierarchicalController,
 
     Fixed-step classical RK4 on the joint state v = [x; x_K].  The
     disturbance w is held over each step.  Each RK4 stage runs the schedule
-    (average, law, broadcast); the first stage is the sample-point
-    evaluation that also yields the recorded y, ybar, ubar and u.  ``dt``
-    must lie in (0, 0.1 / |lambda_max|] to resolve the fastest closed-loop
-    mode; by default it is half that limit.  The monolithic loop
+    (average, law, broadcast) as two n-state products, [A; P_y C2] x and
+    [A_K; C_K] x_K, with the read map P_y C2, P_y D21 and the broadcast map
+    B2 P_u^T formed once per run; the first stage is the sample-point
+    evaluation that also yields the recorded ybar and ubar.  ``dt`` must
+    lie in (0, 0.1 / |lambda_max|] to resolve the fastest closed-loop mode;
+    by default it is half that limit.  The monolithic loop
     lft_lower(G, P_u^T K~ P_y) runs alongside, stepped by the transition
     matrix of the same RK4 map, v+ = Phi v + Gamma w, which is built once;
-    its relative deviation from v must stay within 1e-9 on every sample.
-    B1 w, D21 w and Gamma w are formed for a block of samples by one matrix
-    product each, and so is z = C1 x + D12 u once a block is done.
+    its relative deviation ||v - v_mono|| / max(1, ||v_mono||) must stay
+    within 1e-9 on every sample.  The held products [B1 w; P_y D21 w] and
+    Gamma w are formed for a block of samples by one matrix product each;
+    once a block is done, so are y = C2 x + D21 w, u = P_u^T ubar,
+    z = C1 x + D12 u and the deviation of each of its samples.  The
+    divergence guard checks every sample as it is reached.
 
     ``partition`` declares each coordinator's cluster, which the privacy
     audit checks the reads against.  Without it no cluster is declared,
@@ -251,18 +261,31 @@ def run_hier_simulation(g: GeneralizedPlant, controller: HierarchicalController,
                  for i in range(r) for j in range(i + 1, r))
     link_usage = {key: count * len(times) for key, count in links.items()}
 
-    # the staged field reads the held products b1w and d21w of the current
-    # sample, which the loop below rebinds once per sample
+    # maps formed once per run: the plant's A over the coordinators' read
+    # map P_y C2, the law's A_K over C_K and B_K over D_K, and the
+    # broadcast map B2 P_u^T; the held products of each sample,
+    # [B1 w; P_y D21 w], come from one map too
+    plant_rows = np.vstack([g.a, p_y @ g.c2])
+    law_rows = np.vstack([kt.a, kt.c])
+    law_in = np.vstack([kt.b, kt.d])
+    broadcast = g.b2 @ p_u.T
+    held_map = np.vstack([g.b1, p_y @ g.d21])
+
+    # the staged field reads the held products of the current sample,
+    # which the loop below rebinds once per sample
     def staged(v):
-        """The joint vector field through the schedule, and its signals."""
-        x, xk = v[:n], v[n:]
-        y = g.c2 @ x + d21w
-        ybar = p_y @ y                      # step 1: output averaging
-        dxk = kt.a @ xk + kt.b @ ybar       # step 2: low-dimensional law
-        ubar = kt.c @ xk + kt.d @ ybar
-        u = p_u.T @ ubar                    # step 3: control inversion
-        dx = g.a @ x + b1w + g.b2 @ u
-        return np.concatenate([dx, dxk]), (y, ybar, ubar, u)
+        """The joint vector field through the schedule, with the
+        coordinators' averages and low-dimensional controls."""
+        ax = plant_rows @ v[:n]
+        ax += held                          # [A x + B1 w; ybar]
+        ybar = ax[n:]                       # step 1: output averaging
+        kx = law_rows @ v[n:]
+        kx += law_in @ ybar                 # [dx_K; ubar]
+        ubar = kx[nk:]                      # step 2: low-dimensional law
+        dv = np.empty(n + nk)
+        np.add(ax[:n], broadcast @ ubar, out=dv[:n])    # step 3: broadcast
+        dv[n:] = kx[:nk]
+        return dv, ybar, ubar
 
     def staged_dv(v):
         return staged(v)[0]
@@ -270,8 +293,12 @@ def run_hier_simulation(g: GeneralizedPlant, controller: HierarchicalController,
     v = np.concatenate([x_init, np.zeros(nk)])
     v_mono = v.copy()
 
-    xs, xks, ys, zs, us, ybars, ubars = (
-        np.empty((steps + 1, d)) for d in (n, nk, g.n_y, g.p1, g.n_u, r, r))
+    # the staged joint state per sample; x and x_K are its two column views
+    vs = np.empty((steps + 1, n + nk))
+    xs, xks = vs[:, :n], vs[:, n:]
+    ys, zs, us, ybars, ubars = (
+        np.empty((steps + 1, d)) for d in (g.n_y, g.p1, g.n_u, r, r))
+    monos = np.empty((_BLOCK, n + nk))    # v_mono of the samples of a block
 
     guard = _DIVERGENCE_FACTOR * max(1.0, np.linalg.norm(x_init))
     max_rel = 0.0
@@ -279,25 +306,24 @@ def run_hier_simulation(g: GeneralizedPlant, controller: HierarchicalController,
     for start in range(0, steps + 1, _BLOCK):
         block = slice(start, min(start + _BLOCK, steps + 1))
         w_block = w_path[block]
-        b1w_block, d21w_block, gw_block = (
-            w_block @ g.b1.T, w_block @ g.d21.T, w_block @ gamma.T)
+        held_block, gw_block = w_block @ held_map.T, w_block @ gamma.T
         for i, step in enumerate(range(block.start, block.stop)):
-            b1w, d21w = b1w_block[i], d21w_block[i]
-            dv, (y, ybar, ubar, u) = staged(v)
-            x = v[:n]
-            xs[step], xks[step], ys[step] = x, v[n:], y
-            ybars[step], ubars[step], us[step] = ybar, ubar, u
-
-            denom = max(1.0, float(np.linalg.norm(v_mono)))
-            max_rel = max(max_rel, float(np.linalg.norm(v - v_mono)) / denom)
-
-            if np.linalg.norm(x) > guard:
+            held = held_block[i]
+            dv, ybars[step], ubars[step] = staged(v)
+            vs[step], monos[i] = v, v_mono
+            if np.linalg.norm(v[:n]) > guard:
                 raise UnstableClosedLoop(
                     f"trajectory norm exceeded {guard:.3e} "
                     f"at t={times[step]:.3f}")
             if step < steps:
                 v = _rk4(staged_dv, v, dv, dt)
                 v_mono = phi @ v_mono + gw_block[i]
+        mono = monos[:len(w_block)]
+        rel = np.linalg.norm(vs[block] - mono, axis=1) / np.maximum(
+            1.0, np.linalg.norm(mono, axis=1))
+        max_rel = max(max_rel, float(np.max(rel)))
+        ys[block] = xs[block] @ g.c2.T + w_block @ g.d21.T
+        us[block] = ubars[block] @ p_u
         zs[block] = xs[block] @ g.c1.T + us[block] @ g.d12.T
 
     if max_rel > _STAGED_MATCH_RTOL:

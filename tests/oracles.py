@@ -8,13 +8,17 @@ factors via the two 2n-state hat Riccati equations on the Youla system,
 whose 2n-state realization and nominal controller K_nom live here too.  The
 staged simulation is checked against a sample-by-sample run that forms
 every held product with its own matrix-vector product and steps the
-monolithic loop through the RK4 stages of its vector field.
+monolithic loop through the RK4 stages of its vector field.  The block
+Woodbury set-up of the Krylov shift-invert is checked against one that
+solves its columns one at a time.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from hierh2 import DEFAULT_TOLERANCES, StateSpace, Tolerances, neg, series
 from hierh2.linalg import (hinf_norm, riccati_from_hamiltonian,
@@ -297,3 +301,32 @@ def per_sample_simulation(g, controller, horizon: float, dt: float,
         v_mono = _rk4(lambda s: closed.a @ s + closed.b @ w, v_mono,
                       closed.a @ v_mono + closed.b @ w, dt)
     return out
+
+
+def smw_shift_invert_per_column(hs, sigma: float, a_sp, c1_sp):
+    """(H - sigma I)^{-1} by the Woodbury update of the block-triangular
+    S = [[A, 0], [-C1'C1, -A']], with S^{-1} N and the capacitance
+    I + G S^{-1} N formed one column of N at a time."""
+    n = hs.n
+    eye = sp.identity(n, format="csc")
+    lu1 = spla.splu((a_sp - sigma * eye).tocsc())
+    lu2 = spla.splu((-a_sp.T - sigma * eye).tocsc())
+
+    def s_solve(b):
+        z1 = lu1.solve(b[:n])
+        return np.concatenate([z1, lu2.solve(b[n:] + c1_sp.T @ (c1_sp @ z1))])
+
+    cols = []
+    for j in range(hs.n_gain.shape[1]):
+        e = np.zeros(2 * n)
+        e[:n] = hs.n_gain[:, j]
+        cols.append(s_solve(e))
+    su = np.column_stack(cols)
+    cap = np.eye(su.shape[1]) + np.column_stack(
+        [hs.gain(su[n:, j]) for j in range(su.shape[1])])
+
+    def apply(b):
+        t = s_solve(np.asarray(b, dtype=float))
+        return t - su @ np.linalg.solve(cap, hs.gain(t[n:]))
+
+    return apply

@@ -11,7 +11,8 @@ from hierh2.errors import (ArnoldiNoConvergence, HamiltonianImaginaryAxis,
                            IllConditionedR, SingularPencil, SingularR,
                            SingularZ1)
 
-from conftest import random_are_instance
+from conftest import identity_pair, random_are_instance
+from oracles import smw_shift_invert_per_column
 
 
 def hamiltonian_instance(rng, n, unstable=False):
@@ -438,6 +439,24 @@ def test_imaginary_axis_eigenvalue_raises_on_every_path(path):
            "riccati": lambda: riccati_from_hamiltonian(hs.a, hs.m, hs.ctc)}
     with pytest.raises(HamiltonianImaginaryAxis, match="imaginary axis"):
         run[path]()
+
+
+def test_block_woodbury_matches_the_per_column_oracle(consensus100,
+                                                     monkeypatch):
+    # the identity pair gives r = n_u = 100 Woodbury columns; the block
+    # set-up solves them in one call per LU factor, the oracle one by one
+    import hierh2.hamiltonian
+    g, _ = consensus100
+    pair = identity_pair(g)
+    hs = build_hamiltonian(g.a, g.b2 @ pair.p_u.T, g.c1,
+                           pair.p_u @ g.d12.T @ g.d12 @ pair.p_u.T)
+    assert hs.n_gain.shape[1] == 100
+    block = approx_are(hs, kappa=4, method="krylov")
+    monkeypatch.setattr(hierh2.hamiltonian, "_smw_shift_invert",
+                        smw_shift_invert_per_column)
+    per_column = approx_are(hs, kappa=4, method="krylov")
+    assert np.linalg.norm(block.xbar - per_column.xbar) <= \
+        1e-12 * np.linalg.norm(per_column.xbar)
 
 
 def test_krylov_is_reproducible():

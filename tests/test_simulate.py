@@ -348,6 +348,35 @@ def test_divergence_guard_fires_at_a_sample_past_the_first_block():
                             disturbance=("array", w), partition=part)
 
 
+@pytest.mark.parametrize("kind", ["impulse", "noise"])
+def test_non_self_dual_consensus_run_matches_the_per_sample_oracle(kind):
+    # c1_scale != b1_scale and distinct non-uniform weights on the inputs
+    # and the outputs, so P_u != P_y: a broadcast map built from the read
+    # side, (P_y C2)^T in place of B2 P_u^T, shows here, while it passes
+    # on the self-dual consensus instances (P_u = P_y, B2 = C2^T)
+    spec = NetworkSpec.even_blocks(n_s=100, n_blocks=4, p_in=0.8, p_out=0.01,
+                                   a_lo=2.0, a_hi=3.0, seed=7)
+    g = generate_consensus_network(spec, c1_scale=10.0, b1_scale=3.0)
+    part = ClusterPartition.from_subsystems(spec.planted_partition, g)
+    rng = np.random.default_rng(3)
+    weights = WeightVectors(rng.uniform(0.5, 2.0, g.n_u),
+                            rng.uniform(0.5, 2.0, g.n_y))
+    pair = build_projection(part, weights)
+    assert np.linalg.norm(pair.p_u - pair.p_y) > 0.1
+    ctrl = synthesize_hierarchical(g, pair).controller
+    closed = lft_lower(g, ctrl.expand())
+    dt = 0.05 / float(np.max(np.abs(np.linalg.eigvals(closed.a))))
+    disturbance = {"impulse": ("impulse", 5), "noise": ("noise", 4, 1.0)}[kind]
+    horizon = _horizon(40, dt)
+    sim = run_hier_simulation(g, ctrl, horizon=horizon, dt=dt,
+                              disturbance=disturbance, partition=part)
+    ref = per_sample_simulation(g, ctrl, horizon, dt, disturbance)
+    assert sim.staged_vs_monolithic <= 1e-12
+    for mine, theirs in ((sim.x, ref.x), (sim.xk, ref.xk), (sim.z, ref.z),
+                         (sim.u, ref.u)):
+        assert _rel_dev(mine, theirs) <= 1e-12
+
+
 @settings(max_examples=25, deadline=None, derandomize=True, database=None)
 @given(seed=st.integers(0, 2 ** 31 - 1), n=st.integers(2, 6),
        nu=st.integers(1, 3), ny=st.integers(1, 3), data=st.data())

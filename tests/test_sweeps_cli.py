@@ -8,6 +8,7 @@ from hierh2 import (ClusterPartition, ExperimentConfig, NetworkSpec,
                     WeightVectors, generate_consensus_network, sweep_kappa,
                     sweep_r, sweep_size)
 from hierh2.cli import main
+from hierh2.errors import InvalidInput
 from hierh2.serialize import (load_controller, load_partition, load_plant,
                               save_controller, save_partition, save_plant)
 from hierh2.synthesis import HierarchicalController, synthesize_hierarchical
@@ -195,6 +196,46 @@ def test_partition_and_controller_round_trip(tmp_path):
     ctl = load_controller(tmp_path / "ctl.json")
     assert np.allclose(ctl.k_tilde.a, res.controller.k_tilde.a)
     assert np.allclose(ctl.p_u, res.controller.p_u)
+
+
+def test_saved_controller_is_one_line_and_round_trips_byte_for_byte(tmp_path):
+    # floats are written with repr, so load then save reproduces the file
+    spec = NetworkSpec.even_blocks(n_s=12, n_blocks=3, p_in=0.9, p_out=0.05,
+                                   a_lo=1.0, a_hi=2.0, seed=2)
+    g = generate_consensus_network(spec)
+    part = ClusterPartition.from_subsystems(spec.planted_partition, g)
+    pair = build_projection(part, WeightVectors.ones(g.n_u, g.n_y))
+    save_controller(synthesize_hierarchical(g, pair).controller,
+                    tmp_path / "ctl.json")
+    text = (tmp_path / "ctl.json").read_text()
+    assert text.count("\n") == 1 and text.endswith("\n")
+    save_controller(load_controller(tmp_path / "ctl.json"),
+                    tmp_path / "again.json")
+    assert (tmp_path / "again.json").read_bytes() == text.encode()
+
+
+def _nested_type_documents(d):
+    """A plant whose "subsystems" is a number and a partition whose
+    "weights" is a list, written next to the valid documents in `d`."""
+    plant = json.loads((d / "plant.json").read_text())
+    plant["subsystems"] = 3
+    (d / "plant_subsystems_number.json").write_text(json.dumps(plant))
+    doc = json.loads((d / "planted_partition.json").read_text())
+    doc["weights"] = [1.0, 2.0]
+    (d / "partition_weights_list.json").write_text(json.dumps(doc))
+
+
+@pytest.mark.parametrize("name, key", [
+    ("plant_subsystems_number.json", "subsystems"),
+    ("partition_weights_list.json", "weights"),
+])
+def test_nested_value_of_the_wrong_type_names_the_file_and_key(
+        cli_24, name, key):
+    load = load_plant if name.startswith("plant") else load_partition
+    with pytest.raises(InvalidInput) as err:
+        load(cli_24 / name)
+    assert str(cli_24 / name) in str(err.value)
+    assert f"{key!r} is not a JSON" in str(err.value)
 
 
 # ---------------------------------------------------------------------------
@@ -433,6 +474,7 @@ def cli_24(tmp_path_factory):
     doc = json.loads((d / "planted_partition.json").read_text())
     doc["weights"]["w_u"][0] = "x"
     (d / "partition_text_weight.json").write_text(json.dumps(doc))
+    _nested_type_documents(d)
     return d
 
 
@@ -458,11 +500,15 @@ def cli_24(tmp_path_factory):
     ["validate", "--plant", "{d}/plant_ragged.json"],
     ["synth", "--plant", "{d}/plant.json",
      "--partition", "{d}/partition_text_weight.json"],
+    ["validate", "--plant", "{d}/plant_subsystems_number.json"],
+    ["synth", "--plant", "{d}/plant.json",
+     "--partition", "{d}/partition_weights_list.json"],
 ], ids=["plant-is-a-partition", "kappa-above-n", "r-above-channels",
         "p-in-above-1", "unknown-config-key", "p_y-rows-below-k-inputs",
         "plant-not-json", "plant-missing-key", "partition-missing-key",
         "config-missing-file", "config-wrong-type", "plant-missing-sidecar",
-        "plant-text-entry", "plant-ragged-matrix", "partition-text-weight"])
+        "plant-text-entry", "plant-ragged-matrix", "partition-text-weight",
+        "plant-subsystems-number", "partition-weights-list"])
 def test_cli_bad_input_exits_2(cli_24, tmp_path, capsys, argv):
     argv = [a.format(d=cli_24) for a in argv] + ["--out", str(tmp_path)]
     assert main(argv) == 2
