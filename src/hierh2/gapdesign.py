@@ -31,6 +31,12 @@ synthesis's own ``youla`` record, which :func:`gap_report` reads.
 :func:`evaluate_partition` assembles the whole chain and checks J2* against
 the equivalence form, and :func:`monotone_gap_sweep` runs it once per
 cluster count on one unconstrained synthesis of the plant.
+
+Every exact loop here, the design-phase reference loop and the equivalence
+form alike, is a (control, filter) pair of equations built by
+:func:`~hierh2.hamiltonian.build_hamiltonian` and solved by
+:func:`~hierh2.synthesis.riccati_loop`, which alone transposes the filter
+side.
 """
 
 from __future__ import annotations
@@ -44,15 +50,14 @@ import scipy.linalg as sla
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import DegenerateData, InvalidInput, ToolkitError
 from .hamiltonian import build_hamiltonian
-from .linalg import (h2_norm, hinf_norm, riccati_from_hamiltonian,
-                     solve_sylvester, sqrt_psd, symmetrize)
+from .linalg import h2_norm, hinf_norm, solve_sylvester, sqrt_psd, symmetrize
 from .plant import GeneralizedPlant, lft_lower
 from .projection import (ClusterPartition, ProjectionPair, WeightVectors,
                          build_projection)
 from .statespace import StateSpace, add, series
 from .synthesis import (SynthesisResult, YoulaData, _block_gramian,
-                        _observer_closed_loop_h2, synthesize_hierarchical,
-                        synthesize_unconstrained)
+                        _observer_closed_loop_h2, riccati_loop,
+                        synthesize_hierarchical, synthesize_unconstrained)
 
 __all__ = [
     "SpectralFactors", "GapReport", "GapSweepRow", "spectral_factors",
@@ -178,39 +183,40 @@ class GapReport:
         return self.j2_star / self.j1_star
 
 
-def _inverse_on_range(m: np.ndarray, rank: int) -> np.ndarray:
-    """Pseudo-inverse of the symmetric PSD `m` of known rank, from its
-    `rank` largest eigenpairs; the rest are rounding and are dropped."""
+def _range_factor(m: np.ndarray, rank: int) -> tuple[np.ndarray, np.ndarray]:
+    """(V, w) with m = V diag(w) V' on the range of the symmetric PSD `m` of
+    known rank: its `rank` largest eigenpairs; the rest are rounding and are
+    dropped."""
     w, v = np.linalg.eigh(symmetrize(m))
-    w, v = w[-rank:], v[:, -rank:]
-    return (v / w) @ v.T
+    return v[:, -rank:], w[-rank:]
 
 
 def doubly_projected_controller(g: GeneralizedPlant, p: ProjectionPair,
                                 tol: Tolerances = DEFAULT_TOLERANCES) -> YoulaData:
     """Observer loop of the P_u^T P_u / P_y^T P_y-weighted plant.
 
-    The equivalence form of the constrained problem, with the identity
-    pair: its ``.controller.expand()`` is the hierarchical optimal
-    controller, and its loop factors are the closed loops of its two
-    Riccati solutions.  The projected weights P_u^T P_u D12' D12 P_u^T P_u
-    and P_y^T P_y D21 D21' P_y^T P_y have the rank of P_u and P_y, and are
-    inverted on that range; a cutoff-based pinv would also invert the
-    rounding-level eigenvalues of the null space, which grow with n.
+    The equivalence form of the constrained problem: its
+    ``.controller.expand()`` is the hierarchical optimal controller, and its
+    loop factors are the closed loops of its two Riccati solutions.  The
+    projected weights P_u^T P_u D12' D12 P_u^T P_u and
+    P_y^T P_y D21 D21' P_y^T P_y have the rank of P_u and P_y; each is
+    factored on that range as V diag(w) V' from its own eigendecomposition,
+    since the rounding-level eigenvalues of the null space grow with n and
+    must not be inverted.  The X equation then has input
+    B2 P_u^T P_u V_u and weight diag(w_u), the Y equation the dual input
+    (P_y^T P_y C2)' V_y and weight diag(w_y), both built by
+    :func:`~hierh2.hamiltonian.build_hamiltonian`, which rejects an
+    ill-conditioned weight (:class:`IllConditionedR`).  The loop's pair is
+    (V_u', V_y'), so F = V_u F2 = -R^+ (B2 P_u^T P_u)' X.  Nothing of the
+    hierarchical synthesis is read: this is the independent check of J2*.
     """
     pu, py = p.p_u.T @ p.p_u, p.p_y.T @ p.p_y
-    bp = g.b2 @ pu
-    rp_inv = _inverse_on_range(pu @ g.d12.T @ g.d12 @ pu, p.p_u.shape[0])
-    m = bp @ rp_inv @ bp.T
-    x_sol = riccati_from_hamiltonian(g.a, m, g.c1.T @ g.c1, tol)
-    f_brev = -rp_inv @ bp.T @ x_sol.x
-    cp = py @ g.c2
-    rp_inv = _inverse_on_range(py @ g.d21 @ g.d21.T @ py, p.p_y.shape[0])
-    m = cp.T @ rp_inv @ cp
-    y_sol = riccati_from_hamiltonian(g.a.T, m, g.b1 @ g.b1.T, tol)
-    l_brev = -y_sol.x @ cp.T @ rp_inv
-    return YoulaData.from_riccati(g, ProjectionPair.identity(g.n_u, g.n_y),
-                                  f_brev, l_brev, x_sol, y_sol)
+    v_u, w_u = _range_factor(pu @ g.d12.T @ g.d12 @ pu, p.p_u.shape[0])
+    v_y, w_y = _range_factor(py @ g.d21 @ g.d21.T @ py, p.p_y.shape[0])
+    hs_x = build_hamiltonian(g.a, g.b2 @ pu @ v_u, g.c1, np.diag(w_u), tol)
+    hs_y = build_hamiltonian(g.a.T, (py @ g.c2).T @ v_y, g.b1.T, np.diag(w_y),
+                             tol)
+    return riccati_loop(g, ProjectionPair(v_u.T, v_y.T), hs_x, hs_y, tol)[0]
 
 
 def gap_report(hier: SynthesisResult, sf: SpectralFactors,
@@ -256,15 +262,12 @@ def reference_youla_data(g: GeneralizedPlant,
     The optimal H2 gains make the factor gain F_hat vanish identically and
     would feed the clustering step zero rows, so the design phase uses the
     neutral Q = R = I regulator/filter pair and the identity pair, solved
-    from its HamiltonianSystems as the exact synthesis solves.
+    by :func:`~hierh2.synthesis.riccati_loop` as the exact synthesis solves.
     """
     x_hs = build_hamiltonian(g.a, g.b2, np.eye(g.n), np.eye(g.n_u), tol)
     y_hs = build_hamiltonian(g.a.T, g.c2.T, np.eye(g.n), np.eye(g.n_y), tol)
-    x_sol = riccati_from_hamiltonian(x_hs.a, x_hs.m, x_hs.ctc, tol)
-    y_sol = riccati_from_hamiltonian(y_hs.a, y_hs.m, y_hs.ctc, tol)
-    return YoulaData.from_riccati(g, ProjectionPair.identity(g.n_u, g.n_y),
-                                  x_hs.gain(x_sol.x), y_hs.gain(y_sol.x).T,
-                                  x_sol, y_sol)
+    return riccati_loop(g, ProjectionPair.identity(g.n_u, g.n_y), x_hs, y_hs,
+                        tol)[0]
 
 
 # evaluate_partition warns when the equivalence-form H2 cost differs from J2*

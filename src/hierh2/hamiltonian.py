@@ -63,7 +63,7 @@ class HamiltonianSystem:
     n_gain: np.ndarray
     c1: np.ndarray
     _r1_chol: object = field(repr=False, default=None)
-    _full: StableSubspace | None = field(repr=False, default=None)
+    _full: dict = field(repr=False, default_factory=dict)
 
     @property
     def n(self) -> int:
@@ -86,10 +86,12 @@ class HamiltonianSystem:
         return np.block([[self.a, -self.m], [-self.ctc, -self.a.T]])
 
     def full_subspace(self, tol: Tolerances = DEFAULT_TOLERANCES) -> StableSubspace:
-        """Full realified stable subspace (cached; dense computation)."""
-        if self._full is None:
-            self._full = stable_eigenspace(self.h, tol=tol)
-        return self._full
+        """Full realified stable subspace, accepted under `tol` (dense
+        computation, cached per tolerance set, so that a call under another
+        `tol` runs that tolerance's acceptance rule)."""
+        if tol not in self._full:
+            self._full[tol] = stable_eigenspace(self.h, tol=tol)
+        return self._full[tol]
 
 
 def build_hamiltonian(a, b2pu, c1, r1,

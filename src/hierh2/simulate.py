@@ -198,10 +198,12 @@ def run_hier_simulation(g: GeneralizedPlant, controller: HierarchicalController,
     Raises PreconditionError for a dt that is not finite, not positive or
     above the limit, a horizon that is not finite or negative, or a
     partition whose cluster count or channel counts differ from the
-    controller's and the plant's;
-    UnstableClosedLoop when the closed loop has an eigenvalue with
-    Re >= -hurwitz_margin or the plant-state norm exceeds 1e6 times its
-    initial scale; NumericalError when the deviation exceeds 1e-9.
+    controller's and the plant's; InvalidInput for an unknown disturbance
+    kind, or a disturbance array of the wrong shape or holding a value that
+    is not finite; UnstableClosedLoop when the closed loop has an
+    eigenvalue with Re >= -hurwitz_margin or the plant-state norm is not
+    within 1e6 times its initial scale (a NaN norm included);
+    NumericalError when the deviation is not within 1e-9.
     """
     if not 0.0 <= horizon < np.inf:
         raise PreconditionError(
@@ -234,8 +236,9 @@ def run_hier_simulation(g: GeneralizedPlant, controller: HierarchicalController,
             (steps + 1, m1))
     elif kind == "array":
         w_path = np.asarray(disturbance[1], float)
-        if w_path.shape != (steps + 1, m1):
-            raise InvalidInput("disturbance array must be (steps + 1, m1)")
+        if w_path.shape != (steps + 1, m1) or not np.isfinite(w_path).all():
+            raise InvalidInput("disturbance array must be finite and "
+                               "(steps + 1, m1)")
     else:
         raise InvalidInput(f"unknown disturbance kind {kind!r}")
 
@@ -311,7 +314,8 @@ def run_hier_simulation(g: GeneralizedPlant, controller: HierarchicalController,
             held = held_block[i]
             dv, ybars[step], ubars[step] = staged(v)
             vs[step], monos[i] = v, v_mono
-            if np.linalg.norm(v[:n]) > guard:
+            # written so that a NaN state fails the guard too
+            if not np.linalg.norm(v[:n]) <= guard:
                 raise UnstableClosedLoop(
                     f"trajectory norm exceeded {guard:.3e} "
                     f"at t={times[step]:.3f}")
@@ -321,12 +325,12 @@ def run_hier_simulation(g: GeneralizedPlant, controller: HierarchicalController,
         mono = monos[:len(w_block)]
         rel = np.linalg.norm(vs[block] - mono, axis=1) / np.maximum(
             1.0, np.linalg.norm(mono, axis=1))
-        max_rel = max(max_rel, float(np.max(rel)))
+        max_rel = float(np.maximum(max_rel, np.max(rel)))   # keeps a NaN
         ys[block] = xs[block] @ g.c2.T + w_block @ g.d21.T
         us[block] = ubars[block] @ p_u
         zs[block] = xs[block] @ g.c1.T + us[block] @ g.d12.T
 
-    if max_rel > _STAGED_MATCH_RTOL:
+    if not max_rel <= _STAGED_MATCH_RTOL:
         raise NumericalError(
             f"staged and monolithic simulations diverged: {max_rel:.3e}")
 

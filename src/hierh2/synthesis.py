@@ -2,11 +2,18 @@
 
 Under projected stabilizability/detectability, the constrained problem over
 K = P_u^T K~ P_y reduces to an unconstrained two-Riccati design on the
-projected channels: X over (A, B2 P_u^T, C1) and Y over the dual, with the
-optimal reduced controller in observer form.  The exact backend solves both
-AREs through the full Hamiltonian subspace; the approximate backend swaps in
-kappa-truncated solutions.  Each gain comes from its equation's
-:meth:`~hierh2.hamiltonian.HamiltonianSystem.gain`, on the one factor of R.
+projected channels: X over (A, B2 P_u^T, C1) and Y over the dual
+(A', (P_y C2)', B1'), with the optimal reduced controller in observer form.
+Every two-Riccati design is built from a (control, filter) pair of
+:class:`~hierh2.hamiltonian.HamiltonianSystem` equations; the projected pair
+is :func:`control_hamiltonian` and :func:`filter_hamiltonian`, the one place
+that writes the dual data.  The exact backend solves both through the full
+Hamiltonian subspace in :func:`riccati_loop`, the one constructor of an
+exact observer loop: F2 is the gain of X, L2 the transposed gain of Y, and
+the filter loop the transposed closed loop of the Y equation.  The
+approximate backend swaps in kappa-truncated solutions.  Each gain comes
+from its equation's :meth:`~hierh2.hamiltonian.HamiltonianSystem.gain`, on
+the one factor of R.
 
 A synthesis returns its observer loop as :class:`YoulaData`: the projection
 pair (the identity pair for an unprojected loop), the reduced gains F2, L2,
@@ -30,16 +37,16 @@ from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import (ApproxNotStabilizing, DimensionMismatch,
                      HypothesisFailure, InvalidInput, NotStabilizingGains)
 from .hamiltonian import HamiltonianSystem, approx_are, build_hamiltonian
-from .linalg import (RealSchur, _require_hurwitz, riccati_from_hamiltonian,
-                     solve_sylvester_schur)
+from .linalg import (AreSolution, RealSchur, _require_hurwitz,
+                     riccati_from_hamiltonian, solve_sylvester_schur)
 from .plant import GeneralizedPlant, _a4_cross_terms
 from .projection import ClusterPartition, ProjectionPair, _projected_pbh_failure
 from .statespace import StateSpace
 
 __all__ = [
     "YoulaData", "SynthesisResult", "HierarchicalController", "LinkCount",
-    "youla_data", "control_hamiltonian", "synthesize_hierarchical",
-    "synthesize_unconstrained", "communication_links",
+    "youla_data", "control_hamiltonian", "filter_hamiltonian", "riccati_loop",
+    "synthesize_hierarchical", "synthesize_unconstrained", "communication_links",
 ]
 
 
@@ -89,15 +96,6 @@ class YoulaData:
     l2: np.ndarray
     f_loop: RealSchur
     l_loop: RealSchur
-
-    @classmethod
-    def from_riccati(cls, g, p, f2, l2, x_sol, y_sol) -> "YoulaData":
-        """The observer loop of two Riccati solutions and their gains: the
-        control loop is the closed loop of the X equation, and the filter
-        loop the transposed closed loop of the Y equation, which is solved
-        on the dual.  Both were checked for stability by the solver."""
-        return cls(g=g, p=p, f2=f2, l2=l2, f_loop=x_sol.closed_loop,
-                   l_loop=y_sol.closed_loop.transposed())
 
     def fold_u(self, m: np.ndarray) -> np.ndarray:
         """m P_u^T, so that m F = fold_u(m) F2."""
@@ -276,21 +274,54 @@ def control_hamiltonian(g: GeneralizedPlant, p: ProjectionPair,
                              p.p_u @ g.d12.T @ g.d12 @ p.p_u.T, tol)
 
 
+def filter_hamiltonian(g: GeneralizedPlant, p: ProjectionPair,
+                       tol: Tolerances = DEFAULT_TOLERANCES) -> HamiltonianSystem:
+    """The Y equation of the projected design, on the dual: state matrix
+    A', input (P_y C2)', performance output B1' and weight
+    R2 = P_y D21 D21' P_y^T, so that L2 is the transposed gain of Y."""
+    return build_hamiltonian(g.a.T, (p.p_y @ g.c2).T, g.b1.T,
+                             p.p_y @ g.d21 @ g.d21.T @ p.p_y.T, tol)
+
+
+def riccati_loop(g: GeneralizedPlant, p: ProjectionPair, hs_x: HamiltonianSystem,
+                 hs_y: HamiltonianSystem, tol: Tolerances = DEFAULT_TOLERANCES
+                 ) -> tuple[YoulaData, AreSolution, AreSolution]:
+    """The exact observer loop of a (control, filter) pair of equations,
+    with its two Riccati solutions.
+
+    X and Y come from the full stable subspace of each equation
+    (:func:`~hierh2.linalg.riccati_from_hamiltonian`); F2 is the gain of X
+    and L2 the transposed gain of Y, whose equation is the dual.  The
+    control loop is the closed loop of the X equation and the filter loop
+    the transposed closed loop of the Y equation, both checked for
+    stability by the solver (:class:`NotHurwitz`).  `p` is the pair the
+    gains are factored over: F = P_u^T F2 and L = L2 P_y.
+    """
+    x_sol = riccati_from_hamiltonian(hs_x.a, hs_x.m, hs_x.ctc, tol)
+    y_sol = riccati_from_hamiltonian(hs_y.a, hs_y.m, hs_y.ctc, tol)
+    yd = YoulaData(g=g, p=p, f2=hs_x.gain(x_sol.x), l2=hs_y.gain(y_sol.x).T,
+                   f_loop=x_sol.closed_loop,
+                   l_loop=y_sol.closed_loop.transposed())
+    return yd, x_sol, y_sol
+
+
 def synthesize_hierarchical(g: GeneralizedPlant, p: ProjectionPair,
                             are_backend: str = "exact", kappa: int | None = None,
                             method: str = "dense",
                             tol: Tolerances = DEFAULT_TOLERANCES) -> SynthesisResult:
     """Optimal hierarchical controller K = P_u^T K~ P_y for the given pair.
 
-    Each Riccati equation is built once, as a HamiltonianSystem, which
-    rejects a singular or ill-conditioned weight and gives the gains
-    F2 = -R1^{-1} P_u B2' X and L2' = -R2^{-1} P_y C2 Y.  With
-    ``are_backend='exact'`` both are solved through the full stable
-    Hamiltonian subspace.  With ``'approx'`` they are replaced by
-    kappa-truncated solutions, of which only X~ is computed; their residue
-    certificates (``x_solution.stabilizing``, ``y_solution.stabilizing``)
-    are diagnostics, computed when read.  The result's ``youla`` holds the
-    pair, the gain factors and the real Schur factors of the control block
+    Checks the hypotheses on (g, p), then builds the pair of Riccati
+    equations once (:func:`control_hamiltonian`, :func:`filter_hamiltonian`),
+    each a HamiltonianSystem that rejects a singular or ill-conditioned
+    weight and gives the gains F2 = -R1^{-1} P_u B2' X and
+    L2' = -R2^{-1} P_y C2 Y.  With ``are_backend='exact'`` both are solved
+    through the full stable Hamiltonian subspace (:func:`riccati_loop`).
+    With ``'approx'`` they are replaced by kappa-truncated solutions, of
+    which only X~ is computed; their residue certificates
+    (``x_solution.stabilizing``, ``y_solution.stabilizing``) are
+    diagnostics, computed when read.  The result's ``youla`` holds the pair,
+    the gain factors and the real Schur factors of the control block
     A + B2 F and the filter block A + L C2, and stability is decided once
     per block, at -hurwitz_margin, where the factor is made.  The exact
     backend takes the Riccati closed-loop factors, which the Riccati solver
@@ -299,34 +330,34 @@ def synthesize_hierarchical(g: GeneralizedPlant, p: ProjectionPair,
     naming the failing loop (raise kappa).  The same factors then give the
     closed-loop H2 value through the observer separation.
 
-    ``solve_time`` measures Riccati solves plus gain assembly; closed-loop
-    evaluation is excluded.
+    ``solve_time`` measures Riccati solves plus gain assembly; building the
+    equations and closed-loop evaluation are excluded.
     """
     _check_hypotheses(g, p, tol)
     if are_backend not in ("exact", "approx"):
         raise InvalidInput(f"unknown are_backend {are_backend!r}")
     if are_backend == "approx" and kappa is None:
         raise InvalidInput("approx backend requires kappa")
+    pair = control_hamiltonian(g, p, tol), filter_hamiltonian(g, p, tol)
+    return _synthesize(g, p, *pair, are_backend, kappa, method, tol)
 
+
+def _synthesize(g, p, hs_x, hs_y, are_backend, kappa, method,
+                tol: Tolerances) -> SynthesisResult:
+    """:func:`synthesize_hierarchical` on the checked pair `p` and its
+    equations `hs_x`, `hs_y`.  A dense eigendecomposition made by one call
+    is cached on the equation and serves every later call on it."""
     t0 = time.perf_counter()
-    hs_x = control_hamiltonian(g, p, tol)
-    hs_y = build_hamiltonian(g.a.T, (p.p_y @ g.c2).T, g.b1.T,
-                             p.p_y @ g.d21 @ g.d21.T @ p.p_y.T, tol)
     if are_backend == "exact":
-        x_sol = riccati_from_hamiltonian(hs_x.a, hs_x.m, hs_x.ctc, tol)
-        y_sol = riccati_from_hamiltonian(hs_y.a, hs_y.m, hs_y.ctc, tol)
+        yd, x_sol, y_sol = riccati_loop(g, p, hs_x, hs_y, tol)
         x, y = x_sol.x, y_sol.x
+        elapsed = time.perf_counter() - t0
     else:
         x_sol = approx_are(hs_x, kappa, method=method, tol=tol)
         y_sol = approx_are(hs_y, kappa, method=method, tol=tol)
         x, y = x_sol.xbar, y_sol.xbar
-
-    f2, l2 = hs_x.gain(x), hs_y.gain(y).T
-    elapsed = time.perf_counter() - t0
-
-    if are_backend == "exact":
-        yd = YoulaData.from_riccati(g, p, f2, l2, x_sol, y_sol)
-    else:
+        f2, l2 = hs_x.gain(x), hs_y.gain(y).T
+        elapsed = time.perf_counter() - t0
         try:
             yd = youla_data(g, p, f2, l2, tol)
         except NotStabilizingGains as e:

@@ -81,3 +81,21 @@ def consensus100():
 def consensus100_partition(consensus100):
     g, spec = consensus100
     return ClusterPartition.from_subsystems(spec.planted_partition, g)
+
+
+@pytest.fixture(scope="session")
+def non_self_dual100():
+    """(g, partition, weights, pair) at n_s = 100 on which the control and
+    the filter equation differ: c1_scale 10 against b1_scale 3, and
+    distinct random input and output weights, so that P_u != P_y.  On the
+    self-dual consensus instances X = Y and P_u = P_y, so a slip between
+    the two sides cannot show."""
+    from hierh2 import WeightVectors, build_projection
+    spec = NetworkSpec.even_blocks(n_s=100, n_blocks=4, p_in=0.8, p_out=0.01,
+                                   a_lo=2.0, a_hi=3.0, seed=7)
+    g = generate_consensus_network(spec, c1_scale=10.0, b1_scale=3.0)
+    part = ClusterPartition.from_subsystems(spec.planted_partition, g)
+    rng = np.random.default_rng(3)
+    weights = WeightVectors(rng.uniform(0.5, 2.0, g.n_u),
+                            rng.uniform(0.5, 2.0, g.n_y))
+    return g, part, weights, build_projection(part, weights)

@@ -15,7 +15,7 @@ from hierh2 import (DEFAULT_TOLERANCES, ClusterPartition, ExperimentConfig,
                     reference_youla_data, solve_are, spectral_factors,
                     synthesize_hierarchical, synthesize_unconstrained,
                     weighted_kmeans, youla_data)
-from hierh2.errors import DegenerateData, NumericalError
+from hierh2.errors import DegenerateData, IllConditionedR, NumericalError
 
 from conftest import identity_pair, random_h2_plant, random_partition
 from oracles import (hat_gap_weights, hat_spectral_factors, lyapunov_kron,
@@ -256,6 +256,39 @@ def test_doubly_projected_equivalence_controller():
             ref = k_opt.eval(1j * w)
             assert np.linalg.norm(k_equiv.eval(1j * w) - ref) <= \
                 1e-7 * max(1.0, np.linalg.norm(ref))
+
+
+def test_non_self_dual_n100_equivalence_form_gives_j2(non_self_dual100):
+    # the equivalence form solves its own pair of equations from its own
+    # factors of the projected weights; on a plant whose two sides differ
+    # it must still give J2*, and the gap pipeline must report it
+    from hierh2 import h2_norm, lft_lower
+    g, part, weights, pair = non_self_dual100
+    hier = synthesize_hierarchical(g, pair)
+    k_equiv = doubly_projected_controller(g, pair).controller.expand()
+    assert h2_norm(lft_lower(g, k_equiv)) == pytest.approx(hier.h2_value,
+                                                          rel=1e-9)
+    report = evaluate_partition(g, part, weights)
+    assert report.j2_star == hier.h2_value
+    assert report.h2_equivalence == pytest.approx(hier.h2_value, rel=1e-9)
+    assert report.j1_star <= report.j2_star <= report.bound_rhs
+
+
+@pytest.mark.parametrize("side", ["u", "y"])
+def test_doubly_projected_controller_rejects_an_ill_conditioned_weight(side):
+    # the equivalence form builds both equations with build_hamiltonian, so
+    # a projected weight whose condition number on its range is above
+    # cond_max (1e14 here) raises instead of being inverted silently
+    g = random_h2_plant(np.random.default_rng(19), 4, 3, 3)
+    scale = np.diag([1.0, 1.0, 1e-7])
+    g = GeneralizedPlant(a=g.a, b1=g.b1, b2=g.b2, c1=g.c1, c2=g.c2,
+                         d12=g.d12 @ scale if side == "u" else g.d12,
+                         d21=scale @ g.d21 if side == "y" else g.d21)
+    sets = ((0, 1), (2,))
+    pair = build_projection(ClusterPartition(input_sets=sets, output_sets=sets),
+                            WeightVectors.ones(3, 3))
+    with pytest.raises(IllConditionedR, match=r"cond\(R1\)"):
+        doubly_projected_controller(g, pair)
 
 
 def test_equivalence_form_matches_j2_on_consensus_n200():

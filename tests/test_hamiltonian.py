@@ -116,6 +116,26 @@ def test_approx_are_rejects_a_pencil_above_cond_max():
     approx_are(hs, kappa=3, tol=above)
 
 
+def test_cached_full_subspace_runs_the_acceptance_rule_of_each_tol():
+    # one equation serves many calls (every row of a dense kappa sweep), so
+    # a subspace accepted under a loose tol must not be handed to a call
+    # under a stricter one without that tol's acceptance rule
+    from hierh2 import ExperimentConfig, WeightVectors, build_projection
+    from hierh2.errors import NumericalError
+    from hierh2.synthesis import control_hamiltonian
+    cfg = ExperimentConfig(seed=7)
+    g = cfg.plant(24)
+    pair = build_projection(cfg.planted_partition(g, 24),
+                            WeightVectors.ones(g.n_u, g.n_y))
+    strict = DEFAULT_TOLERANCES.with_(subspace_residual=1e-30)
+    hs = control_hamiltonian(g, pair)
+    first = approx_are(hs, 4)
+    with pytest.raises(NumericalError, match="invariant subspace residual"):
+        approx_are(hs, 4, tol=strict)
+    # the tol that was accepted keeps its one decomposition
+    assert hs.full_subspace() is first.subspace_full
+
+
 def test_gain_solves_with_the_factor_of_r():
     rng = np.random.default_rng(4)
     hs, (a, b, c, r) = hamiltonian_instance(rng, 5)

@@ -10,8 +10,8 @@ from hierh2 import (ClusterPartition, ExperimentConfig, GeneralizedPlant,
                     communication_links, generate_consensus_network,
                     lft_lower, privacy_audit, run_hier_simulation,
                     solve_lyapunov, synthesize_hierarchical)
-from hierh2.errors import (NumericalError, PreconditionError, ToolkitError,
-                           UnstableClosedLoop)
+from hierh2.errors import (InvalidInput, NumericalError, PreconditionError,
+                           ToolkitError, UnstableClosedLoop)
 from hierh2.simulate import _BLOCK, _STAGED_MATCH_RTOL, _rk4_transition
 from hierh2.synthesis import HierarchicalController
 
@@ -346,6 +346,55 @@ def test_divergence_guard_fires_at_a_sample_past_the_first_block():
                        match=re.escape(f"at t={times[j]:.3f}") + "$"):
         run_hier_simulation(g, ctrl, horizon=_horizon(steps, dt), dt=dt,
                             disturbance=("array", w), partition=part)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_a_non_finite_disturbance_array_is_rejected(bad):
+    # a NaN sample would otherwise give NaN states and a deviation of 0.0
+    g, part, ctrl, _, dt = _line_graph_loop()
+    steps = 20
+    w = np.zeros((steps + 1, g.m1))
+    w[5, 0] = bad
+    with pytest.raises(InvalidInput, match="finite"):
+        run_hier_simulation(g, ctrl, horizon=_horizon(steps, dt), dt=dt,
+                            disturbance=("array", w), partition=part)
+
+
+def test_a_nan_state_fails_the_divergence_guard(monkeypatch):
+    # NaN > guard is False, so the guard is written as not (norm <= guard)
+    import hierh2.simulate
+    g, part, ctrl, _, dt = _line_graph_loop()
+    rk4 = hierh2.simulate._rk4
+
+    calls = []
+
+    def poisoned(field, v, k1, step):
+        calls.append(step)
+        if len(calls) == 6:
+            return np.full_like(v, np.nan)
+        return rk4(field, v, k1, step)
+
+    monkeypatch.setattr(hierh2.simulate, "_rk4", poisoned)
+    with pytest.raises(UnstableClosedLoop, match="trajectory norm"):
+        run_hier_simulation(g, ctrl, horizon=_horizon(20, dt), dt=dt,
+                            disturbance=("noise", 3, 1.0), partition=part)
+
+
+def test_a_nan_deviation_fails_the_staged_match(monkeypatch):
+    # a NaN in the monolithic run only: the deviation must carry the NaN
+    # through the running maximum and fail the 1e-9 test
+    import hierh2.simulate
+    g, part, ctrl, _, dt = _line_graph_loop()
+
+    def poisoned(a, b, step):
+        phi, gamma = _rk4_transition(a, b, step)
+        phi[0, 0] = np.nan
+        return phi, gamma
+
+    monkeypatch.setattr(hierh2.simulate, "_rk4_transition", poisoned)
+    with pytest.raises(NumericalError, match="diverged: nan"):
+        run_hier_simulation(g, ctrl, horizon=_horizon(20, dt), dt=dt,
+                            disturbance=("noise", 3, 1.0), partition=part)
 
 
 @pytest.mark.parametrize("kind", ["impulse", "noise"])

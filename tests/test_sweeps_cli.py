@@ -65,6 +65,37 @@ def test_sweep_kappa_deterministic_modulo_timing(tmp_path):
         strip_timing(b_dir / "kappa_sweep.csv")
 
 
+@pytest.mark.parametrize("kappa_list", [(4,), (1, 2, 3, 4, 5, 6)])
+def test_dense_kappa_sweep_decomposes_each_equation_once(monkeypatch,
+                                                         kappa_list):
+    # the kappa rows share one pair of equations, so the dense stable
+    # subspace of each is computed on the first row and reused after
+    import hierh2.hamiltonian
+    calls = []
+    decompose = hierh2.hamiltonian.stable_eigenspace
+
+    def counting(h, tol):
+        calls.append(h.shape)
+        return decompose(h, tol=tol)
+
+    monkeypatch.setattr(hierh2.hamiltonian, "stable_eigenspace", counting)
+    rows = sweep_kappa(small_config(kappa_list=kappa_list))
+    assert any(r["kappa"] == 4 and r["status"] == "ok" for r in rows)
+    assert len(calls) == 2
+
+
+def test_dense_full_kappa_row_reproduces_the_exact_row_non_self_dual():
+    # b1_scale 3 against c1_scale 10 makes X != Y; a config carries no
+    # random weights, so P_u = P_y here, but a filter loop taken from the
+    # wrong side still parts the exact row from the kappa = n row, whose
+    # loops youla_data factors from the gains
+    rows = sweep_kappa(ExperimentConfig(b1_scale=3.0, kappa_list=(100,),
+                                        method="dense"))
+    exact, full = rows
+    assert full["status"] == "ok"
+    assert full["h2_norm"] == pytest.approx(exact["h2_norm"], rel=1e-9)
+
+
 def test_sweep_size_columns(tmp_path):
     rows = sweep_size(small_config(), tmp_path)
     table = read_csv(tmp_path / "size_sweep.csv")
@@ -595,23 +626,40 @@ def test_config_checks_value_types():
 
 def test_sweep_reads_the_tol_profile_of_its_config(cli_24, tmp_path,
                                                    monkeypatch):
+    # the exact row is a synthesize_hierarchical call; the kappa rows run
+    # on the synthesis core over one pair of equations built by the sweep,
+    # so the spies sit on all four names, and each call's tol is recorded
     import hierh2.sweeps
     from hierh2 import STRICT_TOLERANCES
     seen = []
 
-    def recording(*args, tol, **kw):
-        seen.append(tol)
+    def recording(name):
+        fn = getattr(hierh2.sweeps, name)
+
+        def spy(*args):
+            seen.append((name, args[-1]))
+            return fn(*args)
+        return spy
+
+    def recording_synthesis(*args, tol, **kw):
+        seen.append(("synthesize_hierarchical", tol))
         return synthesize_hierarchical(*args, tol=tol, **kw)
 
-    monkeypatch.setattr(hierh2.sweeps, "synthesize_hierarchical", recording)
+    monkeypatch.setattr(hierh2.sweeps, "synthesize_hierarchical",
+                        recording_synthesis)
+    for name in ("_synthesize", "control_hamiltonian", "filter_hamiltonian"):
+        monkeypatch.setattr(hierh2.sweeps, name, recording(name))
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({
         "n_s": 24, "p_in": 0.5, "p_out": 0.01, "a_lo": 1.0, "a_hi": 2.0,
-        "seed": 7, "kappa_list": [24], "method": "dense",
+        "seed": 7, "kappa_list": [4, 24], "method": "dense",
         "tol_profile": "strict"}))
     assert main(["sweep-kappa", "--config", str(cfg),
                  "--out", str(tmp_path)]) == 0
-    assert seen == [STRICT_TOLERANCES] * 2
+    assert sorted(name for name, _ in seen) == [
+        "_synthesize", "_synthesize", "control_hamiltonian",
+        "filter_hamiltonian", "synthesize_hierarchical"]
+    assert all(tol == STRICT_TOLERANCES for _, tol in seen)
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert manifest["config"]["tol_profile"] == "strict"
 

@@ -502,6 +502,22 @@ def test_a2_a4_facts_computed_once_per_plant(monkeypatch):
     assert report.details["norm_D12tC1"] == g.cross_term_norms[0]
 
 
+def test_non_self_dual_n100_values_match_the_closed_loop_oracle(
+        non_self_dual100):
+    # the control and the filter equation differ here (X != Y, P_u != P_y),
+    # so the observer separation on the two loop factors checks that each
+    # side is built from its own data and its own closed loop
+    g, _, _, pair = non_self_dual100
+    assert np.linalg.norm(pair.p_u - pair.p_y) > 0.1
+    hier = synthesize_hierarchical(g, pair)
+    unc = synthesize_unconstrained(g)
+    assert np.linalg.norm(hier.x - hier.y) > 0.1 * np.linalg.norm(hier.x)
+    for res in (hier, unc):
+        oracle = h2_norm(lft_lower(g, res.controller.expand()))
+        assert res.h2_value == pytest.approx(oracle, rel=1e-9)
+    assert unc.h2_value < hier.h2_value
+
+
 def test_exact_synthesis_reuses_riccati_closed_loops():
     cfg = ExperimentConfig(seed=7)
     g = cfg.plant(24)
