@@ -98,6 +98,7 @@ def cmd_synth(args) -> int:
     summary = {
         "h2_value": res.h2_value, "solve_time_s": res.solve_time,
         "links_hierarchical": links.hierarchical, "links_dense": links.dense,
+        "pbh_path": res.pbh_path,
     }
     (args.out / "synthesis.json").write_text(json.dumps(summary, indent=1) + "\n")
     print(json.dumps(summary))

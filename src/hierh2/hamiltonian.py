@@ -64,6 +64,7 @@ class HamiltonianSystem:
     c1: np.ndarray
     _r1_chol: object = field(repr=False, default=None)
     _full: dict = field(repr=False, default_factory=dict)
+    _gramian: dict = field(repr=False, default_factory=dict)
 
     @property
     def n(self) -> int:
@@ -92,6 +93,20 @@ class HamiltonianSystem:
         if tol not in self._full:
             self._full[tol] = stable_eigenspace(self.h, tol=tol)
         return self._full[tol]
+
+    def full_gramian(self, b1: np.ndarray,
+                     tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
+        """Eigenbasis Gramian coefficients of `b1` on
+        :meth:`full_subspace` (:func:`cauchy_coefficients`), cached per
+        tolerance set for the B1 they were made for; another B1 replaces
+        them.  They do not depend on kappa, so every truncation of the
+        equation shares one solve."""
+        made = self._gramian.get(tol)
+        if made is None or not np.array_equal(made[0], b1):
+            made = self._gramian[tol] = (
+                np.array(b1, float),
+                cauchy_coefficients(self.full_subspace(tol), b1, tol))
+        return made[1]
 
 
 def build_hamiltonian(a, b2pu, c1, r1,
@@ -256,16 +271,16 @@ def error_bound(sol: ApproxAreSolution, b1,
     package's one route to epsilon.
 
     epsilon = sqrt(sum of the complement diagonal of the eigenbasis
-    Gramian on ``sol.subspace_full``); tiny negative diagonal entries are
+    Gramian on the full subspace, solved once per equation, `tol` and B1
+    (:meth:`HamiltonianSystem.full_gramian`)); tiny negative diagonal entries are
     clipped at zero, with a warning above psd_floor magnitude, and an empty
     complement gives 0.  Requires the dense approximation path; reads
     ``sol.e_kappa_norm``, which is computed then if not read before.
     """
-    full = sol.subspace_full
-    if full is None:
+    if sol.method != "dense":
         raise InvalidInput("error_bound requires the complement subspace "
                            "(dense approximation path)")
-    c = cauchy_coefficients(full, b1, tol)
+    c = sol.hs.full_gramian(b1, tol)
     diag_tail = np.diag(c)[sol.kappa:]
     bad = diag_tail[diag_tail < -tol.psd_floor]
     if bad.size:

@@ -24,7 +24,11 @@ without a second factorization.
 The unstable left and right eigenbases come from one LAPACK ``geev`` call
 (:func:`unstable_eigenbases`).  Every PBH rank test is one rule,
 :func:`_pbh_rank_deficient`; callers holding a plant pass it the modes of
-the plant's cached spectrum, so A is eigendecomposed once per plant.
+the plant's cached spectrum, so A is eigendecomposed once per plant.  A
+caller holding a stabilizing loop A + B K may first try
+:func:`_pbh_certified`, which passes only pairs the rule passes, from one
+Cholesky test per mode on the loop's Schur factor instead of an SVD of
+[A - lambda I, B].
 Likewise every Hurwitz test is :func:`_require_hurwitz`, every
 conditioning test :func:`_require_conditioned`, and every Hamiltonian
 eigenvalue on jR is caught by :func:`_check_imag_axis`, which raises
@@ -111,8 +115,7 @@ def _pbh_rank_deficient(a: np.ndarray, b: np.ndarray, modes: np.ndarray,
     and observability of (C, A) is the test on (A', C').  The SVD runs in
     real arithmetic for a real lambda.
     """
-    threshold = tol.pbh_rel * max(1.0, np.linalg.norm(a, "fro"),
-                                  np.linalg.norm(b, "fro"))
+    threshold = _pbh_threshold(a, b, tol)
 
     def sigma_min(lam):
         lam = lam if lam.imag else lam.real
@@ -120,6 +123,72 @@ def _pbh_rank_deficient(a: np.ndarray, b: np.ndarray, modes: np.ndarray,
         return np.linalg.svd(pencil, compute_uv=False)[-1]
 
     return np.array([sigma_min(lam) <= threshold for lam in modes], dtype=bool)
+
+
+def _pbh_threshold(a: np.ndarray, b: np.ndarray, tol: Tolerances) -> float:
+    """The PBH rule's threshold pbh_rel max(1, ||A||_F, ||B||_F)."""
+    return tol.pbh_rel * max(1.0, np.linalg.norm(a, "fro"),
+                             np.linalg.norm(b, "fro"))
+
+
+# Room the loop certificate keeps above the rule's threshold: one threshold
+# for the backward errors of the loop's Schur factor and of the rule's SVD,
+# each of order n eps (||A||_F + ||B||_F), so a certified pair is one the
+# rule passes.  That room covers them only while pbh_rel is well above
+# n eps (it is 1e-8 in every profile): below _PBH_ROUNDING_UNITS n eps the
+# certificate declines and the rule decides.
+_PBH_CERTIFICATE_FACTOR = 2.0
+_PBH_ROUNDING_UNITS = 100.0
+# Rounding of fl(M M^H) and of its Cholesky factorization, in units of
+# (n + 2) eps ||M||_F^2 (Rump, "Verification of positive definiteness",
+# BIT 46, 2006): about one unit each in real arithmetic, and complex
+# arithmetic can double each.
+_GRAM_ROUNDING = 4.0
+
+
+def _sigma_min_exceeds(t: np.ndarray, shift, c: float) -> bool:
+    """True only if sigma_min(T - shift I) > c, proven after rounding.
+
+    With M = T - shift I, the Cholesky factorization of
+    fl(M M^H) - (c^2 + delta) I succeeds only if M M^H - c^2 I is positive
+    definite, where delta = _GRAM_ROUNDING (n + 2) eps ||M||_F^2 covers the
+    rounding of the product and of the factorization.  `t` may be any
+    square matrix, so the 2 x 2 blocks of a real Schur factor need no care;
+    a complex shift makes M complex.  False says nothing; underflow is not
+    covered.
+    """
+    n = t.shape[0]
+    # column-major, so that the rank-k update reads M without a copy
+    m = np.array(t, dtype=np.result_type(t, shift), order="F")
+    m[np.diag_indices(n)] -= shift
+    rank_k = sla.get_blas_funcs("herk" if np.iscomplexobj(m) else "syrk", (m,))
+    gram = rank_k(1.0, m)                      # upper triangle of M M^H
+    gram[np.diag_indices(n)] -= c * c + (_GRAM_ROUNDING * (n + 2)
+                                         * np.finfo(float).eps
+                                         * np.linalg.norm(m) ** 2)
+    potrf = sla.get_lapack_funcs("potrf", (gram,))
+    return potrf(gram, overwrite_a=True, clean=False)[1] == 0
+
+
+def _pbh_certified(a: np.ndarray, b: np.ndarray, loop: np.ndarray,
+                   gain: np.ndarray, modes: np.ndarray, tol: Tolerances) -> bool:
+    """True only if :func:`_pbh_rank_deficient` passes (a, b) at every mode
+    in `modes`, proven from a loop: `loop` is a real Schur factor T of
+    A + B K or of its transpose, `gain` = K.  False leaves the decision to
+    the rule.
+
+    With W = [A - lambda I, B], W [I; K] = A + B K - lambda I, so
+    sigma_min(W) >= sigma_min(T - lambda I) / sqrt(1 + ||K||_F^2).  Each mode
+    is certified when that bound exceeds _PBH_CERTIFICATE_FACTOR times the
+    rule's threshold (:func:`_sigma_min_exceeds`, which covers 2 x 2 blocks
+    and complex modes); a conjugate has the same sigma_min and is skipped.
+    """
+    if tol.pbh_rel < _PBH_ROUNDING_UNITS * a.shape[0] * np.finfo(float).eps:
+        return False
+    c = (_PBH_CERTIFICATE_FACTOR * _pbh_threshold(a, b, tol)
+         * np.sqrt(1.0 + np.linalg.norm(gain, "fro") ** 2))
+    return all(_sigma_min_exceeds(loop, lam if lam.imag else lam.real, c)
+               for lam in modes if lam.imag >= 0.0)
 
 
 def stabilizable(a, b, tol: Tolerances = DEFAULT_TOLERANCES) -> bool:
@@ -405,14 +474,18 @@ def riccati_from_hamiltonian(a, m, q, tol: Tolerances = DEFAULT_TOLERANCES) -> A
     a residual of order eps ||X M X||_F, which dwarfs ||Q|| when X is
     large; otherwise NumericalError.  The real Schur factors of A - M X,
     whose abscissa must be below -hurwitz_margin (else NotHurwitz), are
-    returned as ``closed_loop``.
+    returned as ``closed_loop``.  A failed reordering of the Schur form
+    raises NumericalError.
     """
     a = as_matrix(a, "A")
     m = symmetrize(as_matrix(m, "M"))
     q = symmetrize(as_matrix(q, "Q"))
     n = a.shape[0]
     h = np.block([[a, -m], [-q, -a.T]])
-    t, z, sdim = sla.schur(h, output="real", sort="lhp")
+    try:
+        t, z, sdim = sla.schur(h, output="real", sort="lhp")
+    except sla.LinAlgError as e:     # reordering failed: modes near jR
+        raise NumericalError(f"ordered Schur form of H failed: {e}") from e
     _check_imag_axis(_quasi_triangular_eigvals(t), tol)
     if sdim != n:
         raise HamiltonianImaginaryAxis(

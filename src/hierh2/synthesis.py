@@ -15,6 +15,16 @@ approximate backend swaps in kappa-truncated solutions.  Each gain comes
 from its equation's :meth:`~hierh2.hamiltonian.HamiltonianSystem.gain`, on
 the one factor of R.
 
+:func:`synthesize_hierarchical` checks the pair's dimensions and
+assumptions A2 and A4, then runs the synthesis, and decides the projected
+PBH hypotheses (stabilizable (A, B2 P_u^T), detectable (P_y C2, A)) last:
+the stabilizing loop the synthesis built certifies them, since
+[A - lambda I, B2 P_u^T] [I; F2] = A + B2 F - lambda I bounds the distance
+to uncontrollability from below by its Schur factor, and the sigma_min rule
+runs only when the certificate does not pass or the synthesis raised.  The
+certificate passes only pairs the rule passes, so the rule alone decides
+which pairs fail, and with which message.
+
 A synthesis returns its observer loop as :class:`YoulaData`: the projection
 pair (the identity pair for an unprojected loop), the reduced gains F2, L2,
 and the real Schur factors of A + B2 F and A + L C2, each checked for
@@ -35,10 +45,12 @@ import numpy as np
 
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import (ApproxNotStabilizing, DimensionMismatch,
-                     HypothesisFailure, InvalidInput, NotStabilizingGains)
+                     HypothesisFailure, InvalidInput, NotStabilizingGains,
+                     ToolkitError)
 from .hamiltonian import HamiltonianSystem, approx_are, build_hamiltonian
-from .linalg import (AreSolution, RealSchur, _require_hurwitz,
-                     riccati_from_hamiltonian, solve_sylvester_schur)
+from .linalg import (AreSolution, RealSchur, _pbh_certified, _require_hurwitz,
+                     _unstable_modes, riccati_from_hamiltonian,
+                     solve_sylvester_schur)
 from .plant import GeneralizedPlant, _a4_cross_terms
 from .projection import ClusterPartition, ProjectionPair, _projected_pbh_failure
 from .statespace import StateSpace
@@ -171,7 +183,11 @@ def youla_data(g: GeneralizedPlant, p: ProjectionPair, f2, l2,
 @dataclass
 class SynthesisResult:
     """X, Y and `youla`, the observer loop that gave `h2_value`, off which
-    the controller and the reduced gains F2, L2 are read."""
+    the controller and the reduced gains F2, L2 are read.  `pbh_path` names
+    what decided the projected PBH hypotheses in
+    :func:`synthesize_hierarchical`: ``'certificate'`` (the loop's own
+    Schur factors) or ``'rule'`` (the sigma_min rule); it is None on a
+    result of the core alone, such as a kappa row of a sweep."""
 
     x: np.ndarray
     y: np.ndarray
@@ -180,6 +196,7 @@ class SynthesisResult:
     youla: YoulaData
     x_solution: object = None     # AreSolution or ApproxAreSolution
     y_solution: object = None
+    pbh_path: str | None = None
 
     controller = property(lambda self: self.youla.controller)
     f2 = property(lambda self: self.youla.f2)
@@ -191,16 +208,38 @@ class SynthesisResult:
         return max(self.youla.f_loop.abscissa, self.youla.l_loop.abscissa)
 
 
-def _check_hypotheses(g: GeneralizedPlant, p: ProjectionPair, tol: Tolerances):
-    if p.n_u != g.n_u or p.n_y != g.n_y:
-        raise HypothesisFailure("projection dimensions do not match the plant")
-    pbh_failure = _projected_pbh_failure(g, p, tol)
-    if pbh_failure is not None:
-        raise HypothesisFailure(pbh_failure)
+def _check_assumptions(g: GeneralizedPlant, tol: Tolerances):
     if any(w is not None and w <= 0.0 for w in g.weight_minima):
         raise HypothesisFailure("assumption A2 fails (D12/D21 weights singular)")
     if not _a4_cross_terms(g, tol)[2]:
         raise HypothesisFailure("assumption A4 fails (cross terms non-zero)")
+
+
+def _check_hypotheses(g: GeneralizedPlant, p: ProjectionPair, tol: Tolerances,
+                      youla: YoulaData | None = None, cause=None) -> str:
+    """Decide the projected PBH hypotheses on (g, p); return the path that
+    decided them.
+
+    Given `youla`, a stabilizing observer loop of (g, p), both sides are
+    first certified from its Schur factors
+    (:func:`~hierh2.linalg._pbh_certified` on A + B2 P_u^T F2 and on
+    (A + L2 P_y C2)' with the gain L2'): ``'certificate'``.  Otherwise the sigma_min rule
+    (:func:`~hierh2.projection._projected_pbh_failure`) decides:
+    HypothesisFailure with its message, raised from `cause`, or ``'rule'``.
+    The certificate passes only pairs the rule passes, so the outcome is
+    the rule's either way.
+    """
+    if youla is not None:
+        modes = _unstable_modes(g.spectrum, tol)
+        if (_pbh_certified(g.a, youla.fold_u(g.b2), youla.f_loop.t,
+                           youla.f2, modes, tol)
+                and _pbh_certified(g.a.T, youla.fold_y(g.c2).T, youla.l_loop.t,
+                                   youla.l2.T, modes, tol)):
+            return "certificate"
+    failure = _projected_pbh_failure(g, p, tol)
+    if failure is not None:
+        raise HypothesisFailure(failure) from cause
+    return "rule"
 
 
 def _block_gramian(f1: RealSchur, f2: RealSchur, a12, q11: np.ndarray,
@@ -311,8 +350,9 @@ def synthesize_hierarchical(g: GeneralizedPlant, p: ProjectionPair,
                             tol: Tolerances = DEFAULT_TOLERANCES) -> SynthesisResult:
     """Optimal hierarchical controller K = P_u^T K~ P_y for the given pair.
 
-    Checks the hypotheses on (g, p), then builds the pair of Riccati
-    equations once (:func:`control_hamiltonian`, :func:`filter_hamiltonian`),
+    Checks the dimensions of (g, p) and assumptions A2 and A4, then builds
+    the pair of Riccati equations once (:func:`control_hamiltonian`,
+    :func:`filter_hamiltonian`),
     each a HamiltonianSystem that rejects a singular or ill-conditioned
     weight and gives the gains F2 = -R1^{-1} P_u B2' X and
     L2' = -R2^{-1} P_y C2 Y.  With ``are_backend='exact'`` both are solved
@@ -330,16 +370,33 @@ def synthesize_hierarchical(g: GeneralizedPlant, p: ProjectionPair,
     naming the failing loop (raise kappa).  The same factors then give the
     closed-loop H2 value through the observer separation.
 
+    The projected PBH hypotheses are decided last (:func:`_check_hypotheses`):
+    the stabilizing loop just built certifies them from its Schur factors,
+    and when it cannot certify a side, the sigma_min rule decides and
+    raises its HypothesisFailure on a failing pair.  When any step above
+    raises a ToolkitError or a LinAlgError, the rule runs first, and a
+    failing pair raises its HypothesisFailure from that error, so a pair
+    the rule rejects is rejected with the rule's message whatever else
+    fails.  ``pbh_path`` records which path decided.
+
     ``solve_time`` measures Riccati solves plus gain assembly; building the
     equations and closed-loop evaluation are excluded.
     """
-    _check_hypotheses(g, p, tol)
-    if are_backend not in ("exact", "approx"):
-        raise InvalidInput(f"unknown are_backend {are_backend!r}")
-    if are_backend == "approx" and kappa is None:
-        raise InvalidInput("approx backend requires kappa")
-    pair = control_hamiltonian(g, p, tol), filter_hamiltonian(g, p, tol)
-    return _synthesize(g, p, *pair, are_backend, kappa, method, tol)
+    if p.n_u != g.n_u or p.n_y != g.n_y:
+        raise HypothesisFailure("projection dimensions do not match the plant")
+    try:
+        _check_assumptions(g, tol)
+        if are_backend not in ("exact", "approx"):
+            raise InvalidInput(f"unknown are_backend {are_backend!r}")
+        if are_backend == "approx" and kappa is None:
+            raise InvalidInput("approx backend requires kappa")
+        pair = control_hamiltonian(g, p, tol), filter_hamiltonian(g, p, tol)
+        res = _synthesize(g, p, *pair, are_backend, kappa, method, tol)
+    except (ToolkitError, np.linalg.LinAlgError) as e:
+        _check_hypotheses(g, p, tol, cause=e)   # a failing pair outranks e
+        raise
+    res.pbh_path = _check_hypotheses(g, p, tol, res.youla)
+    return res
 
 
 def _synthesize(g, p, hs_x, hs_y, are_backend, kappa, method,

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from hierh2 import (ClusterPartition, GeneralizedPlant, NetworkSpec,
-                    ProjectionPair, generate_consensus_network)
+                    ProjectionPair, WeightVectors, generate_consensus_network)
 
 
 def identity_pair(g):
@@ -56,6 +56,17 @@ def random_partition(rng, n_items, r):
         if r > 1 else np.array([], int)
     pieces = np.split(perm, cuts)
     return tuple(tuple(sorted(int(i) for i in piece)) for piece in pieces)
+
+
+def zero_sum_weights(part):
+    """Weights summing to zero within every cluster of `part`, so that P_u
+    and P_y hide the consensus mode, whose eigenvector is constant."""
+    def one(sets):
+        w = np.zeros(sum(len(s) for s in sets))
+        for s in sets:
+            w[list(s)] = np.arange(len(s)) - (len(s) - 1) / 2.0
+        return w
+    return WeightVectors(one(part.input_sets), one(part.output_sets))
 
 
 def square_partition(rng, n, r):

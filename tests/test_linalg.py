@@ -16,7 +16,8 @@ from hierh2.errors import (DimensionMismatch, HamiltonianImaginaryAxis,
                            NotStrictlyProper, NumericalError,
                            ConjugatePairSplitWarning)
 from hierh2.linalg import RealSchur, solve_sylvester, solve_sylvester_schur
-from hierh2.synthesis import _check_hypotheses
+from hierh2.projection import _projected_pbh_failure
+from hierh2.synthesis import _check_hypotheses, synthesize_hierarchical
 
 from conftest import random_are_instance, random_stable_matrix
 from oracles import are_sign_iteration, h2_quadrature, hinf_grid, lyapunov_kron
@@ -337,6 +338,60 @@ def test_pbh_flags_real_uncontrollable_mode():
     assert not detectable(a.T, (s @ b0).T)
 
 
+@pytest.mark.parametrize("shift", [0.3, 0.3 + 0.2j])
+def test_sigma_min_certificate_brackets_the_svd(shift):
+    # proven only above sigma_min: it passes just below and fails just
+    # above, on a real Schur factor with 2 x 2 blocks, at a real and at a
+    # complex shift
+    rng = np.random.default_rng(33)
+    t = sla.schur(rng.standard_normal((40, 40)), output="real")[0]
+    assert np.count_nonzero(np.diag(t, -1)) > 0
+    s = np.linalg.svd(t - shift * np.eye(40), compute_uv=False)[-1]
+    assert linalg._sigma_min_exceeds(t, shift, 0.999 * s)
+    assert not linalg._sigma_min_exceeds(t, shift, 1.001 * s)
+
+
+def test_sigma_min_certificate_fails_at_an_eigenvalue():
+    # at a real eigenvalue T - lambda I is singular; its rounding margin
+    # keeps the test from passing even at c = 0
+    rng = np.random.default_rng(34)
+    t = sla.schur(rng.standard_normal((40, 40)), output="real")[0]
+    sub = np.r_[np.diag(t, -1), 0.0]
+    real = [j for j in range(40) if sub[j] == 0.0 and (j == 0 or sub[j - 1] == 0.0)]
+    assert real
+    assert not linalg._sigma_min_exceeds(t, t[real[0], real[0]], 0.0)
+
+
+@pytest.mark.parametrize("planted", [False, True])
+def test_loop_certificate_passes_only_what_the_rule_passes(planted):
+    # a hidden mode stays an eigenvalue of A + B K whatever K is, so no
+    # loop certifies it; a reachable one is certified by a stabilizing loop
+    for seed in range(5):
+        g = _planted_mode_plant(seed, 5, 2, seed % 2 == 1, False, planted)
+        modes = linalg._unstable_modes(g.spectrum, DEFAULT_TOLERANCES)
+        gain = (-g.b2.T @ solve_are(g.a, g.b2, np.eye(g.n), np.eye(g.n_u)).x
+                if not planted else
+                np.random.default_rng(seed).standard_normal((g.n_u, g.n)))
+        t = RealSchur.of(g.a + g.b2 @ gain).t
+        certified = linalg._pbh_certified(g.a, g.b2, t, gain, modes,
+                                          DEFAULT_TOLERANCES)
+        rejected = linalg._pbh_rank_deficient(g.a, g.b2, modes,
+                                              DEFAULT_TOLERANCES).any()
+        assert (certified, rejected) == (not planted, planted)
+
+
+def test_loop_certificate_declines_a_pbh_rel_at_rounding_level():
+    # near n eps the room above the threshold no longer covers the backward
+    # errors, so the certificate leaves even a reachable mode to the rule
+    g = _planted_mode_plant(0, 5, 2, False, False, False)
+    modes = linalg._unstable_modes(g.spectrum, DEFAULT_TOLERANCES)
+    gain = -g.b2.T @ solve_are(g.a, g.b2, np.eye(g.n), np.eye(g.n_u)).x
+    t = RealSchur.of(g.a + g.b2 @ gain).t
+    tiny = DEFAULT_TOLERANCES.with_(pbh_rel=1e-16)
+    assert linalg._pbh_certified(g.a, g.b2, t, gain, modes, DEFAULT_TOLERANCES)
+    assert not linalg._pbh_certified(g.a, g.b2, t, gain, modes, tiny)
+
+
 def _planted_mode_plant(seed, n, m, pair, observe, planted):
     """Random plant A = S D S^-1 whose leading block of D is an unstable
     real mode or (``pair``) an unstable complex pair; the remaining block is
@@ -376,7 +431,9 @@ def test_property_pbh_checks_flag_a_planted_mode_together(seed, n, m, pair,
                                                           observe):
     # the public PBH tests, the synthesis hypothesis check and assumption A1
     # all go through the one rank test on the same modes: they flag the
-    # planted mode together, and none flags the draw without it
+    # planted mode together, and none flags the draw without it.  The
+    # synthesis, which decides the hypotheses after it has run, from its
+    # loop or by the rule, raises for the same draws with the rule's message
     for planted in (False, True):
         g = _planted_mode_plant(seed, n, m, pair, observe, planted)
         pbh_ok = stabilizable(g.a, g.b2) and detectable(g.a, g.c2)
@@ -388,11 +445,31 @@ def test_property_pbh_checks_flag_a_planted_mode_together(seed, n, m, pair,
             assert ("not detectable" if observe else "not stabilizable") in str(e)
             hyp_ok = False
         assert (pbh_ok, hyp_ok, validate_assumptions(g).a1) == (not planted,) * 3
+        try:
+            synthesize_hierarchical(g, identity)
+            outcome = None
+        except HypothesisFailure as e:
+            outcome = str(e)
+        assert outcome == _projected_pbh_failure(g, identity,
+                                                 DEFAULT_TOLERANCES)
 
 
 # ---------------------------------------------------------------------------
 # Riccati
 # ---------------------------------------------------------------------------
+
+def test_failed_schur_reordering_is_a_numerical_error(monkeypatch):
+    # LAPACK refuses to reorder when rounding moves a mode across jR; the
+    # solver reports that as its own NumericalError, which the synthesis
+    # treats like any other numerical failure
+    def refuse(*args, **kwargs):
+        raise sla.LinAlgError("Leading eigenvalues do not satisfy sort "
+                              "condition.")
+
+    monkeypatch.setattr(linalg.sla, "schur", refuse)
+    with pytest.raises(NumericalError, match="ordered Schur form of H failed"):
+        linalg.riccati_from_hamiltonian([[0.0]], [[1.0]], [[1.0]])
+
 
 def test_are_scalar_examples():
     sol = solve_are([[0.0]], [[1.0]], [[1.0]], [[1.0]])

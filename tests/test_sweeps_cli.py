@@ -14,6 +14,8 @@ from hierh2.serialize import (load_controller, load_partition, load_plant,
 from hierh2.synthesis import HierarchicalController, synthesize_hierarchical
 from hierh2.projection import build_projection
 
+from conftest import zero_sum_weights
+
 
 def small_config(**kw):
     # dense complete blocks keep the coherency gap clean at small sizes
@@ -82,6 +84,38 @@ def test_dense_kappa_sweep_decomposes_each_equation_once(monkeypatch,
     rows = sweep_kappa(small_config(kappa_list=kappa_list))
     assert any(r["kappa"] == 4 and r["status"] == "ok" for r in rows)
     assert len(calls) == 2
+
+
+def test_dense_kappa_sweep_solves_the_eigenbasis_gramian_once(monkeypatch):
+    # every kappa row's error bound reads the Gramian of the one cached
+    # full subspace and the same B1, so one solve serves the sweep
+    import hierh2.hamiltonian
+    calls = []
+    solve = hierh2.hamiltonian.cauchy_coefficients
+
+    def counting(sub, b1, tol):
+        calls.append(b1.shape)
+        return solve(sub, b1, tol)
+
+    monkeypatch.setattr(hierh2.hamiltonian, "cauchy_coefficients", counting)
+    rows = sweep_kappa(small_config(kappa_list=(1, 2, 3, 4, 5, 6)))
+    assert sum(r["epsilon_bound"] is not None for r in rows) >= 2
+    assert len(calls) == 1
+
+
+def test_cached_gramian_is_remade_for_another_b1():
+    from hierh2.hamiltonian import approx_are, error_bound
+    from hierh2.synthesis import control_hamiltonian
+    cfg = small_config()
+    g = cfg.plant()
+    p = build_projection(cfg.planted_partition(g),
+                         WeightVectors.ones(g.n_u, g.n_y))
+    sol = approx_are(control_hamiltonian(g, p), 2)
+    eps = error_bound(sol, g.b1)[0]
+    assert eps > 0.0
+    assert error_bound(sol, 2.0 * g.b1)[0] == pytest.approx(2.0 * eps,
+                                                            rel=1e-12)
+    assert error_bound(sol, g.b1)[0] == eps
 
 
 def test_dense_full_kappa_row_reproduces_the_exact_row_non_self_dual():
@@ -662,6 +696,25 @@ def test_sweep_reads_the_tol_profile_of_its_config(cli_24, tmp_path,
     assert all(tol == STRICT_TOLERANCES for _, tol in seen)
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert manifest["config"]["tol_profile"] == "strict"
+
+
+def test_synth_records_its_pbh_path_and_a_hidden_mode_exits_2(cli_24, tmp_path,
+                                                              capsys):
+    # the planted run is certified by its loop; weights summing to zero in
+    # every cluster hide the consensus mode, and both backends exit 2 with
+    # the rule's message
+    unit = json.loads((cli_24 / "synthesis.json").read_text())
+    assert unit["pbh_path"] == "certificate"
+    part, _ = load_partition(cli_24 / "planted_partition.json")
+    hidden = tmp_path / "hidden.json"
+    save_partition(part, hidden, zero_sum_weights(part))
+    for backend in (["--backend", "exact"],
+                    ["--backend", "approx:4", "--method", "krylov"]):
+        capsys.readouterr()
+        assert main(["synth", "--plant", str(cli_24 / "plant.json"),
+                     "--partition", str(hidden), *backend,
+                     "--out", str(tmp_path / "hidden")]) == 2
+        assert "not stabilizable" in capsys.readouterr().err
 
 
 def test_sweep_and_synth_read_the_stored_weights_alike(cli_24, tmp_path,

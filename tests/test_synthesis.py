@@ -10,12 +10,13 @@ from hierh2 import (DEFAULT_TOLERANCES, ClusterPartition, ExperimentConfig,
                     synthesize_unconstrained, validate_assumptions,
                     youla_data)
 from hierh2.errors import (ApproxNotStabilizing, HypothesisFailure,
-                           NotHurwitz, NotStabilizingGains, NumericalError)
-from hierh2 import hamiltonian, linalg, synthesis
-from hierh2.projection import random_stable_statespace
+                           InvalidInput, NotHurwitz, NotStabilizingGains,
+                           NumericalError, ToolkitError)
+from hierh2 import hamiltonian, linalg, projection, synthesis
+from hierh2.projection import _projected_pbh_failure, random_stable_statespace
 
 from conftest import (identity_pair, random_h2_plant, random_partition,
-                      random_stable_matrix)
+                      random_stable_matrix, zero_sum_weights)
 from oracles import lft_controller, youla_hat
 
 FREQS = np.logspace(-2, 2, 15)
@@ -267,6 +268,127 @@ def test_projected_pbh_failures_raise():
         synthesize_hierarchical(g, ProjectionPair(keep0, np.eye(2)))
     with pytest.raises(HypothesisFailure, match="not detectable"):
         synthesize_hierarchical(g, ProjectionPair(np.eye(2), keep0))
+    # the approx backend cannot stabilize the hidden mode either; its
+    # failure runs the rule, which names the hypothesis
+    approx = dict(are_backend="approx", kappa=1, method="dense")
+    with pytest.raises(HypothesisFailure, match="not stabilizable"):
+        synthesize_hierarchical(g, ProjectionPair(keep0, np.eye(2)), **approx)
+    with pytest.raises(HypothesisFailure, match="not detectable"):
+        synthesize_hierarchical(g, ProjectionPair(np.eye(2), keep0), **approx)
+
+
+def _consensus24():
+    spec = NetworkSpec.even_blocks(n_s=24, n_blocks=4, p_in=0.8, p_out=0.01,
+                                   a_lo=2.0, a_hi=3.0, seed=7)
+    g = generate_consensus_network(spec)
+    part = ClusterPartition.from_subsystems(spec.planted_partition, g)
+    return g, part, build_projection(part, WeightVectors.ones(g.n_u, g.n_y))
+
+
+def _pbh_sigma_min_over_scale(g, pair):
+    """sigma_min of each side's PBH pencil at the unstable modes, relative
+    to the rule's scale max(1, ||A||_F, ||B||_F): a pbh_rel above it fails
+    that side."""
+    modes = linalg._unstable_modes(g.spectrum, DEFAULT_TOLERANCES)
+    ratios = []
+    for a, b in ((g.a, g.b2 @ pair.p_u.T), (g.a.T, (pair.p_y @ g.c2).T)):
+        scale = max(1.0, np.linalg.norm(a), np.linalg.norm(b))
+        ratios.append(min(np.linalg.svd(
+            np.hstack([a - lam * np.eye(g.n), b]), compute_uv=False)[-1]
+            for lam in modes) / scale)
+    return ratios
+
+
+def _spy_rule(monkeypatch):
+    calls = []
+    rule = projection._pbh_rank_deficient
+
+    def counting(*args):
+        calls.append(args[0].shape)
+        return rule(*args)
+
+    monkeypatch.setattr(projection, "_pbh_rank_deficient", counting)
+    return calls
+
+
+def test_rule_rejects_a_pair_the_synthesis_stabilizes():
+    # pbh_rel above the control pencil's sigma_min: the synthesis still
+    # succeeds (pbh_rel plays no part in it), so only the rule can reject
+    # the pair, and it must, after the synthesis
+    g, _, pair = _consensus24()
+    ratio_u, _ = _pbh_sigma_min_over_scale(g, pair)
+    assert synthesize_hierarchical(g, pair).pbh_path == "certificate"
+    tight = DEFAULT_TOLERANCES.with_(pbh_rel=2.0 * ratio_u)
+    with pytest.raises(HypothesisFailure,
+                       match=r"^\(A, B2 P_u\^T\) is not stabilizable$"):
+        synthesize_hierarchical(g, pair, tol=tight)
+
+
+def test_pbh_rel_beyond_the_certificate_runs_the_rule(monkeypatch):
+    # pbh_rel between the loop's bound and sigma_min: the certificate
+    # cannot pass a side, the rule passes both, and the result is the one
+    # the default tolerances give
+    g, _, pair = _consensus24()
+    base = synthesize_hierarchical(g, pair)
+    between = DEFAULT_TOLERANCES.with_(
+        pbh_rel=0.75 * min(_pbh_sigma_min_over_scale(g, pair)))
+    calls = _spy_rule(monkeypatch)
+    res = synthesize_hierarchical(g, pair, tol=between)
+    assert res.pbh_path == "rule" and len(calls) == 2
+    assert res.h2_value == base.h2_value
+    assert np.array_equal(res.x, base.x) and np.array_equal(res.y, base.y)
+
+
+@pytest.mark.parametrize("backend", [dict(are_backend="exact"),
+                                     dict(are_backend="approx", kappa=4,
+                                          method="krylov")],
+                         ids=["exact", "approx-krylov"])
+def test_consensus_syntheses_run_no_pbh_svd(monkeypatch, consensus100,
+                                            consensus100_partition, backend):
+    g, _ = consensus100
+    pair = build_projection(consensus100_partition,
+                            WeightVectors.ones(g.n_u, g.n_y))
+    calls = _spy_rule(monkeypatch)
+    res = synthesize_hierarchical(g, pair, **backend)
+    assert res.pbh_path == "certificate" and calls == []
+
+
+@pytest.mark.parametrize("backend", [
+    dict(are_backend="exact"),
+    dict(are_backend="approx", kappa=4, method="krylov"),
+    dict(are_backend="approx", kappa=4, method="dense")],
+    ids=["exact", "approx-krylov", "approx-dense"])
+def test_hidden_consensus_mode_fails_the_rule_from_the_synthesis_error(backend):
+    g, part, _ = _consensus24()
+    hidden = build_projection(part, zero_sum_weights(part))
+    failure = _projected_pbh_failure(g, hidden, DEFAULT_TOLERANCES)
+    assert failure == "(A, B2 P_u^T) is not stabilizable"
+    with pytest.raises(HypothesisFailure) as info:
+        synthesize_hierarchical(g, hidden, **backend)
+    assert str(info.value) == failure
+    assert isinstance(info.value.__cause__, ToolkitError)
+
+
+def test_failing_pair_outranks_every_later_error():
+    # a pair the rule rejects is rejected with the rule's message whether
+    # A2 fails too or the backend name is invalid, as when the rule ran first
+    g = GeneralizedPlant(
+        a=np.diag([-1.0, 1.0]), b1=np.hstack([np.eye(2), np.zeros((2, 2))]),
+        b2=np.eye(2), c1=np.vstack([np.eye(2), np.zeros((2, 2))]),
+        c2=np.eye(2), d12=np.vstack([np.zeros((2, 2)), np.eye(2)]),
+        d21=np.hstack([np.zeros((2, 2)), np.eye(2)]))
+    keep0 = ProjectionPair(np.array([[1.0, 0.0]]), np.eye(2))
+    no_a2 = GeneralizedPlant(a=g.a, b1=g.b1, b2=g.b2, c1=g.c1, c2=g.c2,
+                             d12=0.0 * g.d12, d21=g.d21)
+    with pytest.raises(HypothesisFailure, match="A2"):
+        synthesize_hierarchical(no_a2, ProjectionPair(np.eye(2), np.eye(2)))
+    with pytest.raises(HypothesisFailure, match="not stabilizable"):
+        synthesize_hierarchical(no_a2, keep0)
+    with pytest.raises(HypothesisFailure, match="not stabilizable"):
+        synthesize_hierarchical(g, keep0, are_backend="bogus")
+    with pytest.raises(InvalidInput):
+        synthesize_hierarchical(g, ProjectionPair(np.eye(2), np.eye(2)),
+                                are_backend="bogus")
 
 
 def test_consensus_ratio_near_one(consensus100, consensus100_partition):
