@@ -116,7 +116,9 @@ def build_hamiltonian(a, b2pu, c1, r1,
 
     Raises
     ------
-    DimensionMismatch : A, B, C or R1 have incompatible shapes.
+    DimensionMismatch : A, B, C or R1 have incompatible shapes, or the
+        effective input has no columns (a plant with no control input or no
+        measurement: there is no equation to solve).
     SingularR : R1 is not positive definite (its factorization fails).
     IllConditionedR : cond(R1) exceeds ``cond_max``.  R1 is SPD once its
         factor exists, so cond(R1) is lambda_max / lambda_min from
@@ -129,6 +131,8 @@ def build_hamiltonian(a, b2pu, c1, r1,
     n = a.shape[0]
     if a.shape != (n, n) or b2pu.shape[0] != n or c1.shape[1] != n:
         raise DimensionMismatch("Riccati data A, B, C have incompatible shapes")
+    if b2pu.shape[1] == 0:
+        raise DimensionMismatch("the Riccati input has no columns")
     if r1.shape != (b2pu.shape[1],) * 2:
         raise DimensionMismatch("R1 must be r x r for the effective input")
     try:

@@ -25,7 +25,7 @@ from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import (DimensionMismatch, DisconnectedIntraBlockWarning,
                      InvalidInput)
 from .linalg import _on_axis, _pbh_rank_deficient, _unstable_modes
-from .statespace import StateSpace, as_matrix, lft_lower_partitioned
+from .statespace import StateSpace, as_matrix
 
 __all__ = [
     "Subsystem", "GeneralizedPlant", "NetworkSpec", "AssumptionReport",
@@ -169,23 +169,27 @@ class GeneralizedPlant:
         """Plant model y = G22 u."""
         return StateSpace(self.a, self.b2, self.c2, np.zeros((self.n_y, self.n_u)))
 
-    def as_four_block(self) -> StateSpace:
-        """Single realization mapping [w; u] -> [z; y]."""
-        b = np.hstack([self.b1, self.b2])
-        c = np.vstack([self.c1, self.c2])
-        d = np.block([
-            [np.zeros((self.p1, self.m1)), self.d12],
-            [self.d21, np.zeros((self.n_y, self.n_u))],
-        ])
-        return StateSpace(self.a, b, c, d)
-
 
 def lft_lower(g: GeneralizedPlant, k: StateSpace) -> StateSpace:
-    """Closed loop f(G, K) = G11 + G12 K (I - G22 K)^{-1} G21.
+    """Closed loop f(G, K) = G11 + G12 K (I - G22 K)^{-1} G21, formed from
+    the plant's blocks.
 
-    D22 = 0 by the plant structure, so the loop is always well posed.
+    D11 = D22 = 0 by the plant structure, so the loop is always well posed
+    and, with A_K, B_K, C_K, D_K the controller's realization, it is
+    ([[A + B2 D_K C2, B2 C_K], [B_K C2, A_K]], [B1 + B2 D_K D21; B_K D21],
+    [C1 + D12 D_K C2, D12 C_K], D12 D_K D21).  DimensionMismatch unless K
+    maps the n_y measurements to the n_u controls.
     """
-    return lft_lower_partitioned(g.as_four_block(), g.p1, g.n_y, g.m1, g.n_u, k)
+    if k.n_inputs != g.n_y or k.n_outputs != g.n_u:
+        raise DimensionMismatch(
+            f"lft: controller is {k.n_outputs}x{k.n_inputs}, "
+            f"expected {g.n_u}x{g.n_y}")
+    b2_dk, d12_dk = g.b2 @ k.d, g.d12 @ k.d
+    return StateSpace(
+        np.block([[g.a + b2_dk @ g.c2, g.b2 @ k.c], [k.b @ g.c2, k.a]]),
+        np.vstack([g.b1 + b2_dk @ g.d21, k.b @ g.d21]),
+        np.hstack([g.c1 + d12_dk @ g.c2, g.d12 @ k.c]),
+        d12_dk @ g.d21)
 
 
 # ---------------------------------------------------------------------------
@@ -203,6 +207,13 @@ class AssumptionReport:
     @property
     def all_ok(self) -> bool:
         return self.a1 and self.a2 and self.a3 and self.a4
+
+
+def _a2_holds(g: GeneralizedPlant) -> bool:
+    """Whether A2 holds: D12'D12 and D21 D21' positive definite, read off
+    ``g.weight_minima``.  An empty weight (a plant with no control input or
+    no measurement) fails."""
+    return all(w is not None and w > 0.0 for w in g.weight_minima)
 
 
 def _a4_cross_terms(g: GeneralizedPlant,
@@ -237,7 +248,7 @@ def validate_assumptions(g: GeneralizedPlant,
     w12, w21 = g.weight_minima
     details["lambda_min_D12tD12"] = 0.0 if w12 is None else w12
     details["lambda_min_D21D21t"] = 0.0 if w21 is None else w21
-    a2 = details["lambda_min_D12tD12"] > 0.0 and details["lambda_min_D21D21t"] > 0.0
+    a2 = _a2_holds(g)
 
     on_axis = g.spectrum[_on_axis(g.spectrum, tol)]
     bad = (_pbh_rank_deficient(g.a, g.b1, on_axis, tol)

@@ -134,35 +134,3 @@ def add(g: StateSpace, h: StateSpace) -> StateSpace:
     b = np.vstack([g.b, h.b])
     c = np.hstack([g.c, h.c])
     return StateSpace(a, b, c, g.d + h.d)
-
-
-def lft_lower_partitioned(sys: StateSpace, nz: int, ny: int, nw: int, nu: int,
-                          k: StateSpace) -> StateSpace:
-    """Lower LFT of a four-block system with zero (y,u)-feedthrough.
-
-    `sys` maps [w; u] -> [z; y] with output partition (nz, ny) and input
-    partition (nw, nu); the (y, u) block of D must be zero so the loop with
-    ``k`` (mapping y -> u) is always well posed.
-    """
-    if sys.n_outputs != nz + ny or sys.n_inputs != nw + nu:
-        raise DimensionMismatch("lft: partition does not match system dims")
-    if k.n_inputs != ny or k.n_outputs != nu:
-        raise DimensionMismatch(
-            f"lft: controller is {k.n_outputs}x{k.n_inputs}, expected {nu}x{ny}")
-    a, b, c, d = sys.a, sys.b, sys.c, sys.d
-    b1, b2 = b[:, :nw], b[:, nw:]
-    c1, c2 = c[:nz, :], c[nz:, :]
-    d11, d12 = d[:nz, :nw], d[:nz, nw:]
-    d21, d22 = d[nz:, :nw], d[nz:, nw:]
-    if np.any(np.abs(d22) > 0):
-        raise DimensionMismatch("lft: D22 block must be zero")
-    ak, bk, ck, dk = k.a, k.b, k.c, k.d
-    n, nk = sys.n_states, k.n_states
-    acl = np.block([
-        [a + b2 @ dk @ c2, b2 @ ck],
-        [bk @ c2, ak],
-    ])
-    bcl = np.vstack([b1 + b2 @ dk @ d21, bk @ d21])
-    ccl = np.hstack([c1 + d12 @ dk @ c2, d12 @ ck])
-    dcl = d11 + d12 @ dk @ d21
-    return StateSpace(acl, bcl, ccl, dcl)

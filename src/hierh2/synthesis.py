@@ -32,7 +32,11 @@ stability where it is made.  The record forms the controller (P_u, K~, P_y)
 once, and gives the closed-loop H2 value by the observer separation without
 leaving the two Schur bases: one chain of three triangular solves
 (:func:`_block_gramian`), with every gain term formed from the factors
-rather than as an n x n product (:func:`_observer_closed_loop_h2`).
+rather than as an n x n product (:func:`_observer_closed_loop_h2`).  The
+chain assumes A4 (D12'C1 = 0, B1 D21' = 0) and forms no cross term; every
+caller has checked A4 on the same plant first: :func:`synthesize_hierarchical`
+and so the exact row of a kappa sweep, and the hierarchical synthesis that
+precedes the equivalence form in the gap layer.
 """
 
 from __future__ import annotations
@@ -51,7 +55,7 @@ from .hamiltonian import HamiltonianSystem, approx_are, build_hamiltonian
 from .linalg import (AreSolution, RealSchur, _pbh_certified, _require_hurwitz,
                      _unstable_modes, riccati_from_hamiltonian,
                      solve_sylvester_schur)
-from .plant import GeneralizedPlant, _a4_cross_terms
+from .plant import GeneralizedPlant, _a2_holds, _a4_cross_terms
 from .projection import ClusterPartition, ProjectionPair, _projected_pbh_failure
 from .statespace import StateSpace
 
@@ -209,8 +213,9 @@ class SynthesisResult:
 
 
 def _check_assumptions(g: GeneralizedPlant, tol: Tolerances):
-    if any(w is not None and w <= 0.0 for w in g.weight_minima):
-        raise HypothesisFailure("assumption A2 fails (D12/D21 weights singular)")
+    if not _a2_holds(g):
+        raise HypothesisFailure(
+            "assumption A2 fails (D12/D21 weights singular or empty)")
     if not _a4_cross_terms(g, tol)[2]:
         raise HypothesisFailure("assumption A4 fails (cross terms non-zero)")
 
@@ -253,54 +258,61 @@ def _block_gramian(f1: RealSchur, f2: RealSchur, a12, q11: np.ndarray,
     low-rank coupling is applied factor by factor.  One Lyapunov solve per
     diagonal block plus one Sylvester coupling, all three through
     :func:`~hierh2.linalg.solve_sylvester_schur` with its residual contract,
-    and no factorization of A and no change of basis.
+    and no factorization of A and no change of basis.  Each q_ij is dropped
+    once the solve that reads it has run, and never written into, so a
+    caller may pass one array as two blocks; one that passes temporaries
+    frees them there.
     """
     y22 = solve_sylvester_schur(f2, f2, q22, tol)
-    y12 = solve_sylvester_schur(f1, f2, q12 + a12(y22), tol)
+    del q22
+    q12 = q12 + a12(y22)
+    y12 = solve_sylvester_schur(f1, f2, q12, tol)
+    del q12
     cross = a12(y12.T)
-    return solve_sylvester_schur(f1, f1, q11 + cross + cross.T, tol), y12, y22
+    q11 = q11 + cross + cross.T
+    del cross
+    return solve_sylvester_schur(f1, f1, q11, tol), y12, y22
 
 
 def _observer_closed_loop_h2(yd: YoulaData, tol: Tolerances) -> float:
     """H2 value of the closed loop of ``yd.controller``, in Schur coordinates:
     h2_norm(lft_lower(G, yd.controller.expand())) without a 2n Schur form.
 
-    In (x, e = x - xhat) coordinates the closed loop is block triangular,
+    Precondition: the plant satisfies A4 (D12'C1 = 0 and B1 D21' = 0), as
+    every caller has checked on it (:func:`_check_assumptions`).  In
+    (x, e = x - xhat) coordinates the closed loop is block triangular,
     A = [[A_F, -B2 F], [0, A_L]], B = [B1; B1 + L D21] and
-    C = [C1 + D12 F, -D12 F].  The Gramian blocks come from
-    :func:`_block_gramian` in the Schur bases of A_F and A_L that `yd`
-    holds.  The plant's factors of B1 B1' and C1'C1 are moved into them
-    once; every gain term is formed from the gain factors
+    C = [C1 + D12 F, -D12 F].  Under A4 the Q = B B' blocks are B1 B1',
+    B1 B1' and B1 B1' + L D21 D21' L', and the C'C blocks are
+    C1'C1 + F'R F, -F'R F and F'R F with R = D12'D12.  The Gramian blocks
+    come from :func:`_block_gramian` in the Schur bases of A_F and A_L that
+    `yd` holds.  The plant's factors of B1 B1' and C1'C1 are moved into
+    them once; every gain term is formed from the gain factors
     (B2 F = fold_u(B2) F2, L D21 = L2 fold_y(D21)) in O(r n^2); and the
     traces tr(C Phi C') are contracted in Schur coordinates.
     """
-    g, f2, l2 = yd.g, yd.f2, yd.l2
+    g, f2 = yd.g, yd.f2
     u1, u2 = yd.f_loop.u, yd.l_loop.u
     f2_1, f2_2 = f2 @ u1, f2 @ u2            # F2 in either basis
     b2_1 = u1.T @ yd.fold_u(g.b2)            # U1' B2 F = b2_1 F2
     d12u = yd.fold_u(g.d12)                  # D12 F = d12u F2
     d21y = yd.fold_y(g.d21)                  # L D21 = L2 d21y
-    l2_2 = u2.T @ l2
+    l2_2 = u2.T @ yd.l2
 
-    # B B' in the two bases, B = [B1; B1 + L D21], B1 B1' = Bf Bf'
+    # B1 B1' = Bf Bf' in the two bases; the Q blocks are temporaries
     bf_1, bf_2 = u1.T @ g.b1_factor, u2.T @ g.b1_factor
-    b1_l = g.b1 @ d21y.T                     # B1 D21' P_y'
-    q12 = bf_1 @ bf_2.T + (u1.T @ b1_l) @ l2_2.T
-    cross = (u2.T @ b1_l) @ l2_2.T
-    q22 = (bf_2 @ bf_2.T + cross + cross.T
-           + l2_2 @ (d21y @ d21y.T) @ l2_2.T)
     y11, y12, y22 = _block_gramian(
         yd.f_loop, yd.l_loop, lambda y: -(b2_1 @ (f2_2 @ y)),
-        bf_1 @ bf_1.T, q12, q22, tol)
+        bf_1 @ bf_1.T, bf_1 @ bf_2.T,
+        bf_2 @ bf_2.T + l2_2 @ (d21y @ d21y.T) @ l2_2.T, tol)
+    del bf_1, bf_2      # so the n x n products below do not raise the peak
 
-    # C'C in the two bases, C = [C1 + D12 F, -D12 F], C1'C1 = Cf' Cf
+    # C1'C1 = Cf' Cf in the first basis, R = D12'D12 folded by P_u
     cf_1 = g.c1_factor @ u1
     r1 = d12u.T @ d12u
-    e1 = u1.T @ (g.c1.T @ d12u)              # U1' C1' D12 P_u'
-    z1 = f2_1 @ y11
     val = (np.sum(y11 * (cf_1.T @ cf_1))
-           + 2.0 * np.trace(z1 @ e1) + np.trace(r1 @ z1 @ f2_1.T)
-           - 2.0 * np.sum((y12 @ f2_2.T) * (e1 + f2_1.T @ r1))
+           + np.trace(r1 @ (f2_1 @ y11) @ f2_1.T)
+           - 2.0 * np.sum((y12 @ f2_2.T) * (f2_1.T @ r1))
            + np.trace(r1 @ (f2_2 @ y22) @ f2_2.T))
     return float(np.sqrt(max(val, 0.0)))
 

@@ -110,3 +110,23 @@ def non_self_dual100():
     weights = WeightVectors(rng.uniform(0.5, 2.0, g.n_u),
                             rng.uniform(0.5, 2.0, g.n_y))
     return g, part, weights, build_projection(part, weights)
+
+
+@pytest.fixture(scope="session")
+def directed200():
+    """(g, partition, pair) at n_s = 200 with a non-symmetric A: the
+    consensus graph of ``ExperimentConfig(seed=7)`` with each directed edge
+    weight scaled by 1 + U(-0.6, 0.6) (seed 1) and A the negated row-sum
+    Laplacian, so that 128 modes are complex and ||A - A'||/||A|| = 0.11;
+    b1_scale 3, the planted partition and unit weights.  Every other plant
+    above n = 29 has a symmetric A."""
+    from hierh2 import ExperimentConfig, build_projection
+    cfg = ExperimentConfig(seed=7, b1_scale=3.0)
+    sym = cfg.plant(200)
+    w = sym.a - np.diag(np.diag(sym.a))
+    w = w * (1.0 + np.random.default_rng(1).uniform(-0.6, 0.6, w.shape))
+    g = GeneralizedPlant(a=w - np.diag(w.sum(axis=1)), b1=sym.b1, b2=sym.b2,
+                         c1=sym.c1, c2=sym.c2, d12=sym.d12, d21=sym.d21,
+                         subsystems=sym.subsystems)
+    part = cfg.planted_partition(g, 200)
+    return g, part, build_projection(part, WeightVectors.ones(g.n_u, g.n_y))

@@ -10,7 +10,9 @@ staged simulation is checked against a sample-by-sample run that forms
 every held product with its own matrix-vector product and steps the
 monolithic loop through the RK4 stages of its vector field.  The block
 Woodbury set-up of the Krylov shift-invert is checked against one that
-solves its columns one at a time.
+solves its columns one at a time, and the library's closed loop of the
+plant, formed from its blocks, against the generic lower LFT of the stacked
+four-block plant.
 """
 
 from dataclasses import dataclass
@@ -21,11 +23,11 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from hierh2 import DEFAULT_TOLERANCES, StateSpace, Tolerances, neg, series
+from hierh2.errors import DimensionMismatch
 from hierh2.linalg import (hinf_norm, riccati_from_hamiltonian,
                            solve_sylvester, sqrt_psd, symmetrize)
 from hierh2.plant import lft_lower
 from hierh2.simulate import _rk4
-from hierh2.statespace import lft_lower_partitioned
 
 
 def lyapunov_kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -149,6 +151,48 @@ def youla_hat(yd) -> YoulaHat:
         c2_hat=c2_hat, k_nom=k_nom,
         t11=StateSpace(a_hat, b1_hat, c1_hat, np.zeros((g.p1, g.m1))),
         t22=StateSpace(a_hat, b2_hat, c2_hat, np.zeros((ny, nu))))
+
+
+def lft_lower_partitioned(sys: StateSpace, nz: int, ny: int, nw: int, nu: int,
+                          k: StateSpace) -> StateSpace:
+    """Lower LFT of a four-block system with zero (y,u)-feedthrough.
+
+    `sys` maps [w; u] -> [z; y] with output partition (nz, ny) and input
+    partition (nw, nu); the (y, u) block of D must be zero so the loop with
+    ``k`` (mapping y -> u) is always well posed.  Unlike the library's
+    ``lft_lower``, the (z, w) block D11 may be non-zero.
+    """
+    if sys.n_outputs != nz + ny or sys.n_inputs != nw + nu:
+        raise DimensionMismatch("lft: partition does not match system dims")
+    if k.n_inputs != ny or k.n_outputs != nu:
+        raise DimensionMismatch(
+            f"lft: controller is {k.n_outputs}x{k.n_inputs}, expected {nu}x{ny}")
+    a, b, c, d = sys.a, sys.b, sys.c, sys.d
+    b1, b2 = b[:, :nw], b[:, nw:]
+    c1, c2 = c[:nz, :], c[nz:, :]
+    d11, d12 = d[:nz, :nw], d[:nz, nw:]
+    d21, d22 = d[nz:, :nw], d[nz:, nw:]
+    if np.any(np.abs(d22) > 0):
+        raise DimensionMismatch("lft: D22 block must be zero")
+    ak, bk, ck, dk = k.a, k.b, k.c, k.d
+    acl = np.block([
+        [a + b2 @ dk @ c2, b2 @ ck],
+        [bk @ c2, ak],
+    ])
+    bcl = np.vstack([b1 + b2 @ dk @ d21, bk @ d21])
+    ccl = np.hstack([c1 + d12 @ dk @ c2, d12 @ ck])
+    dcl = d11 + d12 @ dk @ d21
+    return StateSpace(acl, bcl, ccl, dcl)
+
+
+def lft_generic(g, k: StateSpace) -> StateSpace:
+    """f(G, K) by the generic LFT of the plant stacked as one realization
+    mapping [w; u] -> [z; y]."""
+    d = np.block([[np.zeros((g.p1, g.m1)), g.d12],
+                  [g.d21, np.zeros((g.n_y, g.n_u))]])
+    four_block = StateSpace(g.a, np.hstack([g.b1, g.b2]),
+                            np.vstack([g.c1, g.c2]), d)
+    return lft_lower_partitioned(four_block, g.p1, g.n_y, g.m1, g.n_u, k)
 
 
 def lft_controller(yd, q: StateSpace) -> StateSpace:

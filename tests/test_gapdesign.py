@@ -274,6 +274,14 @@ def test_non_self_dual_n100_equivalence_form_gives_j2(non_self_dual100):
     assert report.j1_star <= report.j2_star <= report.bound_rhs
 
 
+def test_directed_n200_equivalence_form_gives_j2(directed200):
+    # the equivalence form and the gap bound on a non-symmetric A
+    g, part, _ = directed200
+    report = evaluate_partition(g, part)
+    assert report.h2_equivalence == pytest.approx(report.j2_star, rel=1e-9)
+    assert report.j1_star <= report.j2_star <= report.bound_rhs
+
+
 @pytest.mark.parametrize("side", ["u", "y"])
 def test_doubly_projected_controller_rejects_an_ill_conditioned_weight(side):
     # the equivalence form builds both equations with build_hamiltonian, so
@@ -332,6 +340,75 @@ def test_kmeans_weights_pull_centers():
 def test_kmeans_degenerate_rows():
     with pytest.raises(DegenerateData):
         weighted_kmeans(np.zeros((4, 2)), np.ones(4), 2, rng=0)
+
+
+def _recording_wcss(monkeypatch):
+    """The objective values Lloyd computes, in order."""
+    seen = []
+    wcss = gapdesign._wcss
+
+    def recording(*args):
+        seen.append(wcss(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(gapdesign, "_wcss", recording)
+    return seen
+
+
+def _check_clustering(x, r, labels, objectives):
+    """Every cluster non-empty, the labels a partition of the rows, and the
+    objective non-increasing across the iterations."""
+    sets = gapdesign._labels_to_sets(labels, r)
+    assert all(sets)
+    assert sorted(i for s in sets for i in s) == list(range(x.shape[0]))
+    assert objectives and all(b <= a for a, b in zip(objectives, objectives[1:]))
+
+
+def test_lloyd_repairs_a_cluster_that_starts_empty(monkeypatch):
+    # a seed centre far from every row gets no row in the first assignment;
+    # the row farthest from the centre of the highest-inertia cluster moves
+    # into it
+    rng = np.random.default_rng(4)
+    x = np.vstack([rng.normal(c, 0.1, (5, 2)) for c in (0.0, 3.0, 6.0)])
+    w = rng.uniform(0.5, 2.0, 15)
+    seeds = np.array([[0.0, 0.0], [3.0, 3.0], [100.0, 100.0]])
+    d2 = ((x[:, None, :] - seeds[None, :, :]) ** 2).sum(axis=2)
+    assert not np.any(np.argmin(d2, axis=1) == 2)
+    monkeypatch.setattr(gapdesign, "_kmeanspp_seed", lambda *a: seeds.copy())
+    objectives = _recording_wcss(monkeypatch)
+    labels, _, obj = weighted_kmeans(x, w, 3, rng=0, restarts=1)
+    _check_clustering(x, 3, labels, objectives)
+    assert obj == objectives[-1]
+    assert set(gapdesign._labels_to_sets(labels, 3)[2]) <= set(range(10, 15))
+
+
+class _CountingRng:
+    """A generator that counts its uniform draws (``integers``)."""
+
+    def __init__(self, seed):
+        self.rng, self.uniform_draws = np.random.default_rng(seed), 0
+
+    def choice(self, *args, **kw):
+        return self.rng.choice(*args, **kw)
+
+    def integers(self, *args, **kw):
+        self.uniform_draws += 1
+        return self.rng.integers(*args, **kw)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_kmeanspp_seed_with_no_score_mass_left(monkeypatch, seed):
+    # three distinct rows for four clusters: once each is a centre, no
+    # score mass is left off the chosen points, and the fourth centre is a
+    # uniform draw, a duplicate whose cluster Lloyd then repairs
+    x = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 2.0], [1.0, 2.0],
+                  [-1.0, 3.0]])
+    w = np.array([1.0, 2.0, 0.5, 1.0, 1.5])
+    rng = _CountingRng(seed)
+    objectives = _recording_wcss(monkeypatch)
+    labels, _, _ = gapdesign._lloyd(x, w, 4, rng)
+    assert rng.uniform_draws == 1
+    _check_clustering(x, 4, labels, objectives)
 
 
 def test_design_clusters_recovers_planted_blocks(consensus100):

@@ -8,12 +8,13 @@ import scipy.linalg as sla
 from hierh2 import (ExperimentConfig, GeneralizedPlant, NetworkSpec,
                     StateSpace, add, feasible_weights,
                     generate_consensus_network, lft_lower, neg, series,
-                    sweep_kappa, transpose_dual, validate_assumptions)
+                    sweep_kappa, synthesize_hierarchical, transpose_dual,
+                    validate_assumptions)
 from hierh2.errors import DimensionMismatch, DisconnectedIntraBlockWarning
 from hierh2.projection import random_stable_statespace
 
 from conftest import random_h2_plant
-from oracles import freqresp_formula
+from oracles import freqresp_formula, lft_generic
 
 FREQS = np.logspace(-2, 2, 20)
 
@@ -117,6 +118,25 @@ def test_lft_matches_pointwise_formula():
         kv = k.eval(s)
         ref = g11 + g12 @ kv @ np.linalg.solve(np.eye(g.n_y) - g22 @ kv, g21)
         assert np.linalg.norm(closed.eval(s) - ref) <= 1e-9 * max(1, np.linalg.norm(ref))
+
+
+def test_lft_equals_the_generic_lft(directed200):
+    # lft_lower forms the loop from the plant's blocks; the generic LFT of
+    # the stacked four-block plant gives the same matrices, bit for bit for
+    # a synthesized controller (D_K = 0) and to rounding for a proper one
+    g, _, pair = directed200
+    k = synthesize_hierarchical(g, pair).controller.expand()
+    closed, ref = lft_lower(g, k), lft_generic(g, k)
+    for m in "abcd":
+        assert np.array_equal(getattr(closed, m), getattr(ref, m)), m
+    rng = np.random.default_rng(5)
+    g = random_h2_plant(rng, 5, 2, 3)
+    k = random_stable_statespace(rng, 3, g.n_u, g.n_y, strictly_proper=False)
+    assert np.all(k.d != 0)
+    closed, ref = lft_lower(g, k), lft_generic(g, k)
+    for m in "abcd":
+        diff = np.linalg.norm(getattr(closed, m) - getattr(ref, m))
+        assert diff <= 1e-14 * np.linalg.norm(getattr(ref, m)), m
 
 
 def test_lft_dimension_errors():

@@ -455,3 +455,13 @@ def test_property_staged_run_equals_monolithic_run(seed, n, nu, ny, data):
     dev = np.linalg.norm(np.hstack([sim.x, sim.xk]) - ref.v_mono, axis=1)
     scale = np.maximum(1.0, np.linalg.norm(ref.v_mono, axis=1))
     assert np.max(dev / scale) <= _STAGED_MATCH_RTOL
+
+
+def test_directed_n200_staged_run_equals_monolithic_run(directed200):
+    # the staged schedule against the monolithic loop on a non-symmetric A
+    g, part, pair = directed200
+    ctrl = synthesize_hierarchical(g, pair).controller
+    sim = run_hier_simulation(g, ctrl, horizon=0.2,
+                              disturbance=("noise", 7, 1.0), partition=part)
+    assert len(sim.times) > 2 * _BLOCK
+    assert sim.staged_vs_monolithic <= 1e-9

@@ -4,9 +4,10 @@ import json
 import numpy as np
 import pytest
 
-from hierh2 import (ClusterPartition, ExperimentConfig, NetworkSpec,
-                    WeightVectors, generate_consensus_network, sweep_kappa,
-                    sweep_r, sweep_size)
+from hierh2 import (ClusterPartition, ExperimentConfig, GeneralizedPlant,
+                    NetworkSpec, Subsystem, WeightVectors,
+                    generate_consensus_network, sweep_kappa, sweep_r,
+                    sweep_size)
 from hierh2.cli import main
 from hierh2.errors import InvalidInput
 from hierh2.serialize import (load_controller, load_partition, load_plant,
@@ -49,6 +50,30 @@ def test_sweep_kappa_rows(tmp_path):
     assert ratios[-1] <= 1.02
     # epsilon bound column is populated on the dense path
     assert all(r["epsilon_bound"] != "" for r in ok)
+
+
+def test_sweep_kappa_on_the_designed_partition(monkeypatch):
+    # partition_source "designed": the sweep designs its partition on the
+    # reference Youla data of its plant, with the config's seed and restarts
+    import hierh2.sweeps
+    from hierh2 import design_clusters, reference_youla_data, spectral_factors
+    config = small_config(n_s=24, partition_source="designed",
+                          kappa_list=(4, 24))
+    used = []
+    build = hierh2.sweeps.build_projection
+
+    def recording(partition, weights):
+        used.append(partition)
+        return build(partition, weights)
+
+    monkeypatch.setattr(hierh2.sweeps, "build_projection", recording)
+    rows = sweep_kappa(config)
+    assert [r["status"] for r in rows] == ["ok"] * 3
+    g = config.plant()
+    sf = spectral_factors(reference_youla_data(g), g.d12, g.d21)
+    assert used == [design_clusters(sf, WeightVectors.ones(g.n_u, g.n_y),
+                                    config.n_blocks, rng=config.seed,
+                                    restarts=config.restarts)]
 
 
 def test_sweep_kappa_deterministic_modulo_timing(tmp_path):
@@ -509,8 +534,8 @@ def test_cli_numerical_failure_exit_code(tmp_path, capsys):
 def cli_24(tmp_path_factory):
     """The 24-node plant of `gen-network`, its planted partition and
     controller, a controller whose P_y lost a row, a config with an unknown
-    key, malformed documents and configs, and a Matrix Market plant whose
-    A sidecar is gone."""
+    key, malformed documents and configs, a Matrix Market plant whose
+    A sidecar is gone, and the plant with no control input."""
     d = tmp_path_factory.mktemp("cli24")
     assert main(["gen-network", "--nodes", "24", "--seed", "7",
                  "--out", str(d)]) == 0
@@ -536,6 +561,12 @@ def cli_24(tmp_path_factory):
     (d / "plant_text_entry.json").write_text(json.dumps(plant))
     plant["a"][0] = plant["a"][0][1:]
     (d / "plant_ragged.json").write_text(json.dumps(plant))
+    g = load_plant(d / "plant.json")
+    save_plant(GeneralizedPlant(
+        a=g.a, b1=g.b1, b2=np.zeros((g.n, 0)), c1=g.c1, c2=g.c2,
+        d12=np.zeros((g.p1, 0)), d21=g.d21,
+        subsystems=tuple(Subsystem(states=s.states, outputs=s.outputs)
+                         for s in g.subsystems)), d / "plant_no_controls.json")
     doc = json.loads((d / "planted_partition.json").read_text())
     doc["weights"]["w_u"][0] = "x"
     (d / "partition_text_weight.json").write_text(json.dumps(doc))
@@ -568,12 +599,15 @@ def cli_24(tmp_path_factory):
     ["validate", "--plant", "{d}/plant_subsystems_number.json"],
     ["synth", "--plant", "{d}/plant.json",
      "--partition", "{d}/partition_weights_list.json"],
+    ["design-clusters", "--plant", "{d}/plant_no_controls.json", "--r", "1"],
+    ["approx", "--plant", "{d}/plant_no_controls.json", "--kappa", "1"],
 ], ids=["plant-is-a-partition", "kappa-above-n", "r-above-channels",
         "p-in-above-1", "unknown-config-key", "p_y-rows-below-k-inputs",
         "plant-not-json", "plant-missing-key", "partition-missing-key",
         "config-missing-file", "config-wrong-type", "plant-missing-sidecar",
         "plant-text-entry", "plant-ragged-matrix", "partition-text-weight",
-        "plant-subsystems-number", "partition-weights-list"])
+        "plant-subsystems-number", "partition-weights-list",
+        "design-without-controls", "approx-without-controls"])
 def test_cli_bad_input_exits_2(cli_24, tmp_path, capsys, argv):
     argv = [a.format(d=cli_24) for a in argv] + ["--out", str(tmp_path)]
     assert main(argv) == 2

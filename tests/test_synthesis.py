@@ -9,10 +9,11 @@ from hierh2 import (DEFAULT_TOLERANCES, ClusterPartition, ExperimentConfig,
                     generate_consensus_network, h2_norm, lft_lower, spectral_abscissa, synthesize_hierarchical,
                     synthesize_unconstrained, validate_assumptions,
                     youla_data)
-from hierh2.errors import (ApproxNotStabilizing, HypothesisFailure,
-                           InvalidInput, NotHurwitz, NotStabilizingGains,
-                           NumericalError, ToolkitError)
+from hierh2.errors import (ApproxNotStabilizing, DimensionMismatch,
+                           HypothesisFailure, InvalidInput, NotHurwitz,
+                           NotStabilizingGains, NumericalError, ToolkitError)
 from hierh2 import hamiltonian, linalg, projection, synthesis
+from hierh2.gapdesign import reference_youla_data
 from hierh2.projection import _projected_pbh_failure, random_stable_statespace
 
 from conftest import (identity_pair, random_h2_plant, random_partition,
@@ -552,18 +553,20 @@ def test_h2_value_matches_closed_loop_oracle_weighted_plant():
     assert np.allclose(results[1].youla.f, pair.p_u.T @ results[1].f2)
 
 
-def test_h2_chain_keeps_the_cross_terms():
-    # D12'C1 and B1 D21' vanish under A4, but the chain keeps their terms:
-    # on a plant without A4 the value is still the closed-loop H2 norm, for
-    # the factored gains and for the same gains unprojected
+def test_h2_chain_of_random_gains_on_an_a4_plant():
+    # the chain reads no cross term (A4 is its precondition): on an A4
+    # plant with a stable A and non-identity weights D12'D12, D21 D21', the
+    # value is the closed-loop H2 norm for random factored gains that are
+    # not the optimal ones, and for the same gains unprojected
     rng = np.random.default_rng(33)
     n, nu, ny = 6, 3, 3
+    base = random_h2_plant(rng, n, nu, ny)
+    m_u = rng.standard_normal((nu, nu)) + 3.0 * np.eye(nu)
+    m_y = rng.standard_normal((ny, ny)) + 3.0 * np.eye(ny)
     g = GeneralizedPlant(
-        a=random_stable_matrix(rng, n), b1=rng.standard_normal((n, 4)),
-        b2=rng.standard_normal((n, nu)), c1=rng.standard_normal((5, n)),
-        c2=rng.standard_normal((ny, n)), d12=rng.standard_normal((5, nu)),
-        d21=rng.standard_normal((ny, 4)))
-    assert not validate_assumptions(g).a4
+        a=random_stable_matrix(rng, n), b1=base.b1, b2=base.b2, c1=base.c1,
+        c2=base.c2, d12=base.d12 @ m_u, d21=m_y @ base.d21)
+    assert validate_assumptions(g).a4
     pair = build_projection(
         ClusterPartition(input_sets=((0, 2), (1,)), output_sets=((0,), (1, 2))),
         WeightVectors(rng.uniform(0.5, 2.0, nu), rng.uniform(0.5, 2.0, ny)))
@@ -602,6 +605,40 @@ def test_singular_weight_fails_a2():
         synthesize_unconstrained(bad)
 
 
+def _without(g, side):
+    """`g` with no control input (B2, D12 with zero columns) or with no
+    measurement (C2, D21 with zero rows)."""
+    if side == "controls":
+        return GeneralizedPlant(a=g.a, b1=g.b1, b2=np.zeros((g.n, 0)),
+                                c1=g.c1, c2=g.c2, d12=np.zeros((g.p1, 0)),
+                                d21=g.d21)
+    return GeneralizedPlant(a=g.a, b1=g.b1, b2=g.b2, c1=g.c1,
+                            c2=np.zeros((0, g.n)), d12=g.d12,
+                            d21=np.zeros((0, g.m1)))
+
+
+@pytest.mark.parametrize("side", ["controls", "measurements"])
+def test_an_empty_weight_fails_a2(side):
+    # a stable A, so that the PBH rule passes the identity pair and the
+    # synthesis fails on A2 itself; validate_assumptions decides A2 by the
+    # same predicate, and a Riccati equation with no input is refused
+    rng = np.random.default_rng(9)
+    g = random_h2_plant(rng, 4, 2, 2)
+    g = GeneralizedPlant(a=random_stable_matrix(rng, 4), b1=g.b1, b2=g.b2,
+                         c1=g.c1, c2=g.c2, d12=g.d12, d21=g.d21)
+    bad = _without(g, side)
+    assert None in bad.weight_minima
+    assert not validate_assumptions(bad).a2
+    with pytest.raises(HypothesisFailure, match="A2"):
+        synthesize_unconstrained(bad)
+    with pytest.raises(DimensionMismatch, match="no columns"):
+        reference_youla_data(bad)
+    hs_args = ((bad.a, bad.b2, bad.c1, np.eye(0)) if side == "controls"
+               else (bad.a.T, bad.c2.T, bad.b1.T, np.eye(0)))
+    with pytest.raises(DimensionMismatch, match="no columns"):
+        hamiltonian.build_hamiltonian(*hs_args)
+
+
 def test_a2_a4_facts_computed_once_per_plant(monkeypatch):
     g, _ = _weighted_plant(32)
     pair = ProjectionPair(np.eye(4), np.eye(4))
@@ -638,6 +675,21 @@ def test_non_self_dual_n100_values_match_the_closed_loop_oracle(
         oracle = h2_norm(lft_lower(g, res.controller.expand()))
         assert res.h2_value == pytest.approx(oracle, rel=1e-9)
     assert unc.h2_value < hier.h2_value
+
+
+@pytest.mark.parametrize("backend", [
+    {}, {"are_backend": "approx", "kappa": 4, "method": "krylov"},
+    {"are_backend": "approx", "kappa": 4, "method": "dense"}],
+    ids=["exact", "krylov-4", "dense-4"])
+def test_directed_n200_values_match_the_closed_loop_oracle(directed200,
+                                                           backend):
+    # a non-symmetric A, with complex modes and left eigenvectors that are
+    # not the right ones: the Schur-coordinate chain against the 2n-state
+    # closed loop of lft_lower
+    g, _, pair = directed200
+    res = synthesize_hierarchical(g, pair, **backend)
+    oracle = h2_norm(lft_lower(g, res.controller.expand()))
+    assert res.h2_value == pytest.approx(oracle, rel=1e-9)
 
 
 def test_exact_synthesis_reuses_riccati_closed_loops():
