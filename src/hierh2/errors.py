@@ -9,7 +9,10 @@ numerical decision has one error: an eigenvalue of a Hamiltonian on jR is
 :class:`HamiltonianImaginaryAxis` on every Riccati and eigen-path, and a
 realified eigenpair block that fails the one acceptance rule
 (``linalg._require_invariant``) raises :class:`NumericalError` on the dense
-path and :class:`ArnoldiNoConvergence` on the Krylov path.
+path and :class:`ArnoldiNoConvergence` on the Krylov path.  The stability
+of every observer loop, exact or truncated, is decided where
+``synthesis.youla_data`` factors it: :class:`NotStabilizingGains`, which
+the approximate backend raises as :class:`ApproxNotStabilizing`.
 """
 
 
@@ -56,7 +59,8 @@ class ZeroClusterWeight(PreconditionError):
 
 
 class NotStabilizingGains(PreconditionError):
-    """Supplied Youla gains F, L do not stabilize the plant."""
+    """Observer gains F, L, supplied or synthesized, leave the control or
+    the filter loop with an eigenvalue at Re >= -hurwitz_margin."""
 
 
 class HypothesisFailure(PreconditionError):

@@ -35,8 +35,9 @@ cluster count on one unconstrained synthesis of the plant.
 Every exact loop here, the design-phase reference loop and the equivalence
 form alike, is a (control, filter) pair of equations built by
 :func:`~hierh2.hamiltonian.build_hamiltonian` and solved by
-:func:`~hierh2.synthesis.riccati_loop`, which alone transposes the filter
-side.
+:func:`~hierh2.synthesis.riccati_loop`, whose loop
+:func:`~hierh2.synthesis.youla_data` factors and decides, as it does for
+every synthesis.
 """
 
 from __future__ import annotations
@@ -197,7 +198,7 @@ def doubly_projected_controller(g: GeneralizedPlant, p: ProjectionPair,
 
     The equivalence form of the constrained problem: its
     ``.controller.expand()`` is the hierarchical optimal controller, and its
-    loop factors are the closed loops of its two Riccati solutions.  The
+    loop factors are those of A + B2 F and A + L C2.  The
     projected weights P_u^T P_u D12' D12 P_u^T P_u and
     P_y^T P_y D21 D21' P_y^T P_y have the rank of P_u and P_y; each is
     factored on that range as V diag(w) V' from its own eigendecomposition,
@@ -216,7 +217,7 @@ def doubly_projected_controller(g: GeneralizedPlant, p: ProjectionPair,
     hs_x = build_hamiltonian(g.a, g.b2 @ pu @ v_u, g.c1, np.diag(w_u), tol)
     hs_y = build_hamiltonian(g.a.T, (py @ g.c2).T @ v_y, g.b1.T, np.diag(w_y),
                              tol)
-    return riccati_loop(g, ProjectionPair(v_u.T, v_y.T), hs_x, hs_y, tol)[0]
+    return riccati_loop(g, ProjectionPair(v_u.T, v_y.T), hs_x, hs_y, tol)
 
 
 def gap_report(hier: SynthesisResult, sf: SpectralFactors,
@@ -267,7 +268,7 @@ def reference_youla_data(g: GeneralizedPlant,
     x_hs = build_hamiltonian(g.a, g.b2, np.eye(g.n), np.eye(g.n_u), tol)
     y_hs = build_hamiltonian(g.a.T, g.c2.T, np.eye(g.n), np.eye(g.n_y), tol)
     return riccati_loop(g, ProjectionPair.identity(g.n_u, g.n_y), x_hs, y_hs,
-                        tol)[0]
+                        tol)
 
 
 # evaluate_partition warns when the equivalence-form H2 cost differs from J2*
@@ -317,7 +318,7 @@ def _evaluate(g: GeneralizedPlant, partition: ClusterPartition,
 # ---------------------------------------------------------------------------
 
 # Lloyd stops after this many iterations or once the objective falls by no
-# more than this fraction in one iteration
+# more than this fraction of its new value in one iteration
 _KMEANS_MAX_ITER = 300
 _KMEANS_REL_TOL = 1e-9
 
@@ -328,54 +329,61 @@ def _wcss(x, w, labels, centers):
 
 
 def _kmeanspp_seed(x, w, r, rng):
-    n = x.shape[0]
+    """k-means++ centres drawn from the rows of positive weight."""
+    has_mass = np.flatnonzero(w > 0)
     centers = np.empty((r, x.shape[1]))
-    probs = w / w.sum()
-    centers[0] = x[rng.choice(n, p=probs)]
+    centers[0] = x[rng.choice(x.shape[0], p=w / w.sum())]
     d2 = np.einsum("ij,ij->i", x - centers[0], x - centers[0])
     for i in range(1, r):
         scores = w * d2
         total = scores.sum()
         if total <= 0:
-            centers[i] = x[rng.integers(n)]
+            centers[i] = x[has_mass[rng.integers(has_mass.size)]]
         else:
-            centers[i] = x[rng.choice(n, p=scores / total)]
+            centers[i] = x[rng.choice(x.shape[0], p=scores / total)]
         dnew = np.einsum("ij,ij->i", x - centers[i], x - centers[i])
         d2 = np.minimum(d2, dnew)
     return centers
 
 
 def _lloyd(x, w, r, rng):
+    """Lloyd iteration from k-means++ seeds until the objective falls by no
+    more than _KMEANS_REL_TOL of its new value in one iteration.  A cluster
+    with no row of positive weight is repaired with the farthest such row
+    of the highest-inertia cluster that holds two or more, so every centre
+    is a weighted mean of positive mass."""
     n = x.shape[0]
+    has_mass = w > 0
     centers = _kmeanspp_seed(x, w, r, rng)
     prev = np.inf
     labels = np.zeros(n, int)
     for _ in range(_KMEANS_MAX_ITER):
         d2 = ((x[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
         labels = np.argmin(d2, axis=1)
-        # repair empty clusters by splitting the highest-inertia cluster
         for cl in range(r):
-            if np.any(labels == cl):
+            if np.any(has_mass & (labels == cl)):
                 continue
             inertia = np.bincount(labels, weights=w * d2[np.arange(n), labels],
                                   minlength=r)
-            donor = int(np.argmax(inertia))
-            members = np.where(labels == donor)[0]
+            held = np.bincount(labels[has_mass], minlength=r)
+            donor = int(np.argmax(np.where(held > 1, inertia, -1.0)))
+            members = np.flatnonzero(has_mass & (labels == donor))
             far = members[np.argmax(d2[members, donor])]
             labels[far] = cl
             centers[cl] = x[far]
         for cl in range(r):
             sel = labels == cl
-            wsum = w[sel].sum()
-            centers[cl] = (w[sel, None] * x[sel]).sum(axis=0) / wsum
+            centers[cl] = (w[sel, None] * x[sel]).sum(axis=0) / w[sel].sum()
         obj = _wcss(x, w, labels, centers)
         if obj > prev * (1.0 + 1e-12) + 1e-15:
             raise AssertionError(
                 f"Lloyd objective increased: {prev:.6e} -> {obj:.6e}")
-        if prev - obj <= _KMEANS_REL_TOL * max(prev, 1e-300):
-            prev = obj
-            break
+        # relative to the new value, so the first iteration, from
+        # prev = inf, never stops the run
+        converged = prev - obj <= _KMEANS_REL_TOL * obj
         prev = obj
+        if converged:
+            break
     return labels, centers, prev
 
 
@@ -383,21 +391,26 @@ def weighted_kmeans(x: np.ndarray, weights: np.ndarray, r: int, rng=None,
                     restarts: int = 10):
     """Weighted Lloyd iteration with k-means++ seeding.
 
-    Points are rows of `x` with non-negative masses `weights`; the best of
-    `restarts` independent runs (lowest weighted within-cluster sum of
-    squares) is returned as (labels, centers, objective).  The objective is
-    asserted non-increasing across iterations.  Raises DegenerateData when
-    fewer than r distinct rows exist.
+    Points are rows of `x` with non-negative masses `weights`; a row of
+    weight 0 carries no mass: it is labelled with its nearest centre but
+    never seeds, repairs or moves one.  The best of `restarts` independent
+    runs (lowest weighted within-cluster sum of squares) is returned as
+    (labels, centers, objective); every cluster holds a row of positive
+    weight.  The objective is asserted non-increasing across iterations.
+    Raises DegenerateData when fewer than r distinct rows have positive
+    weight.
     """
     rng = np.random.default_rng(rng)
     x = np.asarray(x, float)
     weights = np.asarray(weights, float).ravel()
     if x.ndim != 2 or weights.shape[0] != x.shape[0]:
         raise InvalidInput("x must be (n, d) with one weight per row")
-    if not np.all(np.isfinite(x)):
-        raise InvalidInput("clustering data must be finite")
-    if np.unique(x, axis=0).shape[0] < r:
-        raise DegenerateData(f"fewer than {r} distinct rows")
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(weights))
+            and np.all(weights >= 0)):
+        raise InvalidInput("clustering data must be finite, with weights >= 0")
+    if np.unique(x[weights > 0], axis=0).shape[0] < r:
+        raise DegenerateData(
+            f"fewer than {r} distinct rows of positive weight")
     best = None
     for _ in range(max(restarts, 1)):
         labels, centers, obj = _lloyd(x, weights, r, rng)

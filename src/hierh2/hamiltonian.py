@@ -55,8 +55,11 @@ class HamiltonianSystem:
     `a` is the dense state matrix, `n_gain` the effective input matrix N
     (B2 P_u^T for the projected design) and `c1` the performance output.
     The weight R is kept only as the Cholesky factor that
-    :func:`build_hamiltonian` made; :meth:`gain` and M = N R^{-1} N' (formed
-    on demand) solve with it, and the Krylov path never densifies H.
+    :func:`build_hamiltonian` made; :meth:`gain` and M = N R^{-1} N' solve
+    with it.  M and Q = C1'C1 are formed, symmetrized, when read, and H is
+    assembled only by :attr:`h`; the exact solver reads M and Q off the H it
+    has, so each is formed once per solve, and the Krylov path never forms
+    M, Q or H.
     """
 
     a: object
@@ -72,7 +75,8 @@ class HamiltonianSystem:
 
     @property
     def m(self) -> np.ndarray:
-        return self.n_gain @ sla.cho_solve(self._r1_chol, self.n_gain.T)
+        return symmetrize(self.n_gain @ sla.cho_solve(self._r1_chol,
+                                                      self.n_gain.T))
 
     def gain(self, x: np.ndarray) -> np.ndarray:
         """-R^{-1} N' x, the optimal gain of a solution x = X."""
@@ -80,7 +84,7 @@ class HamiltonianSystem:
 
     @property
     def ctc(self) -> np.ndarray:
-        return self.c1.T @ self.c1
+        return symmetrize(self.c1.T @ self.c1)
 
     @property
     def h(self) -> np.ndarray:

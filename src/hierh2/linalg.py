@@ -1,9 +1,13 @@
 """Dense matrix-equation solvers, system norms, and Hamiltonian eigenspaces.
 
-The Riccati solver works through the stable invariant subspace of the
-associated 2n x 2n Hamiltonian (ordered real Schur form), so the same code
-path underpins both the exact solutions and the truncated approximations
-built elsewhere.  Every Lyapunov and Sylvester equation in the package goes
+The exact Riccati solver, :func:`riccati_from_hamiltonian`, reads X off the
+stable invariant subspace of the 2n x 2n Hamiltonian of one
+:class:`~hierh2.hamiltonian.HamiltonianSystem`, from an ordered real Schur
+form, and polishes it by Newton steps.  The truncated solutions of
+:mod:`hierh2.hamiltonian` take their eigenpairs from a dense
+eigendecomposition (``np.linalg.eig``) or a Krylov run instead; the two
+routes share the equation record and the imaginary-axis decision, not the
+eigensolver.  Every Lyapunov and Sylvester equation in the package goes
 through one Bartels-Stewart kernel on real Schur factors, including the
 eigenbasis Gramian of the truncation bound
 (:func:`hierh2.hamiltonian.cauchy_coefficients`).  Its triangular solve is
@@ -18,9 +22,11 @@ caller holding its data in the Schur bases, such as the synthesis Gramian
 chain, never changes basis.  :func:`solve_sylvester` transforms Q in,
 calls the core, transforms Y back and checks the contract once more in the
 original coordinates; the Riccati Newton step calls the kernel directly.
-The Riccati solver returns the Schur factors of its closed loop A - M X,
-which every consumer reuses; :meth:`RealSchur.transposed` gives those of A'
-without a second factorization.
+The Riccati solver returns X only, as the truncated solutions do; the
+loop that a gain closes is factored once, by the code that forms it
+(:func:`hierh2.synthesis.youla_data` for every observer loop), and
+:meth:`RealSchur.transposed` gives the factors of A' without a second
+factorization.
 The unstable left and right eigenbases come from one LAPACK ``geev`` call
 (:func:`unstable_eigenbases`).  Every PBH rank test is one rule,
 :func:`_pbh_rank_deficient`; callers holding a plant pass it the modes of
@@ -421,16 +427,13 @@ def solve_lyapunov(a, b, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
 
 @dataclass
 class AreSolution:
-    """Stabilizing solution X of A'X + XA + Q - XMX = 0 with the real Schur
-    factors of its closed loop A - M X, made once by the solver."""
+    """Stabilizing solution X of the Riccati equation `hs`,
+    A'X + XA + Q - XMX = 0, with its residual norm; like the truncated
+    solution, it holds no factor of its closed loop."""
 
+    hs: object            # the HamiltonianSystem that was solved
     x: np.ndarray
     residual: float
-    closed_loop: RealSchur
-
-    @property
-    def closed_loop_abscissa(self) -> float:
-        return self.closed_loop.abscissa
 
 
 def _quasi_triangular_eigvals(t: np.ndarray) -> np.ndarray:
@@ -463,25 +466,24 @@ def _check_imag_axis(eigvals: np.ndarray, tol: Tolerances) -> None:
             f"eigenvalue {worst:.6e} is within tolerance of the imaginary axis")
 
 
-def riccati_from_hamiltonian(a, m, q, tol: Tolerances = DEFAULT_TOLERANCES) -> AreSolution:
-    """Stabilizing solution of A'X + XA + Q - XMX = 0 with M, Q given PSD.
+def riccati_from_hamiltonian(hs, tol: Tolerances = DEFAULT_TOLERANCES) -> AreSolution:
+    """Stabilizing solution of A'X + XA + Q - XMX = 0, the equation of the
+    :class:`~hierh2.hamiltonian.HamiltonianSystem` `hs`.
 
     Computed from the full stable invariant subspace of
-    H = [[A, -M], [-Q, -A']] via an ordered real Schur decomposition and
-    X = Z2 Z1^{-1}.  Newton steps refine X while its residual is above
-    are_residual max(1, ||Q||_F).  X is accepted when the residual is within
-    are_residual max(1, ||Q||_F, ||X M X||_F), since rounding alone leaves
-    a residual of order eps ||X M X||_F, which dwarfs ||Q|| when X is
-    large; otherwise NumericalError.  The real Schur factors of A - M X,
-    whose abscissa must be below -hurwitz_margin (else NotHurwitz), are
-    returned as ``closed_loop``.  A failed reordering of the Schur form
-    raises NumericalError.
+    H = [[A, -M], [-Q, -A']] (``hs.h``) via an ordered real Schur
+    decomposition and X = Z2 Z1^{-1}.  Newton steps refine X while its
+    residual is above are_residual max(1, ||Q||_F).  X is accepted when the
+    residual is within are_residual max(1, ||Q||_F, ||X M X||_F), since
+    rounding alone leaves a residual of order eps ||X M X||_F, which dwarfs
+    ||Q|| when X is large; otherwise NumericalError.  A failed reordering of
+    the Schur form raises NumericalError.  Only X is produced: the loop its
+    gain closes is factored, and its stability decided, by whoever forms
+    that loop (:func:`hierh2.synthesis.youla_data`, or :func:`solve_are`
+    for A - M X).
     """
-    a = as_matrix(a, "A")
-    m = symmetrize(as_matrix(m, "M"))
-    q = symmetrize(as_matrix(q, "Q"))
-    n = a.shape[0]
-    h = np.block([[a, -m], [-q, -a.T]])
+    a, n, h = hs.a, hs.n, hs.h
+    m, q = -h[:n, n:], -h[n:, :n]      # M and Q as H holds them
     try:
         t, z, sdim = sla.schur(h, output="real", sort="lhp")
     except sla.LinAlgError as e:     # reordering failed: modes near jR
@@ -521,16 +523,15 @@ def riccati_from_hamiltonian(a, m, q, tol: Tolerances = DEFAULT_TOLERANCES) -> A
     if res_norm > bound:
         raise NumericalError(
             f"ARE residual {res_norm:.3e} exceeds bound {bound:.3e}")
-    closed = RealSchur.of(a - m @ x)
-    _require_hurwitz(closed.abscissa, tol, NotHurwitz, "Riccati closed loop")
-    return AreSolution(x=x, residual=res_norm, closed_loop=closed)
+    return AreSolution(hs=hs, x=x, residual=res_norm)
 
 
 def solve_are(a, b, c, r, tol: Tolerances = DEFAULT_TOLERANCES) -> AreSolution:
     """Stabilizing solution of A'X + XA + C'C - X B R^{-1} B' X = 0.
 
     The raw-matrix entry: the PBH test on (A, B) always runs, then the
-    equation is solved from its HamiltonianSystem as synthesis solves it.
+    equation is solved from its HamiltonianSystem as synthesis solves it,
+    and the stability of A - M X is decided here, on one real Schur form.
 
     Preconditions: (A, B) stabilizable, (C, A) free of unobservable
     imaginary-axis modes, R symmetric positive definite.
@@ -548,7 +549,10 @@ def solve_are(a, b, c, r, tol: Tolerances = DEFAULT_TOLERANCES) -> AreSolution:
     hs = build_hamiltonian(a, b, c, r, tol)
     if not stabilizable(hs.a, hs.n_gain, tol):
         raise NotStabilizable("PBH stabilizability test failed for (A, B)")
-    return riccati_from_hamiltonian(hs.a, hs.m, hs.ctc, tol)
+    sol = riccati_from_hamiltonian(hs, tol)
+    _require_hurwitz(RealSchur.of(hs.a - hs.m @ sol.x).abscissa, tol,
+                     NotHurwitz, "Riccati closed loop")
+    return sol
 
 
 # ---------------------------------------------------------------------------

@@ -21,8 +21,7 @@ from .plant import GeneralizedPlant, NetworkSpec, generate_consensus_network
 from .projection import (ClusterPartition, WeightVectors, _policy_weights,
                          build_projection)
 from .serialize import load_partition, write_csv
-from .synthesis import (_synthesize, control_hamiltonian, filter_hamiltonian,
-                        synthesize_hierarchical)
+from .synthesis import _synthesize, synthesize_hierarchical
 
 __all__ = ["ExperimentConfig", "load_weighted_partition", "sweep_kappa",
            "sweep_size", "sweep_r", "KAPPA_FIELDS", "SIZE_FIELDS", "R_FIELDS"]
@@ -164,11 +163,13 @@ def sweep_kappa(config: ExperimentConfig, out_dir=None) -> list[dict]:
     """One row per kappa with the approx backend plus one exact row.
 
     The exact row is one :func:`synthesize_hierarchical` call, which checks
-    the hypotheses on the plant and pair.  The kappa rows then run on one
-    pair of Riccati equations, built once, so that with the dense method
-    each equation is decomposed once, on the first row, and every later row
-    reuses its cached stable subspace.  h2_ratio normalizes each
-    approximate closed-loop norm by the exact-backend value.  ``certified``
+    the hypotheses on the plant and pair.  The kappa rows then run on the
+    exact row's pair of Riccati equations (``exact.x_solution.hs``,
+    ``exact.y_solution.hs``), so that the pair is built once, and with the
+    dense method each equation is decomposed once, on the first row, and
+    every later row reuses its cached stable subspace.  h2_ratio
+    normalizes each approximate closed-loop norm by the exact-backend
+    value.  ``certified``
     is the residue certificate of both truncated Riccati solutions (blank
     on the exact row), computed here, as it is read;
     ``closed_loop_abscissa`` is the abscissa that decided stability.
@@ -178,7 +179,7 @@ def sweep_kappa(config: ExperimentConfig, out_dir=None) -> list[dict]:
     p = build_projection(*_partition_for(config, g))
 
     exact = synthesize_hierarchical(g, p, tol=tol)
-    hs_x, hs_y = control_hamiltonian(g, p, tol), filter_hamiltonian(g, p, tol)
+    hs_x, hs_y = exact.x_solution.hs, exact.y_solution.hs
     rows = [dict.fromkeys(KAPPA_FIELDS) | {
         "kappa": "exact", "solve_time_s": exact.solve_time,
         "h2_norm": exact.h2_value, "h2_ratio": 1.0,

@@ -7,13 +7,16 @@ projected channels: X over (A, B2 P_u^T, C1) and Y over the dual
 Every two-Riccati design is built from a (control, filter) pair of
 :class:`~hierh2.hamiltonian.HamiltonianSystem` equations; the projected pair
 is :func:`control_hamiltonian` and :func:`filter_hamiltonian`, the one place
-that writes the dual data.  The exact backend solves both through the full
-Hamiltonian subspace in :func:`riccati_loop`, the one constructor of an
-exact observer loop: F2 is the gain of X, L2 the transposed gain of Y, and
-the filter loop the transposed closed loop of the Y equation.  The
-approximate backend swaps in kappa-truncated solutions.  Each gain comes
-from its equation's :meth:`~hierh2.hamiltonian.HamiltonianSystem.gain`, on
-the one factor of R.
+that writes the dual data.  The two backends differ only in how X and Y
+are made: the exact one from the full stable Hamiltonian subspace
+(:func:`~hierh2.linalg.riccati_from_hamiltonian`), the approximate one from
+kappa-truncated subspaces.  Each gain comes from its equation's
+:meth:`~hierh2.hamiltonian.HamiltonianSystem.gain`, on the one factor of R:
+F2 is the gain of X and L2 the transposed gain of Y.  :func:`youla_data`
+then makes every observer loop from its gains, whatever produced them: it
+factors A + B2 F and A + L C2 once each and decides their stability.
+:func:`riccati_loop` is the exact loop of a pair of equations: two solves,
+the gains, then :func:`youla_data`.
 
 :func:`synthesize_hierarchical` checks the pair's dimensions and
 assumptions A2 and A4, then runs the synthesis, and decides the projected
@@ -52,7 +55,7 @@ from .errors import (ApproxNotStabilizing, DimensionMismatch,
                      HypothesisFailure, InvalidInput, NotStabilizingGains,
                      ToolkitError)
 from .hamiltonian import HamiltonianSystem, approx_are, build_hamiltonian
-from .linalg import (AreSolution, RealSchur, _pbh_certified, _require_hurwitz,
+from .linalg import (RealSchur, _pbh_certified, _require_hurwitz,
                      _unstable_modes, riccati_from_hamiltonian,
                      solve_sylvester_schur)
 from .plant import GeneralizedPlant, _a2_holds, _a4_cross_terms
@@ -158,7 +161,9 @@ class YoulaData:
 
 def youla_data(g: GeneralizedPlant, p: ProjectionPair, f2, l2,
                tol: Tolerances = DEFAULT_TOLERANCES) -> YoulaData:
-    """Youla data of the stabilizing pair F = P_u^T f2, L = l2 P_y.
+    """Youla data of the stabilizing pair F = P_u^T f2, L = l2 P_y: the one
+    constructor of an observer loop, for supplied gains and for the gains
+    of every synthesis, exact or truncated, projected or not.
 
     Makes the real Schur factors of A + B2 F and A + L C2, each formed from
     the gain factors, and decides stability on them: NotStabilizingGains,
@@ -187,8 +192,10 @@ def youla_data(g: GeneralizedPlant, p: ProjectionPair, f2, l2,
 @dataclass
 class SynthesisResult:
     """X, Y and `youla`, the observer loop that gave `h2_value`, off which
-    the controller and the reduced gains F2, L2 are read.  `pbh_path` names
-    what decided the projected PBH hypotheses in
+    the controller and the reduced gains F2, L2 are read.  `x_solution` and
+    `y_solution` hold each equation as it was solved (``.hs``), so that a
+    later solve of the same pair, such as a kappa row, reuses them.
+    `pbh_path` names what decided the projected PBH hypotheses in
     :func:`synthesize_hierarchical`: ``'certificate'`` (the loop's own
     Schur factors) or ``'rule'`` (the sigma_min rule); it is None on a
     result of the core alone, such as a kappa row of a sweep."""
@@ -335,25 +342,18 @@ def filter_hamiltonian(g: GeneralizedPlant, p: ProjectionPair,
 
 
 def riccati_loop(g: GeneralizedPlant, p: ProjectionPair, hs_x: HamiltonianSystem,
-                 hs_y: HamiltonianSystem, tol: Tolerances = DEFAULT_TOLERANCES
-                 ) -> tuple[YoulaData, AreSolution, AreSolution]:
-    """The exact observer loop of a (control, filter) pair of equations,
-    with its two Riccati solutions.
-
-    X and Y come from the full stable subspace of each equation
-    (:func:`~hierh2.linalg.riccati_from_hamiltonian`); F2 is the gain of X
-    and L2 the transposed gain of Y, whose equation is the dual.  The
-    control loop is the closed loop of the X equation and the filter loop
-    the transposed closed loop of the Y equation, both checked for
-    stability by the solver (:class:`NotHurwitz`).  `p` is the pair the
-    gains are factored over: F = P_u^T F2 and L = L2 P_y.
+                 hs_y: HamiltonianSystem,
+                 tol: Tolerances = DEFAULT_TOLERANCES) -> YoulaData:
+    """The exact observer loop of a (control, filter) pair of equations:
+    two exact solves (:func:`~hierh2.linalg.riccati_from_hamiltonian`), the
+    gains (F2 the gain of X, L2 the transposed gain of Y, whose equation is
+    the dual), then :func:`youla_data`, which factors both loops and
+    decides their stability.  `p` is the pair the gains are factored over:
+    F = P_u^T F2 and L = L2 P_y.
     """
-    x_sol = riccati_from_hamiltonian(hs_x.a, hs_x.m, hs_x.ctc, tol)
-    y_sol = riccati_from_hamiltonian(hs_y.a, hs_y.m, hs_y.ctc, tol)
-    yd = YoulaData(g=g, p=p, f2=hs_x.gain(x_sol.x), l2=hs_y.gain(y_sol.x).T,
-                   f_loop=x_sol.closed_loop,
-                   l_loop=y_sol.closed_loop.transposed())
-    return yd, x_sol, y_sol
+    x = riccati_from_hamiltonian(hs_x, tol).x
+    y = riccati_from_hamiltonian(hs_y, tol).x
+    return youla_data(g, p, hs_x.gain(x), hs_y.gain(y).T, tol)
 
 
 def synthesize_hierarchical(g: GeneralizedPlant, p: ProjectionPair,
@@ -368,19 +368,19 @@ def synthesize_hierarchical(g: GeneralizedPlant, p: ProjectionPair,
     each a HamiltonianSystem that rejects a singular or ill-conditioned
     weight and gives the gains F2 = -R1^{-1} P_u B2' X and
     L2' = -R2^{-1} P_y C2 Y.  With ``are_backend='exact'`` both are solved
-    through the full stable Hamiltonian subspace (:func:`riccati_loop`).
+    through the full stable Hamiltonian subspace
+    (:func:`~hierh2.linalg.riccati_from_hamiltonian`).
     With ``'approx'`` they are replaced by kappa-truncated solutions, of
     which only X~ is computed; their residue certificates
     (``x_solution.stabilizing``, ``y_solution.stabilizing``) are
     diagnostics, computed when read.  The result's ``youla`` holds the pair,
     the gain factors and the real Schur factors of the control block
     A + B2 F and the filter block A + L C2, and stability is decided once
-    per block, at -hurwitz_margin, where the factor is made.  The exact
-    backend takes the Riccati closed-loop factors, which the Riccati solver
-    has checked (:class:`NotHurwitz`); the approx backend factors both
-    blocks in :func:`youla_data` and raises :class:`ApproxNotStabilizing`
-    naming the failing loop (raise kappa).  The same factors then give the
-    closed-loop H2 value through the observer separation.
+    per block, at -hurwitz_margin, where :func:`youla_data` makes the
+    factor: :class:`NotStabilizingGains` names the failing loop, and the
+    approx backend raises it as :class:`ApproxNotStabilizing` (raise
+    kappa).  The same factors then give the closed-loop H2 value through
+    the observer separation.
 
     The projected PBH hypotheses are decided last (:func:`_check_hypotheses`):
     the stabilizing loop just built certifies them from its Schur factors,
@@ -391,8 +391,9 @@ def synthesize_hierarchical(g: GeneralizedPlant, p: ProjectionPair,
     the rule rejects is rejected with the rule's message whatever else
     fails.  ``pbh_path`` records which path decided.
 
-    ``solve_time`` measures Riccati solves plus gain assembly; building the
-    equations and closed-loop evaluation are excluded.
+    ``solve_time`` measures Riccati solves plus gain assembly, the same
+    scope on both backends; building the equations, factoring the two
+    loops and closed-loop evaluation are excluded.
     """
     if p.n_u != g.n_u or p.n_y != g.n_y:
         raise HypothesisFailure("projection dimensions do not match the plant")
@@ -418,19 +419,21 @@ def _synthesize(g, p, hs_x, hs_y, are_backend, kappa, method,
     is cached on the equation and serves every later call on it."""
     t0 = time.perf_counter()
     if are_backend == "exact":
-        yd, x_sol, y_sol = riccati_loop(g, p, hs_x, hs_y, tol)
+        x_sol = riccati_from_hamiltonian(hs_x, tol)
+        y_sol = riccati_from_hamiltonian(hs_y, tol)
         x, y = x_sol.x, y_sol.x
-        elapsed = time.perf_counter() - t0
     else:
         x_sol = approx_are(hs_x, kappa, method=method, tol=tol)
         y_sol = approx_are(hs_y, kappa, method=method, tol=tol)
         x, y = x_sol.xbar, y_sol.xbar
-        f2, l2 = hs_x.gain(x), hs_y.gain(y).T
-        elapsed = time.perf_counter() - t0
-        try:
-            yd = youla_data(g, p, f2, l2, tol)
-        except NotStabilizingGains as e:
-            raise ApproxNotStabilizing(f"kappa={kappa}: {e}") from e
+    f2, l2 = hs_x.gain(x), hs_y.gain(y).T
+    elapsed = time.perf_counter() - t0
+    try:
+        yd = youla_data(g, p, f2, l2, tol)
+    except NotStabilizingGains as e:
+        if are_backend == "exact":
+            raise
+        raise ApproxNotStabilizing(f"kappa={kappa}: {e}") from e
 
     return SynthesisResult(
         x=x, y=y, h2_value=_observer_closed_loop_h2(yd, tol),

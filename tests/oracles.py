@@ -5,6 +5,7 @@ checks: Lyapunov via the Kronecker vectorization linear system, Riccati
 via matrix sign iteration, the H2 norm via frequency quadrature, the
 H-infinity norm via dense frequency gridding, and the gap-layer spectral
 factors via the two 2n-state hat Riccati equations on the Youla system,
+solved by sign iteration too,
 whose 2n-state realization and nominal controller K_nom live here too.  The
 staged simulation is checked against a sample-by-sample run that forms
 every held product with its own matrix-vector product and steps the
@@ -24,8 +25,7 @@ import scipy.sparse.linalg as spla
 
 from hierh2 import DEFAULT_TOLERANCES, StateSpace, Tolerances, neg, series
 from hierh2.errors import DimensionMismatch
-from hierh2.linalg import (hinf_norm, riccati_from_hamiltonian,
-                           solve_sylvester, sqrt_psd, symmetrize)
+from hierh2.linalg import hinf_norm, sqrt_psd, symmetrize
 from hierh2.plant import lft_lower
 from hierh2.simulate import _rk4
 
@@ -43,15 +43,23 @@ def are_sign_iteration(a: np.ndarray, b: np.ndarray, c: np.ndarray,
                        r: np.ndarray, max_iter: int = 200,
                        tol: float = 1e-14) -> np.ndarray:
     """Stabilizing solution of A'X + XA + C'C - X B R^{-1} B' X = 0 via the
-    matrix sign function of the Hamiltonian (determinant-scaled Newton)."""
+    matrix sign function of the Hamiltonian (:func:`riccati_sign`)."""
+    return riccati_sign(a, b @ np.linalg.solve(r, b.T), c.T @ c, max_iter, tol)
+
+
+def riccati_sign(a: np.ndarray, m: np.ndarray, q: np.ndarray,
+                 max_iter: int = 200, tol: float = 1e-14) -> np.ndarray:
+    """Stabilizing solution of A'X + XA + Q - XMX = 0 via the matrix sign
+    function of H = [[A, -M], [-Q, -A']] (determinant-scaled Newton, the
+    scale read off the log-determinant so that a large H cannot overflow
+    it)."""
     n = a.shape[0]
-    m = b @ np.linalg.solve(r, b.T)
-    h = np.block([[a, -m], [-c.T @ c, -a.T]])
+    h = np.block([[a, -m], [-q, -a.T]])
     z = h.copy()
     for _ in range(max_iter):
         z_inv = np.linalg.inv(z)
-        det = abs(np.linalg.det(z))
-        mu = det ** (-1.0 / (2 * n)) if det > 0 else 1.0
+        log_det = np.linalg.slogdet(z)[1]
+        mu = np.exp(-log_det / (2 * n)) if np.isfinite(log_det) else 1.0
         z_next = 0.5 * (mu * z + z_inv / mu)
         if np.linalg.norm(z_next - z, "fro") <= tol * np.linalg.norm(z, "fro"):
             z = z_next
@@ -59,8 +67,6 @@ def are_sign_iteration(a: np.ndarray, b: np.ndarray, c: np.ndarray,
         z = z_next
     # columns of (I - sign(H)) span the stable invariant subspace
     proj = np.eye(2 * n) - z
-    q, _ = np.linalg.qr(proj)
-    basis = q[:, :n]
     # project out any rank deficiency via SVD of the projector
     u, s, _ = np.linalg.svd(proj)
     basis = u[:, :n]
@@ -230,9 +236,11 @@ def hat_spectral_factors(yd, d12, d21,
     system inherits structural cross terms from the nominal gains
     (D12' C1_hat = [R F, -R F] and B1_hat D21' = [0; L D21 D21']), so the
     gains solve the cross-term form of the two AREs; for F = L = 0 this
-    reduces to the plain pair.  The two Riccati closed loops are A_F and A_L',
-    so Phi_u and Phi_y are solved on their Schur factors.  The returned Q*
-    uses the stable product realization -W_L Wbar_R.
+    reduces to the plain pair.  Both are solved by the matrix sign function
+    (:func:`riccati_sign`), not by the library's Riccati solver, and the
+    Gramians Phi_u = LYAP(A_F, I) and Phi_y = LYAP(A_L', I) by SciPy's
+    Lyapunov solver.  The returned Q* uses the stable product realization
+    -W_L Wbar_R.
     """
     d12 = np.asarray(d12, float)
     d21 = np.asarray(d21, float)
@@ -247,8 +255,7 @@ def hat_spectral_factors(yd, d12, d21,
     a_u = a_hat - b2_hat @ sla.cho_solve(r_u_chol, s_u)
     q_u = symmetrize(c1_hat.T @ c1_hat - s_u.T @ sla.cho_solve(r_u_chol, s_u))
     m_u = b2_hat @ sla.cho_solve(r_u_chol, b2_hat.T)
-    x_sol = riccati_from_hamiltonian(a_u, m_u, q_u, tol)
-    xhat = x_sol.x
+    xhat = riccati_sign(a_u, m_u, q_u)
     fhat = -sla.cho_solve(r_u_chol, b2_hat.T @ xhat + s_u)
 
     r_y = symmetrize(d21 @ d21.T)
@@ -257,15 +264,14 @@ def hat_spectral_factors(yd, d12, d21,
     a_y = a_hat - s_y @ sla.cho_solve(r_y_chol, c2_hat)
     q_y = symmetrize(b1_hat @ b1_hat.T - s_y @ sla.cho_solve(r_y_chol, s_y.T))
     m_y = c2_hat.T @ sla.cho_solve(r_y_chol, c2_hat)
-    y_sol = riccati_from_hamiltonian(a_y.T, m_y, q_y, tol)
-    yhat = y_sol.x
+    yhat = riccati_sign(a_y.T, m_y, q_y)
     lhat = -sla.cho_solve(r_y_chol, (yhat @ c2_hat.T + s_y).T).T
 
     a_f = a_hat + b2_hat @ fhat
     a_l = a_hat + lhat @ c2_hat
     eye = np.eye(n2)
-    phi_u = solve_sylvester(x_sol.closed_loop, x_sol.closed_loop, eye, tol)
-    phi_y = solve_sylvester(y_sol.closed_loop, y_sol.closed_loop, eye, tol)
+    phi_u = sla.solve_continuous_lyapunov(a_f, -eye)
+    phi_y = sla.solve_continuous_lyapunov(a_l.T, -eye)
     nu = fhat.shape[0]
     ny = lhat.shape[1]
     w_l = StateSpace(a_f, eye, fhat, np.zeros((nu, n2)))

@@ -15,7 +15,8 @@ from hierh2 import (DEFAULT_TOLERANCES, ClusterPartition, ExperimentConfig,
                     reference_youla_data, solve_are, spectral_factors,
                     synthesize_hierarchical, synthesize_unconstrained,
                     weighted_kmeans, youla_data)
-from hierh2.errors import DegenerateData, IllConditionedR, NumericalError
+from hierh2.errors import (DegenerateData, IllConditionedR, InvalidInput,
+                           NumericalError)
 
 from conftest import identity_pair, random_h2_plant, random_partition
 from oracles import (hat_gap_weights, hat_spectral_factors, lyapunov_kron,
@@ -411,6 +412,62 @@ def test_kmeanspp_seed_with_no_score_mass_left(monkeypatch, seed):
     _check_clustering(x, 4, labels, objectives)
 
 
+@pytest.mark.parametrize("seed", range(3))
+def test_lloyd_returns_a_fixed_point_of_the_assignment_step(monkeypatch,
+                                                            seed):
+    # Lloyd runs to its stopping rule: the labels it returns are the
+    # nearest-centre labels of the centres it returns, each centre the
+    # weighted mean of its cluster
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(size=(300, 2))
+    w = rng.uniform(0.5, 2.0, 300)
+    objectives = _recording_wcss(monkeypatch)
+    labels, centers, obj = weighted_kmeans(x, w, 5, rng=seed, restarts=1)
+    _check_clustering(x, 5, labels, objectives)
+    assert len(objectives) > 2 and obj == objectives[-1]
+    d2 = ((x[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+    assert np.array_equal(labels, np.argmin(d2, axis=1))
+    for cl in range(5):
+        sel = labels == cl
+        assert np.allclose(centers[cl], w[sel] @ x[sel] / w[sel].sum(),
+                           rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_kmeans_rows_of_zero_weight_carry_no_mass(seed):
+    x = np.arange(4.0)[:, None]
+    # two rows of positive weight cannot make three clusters
+    with pytest.raises(DegenerateData, match="positive weight"):
+        weighted_kmeans(x, [1.0, 1.0, 0.0, 0.0], 3, rng=seed, restarts=1)
+    # three can: each is a cluster, and the row of weight 0 joins the
+    # nearest centre
+    labels, centers, obj = weighted_kmeans(x, [1.0, 1.0, 1.0, 0.0], 3,
+                                           rng=seed, restarts=1)
+    assert sorted(labels[:3]) == [0, 1, 2] and labels[3] == labels[2]
+    assert np.array_equal(np.sort(centers[:, 0]), [0.0, 1.0, 2.0])
+    assert obj == 0.0
+
+
+def test_lloyd_repairs_a_cluster_of_zero_weight_rows(monkeypatch):
+    # a seed centre on the row of weight 0 gets only that row; the cluster
+    # has no mass, so the farthest row of positive weight in the
+    # highest-inertia cluster moves into it, and no centre is 0/0
+    x = np.array([[0.0], [1.0], [2.0], [10.0]])
+    w = np.array([1.0, 1.0, 1.0, 0.0])
+    seeds = np.array([[0.0], [1.0], [10.0]])
+    monkeypatch.setattr(gapdesign, "_kmeanspp_seed", lambda *a: seeds.copy())
+    objectives = _recording_wcss(monkeypatch)
+    labels, centers, obj = weighted_kmeans(x, w, 3, rng=0, restarts=1)
+    _check_clustering(x, 3, labels, objectives)
+    assert labels.tolist() == [0, 1, 2, 2]
+    assert centers[:, 0].tolist() == [0.0, 1.0, 2.0] and obj == 0.0
+
+
+def test_kmeans_rejects_a_negative_weight():
+    with pytest.raises(InvalidInput, match="weights >= 0"):
+        weighted_kmeans(np.arange(3.0)[:, None], [1.0, -1.0, 1.0], 2, rng=0)
+
+
 def test_design_clusters_recovers_planted_blocks(consensus100):
     g, spec = consensus100
     yd = reference_youla_data(g)
@@ -559,7 +616,7 @@ def test_gap_layer_runs_in_n_state_blocks(monkeypatch):
         return wrapper
 
     wrapped = {
-        "riccati_from_hamiltonian": ("riccati", lambda a, *_: a.shape[0]),
+        "riccati_from_hamiltonian": ("riccati", lambda hs, *_: hs.n),
         "solve_sylvester": ("sylvester",
                             lambda f1, f2, *_: max(f1.a.shape[0], f2.a.shape[0])),
         "hinf_norm": ("hinf", lambda sys, *_: sys.a.shape[0]),

@@ -94,8 +94,8 @@ def test_riccati_rejects_z1_above_cond_max():
     z = sla.schur(h, output="real", sort="lhp")[1]
     below, above = _cond_max_around(np.linalg.cond(z[:6, :6]))
     with pytest.raises(SingularZ1, match=r"cond\(Z1\)"):
-        riccati_from_hamiltonian(hs.a, hs.m, hs.ctc, below)
-    riccati_from_hamiltonian(hs.a, hs.m, hs.ctc, above)
+        riccati_from_hamiltonian(hs, below)
+    riccati_from_hamiltonian(hs, above)
 
 
 def test_cauchy_coefficients_reject_z1_above_cond_max():
@@ -456,7 +456,7 @@ def test_imaginary_axis_eigenvalue_raises_on_every_path(path):
     hs = build_hamiltonian(a, np.eye(n)[:, 1:], np.eye(n)[1:], np.eye(n - 1))
     run = {"dense": lambda: stable_eigenspace(hs.h),
            "krylov": lambda: approx_are(hs, kappa=1, method="krylov"),
-           "riccati": lambda: riccati_from_hamiltonian(hs.a, hs.m, hs.ctc)}
+           "riccati": lambda: riccati_from_hamiltonian(hs)}
     with pytest.raises(HamiltonianImaginaryAxis, match="imaginary axis"):
         run[path]()
 

@@ -6,10 +6,10 @@ from hypothesis import strategies as st
 import scipy.linalg as sla
 
 from hierh2 import (DEFAULT_TOLERANCES, STRICT_TOLERANCES, GeneralizedPlant,
-                    ProjectionPair, StateSpace, detectable, h2_norm,
-                    hinf_norm, linalg, solve_are, solve_lyapunov,
-                    spectral_abscissa, sqrt_psd, stabilizable,
-                    stable_eigenspace, unstable_eigenbases,
+                    ProjectionPair, StateSpace, build_hamiltonian,
+                    detectable, h2_norm, hinf_norm, linalg, solve_are,
+                    solve_lyapunov, spectral_abscissa, sqrt_psd,
+                    stabilizable, stable_eigenspace, unstable_eigenbases,
                     validate_assumptions)
 from hierh2.errors import (DimensionMismatch, HamiltonianImaginaryAxis,
                            HypothesisFailure, NotHurwitz, NotPSD, NotStabilizable,
@@ -466,21 +466,35 @@ def test_failed_schur_reordering_is_a_numerical_error(monkeypatch):
         raise sla.LinAlgError("Leading eigenvalues do not satisfy sort "
                               "condition.")
 
+    hs = build_hamiltonian([[0.0]], [[1.0]], [[1.0]], [[1.0]])
     monkeypatch.setattr(linalg.sla, "schur", refuse)
     with pytest.raises(NumericalError, match="ordered Schur form of H failed"):
-        linalg.riccati_from_hamiltonian([[0.0]], [[1.0]], [[1.0]])
+        linalg.riccati_from_hamiltonian(hs)
 
 
 def test_are_scalar_examples():
     sol = solve_are([[0.0]], [[1.0]], [[1.0]], [[1.0]])
     assert sol.x == pytest.approx(np.array([[1.0]]))
-    assert sol.closed_loop_abscissa == pytest.approx(-1.0)
+    assert spectral_abscissa(sol.hs.a - sol.hs.m @ sol.x) == pytest.approx(-1.0)
 
     sol = solve_are([[1.0]], [[1.0]], [[np.sqrt(3.0)]], [[1.0]])
     assert sol.x == pytest.approx(np.array([[3.0]]))
-    assert sol.closed_loop_abscissa == pytest.approx(-2.0)
-    # the returned factors are those of the closed loop A - M X = 1 - 3
-    assert sol.closed_loop.a == pytest.approx(np.array([[-2.0]]))
+    # the solution holds its equation: A - M X = 1 - 3
+    assert (sol.hs.a - sol.hs.m @ sol.x) == pytest.approx(np.array([[-2.0]]))
+
+
+def test_solve_are_decides_the_closed_loop():
+    # the raw-matrix entry decides A - M X = -1 itself, against the same
+    # -hurwitz_margin as every other stability decision; the Riccati solver
+    # under it returns X without deciding
+    args = ([[0.0]], [[1.0]], [[1.0]], [[1.0]])
+    solve_are(*args, tol=DEFAULT_TOLERANCES.with_(hurwitz_margin=0.5))
+    with pytest.raises(NotHurwitz, match="Riccati closed loop not Hurwitz"):
+        solve_are(*args, tol=DEFAULT_TOLERANCES.with_(hurwitz_margin=2.0))
+    hs = build_hamiltonian(*args)
+    sol = linalg.riccati_from_hamiltonian(
+        hs, DEFAULT_TOLERANCES.with_(hurwitz_margin=2.0))
+    assert sol.hs is hs and sol.x == pytest.approx(np.array([[1.0]]))
 
 
 def test_are_matches_sign_iteration_oracle():

@@ -694,15 +694,17 @@ def test_config_checks_value_types():
 
 def test_sweep_reads_the_tol_profile_of_its_config(cli_24, tmp_path,
                                                    monkeypatch):
-    # the exact row is a synthesize_hierarchical call; the kappa rows run
-    # on the synthesis core over one pair of equations built by the sweep,
-    # so the spies sit on all four names, and each call's tol is recorded
+    # the exact row is a synthesize_hierarchical call, which builds the
+    # one pair of equations; the kappa rows run on the synthesis core over
+    # that pair, so the spies sit on all four names, and each call's tol is
+    # recorded
     import hierh2.sweeps
+    import hierh2.synthesis
     from hierh2 import STRICT_TOLERANCES
     seen = []
 
-    def recording(name):
-        fn = getattr(hierh2.sweeps, name)
+    def recording(module, name):
+        fn = getattr(module, name)
 
         def spy(*args):
             seen.append((name, args[-1]))
@@ -715,8 +717,10 @@ def test_sweep_reads_the_tol_profile_of_its_config(cli_24, tmp_path,
 
     monkeypatch.setattr(hierh2.sweeps, "synthesize_hierarchical",
                         recording_synthesis)
-    for name in ("_synthesize", "control_hamiltonian", "filter_hamiltonian"):
-        monkeypatch.setattr(hierh2.sweeps, name, recording(name))
+    for module, name in ((hierh2.sweeps, "_synthesize"),
+                         (hierh2.synthesis, "control_hamiltonian"),
+                         (hierh2.synthesis, "filter_hamiltonian")):
+        monkeypatch.setattr(module, name, recording(module, name))
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({
         "n_s": 24, "p_in": 0.5, "p_out": 0.01, "a_lo": 1.0, "a_hi": 2.0,

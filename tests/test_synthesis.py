@@ -10,7 +10,7 @@ from hierh2 import (DEFAULT_TOLERANCES, ClusterPartition, ExperimentConfig,
                     synthesize_unconstrained, validate_assumptions,
                     youla_data)
 from hierh2.errors import (ApproxNotStabilizing, DimensionMismatch,
-                           HypothesisFailure, InvalidInput, NotHurwitz,
+                           HypothesisFailure, InvalidInput,
                            NotStabilizingGains, NumericalError, ToolkitError)
 from hierh2 import hamiltonian, linalg, projection, synthesis
 from hierh2.gapdesign import reference_youla_data
@@ -692,25 +692,50 @@ def test_directed_n200_values_match_the_closed_loop_oracle(directed200,
     assert res.h2_value == pytest.approx(oracle, rel=1e-9)
 
 
-def test_exact_synthesis_reuses_riccati_closed_loops():
+def test_exact_synthesis_factors_each_loop_once_in_youla_data(monkeypatch):
+    from collections import Counter
+
+    import scipy.linalg
     cfg = ExperimentConfig(seed=7)
     g = cfg.plant(24)
     pair = build_projection(cfg.planted_partition(g, 24),
                             WeightVectors.ones(g.n_u, g.n_y))
+    # scipy.linalg.schur calls by form and by whether youla_data made them
+    calls, inside = Counter(), []
+    schur, make = scipy.linalg.schur, synthesis.youla_data
+
+    def counting(a, *args, **kwargs):
+        form = "ordered" if kwargs.get("sort") is not None else "unsorted"
+        calls[form, np.shape(a)[0], bool(inside)] += 1
+        return schur(a, *args, **kwargs)
+
+    def in_youla_data(*args, **kwargs):
+        inside.append(True)
+        try:
+            return make(*args, **kwargs)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(scipy.linalg, "schur", counting)
+    monkeypatch.setattr(synthesis, "youla_data", in_youla_data)
     res = synthesize_hierarchical(g, pair)
-    assert res.closed_loop_abscissa == max(
-        res.x_solution.closed_loop_abscissa, res.y_solution.closed_loop_abscissa)
-    # the Youla record holds the Riccati factors, not a second factorization
-    assert res.youla.f_loop is res.x_solution.closed_loop
-    assert np.shares_memory(res.youla.l_loop.t, res.y_solution.closed_loop.t)
-    # the Riccati factors are those of the control and the filter block
-    ctrl = g.a + g.b2 @ res.youla.f
-    filt = g.a + res.youla.l @ g.c2
-    assert np.allclose(res.x_solution.closed_loop.a, ctrl, atol=1e-10)
-    assert np.allclose(res.y_solution.closed_loop.a.T, filt, atol=1e-10)
-    # the Riccati solver decides on the factors it returns, against the
-    # same -hurwitz_margin as every other stability decision
-    with pytest.raises(NotHurwitz, match="Riccati closed loop not Hurwitz"):
+    # the two Riccati solves make the ordered 2n forms and no loop factor;
+    # each loop is factored once, in youla_data
+    assert calls == {("ordered", 2 * g.n, False): 2,
+                     ("unsorted", g.n, True): 2}
+    # the loops are those of the gains of the two solutions
+    f2 = res.x_solution.hs.gain(res.x)
+    l2 = res.y_solution.hs.gain(res.y).T
+    assert np.array_equal(res.f2, f2) and np.array_equal(res.l2, l2)
+    assert np.array_equal(res.youla.f_loop.a,
+                          g.a + (g.b2 @ pair.p_u.T) @ f2)
+    assert np.array_equal(res.youla.l_loop.a, g.a + l2 @ (pair.p_y @ g.c2))
+    assert res.closed_loop_abscissa == max(res.youla.f_loop.abscissa,
+                                           res.youla.l_loop.abscissa)
+    # youla_data decides, against the same -hurwitz_margin as every other
+    # stability decision, and the exact backend raises its error as it is
+    with pytest.raises(NotStabilizingGains,
+                       match="the control loop A \\+ B2 F not Hurwitz"):
         synthesize_hierarchical(g, pair, tol=DEFAULT_TOLERANCES.with_(
             hurwitz_margin=1e6))
 
