@@ -99,6 +99,11 @@ def cmd_synth(args) -> int:
         "h2_value": res.h2_value, "solve_time_s": res.solve_time,
         "links_hierarchical": links.hierarchical, "links_dense": links.dense,
         "pbh_path": res.pbh_path,
+        "riccati": None if backend != "exact" else {
+            side: {"doubling_steps": sol.doubling_steps,
+                   "newton_steps": sol.newton_steps,
+                   "axis_path": sol.axis_path}
+            for side, sol in (("x", res.x_solution), ("y", res.y_solution))},
     }
     (args.out / "synthesis.json").write_text(json.dumps(summary, indent=1) + "\n")
     print(json.dumps(summary))

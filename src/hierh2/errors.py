@@ -75,8 +75,8 @@ class DegenerateData(PreconditionError):
 
 class HamiltonianImaginaryAxis(NumericalError):
     """The Hamiltonian matrix has an eigenvalue numerically on jR; raised
-    alike by the ordered-Schur Riccati solver and the dense and Krylov
-    eigen-paths."""
+    alike by the doubling Riccati solver, which decides it on the
+    eigenvalues of A - M X, and the dense and Krylov eigen-paths."""
 
 
 class SingularZ1(NumericalError):

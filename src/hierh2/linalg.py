@@ -1,13 +1,19 @@
 """Dense matrix-equation solvers, system norms, and Hamiltonian eigenspaces.
 
-The exact Riccati solver, :func:`riccati_from_hamiltonian`, reads X off the
-stable invariant subspace of the 2n x 2n Hamiltonian of one
-:class:`~hierh2.hamiltonian.HamiltonianSystem`, from an ordered real Schur
-form, and polishes it by Newton steps.  The truncated solutions of
+The exact Riccati solver, :func:`riccati_from_hamiltonian`, solves the
+equation of one :class:`~hierh2.hamiltonian.HamiltonianSystem` by the
+structure-preserving doubling algorithm of Chu, Fan & Lin (Linear Algebra
+Appl. 396, 2005): n x n LU solves and products on M and Q, with no 2n x 2n
+Hamiltonian and no ordered Schur form (that route, Laub's, is the test
+oracle), and polishes X by Newton steps.  The checks the ordered Schur form
+made are read off X: cond(Z1) from the eigenvalues of X, and the
+imaginary-axis decision on the eigenvalues of A - M X, the stable half of
+H's spectrum, which a Lyapunov certificate (:func:`_axis_certified`) passes
+without an eigensolve.  The truncated solutions of
 :mod:`hierh2.hamiltonian` take their eigenpairs from a dense
 eigendecomposition (``np.linalg.eig``) or a Krylov run instead; the two
 routes share the equation record and the imaginary-axis decision, not the
-eigensolver.  Every Lyapunov and Sylvester equation in the package goes
+solver.  Every Lyapunov and Sylvester equation in the package goes
 through one Bartels-Stewart kernel on real Schur factors, including the
 eigenbasis Gramian of the truncation bound
 (:func:`hierh2.hamiltonian.cauchy_coefficients`).  Its triangular solve is
@@ -38,7 +44,7 @@ Cholesky test per mode on the loop's Schur factor instead of an SVD of
 Likewise every Hurwitz test is :func:`_require_hurwitz`, every
 conditioning test :func:`_require_conditioned`, and every Hamiltonian
 eigenvalue on jR is caught by :func:`_check_imag_axis`, which raises
-:class:`~hierh2.errors.HamiltonianImaginaryAxis` on the ordered-Schur, the
+:class:`~hierh2.errors.HamiltonianImaginaryAxis` on the doubling, the
 dense and the Krylov path alike.  The dense and the Krylov eigen-path select
 their stable set through :func:`_stable_set` and accept the realified block
 Z, lam by one rule, :func:`_require_invariant`:
@@ -422,18 +428,25 @@ def solve_lyapunov(a, b, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Riccati via the Hamiltonian stable subspace
+# Riccati by structure-preserving doubling
 # ---------------------------------------------------------------------------
 
 @dataclass
 class AreSolution:
     """Stabilizing solution X of the Riccati equation `hs`,
     A'X + XA + Q - XMX = 0, with its residual norm; like the truncated
-    solution, it holds no factor of its closed loop."""
+    solution, it holds no factor of its closed loop.  It records how it was
+    made: `doubling_steps` and `newton_steps` taken, and `axis_path`, what
+    decided that A - M X has no eigenvalue on or across jR:
+    ``'certificate'`` (the Lyapunov certificate, :func:`_axis_certified`)
+    or ``'rule'`` (the eigenvalues of A - M X)."""
 
     hs: object            # the HamiltonianSystem that was solved
     x: np.ndarray
     residual: float
+    doubling_steps: int
+    newton_steps: int
+    axis_path: str
 
 
 def _quasi_triangular_eigvals(t: np.ndarray) -> np.ndarray:
@@ -466,64 +479,257 @@ def _check_imag_axis(eigvals: np.ndarray, tol: Tolerances) -> None:
             f"eigenvalue {worst:.6e} is within tolerance of the imaginary axis")
 
 
+# Doubling steps before a run is declared failed.  Step k leaves the error
+# of X at the order of T^(2^k), T the Cayley image of A - M X, whose
+# spectral radius rho is below 1 when H has no eigenvalue on jR; rho^(2^k)
+# is below eps once 2^k (1 - rho) > 36, which holds at k = 60 for every
+# rho <= 1 - eps.  A run that needs more steps has a mode within rounding
+# of the unit circle: an eigenvalue of H on jR.
+_DOUBLING_MAX_STEPS = 60
+# The shift is moved once when rcond_1(A - gamma I) is below this: E0, G0
+# and P0 are made through (A - gamma I)^{-1}, and below sqrt(eps) they
+# would keep fewer than half of the digits.
+_SHIFT_RCOND = float(np.sqrt(np.finfo(float).eps))
+
+
+def _cayley_shift(a: np.ndarray, m: np.ndarray, q: np.ndarray) -> float:
+    """The doubling's Cayley shift gamma = sqrt(|tr(A^2) + tr(M Q)| / n).
+
+    tr(H^2) = 2 tr(A^2) + 2 tr(M Q) is the sum of the squares of the 2n
+    eigenvalues of H, so gamma is their RMS modulus when they are real: the
+    Cayley map (lambda + gamma) / (lambda - gamma) then sends the typical
+    stable eigenvalue well inside the unit circle.
+    """
+    return float(np.sqrt(abs(np.sum(a * a.T) + np.sum(m * q)) / a.shape[0]))
+
+
+def _shifted_factor(a: np.ndarray, gamma: float):
+    """LU factor of A - gamma I and its reciprocal 1-norm condition number
+    (0 for an exactly singular factor)."""
+    shifted = a - gamma * np.eye(a.shape[0])
+    getrf, gecon = sla.get_lapack_funcs(("getrf", "gecon"), (shifted,))
+    lu, piv, info = getrf(shifted)
+    if info != 0:
+        return (lu, piv), 0.0
+    return (lu, piv), float(gecon(lu, np.linalg.norm(shifted, 1), norm="1")[0])
+
+
+def _doubling(a: np.ndarray, m: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, int]:
+    """(X, steps): the structure-preserving doubling algorithm of Chu, Fan &
+    Lin (Linear Algebra Appl. 396, 2005) for A'X + XA + Q - XMX = 0.
+
+    The Cayley shift gamma (:func:`_cayley_shift`) maps the Hamiltonian
+    pencil to the standard symplectic form E0, G0, P0 (F0 = E0'), with
+    A_g = A - gamma I and W = A_g' + Q A_g^{-1} M,
+    E0 = I + 2 gamma W^{-T}, G0 = 2 gamma A_g^{-1} M W^{-1} and
+    P0 = 2 gamma W^{-1} Q A_g^{-1}.  W = A_g' (I + A_g^{-T} Q A_g^{-1} M) is
+    nonsingular whenever A_g is, since the product of two positive
+    semidefinite matrices has no eigenvalue at -1; eigenvalues of H at
+    -gamma and gamma map to 0 and to infinity, which the pencil form
+    carries.  When A_g is near singular (rcond below ``_SHIFT_RCOND``) the
+    shift moves once, to 2 max(gamma, ||A||_F), where
+    sigma_min(A_g) >= gamma / 2 and ||A_g||_2 <= 3 gamma / 2 bound
+    cond_2(A_g) by 3.  Each step is
+    E <- E K^{-1} E, G <- G + E K^{-1} G E', P <- P + (K^{-1} E)' P E with
+    K = I + G P: one LU solve with 2n right-hand sides and six products.
+    P tends to X quadratically, and the run stops once a step moves P by at
+    most eps ||P||_F.
+
+    Raises
+    ------
+    NumericalError : A - gamma I is singular at both shifts, a value
+        stops being finite, or P still moves after ``_DOUBLING_MAX_STEPS``.
+    """
+    n = a.shape[0]
+    eye = np.eye(n)
+    gamma = _cayley_shift(a, m, q)
+    lu, rcond = _shifted_factor(a, gamma)
+    if rcond < _SHIFT_RCOND:
+        gamma = 2.0 * max(gamma, np.linalg.norm(a, "fro"))
+        lu, rcond = _shifted_factor(a, gamma)
+        if rcond < _SHIFT_RCOND:
+            raise NumericalError(f"A - gamma I is singular at gamma = {gamma:.3e}")
+    ag_m = sla.lu_solve(lu, m)                     # A_g^{-1} M
+    q_ag = sla.lu_solve(lu, q, trans=1).T          # Q A_g^{-1}
+    w_inv = sla.lu_solve(sla.lu_factor(a.T - gamma * eye + q @ ag_m), eye)
+    e = eye + 2.0 * gamma * w_inv.T
+    g = symmetrize(2.0 * gamma * ag_m @ w_inv)
+    p = symmetrize(2.0 * gamma * w_inv @ q_ag)
+    getrf, getrs = sla.get_lapack_funcs(("getrf", "getrs"), (p,))
+    change = 0.0
+    for step in range(1, _DOUBLING_MAX_STEPS + 1):
+        k = eye + g @ p
+        if not (np.isfinite(change) and np.all(np.isfinite(k))):
+            raise NumericalError(f"doubling diverged at step {step}")
+        lu, piv, info = getrf(k)
+        if info != 0:      # I + G P lost I to rounding: G P has blown up
+            raise NumericalError(f"doubling broke down at step {step}")
+        z = getrs(lu, piv, np.hstack([e, g]))[0]
+        z_e, z_g = z[:, :n], z[:, n:]
+        step_p = symmetrize(z_e.T @ (p @ e))
+        g = symmetrize(g + (e @ z_g) @ e.T)
+        e = e @ z_e
+        p = p + step_p
+        change = np.linalg.norm(step_p, "fro")
+        if change <= np.finfo(float).eps * np.linalg.norm(p, "fro"):
+            return p, step
+    raise NumericalError(f"doubling did not converge in {_DOUBLING_MAX_STEPS} "
+                         f"steps (last change {change:.3e})")
+
+
+# Room the closed-loop certificate keeps above the axis rule's threshold
+# imag_axis max(1, ||A - M X||_F): it covers the backward error of the
+# rule's eigvals, of order n eps ||A - M X||_F, and of eigvalsh on X, while
+# imag_axis is well above n eps (it is 1e-10 in every profile); below
+# _AXIS_ROUNDING_UNITS n eps the certificate declines and the rule decides.
+_AXIS_CERTIFICATE_FACTOR = 2.0
+_AXIS_ROUNDING_UNITS = 100.0
+# Rounding of S = -fl(X A_c + A_c' X) and of its Cholesky factorization,
+# in units of (n + 2) eps ||X||_F ||A_c||_F: the product errs by at most
+# n eps ||X||_F ||A_c||_F in each of its two terms, and the factorization
+# (Rump, "Verification of positive definiteness", BIT 46, 2006) by about
+# (n + 2) eps tr(S), with |tr(S)| <= 2 ||X||_F ||A_c||_F.
+_LYAPUNOV_ROUNDING = 4.0
+
+
+def _axis_certified(a_c: np.ndarray, x: np.ndarray, x_eigs: np.ndarray,
+                    tol: Tolerances) -> bool:
+    """True only if the axis rule passes A_c = A - M X: every eigenvalue
+    has Re lambda < 0 and |Re lambda| > imag_axis max(1, |lambda|).  Proven
+    from X, whose eigenvalues `x_eigs` (ascending) are given; False leaves
+    the decision to the rule.
+
+    With R the residual of X, A_c'X + X A_c = -(Q + X M X - R) =: -S.  For
+    an eigenpair A_c v = lambda v, 2 Re(lambda) v*Xv = -v*Sv.  So S >= cI
+    with X > 0 gives Re lambda <= -c / (2 lambda_max(X)), and the same
+    bound, less the perturbation, holds for every matrix near A_c, such as
+    the one whose eigenvalues the rule computes.  S is formed from A_c, and
+    S - cI is tested by one Cholesky factorization, proven after rounding
+    (``_LYAPUNOV_ROUNDING``), with
+    c = 2 _AXIS_CERTIFICATE_FACTOR imag_axis max(1, ||A_c||_F) lambda_max(X),
+    since |lambda| <= ||A_c||_F.  X > 0 is read off `x_eigs`: an
+    eigenvector with v*Xv <= 0 within eigvalsh's backward error, of order
+    n eps ||X||_2, would need Re lambda >= c / (2 n eps ||X||_2), beyond
+    ||A_c||_F when imag_axis >= _AXIS_ROUNDING_UNITS n eps.
+    """
+    n = a_c.shape[0]
+    eps = np.finfo(float).eps
+    if tol.imag_axis < _AXIS_ROUNDING_UNITS * n * eps or x_eigs[0] <= 0.0:
+        return False
+    a_norm = np.linalg.norm(a_c, "fro")
+    c = (2.0 * _AXIS_CERTIFICATE_FACTOR * tol.imag_axis * max(1.0, a_norm)
+         * x_eigs[-1])
+    xa = x @ a_c
+    s = np.asfortranarray(-(xa + xa.T))
+    s[np.diag_indices(n)] -= c + (_LYAPUNOV_ROUNDING * (n + 2) * eps
+                                  * np.linalg.norm(x, "fro") * a_norm)
+    potrf = sla.get_lapack_funcs("potrf", (s,))
+    return potrf(s, overwrite_a=True, clean=False)[1] == 0
+
+
+def _closed_loop_axis(a_c: np.ndarray, x: np.ndarray, x_eigs: np.ndarray,
+                      tol: Tolerances) -> str:
+    """Decide that A_c = A - M X, whose n eigenvalues are the stable half of
+    H's spectrum (the mirror half has the same |Re lambda|), has none on
+    jR and none right of it; return the path that decided.
+
+    :func:`_axis_certified` decides first (``'certificate'``); otherwise
+    the eigenvalues of A_c do (``'rule'``): :func:`_check_imag_axis` raises
+    on one on jR, and HamiltonianImaginaryAxis names the dimension of the
+    stable subspace found when one lies right of it.
+    """
+    if _axis_certified(a_c, x, x_eigs, tol):
+        return "certificate"
+    eigs = np.linalg.eigvals(a_c)
+    _check_imag_axis(eigs, tol)
+    stable = int(np.count_nonzero(eigs.real < 0.0))
+    if stable != a_c.shape[0]:
+        raise HamiltonianImaginaryAxis(
+            f"stable subspace has dimension {stable}, expected {a_c.shape[0]}")
+    return "rule"
+
+
 def riccati_from_hamiltonian(hs, tol: Tolerances = DEFAULT_TOLERANCES) -> AreSolution:
     """Stabilizing solution of A'X + XA + Q - XMX = 0, the equation of the
     :class:`~hierh2.hamiltonian.HamiltonianSystem` `hs`.
 
-    Computed from the full stable invariant subspace of
-    H = [[A, -M], [-Q, -A']] (``hs.h``) via an ordered real Schur
-    decomposition and X = Z2 Z1^{-1}.  Newton steps refine X while its
-    residual is above are_residual max(1, ||Q||_F).  X is accepted when the
-    residual is within are_residual max(1, ||Q||_F, ||X M X||_F), since
-    rounding alone leaves a residual of order eps ||X M X||_F, which dwarfs
-    ||Q|| when X is large; otherwise NumericalError.  A failed reordering of
-    the Schur form raises NumericalError.  Only X is produced: the loop its
-    gain closes is factored, and its stability decided, by whoever forms
-    that loop (:func:`hierh2.synthesis.youla_data`, or :func:`solve_are`
-    for A - M X).
-    """
-    a, n, h = hs.a, hs.n, hs.h
-    m, q = -h[:n, n:], -h[n:, :n]      # M and Q as H holds them
-    try:
-        t, z, sdim = sla.schur(h, output="real", sort="lhp")
-    except sla.LinAlgError as e:     # reordering failed: modes near jR
-        raise NumericalError(f"ordered Schur form of H failed: {e}") from e
-    _check_imag_axis(_quasi_triangular_eigvals(t), tol)
-    if sdim != n:
-        raise HamiltonianImaginaryAxis(
-            f"stable subspace has dimension {sdim}, expected {n}")
-    z1 = z[:n, :n]
-    z2 = z[n:, :n]
-    _require_conditioned(np.linalg.cond(z1), tol, SingularZ1, "Z1")
-    x = symmetrize(sla.solve(z1.T, z2.T).T)
-    target = tol.are_residual * max(1.0, np.linalg.norm(q, "fro"))
+    X is made by structure-preserving doubling on n x n blocks
+    (:func:`_doubling`), from M and Q as `hs` gives them; H is assembled only
+    when the doubling fails, so that an eigenvalue of H on jR raises
+    HamiltonianImaginaryAxis rather than the doubling's NumericalError.
+    The doubling reaches the stabilizing X when (Q, A) is detectable, which
+    for an A with no eigenvalue right of jR, such as every network plant of
+    the package, is assumption A3; when Q hides an unstable mode of A it
+    diverges or stops at a solution that leaves the mode in A - M X, and
+    one of the errors below is raised.  The checks then read X, in order:
 
-    def residual(xx):
-        return a.T @ xx + xx @ a + q - xx @ m @ xx
+    - A - M X must have no eigenvalue on jR (HamiltonianImaginaryAxis) and
+      n stable ones (HamiltonianImaginaryAxis naming the dimension found),
+      decided by :func:`_closed_loop_axis`: a Lyapunov certificate first,
+      the eigenvalues of A - M X when it declines;
+    - SingularZ1 when cond(Z1) > cond_max, where
+      cond(Z1) = sqrt((1 + max x_i^2) / (1 + min x_i^2)) over the
+      eigenvalues x_i of X holds for every orthonormal basis [Z1; Z2] of
+      the graph of X;
+    - Newton steps refine X while its residual is above
+      are_residual max(1, ||Q||_F), keeping the best iterate;
+    - X is accepted when the residual is within
+      are_residual max(1, ||Q||_F, ||X M X||_F), since rounding alone
+      leaves a residual of order eps ||X M X||_F, which dwarfs ||Q|| when X
+      is large; otherwise NumericalError.
+
+    Only X is produced: the loop its gain closes is factored, and its
+    stability decided, by whoever forms that loop
+    (:func:`hierh2.synthesis.youla_data`, or :func:`solve_are` for A - M X).
+    """
+    a, m, q = hs.a, hs.m, hs.ctc
+    try:
+        x, doubling_steps = _doubling(a, m, q)
+    except NumericalError:
+        _check_imag_axis(np.linalg.eigvals(hs.h), tol)
+        raise
+
+    def terms(xx):
+        """(residual, M X, X M X) of xx; A'X + XA = T + T' with T = A'X."""
+        mx = m @ xx
+        xmx = xx @ mx
+        t = a.T @ xx
+        return t + t.T + q - xmx, mx, xmx
+
+    res, mx, xmx = terms(x)
+    x_eigs = np.linalg.eigvalsh(x)
+    axis_path = _closed_loop_axis(a - mx, x, x_eigs, tol)
+    x_abs = np.abs(x_eigs)
+    _require_conditioned(np.sqrt((1.0 + x_abs.max() ** 2)
+                                 / (1.0 + x_abs.min() ** 2)),
+                         tol, SingularZ1, "Z1")
 
     # Newton refinement, keeping the best iterate (steps can overshoot on
     # ill-conditioned instances)
-    best_x, best_norm = x, np.linalg.norm(residual(x), "fro")
-    for _ in range(5):
-        if best_norm <= target:
-            break
+    target = tol.are_residual * max(1.0, np.linalg.norm(q, "fro"))
+    best_norm = np.linalg.norm(res, "fro")
+    newton_steps = 0
+    while newton_steps < 5 and best_norm > target:
         try:
-            acl_t = RealSchur.of((a - m @ best_x).T)
-            step = _bartels_stewart(acl_t, acl_t, residual(best_x))
+            acl_t = RealSchur.of((a - mx).T)
+            cand = symmetrize(x + _bartels_stewart(acl_t, acl_t, res))
         except (sla.LinAlgError, ValueError, NumericalError):
             break
-        cand = symmetrize(best_x + step)
-        cand_norm = np.linalg.norm(residual(cand), "fro")
+        cand_terms = terms(cand)
+        cand_norm = np.linalg.norm(cand_terms[0], "fro")
         if cand_norm >= best_norm:
             break
-        best_x, best_norm = cand, cand_norm
-    x, res_norm = best_x, float(best_norm)
+        x, (res, mx, xmx), best_norm = cand, cand_terms, cand_norm
+        newton_steps += 1
+    res_norm = float(best_norm)
     bound = tol.are_residual * max(1.0, np.linalg.norm(q, "fro"),
-                                   np.linalg.norm(x @ m @ x, "fro"))
+                                   np.linalg.norm(xmx, "fro"))
     if res_norm > bound:
         raise NumericalError(
             f"ARE residual {res_norm:.3e} exceeds bound {bound:.3e}")
-    return AreSolution(hs=hs, x=x, residual=res_norm)
+    return AreSolution(hs=hs, x=x, residual=res_norm,
+                       doubling_steps=doubling_steps,
+                       newton_steps=newton_steps, axis_path=axis_path)
 
 
 def solve_are(a, b, c, r, tol: Tolerances = DEFAULT_TOLERANCES) -> AreSolution:

@@ -8,7 +8,7 @@ Every two-Riccati design is built from a (control, filter) pair of
 :class:`~hierh2.hamiltonian.HamiltonianSystem` equations; the projected pair
 is :func:`control_hamiltonian` and :func:`filter_hamiltonian`, the one place
 that writes the dual data.  The two backends differ only in how X and Y
-are made: the exact one from the full stable Hamiltonian subspace
+are made: the exact one by doubling on the equation's n x n blocks
 (:func:`~hierh2.linalg.riccati_from_hamiltonian`), the approximate one from
 kappa-truncated subspaces.  Each gain comes from its equation's
 :meth:`~hierh2.hamiltonian.HamiltonianSystem.gain`, on the one factor of R:
@@ -368,8 +368,9 @@ def synthesize_hierarchical(g: GeneralizedPlant, p: ProjectionPair,
     each a HamiltonianSystem that rejects a singular or ill-conditioned
     weight and gives the gains F2 = -R1^{-1} P_u B2' X and
     L2' = -R2^{-1} P_y C2 Y.  With ``are_backend='exact'`` both are solved
-    through the full stable Hamiltonian subspace
-    (:func:`~hierh2.linalg.riccati_from_hamiltonian`).
+    exactly (:func:`~hierh2.linalg.riccati_from_hamiltonian`); ``x_solution``
+    and ``y_solution`` record their doubling and Newton steps and
+    ``axis_path``.
     With ``'approx'`` they are replaced by kappa-truncated solutions, of
     which only X~ is computed; their residue certificates
     (``x_solution.stabilizing``, ``y_solution.stabilizing``) are

@@ -2,7 +2,9 @@
 
 Each oracle takes a different computational route than the library code it
 checks: Lyapunov via the Kronecker vectorization linear system, Riccati
-via matrix sign iteration, the H2 norm via frequency quadrature, the
+via matrix sign iteration and via the ordered real Schur form of the 2n x 2n
+Hamiltonian (Laub, IEEE TAC 1979; the library solves it by doubling on
+n x n blocks), the H2 norm via frequency quadrature, the
 H-infinity norm via dense frequency gridding, and the gap-layer spectral
 factors via the two 2n-state hat Riccati equations on the Youla system,
 solved by sign iteration too,
@@ -73,6 +75,16 @@ def riccati_sign(a: np.ndarray, m: np.ndarray, q: np.ndarray,
     z1, z2 = basis[:n], basis[n:]
     x = z2 @ np.linalg.inv(z1)
     return 0.5 * (x + x.T)
+
+
+def riccati_ordered_schur(hs) -> np.ndarray:
+    """Stabilizing solution of the equation of the HamiltonianSystem `hs`,
+    A'X + XA + Q - XMX = 0, as X = Z2 Z1^{-1} over the stable invariant
+    subspace of H = [[A, -M], [-Q, -A']] from its ordered real Schur form
+    (Laub, IEEE TAC 1979), with no refinement."""
+    n = hs.n
+    z = sla.schur(hs.h, output="real", sort="lhp")[1]
+    return symmetrize(sla.solve(z[:n, :n].T, z[n:, :n].T).T)
 
 
 def _freq_response(sys, ws, chunk_elems: int = 2 ** 20):

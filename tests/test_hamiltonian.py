@@ -449,8 +449,8 @@ def test_krylov_block_residual_gate_fires_on_a_clean_run():
 def test_imaginary_axis_eigenvalue_raises_on_every_path(path):
     # A has a zero mode that B does not actuate and C1 does not observe, so
     # H has the eigenvalue 0 twice; every path raises the one axis error,
-    # from the axis check itself (the ordered-Schur path would otherwise
-    # report a stable subspace of dimension n - 1)
+    # from the axis check itself (on the Riccati path, the check on the
+    # eigenvalues of A - M X)
     n = 6
     a = np.diag(-np.arange(n, dtype=float))
     hs = build_hamiltonian(a, np.eye(n)[:, 1:], np.eye(n)[1:], np.eye(n - 1))

@@ -20,7 +20,8 @@ from hierh2.projection import _projected_pbh_failure
 from hierh2.synthesis import _check_hypotheses, synthesize_hierarchical
 
 from conftest import random_are_instance, random_stable_matrix
-from oracles import are_sign_iteration, h2_quadrature, hinf_grid, lyapunov_kron
+from oracles import (are_sign_iteration, h2_quadrature, hinf_grid,
+                     lyapunov_kron, riccati_ordered_schur)
 
 
 # ---------------------------------------------------------------------------
@@ -458,18 +459,130 @@ def test_property_pbh_checks_flag_a_planted_mode_together(seed, n, m, pair,
 # Riccati
 # ---------------------------------------------------------------------------
 
-def test_failed_schur_reordering_is_a_numerical_error(monkeypatch):
-    # LAPACK refuses to reorder when rounding moves a mode across jR; the
-    # solver reports that as its own NumericalError, which the synthesis
-    # treats like any other numerical failure
-    def refuse(*args, **kwargs):
-        raise sla.LinAlgError("Leading eigenvalues do not satisfy sort "
-                              "condition.")
-
-    hs = build_hamiltonian([[0.0]], [[1.0]], [[1.0]], [[1.0]])
-    monkeypatch.setattr(linalg.sla, "schur", refuse)
-    with pytest.raises(NumericalError, match="ordered Schur form of H failed"):
+def test_failed_doubling_is_a_numerical_error(monkeypatch):
+    # a doubling run that has not converged at its step cap is the solver's
+    # own NumericalError, which the synthesis treats like any other
+    # numerical failure; H has no eigenvalue on jR here, so the axis check
+    # that a failed run makes on H passes the error on
+    a, b, c, r = random_are_instance(np.random.default_rng(5), 5)
+    hs = build_hamiltonian(a, b, c, r)
+    assert linalg.riccati_from_hamiltonian(hs).doubling_steps > 1
+    monkeypatch.setattr(linalg, "_DOUBLING_MAX_STEPS", 1)
+    with pytest.raises(NumericalError, match="doubling did not converge"):
         linalg.riccati_from_hamiltonian(hs)
+
+
+def test_doubling_reshifts_off_an_eigenvalue_of_a(monkeypatch):
+    # A = diag(2, 0), M = I, Q = 2I: the shift rule gives
+    # gamma = sqrt((4 + 4) / 2) = 2, an eigenvalue of A, so the shift moves
+    # once, to 2 max(gamma, ||A||_F) = 4; the two scalar equations give
+    # X = diag(2 + sqrt(6), sqrt(2))
+    shifts = []
+    factor = linalg._shifted_factor
+
+    def recording(a, gamma):
+        shifts.append(gamma)
+        return factor(a, gamma)
+
+    monkeypatch.setattr(linalg, "_shifted_factor", recording)
+    sol = linalg.riccati_from_hamiltonian(build_hamiltonian(
+        np.diag([2.0, 0.0]), np.eye(2), np.sqrt(2.0) * np.eye(2), np.eye(2)))
+    assert shifts == [2.0, 4.0]
+    assert sol.x == pytest.approx(np.diag([2.0 + np.sqrt(6.0), np.sqrt(2.0)]))
+    # a shift at an eigenvalue of H only makes the Cayley image singular:
+    # A = 0, M = Q = 1 has H's eigenvalues at +-1 and gamma = 1, and the
+    # first step lands on X = 1
+    shifts.clear()
+    sol = linalg.riccati_from_hamiltonian(
+        build_hamiltonian([[0.0]], [[1.0]], [[1.0]], [[1.0]]))
+    assert shifts == [1.0] and sol.doubling_steps == 1
+    assert sol.x == pytest.approx(np.array([[1.0]]))
+
+
+@pytest.mark.parametrize("imag_axis,path", [(0.4, "certificate"),
+                                            (0.6, "rule"), (1.5, None)])
+def test_axis_certificate_passes_only_what_the_rule_passes(imag_axis, path):
+    # A = 0, M = Q = 1: X = 1 and A - M X = -1.  The rule passes |Re| = 1
+    # above imag_axis; the certificate needs S = -(X A_c + A_c' X) = 2 above
+    # c = 4 imag_axis, so it passes at 0.4 and declines at 0.6, where the
+    # rule passes, and at 1.5, where the rule raises
+    hs = build_hamiltonian([[0.0]], [[1.0]], [[1.0]], [[1.0]])
+    tol = DEFAULT_TOLERANCES.with_(imag_axis=imag_axis)
+    if path is None:
+        with pytest.raises(HamiltonianImaginaryAxis, match="imaginary axis"):
+            linalg.riccati_from_hamiltonian(hs, tol)
+    else:
+        assert linalg.riccati_from_hamiltonian(hs, tol).axis_path == path
+
+
+def test_axis_rule_decides_when_the_certificate_declines(monkeypatch):
+    # the decoupled zero mode of test_imaginary_axis_eigenvalue_raises_on_
+    # every_path: Q is singular there and the doubling converges to an X
+    # with the eigenvalue 0, so the Lyapunov certificate declines and the
+    # eigenvalues of A - M X, not those of H, find the mode on jR
+    n = 6
+    hs = build_hamiltonian(np.diag(-np.arange(n, dtype=float)),
+                           np.eye(n)[:, 1:], np.eye(n)[1:], np.eye(n - 1))
+    shapes = []
+    eigvals = np.linalg.eigvals
+
+    def spy(a):
+        shapes.append(np.shape(a))
+        return eigvals(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", spy)
+    with pytest.raises(HamiltonianImaginaryAxis, match="imaginary axis"):
+        linalg.riccati_from_hamiltonian(hs)
+    assert shapes == [(n, n)]
+
+
+def test_an_unstable_mode_hidden_from_q_is_refused():
+    # the doubling reaches the stabilizing X when (Q, A) is detectable; with
+    # the unstable mode of A = diag(1, -1) hidden from Q = diag(0, 1) it
+    # stops at X = diag(0, sqrt(2) - 1), which leaves the mode in A - M X,
+    # and the eigenvalue rule counts a stable subspace of dimension 1
+    hs = build_hamiltonian(np.diag([1.0, -1.0]), np.eye(2),
+                           np.diag([0.0, 1.0]), np.eye(2))
+    with pytest.raises(HamiltonianImaginaryAxis,
+                       match="stable subspace has dimension 1, expected 2"):
+        linalg.riccati_from_hamiltonian(hs)
+
+
+def _oracle_equations(g, pair):
+    from hierh2.synthesis import control_hamiltonian, filter_hamiltonian
+    return control_hamiltonian(g, pair), filter_hamiltonian(g, pair)
+
+
+def _assert_matches_ordered_schur(hs):
+    sol = linalg.riccati_from_hamiltonian(hs)
+    x_ref = riccati_ordered_schur(hs)
+    assert np.linalg.norm(sol.x - x_ref) <= 1e-10 * np.linalg.norm(x_ref)
+    assert sol.axis_path == "certificate" and sol.newton_steps == 0
+
+
+@pytest.mark.parametrize("n", [24, 100, 400])
+def test_doubling_matches_the_ordered_schur_oracle(n):
+    # both equations, on the planted and on the identity pair of the
+    # consensus plant; on every one the Lyapunov certificate decides
+    from hierh2 import ExperimentConfig, WeightVectors, build_projection
+    cfg = ExperimentConfig(seed=7)
+    g = cfg.plant(n)
+    planted = build_projection(cfg.planted_partition(g, n),
+                               WeightVectors.ones(g.n_u, g.n_y))
+    for pair in (planted, ProjectionPair.identity(g.n_u, g.n_y)):
+        for hs in _oracle_equations(g, pair):
+            _assert_matches_ordered_schur(hs)
+
+
+@pytest.mark.parametrize("fixture", ["non_self_dual100", "directed200"])
+def test_doubling_matches_the_ordered_schur_oracle_off_the_consensus_plant(
+        fixture, request):
+    # P_u != P_y and X != Y (non_self_dual100); a non-symmetric A with 128
+    # complex modes (directed200); the certificate decides on each
+    g, *_, pair = request.getfixturevalue(fixture)
+    for p in (pair, ProjectionPair.identity(g.n_u, g.n_y)):
+        for hs in _oracle_equations(g, p):
+            _assert_matches_ordered_schur(hs)
 
 
 def test_are_scalar_examples():

@@ -719,10 +719,9 @@ def test_exact_synthesis_factors_each_loop_once_in_youla_data(monkeypatch):
     monkeypatch.setattr(scipy.linalg, "schur", counting)
     monkeypatch.setattr(synthesis, "youla_data", in_youla_data)
     res = synthesize_hierarchical(g, pair)
-    # the two Riccati solves make the ordered 2n forms and no loop factor;
+    # the two Riccati solves, made by doubling, make no Schur form at all;
     # each loop is factored once, in youla_data
-    assert calls == {("ordered", 2 * g.n, False): 2,
-                     ("unsorted", g.n, True): 2}
+    assert calls == {("unsorted", g.n, True): 2}
     # the loops are those of the gains of the two solutions
     f2 = res.x_solution.hs.gain(res.x)
     l2 = res.y_solution.hs.gain(res.y).T
