@@ -58,9 +58,10 @@ class HamiltonianSystem:
     :func:`build_hamiltonian` made; :meth:`gain` and M = N R^{-1} N' solve
     with it.  M and Q = C1'C1 are formed, symmetrized, when read, and H is
     assembled only by :attr:`h`.  The exact solver reads M and Q once per
-    solve and works on them as n x n blocks; it assembles H only to look for
-    an eigenvalue on jR after its doubling has failed.  The dense path
-    decomposes H, and the Krylov path never forms M, Q or H.
+    solve and works on them as n x n blocks; it decomposes H, through
+    :meth:`full_subspace`, only when its doubling fails or leaves a loop
+    the axis check refuses.  The dense path decomposes H, and the Krylov
+    path never forms M, Q or H.
     """
 
     a: object

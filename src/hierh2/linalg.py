@@ -5,8 +5,10 @@ equation of one :class:`~hierh2.hamiltonian.HamiltonianSystem` by the
 structure-preserving doubling algorithm of Chu, Fan & Lin (Linear Algebra
 Appl. 396, 2005): n x n LU solves and products on M and Q, with no 2n x 2n
 Hamiltonian and no ordered Schur form (that route, Laub's, is the test
-oracle), and polishes X by Newton steps.  The checks the ordered Schur form
-made are read off X: cond(Z1) from the eigenvalues of X, and the
+oracle), and polishes X by Newton steps; when the doubling fails, or leaves
+a loop A - M X the axis check refuses (Q hiding an unstable mode of A), X
+is read off the dense stable eigenspace of H instead.  The checks the
+ordered Schur form made are read off X: cond(Z1) from the eigenvalues of X, and the
 imaginary-axis decision on the eigenvalues of A - M X, the stable half of
 H's spectrum, which a Lyapunov certificate (:func:`_axis_certified`) passes
 without an eigensolve.  The truncated solutions of
@@ -436,10 +438,11 @@ class AreSolution:
     """Stabilizing solution X of the Riccati equation `hs`,
     A'X + XA + Q - XMX = 0, with its residual norm; like the truncated
     solution, it holds no factor of its closed loop.  It records how it was
-    made: `doubling_steps` and `newton_steps` taken, and `axis_path`, what
-    decided that A - M X has no eigenvalue on or across jR:
-    ``'certificate'`` (the Lyapunov certificate, :func:`_axis_certified`)
-    or ``'rule'`` (the eigenvalues of A - M X)."""
+    made: `doubling_steps` (0 when X was read off the dense stable
+    eigenspace of H, :func:`_eigenspace_x`) and `newton_steps` taken, and
+    `axis_path`, what decided that A - M X has no eigenvalue on or across
+    jR: ``'certificate'`` (the Lyapunov certificate,
+    :func:`_axis_certified`) or ``'rule'`` (the eigenvalues of A - M X)."""
 
     hs: object            # the HamiltonianSystem that was solved
     x: np.ndarray
@@ -490,17 +493,33 @@ _DOUBLING_MAX_STEPS = 60
 # and P0 are made through (A - gamma I)^{-1}, and below sqrt(eps) they
 # would keep fewer than half of the digits.
 _SHIFT_RCOND = float(np.sqrt(np.finfo(float).eps))
+# The least shift, as a fraction of ||H||_F / sqrt(2n), the bound that
+# Schur's inequality gives on the RMS modulus of H's eigenvalues.  The trace
+# rule can cancel when H has complex eigenvalues (it reads 0 for an undamped
+# oscillator), and a shift far below the eigenvalues costs about log2 of the
+# shortfall in steps and log10 of it in the digits of E0; at a quarter of
+# the bound that is two steps and less than one digit.  On the network
+# plants the trace rule is above the floor (the bound is at most 1.8 times
+# the rule there), so the floor does not move their shift.
+_SHIFT_FLOOR = 0.25
 
 
 def _cayley_shift(a: np.ndarray, m: np.ndarray, q: np.ndarray) -> float:
-    """The doubling's Cayley shift gamma = sqrt(|tr(A^2) + tr(M Q)| / n).
+    """The doubling's Cayley shift
+    gamma = max(sqrt(|tr(A^2) + tr(M Q)| / n), _SHIFT_FLOOR ||H||_F / sqrt(2n)).
 
     tr(H^2) = 2 tr(A^2) + 2 tr(M Q) is the sum of the squares of the 2n
-    eigenvalues of H, so gamma is their RMS modulus when they are real: the
-    Cayley map (lambda + gamma) / (lambda - gamma) then sends the typical
-    stable eigenvalue well inside the unit circle.
+    eigenvalues of H, so the first term is their RMS modulus when they are
+    real: the Cayley map (lambda + gamma) / (lambda - gamma) then sends the
+    typical stable eigenvalue well inside the unit circle.  Complex
+    eigenvalues can cancel in the trace, and the floor (``_SHIFT_FLOOR``),
+    from ||H||_F^2 = 2 ||A||_F^2 + ||M||_F^2 + ||Q||_F^2, keeps gamma near
+    their moduli then.
     """
-    return float(np.sqrt(abs(np.sum(a * a.T) + np.sum(m * q)) / a.shape[0]))
+    n = a.shape[0]
+    rms = np.sqrt(abs(np.sum(a * a.T) + np.sum(m * q)) / n)
+    h_norm = np.sqrt(2.0 * np.sum(a * a) + np.sum(m * m) + np.sum(q * q))
+    return float(max(rms, _SHIFT_FLOOR * h_norm / np.sqrt(2.0 * n)))
 
 
 def _shifted_factor(a: np.ndarray, gamma: float):
@@ -533,7 +552,9 @@ def _doubling(a: np.ndarray, m: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, 
     E <- E K^{-1} E, G <- G + E K^{-1} G E', P <- P + (K^{-1} E)' P E with
     K = I + G P: one LU solve with 2n right-hand sides and six products.
     P tends to X quadratically, and the run stops once a step moves P by at
-    most eps ||P||_F.
+    most eps ||P||_F.  A run that stops where P merely sits still, as in a
+    mode that Q does not see, is caught by the axis check and the Newton
+    steps that :func:`riccati_from_hamiltonian` runs on X.
 
     Raises
     ------
@@ -649,19 +670,32 @@ def _closed_loop_axis(a_c: np.ndarray, x: np.ndarray, x_eigs: np.ndarray,
     return "rule"
 
 
+def _eigenspace_x(hs, tol: Tolerances) -> np.ndarray:
+    """X = Z2 Z1^{-1} from the dense stable eigenspace of H
+    (:meth:`~hierh2.hamiltonian.HamiltonianSystem.full_subspace`), whose
+    stable-set selection raises HamiltonianImaginaryAxis when H has an
+    eigenvalue on jR."""
+    sub = hs.full_subspace(tol)
+    try:
+        return symmetrize(np.linalg.solve(sub.z1.T, sub.z2.T).T)
+    except np.linalg.LinAlgError:
+        raise SingularZ1("Z1 of the stable eigenspace is singular") from None
+
+
 def riccati_from_hamiltonian(hs, tol: Tolerances = DEFAULT_TOLERANCES) -> AreSolution:
     """Stabilizing solution of A'X + XA + Q - XMX = 0, the equation of the
     :class:`~hierh2.hamiltonian.HamiltonianSystem` `hs`.
 
     X is made by structure-preserving doubling on n x n blocks
-    (:func:`_doubling`), from M and Q as `hs` gives them; H is assembled only
-    when the doubling fails, so that an eigenvalue of H on jR raises
-    HamiltonianImaginaryAxis rather than the doubling's NumericalError.
-    The doubling reaches the stabilizing X when (Q, A) is detectable, which
-    for an A with no eigenvalue right of jR, such as every network plant of
-    the package, is assumption A3; when Q hides an unstable mode of A it
-    diverges or stops at a solution that leaves the mode in A - M X, and
-    one of the errors below is raised.  The checks then read X, in order:
+    (:func:`_doubling`), from M and Q as `hs` gives them.  The doubling
+    reaches the stabilizing X when (Q, A) is detectable, which for an A with
+    no eigenvalue right of jR, such as every network plant of the package,
+    is assumption A3.  When Q hides an unstable mode of A it diverges or
+    stops at a solution that leaves the mode in A - M X; when it fails, or
+    the axis decision below refuses its X, X is read instead off the dense
+    stable eigenspace of H (:func:`_eigenspace_x`, ``doubling_steps`` 0),
+    whose selection raises HamiltonianImaginaryAxis if H has an eigenvalue
+    on jR.  The checks then read X, in order:
 
     - A - M X must have no eigenvalue on jR (HamiltonianImaginaryAxis) and
       n stable ones (HamiltonianImaginaryAxis naming the dimension found),
@@ -683,11 +717,6 @@ def riccati_from_hamiltonian(hs, tol: Tolerances = DEFAULT_TOLERANCES) -> AreSol
     (:func:`hierh2.synthesis.youla_data`, or :func:`solve_are` for A - M X).
     """
     a, m, q = hs.a, hs.m, hs.ctc
-    try:
-        x, doubling_steps = _doubling(a, m, q)
-    except NumericalError:
-        _check_imag_axis(np.linalg.eigvals(hs.h), tol)
-        raise
 
     def terms(xx):
         """(residual, M X, X M X) of xx; A'X + XA = T + T' with T = A'X."""
@@ -696,9 +725,18 @@ def riccati_from_hamiltonian(hs, tol: Tolerances = DEFAULT_TOLERANCES) -> AreSol
         t = a.T @ xx
         return t + t.T + q - xmx, mx, xmx
 
-    res, mx, xmx = terms(x)
-    x_eigs = np.linalg.eigvalsh(x)
-    axis_path = _closed_loop_axis(a - mx, x, x_eigs, tol)
+    def decided(xx):
+        """terms(xx), the eigenvalues of xx and the axis path of A - M xx."""
+        xx_terms, xx_eigs = terms(xx), np.linalg.eigvalsh(xx)
+        return xx_terms, xx_eigs, _closed_loop_axis(a - xx_terms[1], xx,
+                                                     xx_eigs, tol)
+
+    try:
+        x, doubling_steps = _doubling(a, m, q)
+        (res, mx, xmx), x_eigs, axis_path = decided(x)
+    except (NumericalError, HamiltonianImaginaryAxis):
+        x, doubling_steps = _eigenspace_x(hs, tol), 0
+        (res, mx, xmx), x_eigs, axis_path = decided(x)
     x_abs = np.abs(x_eigs)
     _require_conditioned(np.sqrt((1.0 + x_abs.max() ** 2)
                                  / (1.0 + x_abs.min() ** 2)),

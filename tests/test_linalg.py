@@ -461,15 +461,22 @@ def test_property_pbh_checks_flag_a_planted_mode_together(seed, n, m, pair,
 
 def test_failed_doubling_is_a_numerical_error(monkeypatch):
     # a doubling run that has not converged at its step cap is the solver's
-    # own NumericalError, which the synthesis treats like any other
-    # numerical failure; H has no eigenvalue on jR here, so the axis check
-    # that a failed run makes on H passes the error on
+    # own NumericalError; X is then read off the dense stable eigenspace of
+    # H, and only when that fails too does the error reach the caller, which
+    # treats it like any other numerical failure
     a, b, c, r = random_are_instance(np.random.default_rng(5), 5)
     hs = build_hamiltonian(a, b, c, r)
-    assert linalg.riccati_from_hamiltonian(hs).doubling_steps > 1
+    x = linalg.riccati_from_hamiltonian(hs).x
     monkeypatch.setattr(linalg, "_DOUBLING_MAX_STEPS", 1)
     with pytest.raises(NumericalError, match="doubling did not converge"):
-        linalg.riccati_from_hamiltonian(hs)
+        linalg._doubling(hs.a, hs.m, hs.ctc)
+    sol = linalg.riccati_from_hamiltonian(hs)
+    assert sol.doubling_steps == 0
+    assert np.linalg.norm(sol.x - x) <= 1e-12 * np.linalg.norm(x)
+    with pytest.raises(NumericalError, match="invariant subspace residual"):
+        linalg.riccati_from_hamiltonian(
+            build_hamiltonian(a, b, c, r),
+            DEFAULT_TOLERANCES.with_(subspace_residual=0.0))
 
 
 def test_doubling_reshifts_off_an_eigenvalue_of_a(monkeypatch):
@@ -519,7 +526,8 @@ def test_axis_rule_decides_when_the_certificate_declines(monkeypatch):
     # the decoupled zero mode of test_imaginary_axis_eigenvalue_raises_on_
     # every_path: Q is singular there and the doubling converges to an X
     # with the eigenvalue 0, so the Lyapunov certificate declines and the
-    # eigenvalues of A - M X, not those of H, find the mode on jR
+    # eigenvalues of A - M X find the mode on jR; the dense eigenspace of H
+    # (np.linalg.eig, not eigvals) then confirms it and raises
     n = 6
     hs = build_hamiltonian(np.diag(-np.arange(n, dtype=float)),
                            np.eye(n)[:, 1:], np.eye(n)[1:], np.eye(n - 1))
@@ -536,16 +544,54 @@ def test_axis_rule_decides_when_the_certificate_declines(monkeypatch):
     assert shapes == [(n, n)]
 
 
-def test_an_unstable_mode_hidden_from_q_is_refused():
+def test_an_unstable_mode_hidden_from_q_is_solved():
     # the doubling reaches the stabilizing X when (Q, A) is detectable; with
     # the unstable mode of A = diag(1, -1) hidden from Q = diag(0, 1) it
-    # stops at X = diag(0, sqrt(2) - 1), which leaves the mode in A - M X,
-    # and the eigenvalue rule counts a stable subspace of dimension 1
+    # stops at X = diag(0, sqrt(2) - 1), which leaves the mode in A - M X.
+    # The rule refuses that X and the dense stable eigenspace of H gives
+    # X = diag(2, sqrt(2) - 1), which the ordered Schur form gives
     hs = build_hamiltonian(np.diag([1.0, -1.0]), np.eye(2),
                            np.diag([0.0, 1.0]), np.eye(2))
-    with pytest.raises(HamiltonianImaginaryAxis,
-                       match="stable subspace has dimension 1, expected 2"):
-        linalg.riccati_from_hamiltonian(hs)
+    x, _ = linalg._doubling(hs.a, hs.m, hs.ctc)
+    assert x == pytest.approx(np.diag([0.0, np.sqrt(2.0) - 1.0]))
+    sol = linalg.riccati_from_hamiltonian(hs)
+    assert sol.doubling_steps == 0
+    assert sol.x == pytest.approx(np.diag([2.0, np.sqrt(2.0) - 1.0]))
+    # the same kind of plant in a rotated basis, A = U diag(1, 0.5, -1, -2) U'
+    # with C1 blind to the two unstable modes: the doubling breaks down
+    u, _ = np.linalg.qr(np.random.default_rng(5).standard_normal((4, 4)))
+    hs = build_hamiltonian(u @ np.diag([1.0, 0.5, -1.0, -2.0]) @ u.T,
+                           np.eye(4), np.diag([0.0, 0.0, 1.0, 1.0]) @ u.T,
+                           np.eye(4))
+    with pytest.raises(NumericalError, match="doubling broke down"):
+        linalg._doubling(hs.a, hs.m, hs.ctc)
+    sol = linalg.riccati_from_hamiltonian(hs)
+    x_ref = riccati_ordered_schur(hs)
+    assert sol.doubling_steps == 0
+    assert np.linalg.norm(sol.x - x_ref) <= 1e-12 * np.linalg.norm(x_ref)
+
+
+def test_an_undamped_oscillator_is_solved(monkeypatch):
+    # A = [[0, 1], [-1, 0]], M = Q = I: H has the eigenvalues +-1 +-i and
+    # X = I.  The trace rule cancels to 0 here, tr(A^2) + tr(M Q) = -2 + 2,
+    # and the floor lifts gamma to ||H||_F / (4 sqrt(2n)) = sqrt(2) / 4
+    a = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    hs = build_hamiltonian(a, np.eye(2), np.eye(2), np.eye(2))
+    assert linalg._cayley_shift(hs.a, hs.m, hs.ctc) == \
+        pytest.approx(np.sqrt(2.0) / 4.0)
+    sol = linalg.riccati_from_hamiltonian(hs)
+    assert sol.doubling_steps > 0
+    assert sol.x == pytest.approx(np.eye(2))
+    # without the floor gamma = 0: the first step leaves P = 0 unmoved and
+    # the doubling stops at X = 0, whose A - M X = A has the eigenvalues
+    # +-i; the rule refuses it and the dense eigenspace gives X = I
+    monkeypatch.setattr(linalg, "_SHIFT_FLOOR", 0.0)
+    assert linalg._cayley_shift(hs.a, hs.m, hs.ctc) == 0.0
+    assert linalg._doubling(hs.a, hs.m, hs.ctc)[0] == pytest.approx(
+        np.zeros((2, 2)))
+    sol = linalg.riccati_from_hamiltonian(hs)
+    assert sol.doubling_steps == 0 and sol.axis_path == "certificate"
+    assert sol.x == pytest.approx(np.eye(2))
 
 
 def _oracle_equations(g, pair):

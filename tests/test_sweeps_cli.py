@@ -771,23 +771,6 @@ def test_synth_records_its_riccati_paths(cli_24, tmp_path):
         is None
 
 
-def test_an_unobserved_consensus_mode_fails_synth_and_validate(tmp_path,
-                                                               capsys):
-    # with c1_scale 0, Q = 0 leaves the consensus zero mode unobservable, so
-    # H has the eigenvalue 0: the exact synthesis exits 3 naming the
-    # imaginary axis, decided on the eigenvalues of A - M X (the doubling
-    # converges, to X = 0), and validate exits 2 because A3 fails
-    assert main(["gen-network", "--nodes", "24", "--c1-scale", "0",
-                 "--out", str(tmp_path)]) == 0
-    capsys.readouterr()
-    assert main(["synth", "--plant", str(tmp_path / "plant.json"),
-                 "--partition", str(tmp_path / "planted_partition.json"),
-                 "--backend", "exact", "--out", str(tmp_path / "synth")]) == 3
-    assert "imaginary axis" in capsys.readouterr().err
-    assert main(["validate", "--plant", str(tmp_path / "plant.json"),
-                 "--out", str(tmp_path / "validate")]) == 2
-
-
 def test_sweep_and_synth_read_the_stored_weights_alike(cli_24, tmp_path,
                                                        capsys):
     # one partition file gives one controller: its stored weights win in
