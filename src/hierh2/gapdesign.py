@@ -131,14 +131,15 @@ def _factors(yd: YoulaData, unc: SynthesisResult,
     sqrt_u1 = sqrt_psd(solve_sylvester(ctrl, ctrl, eye, tol), tol)
     sqrt_u2 = sqrt_psd(solve_sylvester(yd.l_loop, yd.l_loop, eye, tol), tol)
     # A_Lhat' in reversed block order is [[(A + L2 C2)', K'], [0, A_F']];
-    # with B = I its Q blocks are I, 0, I in any orthonormal bases
+    # with B = I its Q blocks are I, 0, I in any orthonormal bases, given
+    # in solve order as arrays of their own, since the chain adds into them
     k = lhat1 @ g.c2 - yd.fold_u(g.b2) @ yd.f2
     ctrl_t = yd.f_loop.transposed()
     u1, u2 = filt_t.u, ctrl_t.u
     k_hat = u1.T @ k.T @ u2
     psi11, psi12, psi22 = _block_gramian(
-        filt_t, ctrl_t, lambda y: k_hat @ y, eye, np.zeros((g.n, g.n)), eye,
-        tol)
+        filt_t, ctrl_t, lambda y: k_hat @ y,
+        (eye, np.zeros((g.n, g.n)), np.eye(g.n)), tol)
     phi_y = np.block([[u2 @ psi22 @ u2.T, u2 @ psi12.T @ u1.T],
                       [u1 @ psi12 @ u2.T, u1 @ psi11 @ u1.T]])
     return SpectralFactors(

@@ -155,10 +155,14 @@ def build_hamiltonian(a, b2pu, c1, r1,
 class ApproxAreSolution:
     """kappa-truncated Riccati solution of the equation `hs`.
 
-    Only X~ (`xbar`) and the pencil Gramian Z2k'Z1k (`gram`) are computed up
-    front.  The residue factor C1bar, ||E_k||_F and the residue certificate
-    `stabilizing` (:func:`stability_test`; a diagnostic only, since synthesis
-    decides stability from the closed-loop abscissa) are computed on first
+    X~ is kept as its factors: the retained block Z2k (``subspace.z2``) and
+    the pencil Gramian Z2k'Z1k (`gram`), the only product computed up
+    front.  The dense n x n X~ is formed when first read (`xbar`) and
+    cached; :meth:`form_xbar` forms it without keeping it, for a caller
+    that needs it once, such as the gain of a synthesis.  The residue
+    factor C1bar, ||E_k||_F and the residue certificate `stabilizing`
+    (:func:`stability_test`; a diagnostic only, since synthesis decides
+    stability from the closed-loop abscissa) are likewise computed on first
     read and cached.  `e_kappa_norm` and `subspace_full` are None on the
     Krylov path.
     """
@@ -166,9 +170,17 @@ class ApproxAreSolution:
     hs: HamiltonianSystem
     subspace: StableSubspace
     gram: np.ndarray
-    xbar: np.ndarray
     method: str
     tol: Tolerances
+
+    def form_xbar(self) -> np.ndarray:
+        """X~ = Z2k (Z2k' Z1k)^{-1} Z2k', formed anew and not kept."""
+        z2k = self.subspace.z2
+        return symmetrize(z2k @ sla.solve(self.gram, z2k.T, assume_a="sym"))
+
+    @cached_property
+    def xbar(self) -> np.ndarray:
+        return self.form_xbar()
 
     @property
     def kappa(self) -> int:
@@ -213,8 +225,9 @@ def approx_are(hs: HamiltonianSystem, kappa: int, method: str = "dense",
     unavailable and makes one shift-invert attempt
     (:func:`_krylov_stable_blocks`).  It sees at most 2n - 2 of the 2n
     eigenvalues, so at kappa = n it can miss a stable one and raise; the
-    dense method serves that case.  Only X~ is computed here; the residue
-    factor, E_k and the stability certificate wait for their first read.
+    dense method serves that case.  X~ is kept as its factors here, and
+    the dense X~, the residue factor, E_k and the stability certificate
+    wait for their first read (:class:`ApproxAreSolution`).
 
     Either method accepts its eigenpair block Z, Lambda only when
     ||H Z - Z Lambda||_F <= subspace_residual max(1, ||H Z||_F)
@@ -241,9 +254,8 @@ def approx_are(hs: HamiltonianSystem, kappa: int, method: str = "dense",
     z1k, z2k = sub_k.z1, sub_k.z2
     gram = symmetrize(z2k.T @ z1k)
     _require_conditioned(np.linalg.cond(gram), tol, SingularPencil, "Z2k' Z1k")
-    xbar = symmetrize(z2k @ sla.solve(gram, z2k.T, assume_a="sym"))
-    return ApproxAreSolution(hs=hs, subspace=sub_k, gram=gram, xbar=xbar,
-                             method=method, tol=tol)
+    return ApproxAreSolution(hs=hs, subspace=sub_k, gram=gram, method=method,
+                             tol=tol)
 
 
 def _residue_factor(c1: np.ndarray, sub_k: StableSubspace, gram: np.ndarray) -> np.ndarray:

@@ -27,9 +27,10 @@ whole triangular solve falls back to one ``trsyl`` call.
 T1 Y + Y T2' + Q^ = 0 and checks the residual contract there (at most two
 refinement steps on the same factors, then :class:`NumericalError`), so a
 caller holding its data in the Schur bases, such as the synthesis Gramian
-chain, never changes basis.  :func:`solve_sylvester` transforms Q in,
-calls the core, transforms Y back and checks the contract once more in the
-original coordinates; the Riccati Newton step calls the kernel directly.
+chain, never changes basis; beyond Q^ and Y it holds one n x n work
+array.  :func:`solve_sylvester` transforms Q in, calls the core, transforms
+Y back and checks the contract once more in the original coordinates; the
+Riccati Newton step calls the kernel directly.
 The Riccati solver returns X only, as the truncated solutions do; the
 loop that a gain closes is factored once, by the code that forms it
 (:func:`hierh2.synthesis.youla_data` for every observer loop), and
@@ -295,20 +296,27 @@ def _recursive_trsyl(t1: np.ndarray, t2: np.ndarray, c: np.ndarray) -> bool:
     return _recursive_trsyl(t1, t2[:k, :k], c[:, :k])
 
 
-def _schur_solve(t1: np.ndarray, t2: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Y with T1 Y + Y T2' = C for upper quasi-triangular T1, T2.
+def _schur_solve_into(t1: np.ndarray, t2: np.ndarray, y: np.ndarray,
+                      rhs) -> np.ndarray:
+    """Overwrite `y`, which holds C, with Y, T1 Y + Y T2' = C, for upper
+    quasi-triangular T1, T2, and return it.
 
-    The triangular solve is :func:`_recursive_trsyl`, in place in a copy of
-    `c`.  trsyl's overflow guard scales a leaf's right-hand side by
-    scale <= 1, and the recursion cannot carry that factor across its GEMM
-    updates; so if any leaf returns scale != 1 the whole triangular solve is
-    redone with one plain trsyl call, whose Y is divided by its scale.
+    The triangular solve is :func:`_recursive_trsyl`, in place.  trsyl's
+    overflow guard scales a leaf's right-hand side by scale <= 1, and the
+    recursion cannot carry that factor across its GEMM updates; so if any
+    leaf returns scale != 1 the whole triangular solve is redone with one
+    plain trsyl call on ``rhs()``, which gives C again, and its Y is
+    divided by its scale.
     """
-    y = np.array(c)
     if not _recursive_trsyl(t1, t2, y):
-        y, scale = _trsyl(t1, t2, c)
-        y = y / scale
+        z, scale = _trsyl(t1, t2, rhs())
+        np.divide(z, scale, out=y)
     return y
+
+
+def _schur_solve(t1: np.ndarray, t2: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Y with T1 Y + Y T2' = C, solved in a copy of `c`."""
+    return _schur_solve_into(t1, t2, np.array(c), lambda: c)
 
 
 def _bartels_stewart(f1: RealSchur, f2: RealSchur, q: np.ndarray) -> np.ndarray:
@@ -316,9 +324,63 @@ def _bartels_stewart(f1: RealSchur, f2: RealSchur, q: np.ndarray) -> np.ndarray:
     return f1.u @ _schur_solve(f1.t, f2.t, -(f1.u.T @ q @ f2.u)) @ f2.u.T
 
 
-def _refine(x: np.ndarray, residual, correct, finish, bound: float) -> np.ndarray:
+_STRIP_ROWS = 16   # rows per strip of an in-place symmetric sum
+
+
+def _add_transpose(w: np.ndarray, q: np.ndarray | None = None) -> np.ndarray:
+    """w <- w + w' in place, plus symmetrize(q) when `q` is given, and
+    return `w`.
+
+    Each entry is rounded as ``w + w.T + symmetrize(q)`` rounds it, but
+    strip by strip of ``_STRIP_ROWS`` rows, so no n x n temporary is made:
+    a strip reads rows i:j and columns i:j of w, which no earlier strip has
+    written, and writes the sum to both, since it is symmetric.
+    """
+    n = w.shape[0]
+    for i in range(0, n, _STRIP_ROWS):
+        j = min(i + _STRIP_ROWS, n)
+        s = w[i:j, i:] + w[i:, i:j].T
+        if q is not None:
+            h = q[i:j, i:] + q[i:, i:j].T
+            h *= 0.5
+            s += h
+        w[i:j, i:] = s
+        w[i:, i:j] = s.T
+    return w
+
+
+def _symmetrize_in_place(y: np.ndarray) -> np.ndarray:
+    """y <- symmetrize(y), in place and rounded as :func:`symmetrize`."""
+    _add_transpose(y)
+    y *= 0.5
+    return y
+
+
+def _gemm_operand(m: np.ndarray):
+    """(array, trans) with op(array) = m for a Fortran BLAS call, without a
+    copy when `m` is contiguous in either order."""
+    if m.flags.f_contiguous:
+        return m, 0
+    if m.flags.c_contiguous:
+        return m.T, 1
+    return np.asfortranarray(m), 0
+
+
+def _add_product(c: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """c += a @ b for a C-ordered `c`, by one BLAS gemm with beta = 1 that
+    writes into `c`, so that the product is never held as an array; the
+    sum is rounded as gemm accumulates it, panel by panel."""
+    gemm = sla.get_blas_funcs("gemm", (c, a, b))
+    op_b, trans_b = _gemm_operand(b.T)       # c' += b' a' in Fortran order
+    op_a, trans_a = _gemm_operand(a.T)
+    gemm(1.0, op_b, op_a, beta=1.0, c=c.T, trans_a=trans_b, trans_b=trans_a,
+         overwrite_c=True)
+    return c
+
+
+def _refine(x: np.ndarray, residual, step, bound: float) -> np.ndarray:
     """`x` once ||residual(x)||_F <= bound, after at most two refinement
-    steps x <- finish(x + correct(residual(x))) that reuse the factors.
+    steps x <- step(x, residual(x)) that reuse the factors.
 
     Raises
     ------
@@ -328,7 +390,8 @@ def _refine(x: np.ndarray, residual, correct, finish, bound: float) -> np.ndarra
         res = residual(x)
         if np.linalg.norm(res, "fro") <= bound:
             return x
-        x = finish(x + correct(res))
+        x = step(x, res)
+        del res          # the next residual is formed without this one
     res = np.linalg.norm(residual(x), "fro")
     if res > bound:
         raise NumericalError(
@@ -349,6 +412,16 @@ def solve_sylvester_schur(f1: RealSchur, f2: RealSchur, q_hat,
     max(1, ||Q^||_F), reached after at most two refinement steps on the
     same triangular factors.
 
+    Q^ is read, never written.  Beyond Q^ and Y the solve holds one n x n
+    work array, the residual, into which a refinement step also solves its
+    correction; the triangular solve adds its own GEMM updates, of at most
+    half of Y.  -Y is solved in the array that is returned and negated in
+    place, which rounds as solving for Y does; the Lyapunov form
+    symmetrizes Y and forms its residual T1 Y + (T1 Y)' + symmetrize(Q^)
+    in place with the rounding of the whole-array expressions
+    (:func:`_add_transpose`), and the Sylvester form adds Y T2' into T1 Y
+    through gemm (:func:`_add_product`).
+
     Raises
     ------
     NumericalError : the residual contract could not be met.
@@ -360,18 +433,30 @@ def solve_sylvester_schur(f1: RealSchur, f2: RealSchur, q_hat,
     lyapunov = f1 is f2
 
     def residual(y):
+        w = t1 @ y
         if lyapunov:         # Y = Y', so Y T1' = (T1 Y)'
-            ty = t1 @ y
-            return ty + ty.T + q_hat
-        return t1 @ y + y @ t2.T + q_hat
+            return _add_transpose(w, q_hat)
+        _add_product(w, y, t2.T)
+        w += q_hat
+        return w
 
-    finish = symmetrize if lyapunov else np.asarray
+    def step(y, res):
+        """y - (the solution with right-hand side res), solved in res."""
+        y -= _schur_solve_into(t1, t2, res, lambda: residual(y))
+        return _symmetrize_in_place(y) if lyapunov else y
+
     if lyapunov:
-        q_hat = symmetrize(q_hat)
-    y = finish(_schur_solve(t1, t2, -q_hat))
-    bound = tol.lyap_residual * max(1.0, np.linalg.norm(q_hat, "fro"))
-    return _refine(y, residual, lambda res: -_schur_solve(t1, t2, res),
-                   finish, bound)
+        y = q_hat + q_hat.T            # symmetrize(Q^), rounded as it rounds
+        y *= 0.5
+        bound = tol.lyap_residual * max(1.0, np.linalg.norm(y, "fro"))
+        y = _schur_solve_into(t1, t2, y, lambda: symmetrize(q_hat))
+    else:
+        bound = tol.lyap_residual * max(1.0, np.linalg.norm(q_hat, "fro"))
+        y = _schur_solve_into(t1, t2, np.array(q_hat), lambda: q_hat)
+    np.negative(y, out=y)
+    if lyapunov:
+        _symmetrize_in_place(y)
+    return _refine(y, residual, step, bound)
 
 
 def solve_sylvester(f1: RealSchur, f2: RealSchur, q,
@@ -401,7 +486,8 @@ def solve_sylvester(f1: RealSchur, f2: RealSchur, q,
                @ f2.u.T)
     bound = tol.lyap_residual * max(1.0, np.linalg.norm(q, "fro"))
     return _refine(x, lambda x: f1.a @ x + x @ f2.a.T + q,
-                   lambda res: _bartels_stewart(f1, f2, res), finish, bound)
+                   lambda x, res: finish(x + _bartels_stewart(f1, f2, res)),
+                   bound)
 
 
 def solve_lyapunov(a, b, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
@@ -670,6 +756,18 @@ def _closed_loop_axis(a_c: np.ndarray, x: np.ndarray, x_eigs: np.ndarray,
     return "rule"
 
 
+# The largest residual, relative to max(1, ||Q||_F, ||X M X||_F), that a
+# doubling X may leave before Newton.  A converged run leaves rounding: at
+# most 3.4e-15 on every equation of the benchmark plants (n = 100 and 200,
+# seeds 3, 7 and 11), and at most 2.7e-8 on any equation of the test suite
+# whose doubling X is taken, a 10-state plant that one Newton step polishes.
+# A run that stops where P merely sits still, as when C1 hides an unstable
+# mode of A in a rotated basis, leaves 1.1e-4 to 6.9e-3; Newton from there
+# can reach a solution only to 4e-10, where the dense eigenspace of H gives
+# it to rounding, so that X is read off the eigenspace instead.
+_DOUBLING_RESIDUAL = 1e-6
+
+
 def _eigenspace_x(hs, tol: Tolerances) -> np.ndarray:
     """X = Z2 Z1^{-1} from the dense stable eigenspace of H
     (:meth:`~hierh2.hamiltonian.HamiltonianSystem.full_subspace`), whose
@@ -690,12 +788,14 @@ def riccati_from_hamiltonian(hs, tol: Tolerances = DEFAULT_TOLERANCES) -> AreSol
     (:func:`_doubling`), from M and Q as `hs` gives them.  The doubling
     reaches the stabilizing X when (Q, A) is detectable, which for an A with
     no eigenvalue right of jR, such as every network plant of the package,
-    is assumption A3.  When Q hides an unstable mode of A it diverges or
-    stops at a solution that leaves the mode in A - M X; when it fails, or
-    the axis decision below refuses its X, X is read instead off the dense
-    stable eigenspace of H (:func:`_eigenspace_x`, ``doubling_steps`` 0),
-    whose selection raises HamiltonianImaginaryAxis if H has an eigenvalue
-    on jR.  The checks then read X, in order:
+    is assumption A3.  When Q hides an unstable mode of A it diverges,
+    stops at a solution that leaves the mode in A - M X, or stops short of
+    any solution; when it fails, when its X leaves a residual above
+    ``_DOUBLING_RESIDUAL`` max(1, ||Q||_F, ||X M X||_F), or when the axis
+    decision below refuses its X, X is read instead off the dense stable
+    eigenspace of H (:func:`_eigenspace_x`, ``doubling_steps`` 0), whose
+    selection raises HamiltonianImaginaryAxis if H has an eigenvalue on jR.
+    The checks then read X, in order:
 
     - A - M X must have no eigenvalue on jR (HamiltonianImaginaryAxis) and
       n stable ones (HamiltonianImaginaryAxis naming the dimension found),
@@ -725,15 +825,22 @@ def riccati_from_hamiltonian(hs, tol: Tolerances = DEFAULT_TOLERANCES) -> AreSol
         t = a.T @ xx
         return t + t.T + q - xmx, mx, xmx
 
-    def decided(xx):
-        """terms(xx), the eigenvalues of xx and the axis path of A - M xx."""
-        xx_terms, xx_eigs = terms(xx), np.linalg.eigvalsh(xx)
+    def decided(xx, residual_limit=np.inf):
+        """terms(xx), the eigenvalues of xx and the axis path of A - M xx;
+        NumericalError when the residual of xx is above `residual_limit`
+        max(1, ||Q||_F, ||xx M xx||_F)."""
+        xx_terms = terms(xx)
+        res_norm = np.linalg.norm(xx_terms[0], "fro")
+        if res_norm > residual_limit * max(1.0, np.linalg.norm(q, "fro"),
+                                           np.linalg.norm(xx_terms[2], "fro")):
+            raise NumericalError(f"doubling left the residual {res_norm:.3e}")
+        xx_eigs = np.linalg.eigvalsh(xx)
         return xx_terms, xx_eigs, _closed_loop_axis(a - xx_terms[1], xx,
                                                      xx_eigs, tol)
 
     try:
         x, doubling_steps = _doubling(a, m, q)
-        (res, mx, xmx), x_eigs, axis_path = decided(x)
+        (res, mx, xmx), x_eigs, axis_path = decided(x, _DOUBLING_RESIDUAL)
     except (NumericalError, HamiltonianImaginaryAxis):
         x, doubling_steps = _eigenspace_x(hs, tol), 0
         (res, mx, xmx), x_eigs, axis_path = decided(x)

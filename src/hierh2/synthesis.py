@@ -34,12 +34,13 @@ and the real Schur factors of A + B2 F and A + L C2, each checked for
 stability where it is made.  The record forms the controller (P_u, K~, P_y)
 once, and gives the closed-loop H2 value by the observer separation without
 leaving the two Schur bases: one chain of three triangular solves
-(:func:`_block_gramian`), with every gain term formed from the factors
-rather than as an n x n product (:func:`_observer_closed_loop_h2`).  The
-chain assumes A4 (D12'C1 = 0, B1 D21' = 0) and forms no cross term; every
-caller has checked A4 on the same plant first: :func:`synthesize_hierarchical`
-and so the exact row of a kappa sweep, and the hierarchical synthesis that
-precedes the equivalence form in the gap layer.
+(:func:`_block_gramian`) that holds one Q block at a time, with every gain
+term formed from the factors rather than as an n x n product
+(:func:`_observer_closed_loop_h2`).  The chain assumes A4 (D12'C1 = 0,
+B1 D21' = 0) and forms no cross term; every caller has checked A4 on the
+same plant first: :func:`synthesize_hierarchical` and so the exact row of
+a kappa sweep, and the hierarchical synthesis that precedes the
+equivalence form in the gap layer.
 """
 
 from __future__ import annotations
@@ -54,7 +55,8 @@ from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import (ApproxNotStabilizing, DimensionMismatch,
                      HypothesisFailure, InvalidInput, NotStabilizingGains,
                      ToolkitError)
-from .hamiltonian import HamiltonianSystem, approx_are, build_hamiltonian
+from .hamiltonian import (ApproxAreSolution, HamiltonianSystem, approx_are,
+                          build_hamiltonian)
 from .linalg import (RealSchur, _pbh_certified, _require_hurwitz,
                      _unstable_modes, riccati_from_hamiltonian,
                      solve_sylvester_schur)
@@ -189,26 +191,34 @@ def youla_data(g: GeneralizedPlant, p: ProjectionPair, f2, l2,
 # Synthesis
 # ---------------------------------------------------------------------------
 
+def _solution_x(sol) -> np.ndarray:
+    """The solution array of an exact or a truncated Riccati solution."""
+    return sol.xbar if isinstance(sol, ApproxAreSolution) else sol.x
+
+
 @dataclass
 class SynthesisResult:
-    """X, Y and `youla`, the observer loop that gave `h2_value`, off which
-    the controller and the reduced gains F2, L2 are read.  `x_solution` and
-    `y_solution` hold each equation as it was solved (``.hs``), so that a
-    later solve of the same pair, such as a kappa row, reuses them.
+    """`youla`, the observer loop that gave `h2_value`, off which the
+    controller and the reduced gains F2, L2 are read, and `x_solution` and
+    `y_solution`, each equation as it was solved (``.hs``), so that a later
+    solve of the same pair, such as a kappa row, reuses them.  X and Y are
+    read off the solutions: `x` and `y` are the exact solver's arrays, or
+    the truncated X~ and Y~, which are formed when first read
+    (``ApproxAreSolution.xbar``) and are not held until then.
     `pbh_path` names what decided the projected PBH hypotheses in
     :func:`synthesize_hierarchical`: ``'certificate'`` (the loop's own
     Schur factors) or ``'rule'`` (the sigma_min rule); it is None on a
     result of the core alone, such as a kappa row of a sweep."""
 
-    x: np.ndarray
-    y: np.ndarray
     h2_value: float
     solve_time: float
     youla: YoulaData
-    x_solution: object = None     # AreSolution or ApproxAreSolution
-    y_solution: object = None
+    x_solution: object            # AreSolution or ApproxAreSolution
+    y_solution: object
     pbh_path: str | None = None
 
+    x = property(lambda self: _solution_x(self.x_solution))
+    y = property(lambda self: _solution_x(self.y_solution))
     controller = property(lambda self: self.youla.controller)
     f2 = property(lambda self: self.youla.f2)
     l2 = property(lambda self: self.youla.l2)
@@ -254,8 +264,8 @@ def _check_hypotheses(g: GeneralizedPlant, p: ProjectionPair, tol: Tolerances,
     return "rule"
 
 
-def _block_gramian(f1: RealSchur, f2: RealSchur, a12, q11: np.ndarray,
-                   q12: np.ndarray, q22: np.ndarray, tol: Tolerances):
+def _block_gramian(f1: RealSchur, f2: RealSchur, a12, q_blocks,
+                   tol: Tolerances):
     """Gramian blocks (Y11, Y12, Y22) of the block upper triangular
     A = [[A1, A12], [0, A2]], in the Schur bases of A1 = U1 T1 U1' and
     A2 = U2 T2 U2' (`f1`, `f2`).
@@ -265,20 +275,26 @@ def _block_gramian(f1: RealSchur, f2: RealSchur, a12, q11: np.ndarray,
     low-rank coupling is applied factor by factor.  One Lyapunov solve per
     diagonal block plus one Sylvester coupling, all three through
     :func:`~hierh2.linalg.solve_sylvester_schur` with its residual contract,
-    and no factorization of A and no change of basis.  Each q_ij is dropped
-    once the solve that reads it has run, and never written into, so a
-    caller may pass one array as two blocks; one that passes temporaries
-    frees them there.
+    and no factorization of A and no change of basis.  `q_blocks` yields
+    the blocks in solve order, q22, q12, q11, each a fresh array that the
+    chain takes over: the coupling terms are added into q12 and q11 in
+    place, and each block is dropped once its solve has run, so a caller
+    that forms a block only when it is asked for holds one at a time.
     """
-    y22 = solve_sylvester_schur(f2, f2, q22, tol)
-    del q22
-    q12 = q12 + a12(y22)
-    y12 = solve_sylvester_schur(f1, f2, q12, tol)
-    del q12
+    q_blocks = iter(q_blocks)
+    q = next(q_blocks)
+    y22 = solve_sylvester_schur(f2, f2, q, tol)
+    del q
+    q = next(q_blocks)
+    q += a12(y22)
+    y12 = solve_sylvester_schur(f1, f2, q, tol)
+    del q
+    q = next(q_blocks)
     cross = a12(y12.T)
-    q11 = q11 + cross + cross.T
+    q += cross
+    q += cross.T
     del cross
-    return solve_sylvester_schur(f1, f1, q11, tol), y12, y22
+    return solve_sylvester_schur(f1, f1, q, tol), y12, y22
 
 
 def _observer_closed_loop_h2(yd: YoulaData, tol: Tolerances) -> float:
@@ -293,10 +309,13 @@ def _observer_closed_loop_h2(yd: YoulaData, tol: Tolerances) -> float:
     B1 B1' and B1 B1' + L D21 D21' L', and the C'C blocks are
     C1'C1 + F'R F, -F'R F and F'R F with R = D12'D12.  The Gramian blocks
     come from :func:`_block_gramian` in the Schur bases of A_F and A_L that
-    `yd` holds.  The plant's factors of B1 B1' and C1'C1 are moved into
-    them once; every gain term is formed from the gain factors
+    `yd` holds.  The plant's factor of B1 B1' is moved into each basis
+    once, and each Q block is formed when the chain asks for it, so one
+    block is held at a time and each image of the factor is dropped after
+    its last product; every gain term is formed from the gain factors
     (B2 F = fold_u(B2) F2, L D21 = L2 fold_y(D21)) in O(r n^2); and the
-    traces tr(C Phi C') are contracted in Schur coordinates.
+    traces tr(C Phi C') are contracted in Schur coordinates, from the
+    factor of C1'C1.
     """
     g, f2 = yd.g, yd.f2
     u1, u2 = yd.f_loop.u, yd.l_loop.u
@@ -306,13 +325,23 @@ def _observer_closed_loop_h2(yd: YoulaData, tol: Tolerances) -> float:
     d21y = yd.fold_y(g.d21)                  # L D21 = L2 d21y
     l2_2 = u2.T @ yd.l2
 
-    # B1 B1' = Bf Bf' in the two bases; the Q blocks are temporaries
-    bf_1, bf_2 = u1.T @ g.b1_factor, u2.T @ g.b1_factor
+    def q_blocks():
+        """B1 B1' = Bf Bf' in the two bases, block by block in solve order;
+        each image of Bf is dropped after its last product, and each block
+        before the next is formed."""
+        bf_2 = u2.T @ g.b1_factor
+        yield bf_2 @ bf_2.T + l2_2 @ (d21y @ d21y.T) @ l2_2.T
+        bf_1 = u1.T @ g.b1_factor
+        q = bf_1 @ bf_2.T
+        del bf_2
+        yield q
+        del q
+        q = bf_1 @ bf_1.T
+        del bf_1
+        yield q
+
     y11, y12, y22 = _block_gramian(
-        yd.f_loop, yd.l_loop, lambda y: -(b2_1 @ (f2_2 @ y)),
-        bf_1 @ bf_1.T, bf_1 @ bf_2.T,
-        bf_2 @ bf_2.T + l2_2 @ (d21y @ d21y.T) @ l2_2.T, tol)
-    del bf_1, bf_2      # so the n x n products below do not raise the peak
+        yd.f_loop, yd.l_loop, lambda y: -(b2_1 @ (f2_2 @ y)), q_blocks(), tol)
 
     # C1'C1 = Cf' Cf in the first basis, R = D12'D12 folded by P_u
     cf_1 = g.c1_factor @ u1
@@ -422,12 +451,13 @@ def _synthesize(g, p, hs_x, hs_y, are_backend, kappa, method,
     if are_backend == "exact":
         x_sol = riccati_from_hamiltonian(hs_x, tol)
         y_sol = riccati_from_hamiltonian(hs_y, tol)
-        x, y = x_sol.x, y_sol.x
+        f2, l2 = hs_x.gain(x_sol.x), hs_y.gain(y_sol.x).T
     else:
         x_sol = approx_are(hs_x, kappa, method=method, tol=tol)
         y_sol = approx_are(hs_y, kappa, method=method, tol=tol)
-        x, y = x_sol.xbar, y_sol.xbar
-    f2, l2 = hs_x.gain(x), hs_y.gain(y).T
+        # each X~ lives only as long as its gain product
+        f2 = hs_x.gain(x_sol.form_xbar())
+        l2 = hs_y.gain(y_sol.form_xbar()).T
     elapsed = time.perf_counter() - t0
     try:
         yd = youla_data(g, p, f2, l2, tol)
@@ -437,7 +467,7 @@ def _synthesize(g, p, hs_x, hs_y, are_backend, kappa, method,
         raise ApproxNotStabilizing(f"kappa={kappa}: {e}") from e
 
     return SynthesisResult(
-        x=x, y=y, h2_value=_observer_closed_loop_h2(yd, tol),
+        h2_value=_observer_closed_loop_h2(yd, tol),
         solve_time=elapsed, youla=yd, x_solution=x_sol, y_solution=y_sol)
 
 

@@ -15,7 +15,9 @@ monolithic loop through the RK4 stages of its vector field.  The block
 Woodbury set-up of the Krylov shift-invert is checked against one that
 solves its columns one at a time, and the library's closed loop of the
 plant, formed from its blocks, against the generic lower LFT of the stacked
-four-block plant.
+four-block plant.  The synthesis Gramian chain, which adds its coupling
+terms into its Q blocks in place, is checked bit for bit against the same
+chain on whole-array sums.
 """
 
 from dataclasses import dataclass
@@ -85,6 +87,19 @@ def riccati_ordered_schur(hs) -> np.ndarray:
     n = hs.n
     z = sla.schur(hs.h, output="real", sort="lhp")[1]
     return symmetrize(sla.solve(z[:n, :n].T, z[n:, :n].T).T)
+
+
+def block_gramian_whole_arrays(f1, f2, a12, q22, q12, q11, tol):
+    """(Y11, Y12, Y22) of the synthesis Gramian chain with every coupling
+    sum formed as a new array, Q12 + A12 Y22 and Q11 + C + C' with
+    C = A12 Y12', and no block written into; the library adds those terms
+    into its Q blocks in place and must round as this does."""
+    from hierh2.linalg import solve_sylvester_schur
+    y22 = solve_sylvester_schur(f2, f2, q22, tol)
+    y12 = solve_sylvester_schur(f1, f2, q12 + a12(y22), tol)
+    cross = a12(y12.T)
+    return (solve_sylvester_schur(f1, f1, q11 + cross + cross.T, tol),
+            y12, y22)
 
 
 def _freq_response(sys, ws, chunk_elems: int = 2 ** 20):

@@ -19,8 +19,8 @@ from hierh2.errors import (DegenerateData, IllConditionedR, InvalidInput,
                            NumericalError)
 
 from conftest import identity_pair, random_h2_plant, random_partition
-from oracles import (hat_gap_weights, hat_spectral_factors, lyapunov_kron,
-                     youla_hat)
+from oracles import (block_gramian_whole_arrays, hat_gap_weights,
+                     hat_spectral_factors, lyapunov_kron, youla_hat)
 from test_synthesis import scalar_plant
 
 FREQS = np.logspace(-2, 2, 20)
@@ -587,6 +587,24 @@ def test_n_state_factors_match_hat_oracle_small_plants():
     hier = synthesize_hierarchical(g, p)
     _assert_factors_match_oracle(hier.youla, hier)
     _assert_factors_match_oracle(reference_youla_data(g), hier)
+
+
+def test_phi_y_is_the_whole_array_chain_bit_for_bit(monkeypatch):
+    # Phi_y comes from the synthesis Gramian chain, which takes its Q blocks
+    # one at a time and adds into them in place; with the whole-array chain
+    # in its place every factor is the same array, bit for bit
+    cfg = ExperimentConfig(seed=7)
+    g = cfg.plant(100)
+    yd = reference_youla_data(g)
+    unc = synthesize_unconstrained(g)
+    sf = gapdesign._factors(yd, unc, DEFAULT_TOLERANCES)
+    monkeypatch.setattr(
+        gapdesign, "_block_gramian",
+        lambda f1, f2, a12, q_blocks, tol: block_gramian_whole_arrays(
+            f1, f2, a12, *q_blocks, tol))
+    ref = gapdesign._factors(yd, unc, DEFAULT_TOLERANCES)
+    for name in ("embed_y", "lhat", "embed_u", "fhat"):
+        assert np.array_equal(getattr(sf, name), getattr(ref, name)), name
 
 
 def test_spectral_factors_rejects_foreign_weights():

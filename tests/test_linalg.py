@@ -571,6 +571,29 @@ def test_an_unstable_mode_hidden_from_q_is_solved():
     assert np.linalg.norm(sol.x - x_ref) <= 1e-12 * np.linalg.norm(x_ref)
 
 
+@pytest.mark.parametrize("seed", range(8))
+def test_a_rotated_hidden_mode_is_solved_to_the_oracle(seed):
+    # A = U diag(1, 0.5, -1, -2) U' with C1 = diag(0, 0, 1, 1) U' blind to
+    # both unstable modes.  At seeds 0, 1, 2 and 6 the doubling stops after
+    # 7 steps where P sits still, at an X whose residual is 1e-4 to 7e-3 of
+    # its scale; Newton from there reached the oracle only to 4e-10, so that
+    # X is refused and the dense eigenspace of H gives X to rounding.  At
+    # the other seeds the doubling breaks down or the axis rule refuses it
+    u, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((4, 4)))
+    hs = build_hamiltonian(u @ np.diag([1.0, 0.5, -1.0, -2.0]) @ u.T,
+                           np.eye(4), np.diag([0.0, 0.0, 1.0, 1.0]) @ u.T,
+                           np.eye(4))
+    sol = linalg.riccati_from_hamiltonian(hs)
+    x_ref = riccati_ordered_schur(hs)
+    assert np.linalg.norm(sol.x - x_ref) <= 1e-12 * np.linalg.norm(x_ref)
+    assert sol.doubling_steps == 0
+    if seed in (0, 1, 2, 6):
+        x, steps = linalg._doubling(hs.a, hs.m, hs.ctc)
+        t = hs.a.T @ x
+        res = np.linalg.norm(t + t.T + hs.ctc - x @ hs.m @ x)
+        assert steps == 7 and res > 1e-5 * max(1.0, np.linalg.norm(hs.ctc))
+
+
 def test_an_undamped_oscillator_is_solved(monkeypatch):
     # A = [[0, 1], [-1, 0]], M = Q = I: H has the eigenvalues +-1 +-i and
     # X = I.  The trace rule cancels to 0 here, tr(A^2) + tr(M Q) = -2 + 2,
@@ -583,8 +606,8 @@ def test_an_undamped_oscillator_is_solved(monkeypatch):
     assert sol.doubling_steps > 0
     assert sol.x == pytest.approx(np.eye(2))
     # without the floor gamma = 0: the first step leaves P = 0 unmoved and
-    # the doubling stops at X = 0, whose A - M X = A has the eigenvalues
-    # +-i; the rule refuses it and the dense eigenspace gives X = I
+    # the doubling stops at X = 0, whose residual Q is refused (and whose
+    # A - M X = A has the eigenvalues +-i); the dense eigenspace gives X = I
     monkeypatch.setattr(linalg, "_SHIFT_FLOOR", 0.0)
     assert linalg._cayley_shift(hs.a, hs.m, hs.ctc) == 0.0
     assert linalg._doubling(hs.a, hs.m, hs.ctc)[0] == pytest.approx(

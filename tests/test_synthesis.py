@@ -1,7 +1,9 @@
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from hierh2 import (DEFAULT_TOLERANCES, ClusterPartition, ExperimentConfig,
                     GeneralizedPlant, NetworkSpec, ProjectionPair, StateSpace,
@@ -18,7 +20,7 @@ from hierh2.projection import _projected_pbh_failure, random_stable_statespace
 
 from conftest import (identity_pair, random_h2_plant, random_partition,
                       random_stable_matrix, zero_sum_weights)
-from oracles import lft_controller, youla_hat
+from oracles import block_gramian_whole_arrays, lft_controller, youla_hat
 
 FREQS = np.logspace(-2, 2, 15)
 
@@ -784,3 +786,117 @@ def test_exact_synthesis_solves_from_the_hamiltonian_record(monkeypatch):
     raw = _count_calls(monkeypatch, linalg, "solve_are")
     synthesize_hierarchical(g, pair)
     assert riccati["calls"] == 2 and raw["calls"] == 0
+
+
+# ---------------------------------------------------------------------------
+# Working set of the approximate synthesis
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def consensus300():
+    """The consensus plant at n = 300 (seed 7), its planted pair, and the
+    observer loop of its kappa = 4 Krylov synthesis."""
+    cfg = ExperimentConfig(seed=7)
+    g = cfg.plant(300)
+    pair = build_projection(cfg.planted_partition(g, 300),
+                            WeightVectors.ones(g.n_u, g.n_y))
+    res = synthesize_hierarchical(g, pair, are_backend="approx", kappa=4,
+                                  method="krylov")
+    return g, pair, res.youla
+
+
+def _traced_peak(fn):
+    """(fn(), the peak of traced allocations during the call above what was
+    held before it); tracemalloc sees numpy's buffers."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_h2_chain_holds_one_q_block_at_a_time(consensus300):
+    # the chain holds the two loops' factors (its inputs), Y22 and Y12, one
+    # Q block, Y11 and one work array of the solve at its last Lyapunov
+    # solve: about 5 n x n blocks above its inputs, against about 9 when
+    # the three Q blocks and both B1-factor images were held together
+    g, _, yd = consensus300
+    tol = DEFAULT_TOLERANCES
+    first = synthesis._observer_closed_loop_h2(yd, tol)
+    value, peak = _traced_peak(
+        lambda: synthesis._observer_closed_loop_h2(yd, tol))
+    assert value == first
+    assert peak <= 6 * 8 * g.n ** 2
+
+
+@pytest.mark.parametrize("lyapunov", [True, False])
+def test_a_schur_solve_adds_y_and_one_work_array(consensus300, lyapunov):
+    # beyond Q^ a solve holds Y and one n x n work array, the residual
+    # (2.00 n x n measured for Sylvester, 4 blocks before for Lyapunov and
+    # 3 for Sylvester); the in-place symmetric sums of the Lyapunov form
+    # add strips of linalg._STRIP_ROWS rows and numpy's iteration buffers
+    # (2.26 at n = 300)
+    g, _, yd = consensus300
+    n = g.n
+    f1 = yd.f_loop
+    f2 = f1 if lyapunov else yd.l_loop
+    q = np.random.default_rng(3).standard_normal((n, n))
+    q = q @ q.T if lyapunov else q
+    kept = q.copy()
+    y, peak = _traced_peak(lambda: linalg.solve_sylvester_schur(f1, f2, q))
+    assert np.array_equal(q, kept)
+    assert peak <= 8 * (2 * n * n + 8 * linalg._STRIP_ROWS * n)
+    res = f1.t @ y + y @ f2.t.T + q
+    assert np.linalg.norm(res) <= DEFAULT_TOLERANCES.lyap_residual * \
+        max(1.0, np.linalg.norm(q))
+
+
+def test_approx_synthesis_forms_x_tilde_when_read(consensus300):
+    # X~ and Y~ stay factored through the synthesis; each is formed on its
+    # first read, bit for bit as Z2k (Z2k' Z1k)^{-1} Z2k', and the gains
+    # are the gains of those arrays
+    g, pair, _ = consensus300
+    res = synthesize_hierarchical(g, pair, are_backend="approx", kappa=4,
+                                  method="krylov")
+    for sol in (res.x_solution, res.y_solution):
+        assert "xbar" not in vars(sol)
+    for x, sol in ((res.x, res.x_solution), (res.y, res.y_solution)):
+        z2k = sol.subspace.z2
+        assert np.array_equal(x, linalg.symmetrize(
+            z2k @ sla.solve(sol.gram, z2k.T, assume_a="sym")))
+        assert vars(sol)["xbar"] is x
+    assert res.x is res.x_solution.xbar
+    assert np.array_equal(res.f2, res.x_solution.hs.gain(res.x))
+    assert np.array_equal(res.l2, res.y_solution.hs.gain(res.y).T)
+
+
+def test_h2_chain_adds_in_place_as_the_whole_array_chain(consensus300,
+                                                        monkeypatch):
+    # the chain adds its coupling terms into the Q blocks in place; the
+    # Gramian blocks, and so the H2 value, are those of the whole-array
+    # sums with all three Q blocks formed up front, bit for bit
+    g, _, yd = consensus300
+    tol = DEFAULT_TOLERANCES
+    rng = np.random.default_rng(4)
+    b = rng.standard_normal((g.n, 3))
+    blocks = [b @ b.T, rng.standard_normal((g.n, g.n)), b @ b.T]
+    coupling = rng.standard_normal((g.n, 2)) @ rng.standard_normal((2, g.n))
+
+    def a12(y):
+        return coupling @ y
+
+    got = synthesis._block_gramian(yd.f_loop, yd.l_loop, a12,
+                                   [q.copy() for q in blocks], tol)
+    whole = block_gramian_whole_arrays(yd.f_loop, yd.l_loop, a12, *blocks,
+                                       tol)
+    for mine, ref in zip(got, whole):
+        assert np.array_equal(mine, ref)
+
+    value = synthesis._observer_closed_loop_h2(yd, tol)
+    monkeypatch.setattr(
+        synthesis, "_block_gramian",
+        lambda f1, f2, a12, q_blocks, tol: block_gramian_whole_arrays(
+            f1, f2, a12, *q_blocks, tol))
+    assert synthesis._observer_closed_loop_h2(yd, tol) == value
